@@ -369,7 +369,7 @@ def cmd_evaluate(args, mapping) -> int:
         for sid in ids:
             seq = labeled[sid]
             for action, prob, yval in zip(seq.actions, probs[sid], seq.labels):
-                rows.append(f"{sid},{action.timestamp},{prob!r},{yval}")
+                rows.append(f"{sid},{action.timestamp},{float(prob)!r},{yval}")
         atomic_write_text(args.dump_scores, "\n".join(rows) + "\n")
         outputs.append(args.dump_scores)
 
@@ -388,9 +388,50 @@ def cmd_evaluate(args, mapping) -> int:
     return EXIT_OK
 
 
-def cmd_score(args, mapping) -> int:
+SCORE_STATE_VERSION = 1
+
+
+def _load_score_state(path, level, hidden_size):
+    """Read a ``score --state-out`` file into per-student (featurizer,
+    LSTM state) pairs; any defect in it is a DataValidationError."""
     import numpy as np
 
+    from eosnet.features import StreamFeaturizer
+    from eosnet.net import LstmState
+
+    try:
+        with open(path, encoding="utf-8") as handle:
+            saved = json.load(handle)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataValidationError(f"{path}: not a scoring state: {exc}") from None
+    try:
+        if saved["version"] != SCORE_STATE_VERSION:
+            raise DataValidationError(
+                f"{path}: scoring state version {saved['version']!r} is not supported "
+                f"(expected {SCORE_STATE_VERSION})")
+        if saved["level"] != level:
+            raise DataValidationError(
+                f"state was saved for level {saved['level']!r}, not {level!r}")
+        states = {}
+        for sid, entry in saved["students"].items():
+            h = np.asarray(entry["h"], dtype=np.float64)
+            c = np.asarray(entry["c"], dtype=np.float64)
+            if h.shape != (hidden_size,) or c.shape != (hidden_size,):
+                raise DataValidationError(
+                    f"{path}: state of {sid} has h of shape {h.shape} and c of shape "
+                    f"{c.shape}; the checkpoint's hidden size is {hidden_size}")
+            states[sid] = (StreamFeaturizer.from_dict(entry["featurizer"]),
+                           LstmState(h=h, c=c))
+    except DataValidationError:
+        raise
+    except KeyError as exc:
+        raise DataValidationError(f"{path}: scoring state lacks key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DataValidationError(f"{path}: malformed scoring state: {exc}") from None
+    return states
+
+
+def cmd_score(args, mapping) -> int:
     from eosnet.features import FEATURE_DIM, StreamFeaturizer
     from eosnet.fileio import atomic_write_text
     from eosnet.ingest import parse_line
@@ -405,16 +446,7 @@ def cmd_score(args, mapping) -> int:
 
     states: dict[str, tuple[StreamFeaturizer, LstmState]] = {}
     if args.state_in:
-        with open(args.state_in, encoding="utf-8") as handle:
-            saved = json.load(handle)
-        if saved.get("level") != args.level:
-            raise DataValidationError(
-                f"state was saved for level {saved.get('level')!r}, not {args.level!r}")
-        for sid, entry in saved["students"].items():
-            states[sid] = (
-                StreamFeaturizer.from_dict(entry["featurizer"]),
-                LstmState(h=np.asarray(entry["h"]), c=np.asarray(entry["c"])),
-            )
+        states = _load_score_state(args.state_in, args.level, params.hidden_size)
 
     if args.data == "-":
         lines = sys.stdin
@@ -459,7 +491,7 @@ def cmd_score(args, mapping) -> int:
 
     if args.state_out:
         payload = {
-            "version": 1,
+            "version": SCORE_STATE_VERSION,
             "level": args.level,
             "students": {
                 sid: {

@@ -3,9 +3,24 @@ backpropagation through time, RMSprop, and checkpoint serialization.
 
 All math is 64-bit.  The batched code path is time-major ``(T, B, dim)``
 and is the single implementation; the per-sequence functions wrap it with
-a batch axis of one.  Gate blocks inside ``lstm_W``/``lstm_b`` are stacked
-in the order input, forget, candidate, output, and the LSTM input is the
-concatenation ``[x; h]`` (feature columns first).
+a batch axis of one, and the streaming ``infer_step`` (and ``lstm_step``)
+with one step and one lane.  Gate blocks inside ``lstm_W``/``lstm_b`` are
+stacked in the order input, forget, candidate, output, and the LSTM input
+is the concatenation ``[x; h]`` (feature columns first).
+
+The time loop of :func:`forward_batch` keeps ``[x_t; h]`` in one
+``(B, D+H)`` buffer and computes all four gate pre-activations with a
+single GEMM per step.  The gates take one ``tanh`` pass over all ``4H``
+columns: the input, forget and output blocks are halved first and mapped
+back afterwards, using sigma(x) = tanh(x/2)/2 + 1/2 (halving is exact in
+float64, so the only change from the exp form is rounding in the last
+place).  The output head keeps the exact exp-form :func:`sigmoid`, which
+keeps the relative precision of tiny probabilities that the loss needs;
+it runs on ``T*B`` values.  At inference (``want_cache=False``) the loop
+allocates the per-step hidden states ``(T, B, H)`` that the dense head
+reads, plus ``O(B*(D+5H))`` of step buffers; the post-activation gates
+``(T, B, 4H)`` and cell states ``(T, B, H)`` that backpropagation needs are
+stored only with ``want_cache=True``.
 """
 
 from __future__ import annotations
@@ -143,19 +158,6 @@ def init_params(seed: int, input_dim: int = DEFAULT_INPUT_DIM,
     )
 
 
-def lstm_step(params: ModelParams, x: np.ndarray, state: LstmState) -> LstmState:
-    """One LSTM step; pure function of its inputs."""
-    hidden = params.hidden_size
-    z = params.lstm_W @ np.concatenate([np.asarray(x, dtype=np.float64), state.h])
-    z += params.lstm_b
-    i = sigmoid(z[:hidden])
-    f = sigmoid(z[hidden:2 * hidden])
-    g = np.tanh(z[2 * hidden:3 * hidden])
-    o = sigmoid(z[3 * hidden:])
-    c_new = f * state.c + i * g
-    return LstmState(h=o * np.tanh(c_new), c=c_new)
-
-
 # ---------------------------------------------------------------------------
 # batched forward / backward
 # ---------------------------------------------------------------------------
@@ -201,11 +203,6 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     if D != params.input_dim:
         raise ValueError(f"feature dim {D} != model input dim {params.input_dim}")
 
-    Wx = params.lstm_W[:, :D]
-    Wh = params.lstm_W[:, D:]
-    zx = X.reshape(T * B, D) @ Wx.T
-    zx = zx.reshape(T, B, 4 * hidden) + params.lstm_b
-
     train = rng is not None and dropout_p > 0.0
     if train:
         keep = 1.0 - dropout_p
@@ -216,29 +213,47 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     else:
         m0 = m1 = m2 = None
 
-    gates = np.empty((T, B, 4 * hidden))
-    cs = np.empty((T, B, hidden))
+    # sigma(x) = tanh(x/2)/2 + 1/2: halve the i, f, o pre-activations (and
+    # bias), take one tanh over all four blocks, then map i, f, o back.
+    # Scaling by 0.5 or 1.0 and adding 0.0 are exact in float64.
+    W_T = params.lstm_W.T
+    scale = np.full(4 * hidden, 0.5)
+    scale[2 * hidden:3 * hidden] = 1.0
+    shift = 1.0 - scale
+    bias = params.lstm_b * scale
+
+    xh = np.empty((B, D + hidden))
+    xh[:, D:] = h0
+    h = xh[:, D:]
+    c = np.array(c0, dtype=np.float64)
+    z = np.empty((B, 4 * hidden))
+    i, f, g, o = (z[:, k * hidden:(k + 1) * hidden] for k in range(4))
+    ig = np.empty((B, hidden))
     hs = np.empty((T, B, hidden))
-    h = np.asarray(h0, dtype=np.float64).copy()
-    c = np.asarray(c0, dtype=np.float64).copy()
+    if want_cache:
+        gates = np.empty((T, B, 4 * hidden))
+        cs = np.empty((T, B, hidden))
     for t in range(T):
+        xh[:, :D] = X[t]
         live = ~resets[t]
         if not live.all():
-            h = h * live[:, None]
-            c = c * live[:, None]
-        z = zx[t] + h @ Wh.T
-        i = sigmoid(z[:, :hidden])
-        f = sigmoid(z[:, hidden:2 * hidden])
-        g = np.tanh(z[:, 2 * hidden:3 * hidden])
-        o = sigmoid(z[:, 3 * hidden:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        gates[t, :, :hidden] = i
-        gates[t, :, hidden:2 * hidden] = f
-        gates[t, :, 2 * hidden:3 * hidden] = g
-        gates[t, :, 3 * hidden:] = o
-        cs[t] = c
-        hs[t] = h
+            h *= live[:, None]
+            c *= live[:, None]
+        np.matmul(xh, W_T, out=z)
+        z *= scale
+        z += bias
+        np.tanh(z, out=z)
+        z *= scale
+        z += shift
+        c *= f
+        np.multiply(i, g, out=ig)
+        c += ig
+        np.tanh(c, out=hs[t])
+        hs[t] *= o
+        h[...] = hs[t]
+        if want_cache:
+            gates[t] = z
+            cs[t] = c
 
     flat_h = hs.reshape(T * B, hidden)
     if train:
@@ -262,7 +277,7 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
             m0=m0, m1=m1, m2=m2,
             a1=a1.reshape(T, B, -1), a2=a2.reshape(T, B, -1), probs=probs,
         )
-    return BatchForward(probs=probs, h=h, c=c, cache=cache)
+    return BatchForward(probs=probs, h=h.copy(), c=c, cache=cache)
 
 
 def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray,
@@ -434,14 +449,20 @@ def loss_weighted_bce(probs, labels, weights) -> float:
 def infer_step(params: ModelParams, frame, state: LstmState) -> tuple[float, LstmState]:
     """Inference for a single action: one LSTM step plus the dense head.
 
-    Matches ``forward`` in inference mode step for step; used by the
-    streaming scorer where actions arrive one at a time.
+    Runs ``forward_batch`` with one step and one lane, so it matches
+    ``forward`` in inference mode step for step; used by the streaming
+    scorer where actions arrive one at a time.
     """
-    new_state = lstm_step(params, frame, state)
-    a1 = np.maximum(params.dense1_W @ new_state.h + params.dense1_b, 0.0)
-    a2 = np.maximum(params.dense2_W @ a1 + params.dense2_b, 0.0)
-    prob = sigmoid(params.out_W @ a2 + params.out_b)[0]
-    return float(np.clip(prob, _PROB_LO, _PROB_HI)), new_state
+    X = np.asarray(frame, dtype=np.float64).reshape(1, 1, -1)
+    out = forward_batch(params, X, np.zeros((1, 1), dtype=bool),
+                        state.h[None, :], state.c[None, :])
+    return float(out.probs[0, 0]), LstmState(h=out.h[0], c=out.c[0])
+
+
+def lstm_step(params: ModelParams, x, state: LstmState) -> LstmState:
+    """One LSTM step; pure function of its inputs (``infer_step`` without
+    the probability)."""
+    return infer_step(params, x, state)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -257,8 +257,15 @@ class EarlyStopper:
         self.stale = 0
 
     def update(self, score: float, epoch: int) -> bool:
-        """Record an epoch score; returns True when training should stop."""
-        if self.best_score is None or score > self.best_score:
+        """Record an epoch score; returns True when training should stop.
+
+        The epoch becomes the best one when it is the first, or when its
+        score is not NaN and either beats the best score or the best score
+        is NaN.  A NaN score never counts as an improvement.
+        """
+        best = self.best_score
+        if best is None or (not math.isnan(score)
+                            and (math.isnan(best) or score > best)):
             self.best_score = score
             self.best_epoch = epoch
             self.stale = 0
@@ -346,9 +353,8 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
         if progress is not None:
             progress(history[-1])
 
-        improved = stopper.best_score is None or val_auc > stopper.best_score
         stop = stopper.update(val_auc, epoch)
-        if improved:
+        if stopper.best_epoch == epoch:
             best_params = params.copy()
         if stop:
             break

@@ -14,6 +14,7 @@ from eosnet.net import (
     infer_step,
     init_params,
     forward,
+    forward_batch,
     load_checkpoint,
     loss_weighted_bce,
     lstm_step,
@@ -108,6 +109,45 @@ class TestLstmStep:
             state = lstm_step(p, x, state)
         np.testing.assert_allclose(state.h, expected_h, rtol=1e-12)
         np.testing.assert_allclose(state.c, expected_c, rtol=1e-12)
+
+
+class TestForwardBatch:
+    def _inputs(self, T=7, B=3, hidden=3):
+        rng = np.random.default_rng(8)
+        p = random_params(rng, hidden=hidden)
+        X = rng.uniform(-1, 1, (T, B, p.input_dim))
+        resets = np.zeros((T, B), dtype=bool)
+        resets[4, 1] = True  # one lane restarts mid-sequence
+        h0 = rng.uniform(-1, 1, (B, hidden))
+        c0 = rng.uniform(-1, 1, (B, hidden))
+        return p, X, resets, h0, c0
+
+    def test_matches_scalar_oracle(self):
+        p, X, resets, h0, c0 = self._inputs()
+        out = forward_batch(p, X, resets, h0, c0, want_cache=True)
+        T, B, _ = X.shape
+        zeros = [0.0] * p.hidden_size
+        for lane in range(B):
+            h, c = h0[lane].tolist(), c0[lane].tolist()
+            for t in range(T):
+                if resets[t, lane]:
+                    h, c = zeros, zeros
+                h, c = scalar_lstm_oracle(p, [X[t, lane].tolist()], h, c)
+                np.testing.assert_allclose(out.cache.h[t, lane], h, rtol=1e-12)
+                np.testing.assert_allclose(out.cache.c[t, lane], c, rtol=1e-12)
+            np.testing.assert_allclose(out.h[lane], h, rtol=1e-12)
+            np.testing.assert_allclose(out.c[lane], c, rtol=1e-12)
+
+    def test_cache_leaves_outputs_and_inputs_unchanged(self):
+        p, X, resets, h0, c0 = self._inputs()
+        h0_before, c0_before = h0.copy(), c0.copy()
+        plain = forward_batch(p, X, resets, h0, c0)
+        cached = forward_batch(p, X, resets, h0, c0, want_cache=True)
+        assert plain.cache is None
+        for name in ("probs", "h", "c"):
+            np.testing.assert_array_equal(getattr(plain, name), getattr(cached, name))
+        np.testing.assert_array_equal(h0, h0_before)
+        np.testing.assert_array_equal(c0, c0_before)
 
 
 class TestForward:

@@ -229,6 +229,21 @@ class TestEarlyStopper:
         assert outcomes == [False, False, False, False, True]
         assert stopper.best_epoch == 3
 
+    def test_nan_first_score_is_replaced(self):
+        stopper = EarlyStopper(patience=3)
+        outcomes = [stopper.update(v, e) for e, v in enumerate(
+            [float("nan"), 0.6, 0.7, 0.8], start=1)]
+        assert outcomes == [False, False, False, False]
+        assert stopper.best_epoch == 4
+        assert stopper.best_score == 0.8
+
+    def test_nan_score_is_no_improvement(self):
+        stopper = EarlyStopper(patience=2)
+        outcomes = [stopper.update(v, e) for e, v in enumerate(
+            [0.6, float("nan"), float("nan")], start=1)]
+        assert outcomes == [False, False, True]
+        assert stopper.best_epoch == 1
+
 
 def make_toy_students(n_students, rng):
     logs = []
@@ -266,6 +281,24 @@ class TestTrainLoop:
         best = max(result.history, key=lambda s: s.val_auc)
         assert result.best_epoch == best.epoch
         assert result.best_val_auc == pytest.approx(best.val_auc)
+
+    def test_nan_first_auc_returns_best_epoch_params(self, monkeypatch):
+        # The validation AUC does not feed back into training, so the
+        # epoch-4 weights are the same whatever AUCs are reported.
+        seqs = self._sequences(Level.STUDENT)
+        config = TrainConfig(max_epochs=4, patience=3, batch_size=4,
+                             tbptt_window=16, seed=2)
+
+        def run(aucs):
+            reported = iter(aucs)
+            monkeypatch.setattr("eosnet.training.auc", lambda *args: next(reported))
+            return train(config, seqs[:9], seqs[9:])
+
+        nan_first = run([None, 0.6, 0.7, 0.8])
+        rising = run([0.5, 0.6, 0.7, 0.8])
+        assert nan_first.best_epoch == rising.best_epoch == 4
+        assert all((a == b).all() for a, b in zip(nan_first.params.arrays(),
+                                                  rising.params.arrays()))
 
     def test_session_level_resets_at_each_session(self):
         seqs = self._sequences(Level.SESSION)
