@@ -12,6 +12,7 @@ BLAS thread count before the numerics are loaded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -148,19 +149,31 @@ def _configure(args) -> dict[str, str]:
         raise UsageError(str(exc)) from None
 
 
-def _load_labeled(path, strict=True, lenient_log=True):
+def _load_labeled(path, strict=True, gap_seconds=900):
     """Parse a log file into per-student labelled sequences (sorted ids)."""
     from eosnet.ingest import group_by_student, parse_log_file
     from eosnet.sessions import label, segment
 
     bad: list = []
     actions = parse_log_file(path, strict=strict, bad_records=bad)
-    if bad and lenient_log:
+    if bad:
         log.info("skipped %d malformed records", len(bad))
     labeled = {}
     for student in group_by_student(actions):
-        labeled[student.student_id] = label(segment(student))
+        labeled[student.student_id] = label(segment(student, gap_seconds=gap_seconds))
     return labeled
+
+
+def _load_model(path):
+    """Load a checkpoint whose input width matches the feature encoding."""
+    from eosnet.features import FEATURE_DIM
+    from eosnet.net import load_checkpoint
+
+    params = load_checkpoint(path)
+    if params.input_dim != FEATURE_DIM:
+        raise CheckpointError(
+            f"checkpoint expects {params.input_dim} features, data has {FEATURE_DIM}")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +219,12 @@ def cmd_generate(args, mapping) -> int:
 
 def cmd_sessionize(args, mapping) -> int:
     from eosnet.fileio import atomic_write_text
-    from eosnet.ingest import HEADER, format_action, group_by_student, parse_log_file
-    from eosnet.sessions import label, segment
+    from eosnet.ingest import HEADER, format_action
 
-    bad: list = []
-    actions = parse_log_file(args.data, strict=not args.lenient, bad_records=bad)
-    if bad:
-        log.info("skipped %d malformed records", len(bad))
+    labeled = _load_labeled(args.data, strict=not args.lenient,
+                            gap_seconds=args.gap_seconds)
     rows = [HEADER + ",session_index,label"]
-    for student in group_by_student(actions):
-        seq = label(segment(student, gap_seconds=args.gap_seconds))
+    for seq in labeled.values():
         pos = 0
         for session in seq.sessions:
             for action in session.actions:
@@ -225,17 +234,12 @@ def cmd_sessionize(args, mapping) -> int:
     return EXIT_OK
 
 
-_FEATURE_HEADER = ("tod_8_12,tod_12_15,tod_15_8,gap_action,gap_session,"
-                   "kind_fillout,kind_multichoice,kind_material,lesson_changed,"
-                   "topic_changed,correct,homework,session_start,label")
-
-
 def cmd_featurize(args, mapping) -> int:
-    from eosnet.features import featurize
+    from eosnet.features import FEATURE_NAMES, featurize
     from eosnet.fileio import atomic_write_text
 
     labeled = _load_labeled(args.data)
-    header = _FEATURE_HEADER
+    header = ",".join(FEATURE_NAMES) + ",label"
     if args.with_keys:
         header = "student_id,timestamp," + header
     rows = [header]
@@ -306,9 +310,8 @@ def cmd_train(args, mapping) -> int:
     write_manifest(
         os.path.join(args.out, "manifest.json"),
         command="train",
-        config={f: repr(getattr(config, f)) for f in (
-            "learning_rate", "dropout_p", "batch_size", "patience",
-            "tbptt_window", "max_epochs", "level", "seed")},
+        config={f.name: repr(getattr(config, f.name))
+                for f in dataclasses.fields(config)},
         seeds={"split": config.seed, "train": config.seed},
         inputs=[args.data],
         outputs=[ckpt_path, history_path],
@@ -333,16 +336,11 @@ def _select_students(labeled, split_seed, part):
 
 def cmd_evaluate(args, mapping) -> int:
     from eosnet.evaluation import compute_report, scored_sessions
-    from eosnet.features import FEATURE_DIM
     from eosnet.fileio import atomic_write_text, write_manifest
-    from eosnet.net import load_checkpoint
     from eosnet.training import Level, prepare_sequence, score_sequences
 
     t0 = time.perf_counter()
-    params = load_checkpoint(args.checkpoint)
-    if params.input_dim != FEATURE_DIM:
-        raise CheckpointError(
-            f"checkpoint expects {params.input_dim} features, data has {FEATURE_DIM}")
+    params = _load_model(args.checkpoint)
     labeled = _load_labeled(args.data)
     ids = _select_students(labeled, args.split_seed, args.split_part)
     level = Level(args.level)
@@ -432,16 +430,12 @@ def _load_score_state(path, level, hidden_size):
 
 
 def cmd_score(args, mapping) -> int:
-    from eosnet.features import FEATURE_DIM, StreamFeaturizer
+    from eosnet.features import SESSION_START, StreamFeaturizer
     from eosnet.fileio import atomic_write_text
-    from eosnet.ingest import parse_line
-    from eosnet.net import LstmState, infer_step, load_checkpoint
-    from eosnet.sessions import DEFAULT_GAP_SECONDS
+    from eosnet.ingest import HEADER, parse_line
+    from eosnet.net import LstmState, infer_step
 
-    params = load_checkpoint(args.checkpoint)
-    if params.input_dim != FEATURE_DIM:
-        raise CheckpointError(
-            f"checkpoint expects {params.input_dim} features, data has {FEATURE_DIM}")
+    params = _load_model(args.checkpoint)
     session_level = args.level == "session"
 
     states: dict[str, tuple[StreamFeaturizer, LstmState]] = {}
@@ -454,8 +448,6 @@ def cmd_score(args, mapping) -> int:
         lines = open(args.data, encoding="utf-8")
     out_rows = []
     try:
-        from eosnet.ingest import HEADER
-
         for line_no, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or (line_no == 1 and stripped == HEADER):
@@ -467,15 +459,13 @@ def cmd_score(args, mapping) -> int:
                     LstmState.zeros(params.hidden_size),
                 )
             featurizer, state = states[action.student_id]
-            first = featurizer.last_timestamp is None
-            if not first and action.timestamp < featurizer.last_timestamp:
+            try:
+                frame = featurizer.push(action)
+            except ValueError as exc:
                 raise DataValidationError(
-                    f"line {line_no}: out-of-order timestamp for {action.student_id}")
-            new_session = first or (
-                action.timestamp - featurizer.last_timestamp > DEFAULT_GAP_SECONDS)
-            if session_level and new_session:
+                    f"line {line_no}: {action.student_id}: {exc}") from None
+            if session_level and frame[SESSION_START]:
                 state = LstmState.zeros(params.hidden_size)
-            frame = featurizer.push(action)
             prob, state = infer_step(params, frame, state)
             states[action.student_id] = (featurizer, state)
             out_rows.append(f"{action.student_id},{action.timestamp},{prob!r}")

@@ -14,8 +14,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from eosnet.features import DEFAULT_UTC_OFFSET_MINUTES, featurize
-from eosnet.net import ModelParams, forward
 from eosnet.sessions import HomeworkClass, LabeledSequence, session_homework_class
 
 N_TRAJECTORY_CHUNKS = 20
@@ -74,26 +72,6 @@ class ScoredSession:
         labels = np.zeros(self.length, dtype=np.int8)
         labels[-1] = 1
         return labels
-
-
-def score(params: ModelParams, seq: LabeledSequence, level,
-          utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES) -> np.ndarray:
-    """Inference probabilities for one student's full history.
-
-    ``level`` follows :class:`eosnet.training.Level` semantics: session
-    level resets the recurrent state at every session start, student
-    level carries it across the whole history.
-    """
-    frames = featurize(seq, utc_offset_minutes=utc_offset_minutes)
-    resets = None
-    if getattr(level, "value", level) == "session":
-        resets = np.zeros(seq.n_actions, dtype=bool)
-        pos = 0
-        for session in seq.sessions:
-            resets[pos] = True
-            pos += len(session)
-    probs, _ = forward(params, frames, reset_mask=resets)
-    return probs
 
 
 def scored_sessions(seq: LabeledSequence, probs: np.ndarray) -> list[ScoredSession]:

@@ -1,6 +1,7 @@
 """Per-action feature encoding.
 
-Every action becomes a 13-dimensional float vector with the layout below.
+Every action becomes a 13-dimensional float vector with the layout below;
+``FEATURE_NAMES`` holds the column names in this order.
 ``featurize`` runs over a labelled sequence; :class:`StreamFeaturizer`
 produces the identical encoding one action at a time (used for live
 scoring, where features must be computable causally) and is the single
@@ -18,7 +19,7 @@ Layout (column indices):
 9    topic id changed vs previous action
 10   answered correctly (0 for material views)
 11   done as homework
-12   action starts a new session
+12   action starts a new session (session-level models reset here)
 ==== =======================================================
 
 A student's first-ever action takes 1.0 for both time features, 0 for the
@@ -35,7 +36,12 @@ import numpy as np
 from eosnet.ingest import ActionKind, RawAction
 from eosnet.sessions import DEFAULT_GAP_SECONDS, LabeledSequence
 
-FEATURE_DIM = 13
+FEATURE_NAMES = (
+    "tod_8_12", "tod_12_15", "tod_15_8", "gap_action", "gap_session",
+    "kind_fillout", "kind_multichoice", "kind_material", "lesson_changed",
+    "topic_changed", "correct", "homework", "session_start",
+)
+FEATURE_DIM = len(FEATURE_NAMES)
 
 # column indices
 TOD_8_12, TOD_12_15, TOD_15_8 = 0, 1, 2
@@ -57,6 +63,17 @@ _KIND_COLUMN = {
     ActionKind.FILL_OUT_QUESTION: KIND_FILLOUT,
     ActionKind.MULTIPLE_CHOICE_QUESTION: KIND_MULTICHOICE,
     ActionKind.MATERIAL: KIND_MATERIAL,
+}
+
+
+# JSON types of the ``to_dict`` fields; None means no action seen yet
+_STATE_TYPES = {
+    "utc_offset_minutes": int,
+    "gap_seconds": int,
+    "last_timestamp": (int, type(None)),
+    "last_lesson": (str, type(None)),
+    "last_topic": (str, type(None)),
+    "session_gap_value": (int, float),
 }
 
 
@@ -151,10 +168,17 @@ class StreamFeaturizer:
 
     @classmethod
     def from_dict(cls, state: dict) -> "StreamFeaturizer":
-        featurizer = cls(
-            utc_offset_minutes=state["utc_offset_minutes"],
-            gap_seconds=state["gap_seconds"],
-        )
+        """Inverse of :meth:`to_dict`; a field of the wrong type or out of
+        range raises ``ValueError``."""
+        for key, types in _STATE_TYPES.items():
+            if isinstance(state[key], bool) or not isinstance(state[key], types):
+                raise ValueError(f"{key} has the wrong type: {state[key]!r}")
+        if state["gap_seconds"] <= 0:
+            raise ValueError(f"gap_seconds must be positive, got {state['gap_seconds']}")
+        if not 0.0 <= state["session_gap_value"] <= 1.0:
+            raise ValueError(
+                f"session_gap_value must be in [0, 1], got {state['session_gap_value']}")
+        featurizer = cls(state["utc_offset_minutes"], state["gap_seconds"])
         featurizer.last_timestamp = state["last_timestamp"]
         featurizer.last_lesson = state["last_lesson"]
         featurizer.last_topic = state["last_topic"]

@@ -157,14 +157,6 @@ def parse_log_file(path, strict: bool = True,
         return parse_log(handle, strict=strict, bad_records=bad_records)
 
 
-def write_log(actions: Iterable[RawAction], path, header: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        if header:
-            handle.write(HEADER + "\n")
-        for action in actions:
-            handle.write(format_action(action) + "\n")
-
-
 def group_by_student(actions: Iterable[RawAction]) -> list[StudentLog]:
     """Group actions into per-student chronological logs.
 

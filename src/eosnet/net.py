@@ -2,11 +2,12 @@
 backpropagation through time, RMSprop, and checkpoint serialization.
 
 All math is 64-bit.  The batched code path is time-major ``(T, B, dim)``
-and is the single implementation; the per-sequence functions wrap it with
-a batch axis of one, and the streaming ``infer_step`` (and ``lstm_step``)
-with one step and one lane.  Gate blocks inside ``lstm_W``/``lstm_b`` are
-stacked in the order input, forget, candidate, output, and the LSTM input
-is the concatenation ``[x; h]`` (feature columns first).
+and is the single implementation; there are no per-sequence wrappers, so
+callers pass whole batches to :func:`forward_batch` and
+:func:`backward_batch`.  The streaming ``infer_step`` (and ``lstm_step``)
+are T=1, B=1 wrappers over it.  Gate blocks inside ``lstm_W``/``lstm_b``
+are stacked in the order input, forget, candidate, output, and the LSTM
+input is the concatenation ``[x; h]`` (feature columns first).
 
 The time loop of :func:`forward_batch` keeps ``[x_t; h]`` in one
 ``(B, D+H)`` buffer and computes all four gate pre-activations with a
@@ -25,19 +26,22 @@ stored only with ``want_cache=True``.
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from eosnet.errors import CheckpointError, NumericalFault
+from eosnet.fileio import atomic_write_bytes
 
 DEFAULT_INPUT_DIM = 13
 DEFAULT_HIDDEN_SIZE = 400
 FORGET_BIAS = 1.0
+
+# RMSprop decay of the squared-gradient mean, and the denominator floor
+RMSPROP_RHO = 0.9
+RMSPROP_EPS = 1e-8
 
 # strict-(0,1) clamp for emitted probabilities
 _PROB_LO = 1e-300
@@ -379,58 +383,8 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# per-sequence wrappers
+# loss, and the streaming wrappers
 # ---------------------------------------------------------------------------
-
-def _as_batch(frames, reset_mask):
-    X = np.asarray(frames, dtype=np.float64)
-    if X.ndim != 2:
-        X = X.reshape(len(frames), -1)
-    T = X.shape[0]
-    if reset_mask is None:
-        resets = np.zeros((T, 1), dtype=bool)
-    else:
-        resets = np.asarray(reset_mask, dtype=bool).reshape(T, 1)
-    return X[:, None, :], resets
-
-
-def forward(params: ModelParams, frames, reset_mask=None, dropout_p: float = 0.0,
-            rng_seed: Optional[int] = None) -> tuple[np.ndarray, LstmState]:
-    """Score one sequence; returns per-step probabilities and final state.
-
-    Training mode (dropout applied) is selected by passing ``rng_seed``;
-    without it the pass is deterministic inference.
-    """
-    T = len(frames)
-    hidden = params.hidden_size
-    if T == 0:
-        return np.zeros(0), LstmState.zeros(hidden)
-    X, resets = _as_batch(frames, reset_mask)
-    rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
-    out = forward_batch(params, X, resets, np.zeros((1, hidden)), np.zeros((1, hidden)),
-                        dropout_p=dropout_p, rng=rng)
-    return out.probs[:, 0], LstmState(h=out.h[0].copy(), c=out.c[0].copy())
-
-
-def backward(params: ModelParams, frames, reset_mask, labels, weights,
-             dropout_p: float = 0.0, rng_seed: Optional[int] = None) -> ModelParams:
-    """Analytic gradient of ``loss_weighted_bce(forward(...))`` for one
-    sequence.  With the same ``rng_seed`` the dropout masks match the
-    paired forward pass exactly."""
-    T = len(frames)
-    if T == 0:
-        return params.zeros_like()
-    X, resets = _as_batch(frames, reset_mask)
-    rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
-    out = forward_batch(params, X, resets,
-                        np.zeros((1, params.hidden_size)), np.zeros((1, params.hidden_size)),
-                        dropout_p=dropout_p, rng=rng, want_cache=True)
-    labels = np.asarray(labels, dtype=np.float64).reshape(T, 1)
-    weights = np.asarray(weights, dtype=np.float64).reshape(T, 1)
-    grads, _, _ = backward_batch(params, out.cache, labels, weights,
-                                 np.ones((T, 1), dtype=bool))
-    return grads
-
 
 def loss_weighted_bce(probs, labels, weights) -> float:
     """Weight-normalized binary cross entropy:
@@ -449,8 +403,8 @@ def loss_weighted_bce(probs, labels, weights) -> float:
 def infer_step(params: ModelParams, frame, state: LstmState) -> tuple[float, LstmState]:
     """Inference for a single action: one LSTM step plus the dense head.
 
-    Runs ``forward_batch`` with one step and one lane, so it matches
-    ``forward`` in inference mode step for step; used by the streaming
+    Runs ``forward_batch`` with one step and one lane, so it matches a
+    whole-sequence inference pass step for step; used by the streaming
     scorer where actions arrive one at a time.
     """
     X = np.asarray(frame, dtype=np.float64).reshape(1, 1, -1)
@@ -474,13 +428,10 @@ class OptState:
     """RMSprop state: running mean of squared gradients per parameter."""
 
     sq: ModelParams
-    rho: float = 0.9
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: ModelParams, rho: float = 0.9,
-                   eps: float = 1e-8) -> "OptState":
-        return cls(sq=params.zeros_like(), rho=rho, eps=eps)
+    def for_params(cls, params: ModelParams) -> "OptState":
+        return cls(sq=params.zeros_like())
 
 
 def rmsprop_update(params: ModelParams, grads: ModelParams, opt: OptState,
@@ -489,11 +440,10 @@ def rmsprop_update(params: ModelParams, grads: ModelParams, opt: OptState,
     new_sq = []
     new_params = []
     for theta, g, s in zip(params.arrays(), grads.arrays(), opt.sq.arrays()):
-        s2 = opt.rho * s + (1.0 - opt.rho) * g * g
+        s2 = RMSPROP_RHO * s + (1.0 - RMSPROP_RHO) * g * g
         new_sq.append(s2)
-        new_params.append(theta - lr * g / (np.sqrt(s2) + opt.eps))
-    return (ModelParams(*new_params),
-            OptState(sq=ModelParams(*new_sq), rho=opt.rho, eps=opt.eps))
+        new_params.append(theta - lr * g / (np.sqrt(s2) + RMSPROP_EPS))
+    return ModelParams(*new_params), OptState(sq=ModelParams(*new_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -507,21 +457,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
         params.input_dim, params.hidden_size,
         params.dense1_size, params.dense2_size, *_LAYER_MARKERS,
     )
-    payload = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays()
-    )
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(CHECKPOINT_MAGIC)
-            handle.write(header)
-            handle.write(payload)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    tensors = (np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays())
+    atomic_write_bytes(path, b"".join((CHECKPOINT_MAGIC, header, *tensors)))
 
 
 def load_checkpoint(path) -> ModelParams:

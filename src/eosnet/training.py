@@ -20,7 +20,7 @@ import numpy as np
 
 from eosnet.errors import DataValidationError, NumericalFault
 from eosnet.evaluation import auc
-from eosnet.features import DEFAULT_UTC_OFFSET_MINUTES, featurize
+from eosnet.features import DEFAULT_UTC_OFFSET_MINUTES, SESSION_START, featurize
 from eosnet.net import (
     ModelParams,
     OptState,
@@ -112,10 +112,7 @@ def session_weights(seq: LabeledSequence) -> np.ndarray:
     """Session-level analogue: each end-of-session step weighs its own
     session's length."""
     weights = np.ones(seq.n_actions)
-    pos = -1
-    for session in seq.sessions:
-        pos += len(session)
-        weights[pos] = float(len(session))
+    weights[seq.labels == 1] = [len(session) for session in seq.sessions]
     return weights
 
 
@@ -135,16 +132,17 @@ class TrainSequence:
 
 def prepare_sequence(seq: LabeledSequence, level: Level,
                      utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES) -> TrainSequence:
-    """Featurize one student and attach level-appropriate weights/resets."""
+    """Featurize one student and attach level-appropriate weights/resets.
+
+    Session level resets the state wherever the session-start feature is
+    set, so training, batch scoring and streaming share one boundary rule.
+    """
     features = featurize(seq, utc_offset_minutes=utc_offset_minutes)
-    resets = np.zeros(seq.n_actions, dtype=bool)
     if level is Level.SESSION:
-        pos = 0
-        for session in seq.sessions:
-            resets[pos] = True
-            pos += len(session)
+        resets = features[:, SESSION_START] == 1.0
         weights = session_weights(seq)
     else:
+        resets = np.zeros(seq.n_actions, dtype=bool)
         weights = student_weights(seq)
     return TrainSequence(
         student_id=seq.student_id,

@@ -1,12 +1,16 @@
 """Command-line contract: outputs and exit codes of ``cli.main`` on a tiny
 generated corpus with an H=8 checkpoint."""
 
+import dataclasses
 import json
 
 import pytest
 
 from eosnet.cli import EXIT_DATA, EXIT_OK, main
-from eosnet.net import init_params, save_checkpoint
+from eosnet.net import init_params, load_checkpoint, save_checkpoint
+from eosnet.training import TrainConfig
+
+LEVELS = ["student", "session"]
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +36,84 @@ def halves(corpus, tmp_path_factory):
     return first, second
 
 
+def assert_one_error_line(capsys, match):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert match in err
+
+
+def probs_by_student(rows, prob_column):
+    """Per-student probability lists from CSV rows that start with the id."""
+    out = {}
+    for row in rows:
+        cells = row.split(",")
+        out.setdefault(cells[0], []).append(float(cells[prob_column]))
+    return out
+
+
+class TestFeaturize:
+    HEADER = ("tod_8_12,tod_12_15,tod_15_8,gap_action,gap_session,"
+              "kind_fillout,kind_multichoice,kind_material,lesson_changed,"
+              "topic_changed,correct,homework,session_start,label")
+
+    @pytest.mark.parametrize("with_keys", [False, True])
+    def test_header_and_row_count(self, corpus, tmp_path, with_keys):
+        data, _ = corpus
+        out = tmp_path / "features.csv"
+        extra = ["--with-keys"] if with_keys else []
+        assert main(["featurize", "--data", str(data), "--out", str(out),
+                     "--quiet", *extra]) == EXIT_OK
+        header, *rows = out.read_text().splitlines()
+        prefix = "student_id,timestamp," if with_keys else ""
+        assert header == prefix + self.HEADER
+        assert len(rows) == len(data.read_text().splitlines()) - 1
+        assert all(row.count(",") == header.count(",") for row in rows)
+
+
+class TestSessionize:
+    @pytest.fixture
+    def with_bad_line(self, corpus, tmp_path):
+        data, _ = corpus
+        lines = data.read_text().splitlines(keepends=True)
+        path = tmp_path / "bad.csv"
+        path.write_text("".join(lines[:3] + ["s1,notatime,material,L,T,,0\n"] + lines[3:]))
+        return path, len(lines) - 1
+
+    def test_lenient_skips_bad_line(self, with_bad_line, tmp_path):
+        path, n_actions = with_bad_line
+        out = tmp_path / "sessions.csv"
+        assert main(["sessionize", "--data", str(path), "--out", str(out),
+                     "--lenient", "--quiet"]) == EXIT_OK
+        header, *rows = out.read_text().splitlines()
+        assert header.endswith(",session_index,label")
+        assert len(rows) == n_actions
+
+    def test_strict_rejects_bad_line(self, with_bad_line, tmp_path, capsys):
+        path, _ = with_bad_line
+        out = tmp_path / "sessions.csv"
+        assert main(["sessionize", "--data", str(path), "--out", str(out),
+                     "--quiet"]) == EXIT_DATA
+        assert_one_error_line(capsys, "line 4")
+        assert not out.exists()
+
+
+class TestTrain:
+    def test_one_epoch_writes_loadable_checkpoint_and_manifest(self, corpus, tmp_path):
+        data, _ = corpus
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "--max-epochs", "1", "--patience", "none", "--seed", "0",
+                     "--quiet"]) == EXIT_OK
+        params = load_checkpoint(out / "model.ckpt")
+        assert params.input_dim == 13 and params.all_finite()
+        header, *rows = (out / "history.csv").read_text().splitlines()
+        assert header == "epoch,train_loss,val_auc" and len(rows) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (sorted(manifest["config"])
+                == sorted(f.name for f in dataclasses.fields(TrainConfig)))
+        assert manifest["config"]["patience"] == "None"
+
+
 class TestEvaluate:
     def test_dump_scores_writes_float_literals(self, corpus, tmp_path):
         data, ckpt = corpus
@@ -48,6 +130,35 @@ class TestEvaluate:
             assert 0.0 < float(prob) < 1.0
 
 
+class TestScore:
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_equals_evaluate_dump_scores(self, corpus, tmp_path, level):
+        data, ckpt = corpus
+        dump, streamed = tmp_path / "dump.csv", tmp_path / "score.csv"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "eval"), "--level", level,
+                     "--split-part", "all", "--dump-scores", str(dump),
+                     "--quiet"]) == EXIT_OK
+        assert main(["score", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(streamed), "--level", level, "--quiet"]) == EXIT_OK
+        batch = probs_by_student(dump.read_text().splitlines()[1:], 2)
+        stream = probs_by_student(streamed.read_text().splitlines(), 2)
+        assert batch.keys() == stream.keys()
+        for sid, probs in batch.items():
+            assert stream[sid] == pytest.approx(probs, rel=0, abs=1e-12)
+
+    def test_out_of_order_timestamp(self, corpus, tmp_path, capsys):
+        data, ckpt = corpus
+        header, first, second = data.read_text().splitlines()[:3]
+        assert first.split(",")[0] == second.split(",")[0]
+        assert int(first.split(",")[1]) < int(second.split(",")[1])
+        path = tmp_path / "swapped.csv"
+        path.write_text("\n".join([header, second, first]) + "\n")
+        assert main(["score", "--checkpoint", str(ckpt), "--data", str(path),
+                     "--out", str(tmp_path / "out.csv"), "--quiet"]) == EXIT_DATA
+        assert_one_error_line(capsys, "line 3")
+
+
 class TestScoreStateIn:
     @pytest.fixture(autouse=True)
     def _inputs(self, corpus, halves, tmp_path):
@@ -59,10 +170,10 @@ class TestScoreStateIn:
         return main(["score", "--checkpoint", str(self.ckpt), "--data", str(data),
                      "--out", str(out), "--quiet", *extra])
 
-    def _save_state(self):
+    def _save_state(self, *extra):
         state = self.tmp / "state.json"
         assert self._score(self.first, self.tmp / "first.csv",
-                           "--state-out", str(state)) == EXIT_OK
+                           "--state-out", str(state), *extra) == EXIT_OK
         return state
 
     def _rewrite(self, edit):
@@ -75,17 +186,38 @@ class TestScoreStateIn:
     def _assert_data_error(self, capsys, state_in, match):
         assert self._score(self.second, self.tmp / "second.csv",
                            "--state-in", str(state_in)) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert match in err
+        assert_one_error_line(capsys, match)
 
-    def test_resumed_run_equals_one_pass(self):
-        assert self._score(self.second, self.tmp / "second.csv",
-                           "--state-in", str(self._save_state())) == EXIT_OK
-        assert self._score(self.data, self.tmp / "all.csv") == EXIT_OK
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_resumed_run_equals_one_pass(self, level):
+        state = self._save_state("--level", level)
+        assert self._score(self.second, self.tmp / "second.csv", "--level", level,
+                           "--state-in", str(state)) == EXIT_OK
+        assert self._score(self.data, self.tmp / "all.csv", "--level", level) == EXIT_OK
         resumed = ((self.tmp / "first.csv").read_text()
                    + (self.tmp / "second.csv").read_text())
         assert resumed == (self.tmp / "all.csv").read_text()
+
+    def test_session_reset_follows_saved_gap(self):
+        # A saved gap longer than any in the log starts no session for a
+        # resumed student, so session level resets nothing that student
+        # level carries over: both score that student's rows alike.
+        state = self._save_state("--level", "session")
+        resumed = set(json.loads(state.read_text())["students"])
+        outputs = []
+        for level in LEVELS:
+            saved = json.loads(state.read_text())
+            saved["level"] = level
+            for entry in saved["students"].values():
+                entry["featurizer"]["gap_seconds"] = 10 ** 9
+            edited = self.tmp / f"{level}.json"
+            edited.write_text(json.dumps(saved))
+            out = self.tmp / f"{level}.csv"
+            assert self._score(self.second, out, "--level", level,
+                               "--state-in", str(edited)) == EXIT_OK
+            outputs.append([row for row in out.read_text().splitlines()
+                            if row.split(",")[0] in resumed])
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_corrupt_json(self, capsys):
         path = self.tmp / "corrupt.json"
@@ -108,3 +240,23 @@ class TestScoreStateIn:
 
         path = self._rewrite(shrink)
         self._assert_data_error(capsys, path, "hidden size is 8")
+
+    @pytest.mark.parametrize("key, value", [
+        ("last_timestamp", "abc"),
+        ("last_timestamp", True),
+        ("last_timestamp", 1.5),
+        ("last_lesson", 7),
+        ("last_topic", ["T1"]),
+        ("session_gap_value", 1.5),
+        ("session_gap_value", -0.1),
+        ("session_gap_value", "0.5"),
+        ("gap_seconds", 0),
+        ("gap_seconds", -900),
+    ])
+    def test_bad_featurizer_field(self, capsys, key, value):
+        def corrupt(saved):
+            for entry in saved["students"].values():
+                entry["featurizer"][key] = value
+
+        path = self._rewrite(corrupt)
+        self._assert_data_error(capsys, path, f"malformed scoring state: {key}")

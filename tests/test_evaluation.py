@@ -10,12 +10,11 @@ from eosnet.evaluation import (
     auc,
     bucket_key,
     compute_report,
-    score,
     scored_sessions,
     trajectory,
 )
 from eosnet.ingest import ActionKind, RawAction, StudentLog
-from eosnet.net import ModelParams, forward, init_params
+from eosnet.net import ModelParams, forward_batch, init_params
 from eosnet.sessions import HomeworkClass, label, segment
 from eosnet.training import Level, prepare_sequence, score_sequences
 
@@ -189,6 +188,18 @@ def student_fixture(rng, student="s", n_sessions=3):
     return label(segment(StudentLog(student, actions)))
 
 
+def lane_probs(params, features, resets):
+    """Inference probabilities of one sequence run alone, as one lane."""
+    zeros = np.zeros((1, params.hidden_size))
+    out = forward_batch(params, features[:, None, :], resets[:, None], zeros, zeros)
+    return out.probs[:, 0]
+
+
+def score(params, seq, level):
+    """Inference probabilities of one student's full history at ``level``."""
+    return score_sequences(params, [prepare_sequence(seq, level)])[seq.student_id]
+
+
 class TestScore:
     def _params(self, rng):
         base = init_params(0, hidden_size=8)
@@ -217,11 +228,11 @@ class TestScore:
         params = self._params(rng)
         seq = student_fixture(rng, n_sessions=4)
         prepared = prepare_sequence(seq, Level.SESSION)
-        full, _ = forward(params, prepared.features, prepared.resets)
+        full = lane_probs(params, prepared.features, prepared.resets)
         last_len = len(seq.sessions[-1])
         tail_frames = prepared.features[-last_len:]
         tail_resets = prepared.resets[-last_len:]
-        tail, _ = forward(params, tail_frames, tail_resets)
+        tail = lane_probs(params, tail_frames, tail_resets)
         np.testing.assert_allclose(tail, full[-last_len:], rtol=1e-12)
 
     def test_student_level_depends_on_earlier_sessions(self):
@@ -229,9 +240,10 @@ class TestScore:
         params = self._params(rng)
         seq = student_fixture(rng, n_sessions=4)
         prepared = prepare_sequence(seq, Level.STUDENT)
-        full, _ = forward(params, prepared.features, None)
+        full = lane_probs(params, prepared.features, prepared.resets)
         last_len = len(seq.sessions[-1])
-        tail, _ = forward(params, prepared.features[-last_len:], None)
+        tail = lane_probs(params, prepared.features[-last_len:],
+                          prepared.resets[-last_len:])
         assert np.abs(tail - full[-last_len:]).max() > 1e-9
 
     def test_matches_batched_inference(self):

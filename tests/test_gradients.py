@@ -12,8 +12,8 @@ import pytest
 
 from eosnet.net import (
     ModelParams,
-    backward,
-    forward,
+    backward_batch,
+    forward_batch,
     init_params,
     loss_weighted_bce,
 )
@@ -28,27 +28,42 @@ def random_params(rng, input_dim=13, hidden=4, scale=0.4):
     return ModelParams(*(rng.normal(0.0, scale, size=a.shape) for a in shapes.arrays()))
 
 
-def random_instance(seed, steps=10, hidden=4):
+def random_instance(seed, steps=10, hidden=4, lanes=1, padded_from=None):
+    """A random time-major window.  With ``padded_from``, lane 1 ends at that
+    step: the rest of it has zero features, no resets and ``valid=False``,
+    as the training batcher pads a shorter student.  Its labels and weights
+    stay random, so only the ``valid`` mask keeps them out of the loss."""
     rng = np.random.default_rng(seed)
     params = random_params(rng, hidden=hidden)
-    frames = rng.uniform(-1, 1, (steps, 13))
-    labels = rng.integers(0, 2, steps).astype(float)
-    weights = rng.uniform(0.5, 3.0, steps)
-    resets = rng.random(steps) < 0.25
+    X = rng.uniform(-1, 1, (steps, lanes, 13))
+    labels = rng.integers(0, 2, (steps, lanes)).astype(float)
+    weights = rng.uniform(0.5, 3.0, (steps, lanes))
+    resets = rng.random((steps, lanes)) < 0.25
+    valid = np.ones((steps, lanes), dtype=bool)
+    if padded_from is not None:
+        for arr in (X, resets, valid):
+            arr[padded_from:, 1] = 0
     dropout_p = float(rng.choice([0.0, 0.3, 0.5]))
     rng_seed = int(rng.integers(1 << 30)) if dropout_p > 0 else None
-    return params, frames, labels, weights, resets, dropout_p, rng_seed
+    return params, X, labels, weights, resets, valid, dropout_p, rng_seed
 
 
-def finite_difference_check(params, frames, labels, weights, resets,
+def run_window(params, X, resets, dropout_p, rng_seed, want_cache=False):
+    """Forward pass from a zero state; the same seed repeats the dropout masks."""
+    zeros = np.zeros((X.shape[1], params.hidden_size))
+    rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
+    return forward_batch(params, X, resets, zeros, zeros, dropout_p=dropout_p,
+                         rng=rng, want_cache=want_cache)
+
+
+def finite_difference_check(params, X, labels, weights, resets, valid,
                             dropout_p, rng_seed):
-    grads = backward(params, frames, resets, labels, weights,
-                     dropout_p=dropout_p, rng_seed=rng_seed)
+    cache = run_window(params, X, resets, dropout_p, rng_seed, want_cache=True).cache
+    grads, _, _ = backward_batch(params, cache, labels, weights, valid)
 
     def loss_at(p):
-        probs, _ = forward(p, frames, resets, dropout_p=dropout_p,
-                           rng_seed=rng_seed)
-        return loss_weighted_bce(probs, labels, weights)
+        probs = run_window(p, X, resets, dropout_p, rng_seed).probs
+        return loss_weighted_bce(probs[valid], labels[valid], weights[valid])
 
     worst = 0.0
     for name in ModelParams.FIELDS:
@@ -73,34 +88,45 @@ class TestGradients:
         worst = finite_difference_check(*random_instance(seed))
         assert worst < REL_TOL
 
+    def test_padded_lane_in_batch(self):
+        instance = random_instance(107, lanes=3, padded_from=6)
+        assert instance[6] > 0.0  # dropout on, so the masks cover padding too
+        assert finite_difference_check(*instance) < REL_TOL
+
     def test_through_resets_and_dropout(self):
         rng = np.random.default_rng(7)
         params = random_params(rng)
-        frames = rng.uniform(-1, 1, (12, 13))
-        labels = rng.integers(0, 2, 12).astype(float)
-        weights = rng.uniform(0.5, 3.0, 12)
-        resets = np.zeros(12, dtype=bool)
+        X = rng.uniform(-1, 1, (12, 1, 13))
+        labels = rng.integers(0, 2, (12, 1)).astype(float)
+        weights = rng.uniform(0.5, 3.0, (12, 1))
+        resets = np.zeros((12, 1), dtype=bool)
         resets[[0, 4, 8]] = True
-        worst = finite_difference_check(params, frames, labels, weights,
-                                        resets, 0.4, 31337)
+        valid = np.ones((12, 1), dtype=bool)
+        worst = finite_difference_check(params, X, labels, weights,
+                                        resets, valid, 0.4, 31337)
         assert worst < REL_TOL
 
-    def test_zero_length_sequence_gives_zero_gradients(self):
-        params = init_params(0, hidden_size=4)
-        grads = backward(params, np.zeros((0, 13)), None,
-                         np.zeros(0), np.zeros(0))
+    def test_window_without_valid_steps_gives_zero_gradients(self):
+        params, X, labels, weights, resets, _, _, _ = random_instance(5, lanes=2)
+        cache = run_window(params, X, resets, 0.0, None, want_cache=True).cache
+        invalid = np.zeros(labels.shape, dtype=bool)
+        grads, loss_num, weight_sum = backward_batch(params, cache, labels,
+                                                     weights, invalid)
+        assert (loss_num, weight_sum) == (0.0, 0.0)
         assert all((g == 0.0).all() for g in grads.arrays())
 
     def test_out_bias_closed_form(self):
         # d loss / d out_b = sum(w * (p - y)) / sum(w)
         rng = np.random.default_rng(11)
         params = random_params(rng, hidden=6)
-        frames = rng.uniform(-1, 1, (15, 13))
-        labels = rng.integers(0, 2, 15).astype(float)
-        weights = rng.uniform(0.5, 3.0, 15)
-        probs, _ = forward(params, frames)
-        grads = backward(params, frames, None, labels, weights)
-        expected = float((weights * (probs - labels)).sum() / weights.sum())
+        X = rng.uniform(-1, 1, (15, 1, 13))
+        labels = rng.integers(0, 2, (15, 1)).astype(float)
+        weights = rng.uniform(0.5, 3.0, (15, 1))
+        resets = np.zeros((15, 1), dtype=bool)
+        out = run_window(params, X, resets, 0.0, None, want_cache=True)
+        grads, _, _ = backward_batch(params, out.cache, labels, weights,
+                                     np.ones((15, 1), dtype=bool))
+        expected = float((weights * (out.probs - labels)).sum() / weights.sum())
         assert grads.out_b[0] == pytest.approx(expected, rel=1e-12)
 
     def test_gradcheck_stays_fast(self):

@@ -13,7 +13,6 @@ from eosnet.net import (
     OptState,
     infer_step,
     init_params,
-    forward,
     forward_batch,
     load_checkpoint,
     loss_weighted_bce,
@@ -27,6 +26,19 @@ from eosnet.net import (
 def random_params(rng, input_dim=13, hidden=4, scale=0.4):
     shapes = init_params(0, input_dim=input_dim, hidden_size=hidden)
     return ModelParams(*(rng.normal(0.0, scale, size=a.shape) for a in shapes.arrays()))
+
+
+def run_lane(params, frames, resets=None, dropout_p=0.0, rng_seed=None):
+    """Probabilities of one sequence run through ``forward_batch`` as a
+    single lane from a zero state; ``rng_seed`` selects training mode."""
+    X = np.asarray(frames, dtype=np.float64)[:, None, :]
+    if resets is None:
+        resets = np.zeros(X.shape[0], dtype=bool)
+    zeros = np.zeros((1, params.hidden_size))
+    rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
+    out = forward_batch(params, X, np.asarray(resets)[:, None], zeros, zeros,
+                        dropout_p=dropout_p, rng=rng)
+    return out.probs[:, 0]
 
 
 class TestInitParams:
@@ -155,7 +167,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         p = random_params(rng, hidden=8, scale=2.0)
         frames = rng.uniform(-3, 3, (50, 13))
-        probs, _ = forward(p, frames)
+        probs = run_lane(p, frames)
         assert (probs > 0.0).all() and (probs < 1.0).all()
 
     def test_session_isolation_under_reset_mask(self):
@@ -164,11 +176,11 @@ class TestForward:
         frames = rng.uniform(-1, 1, (12, 13))
         resets = np.zeros(12, dtype=bool)
         resets[[0, 5, 9]] = True  # three sessions
-        probs, _ = forward(p, frames, resets)
+        probs = run_lane(p, frames, resets)
         # altering session 1 (steps 0-4) must not change sessions 2-3
         altered = frames.copy()
         altered[2] += 1.5
-        probs2, _ = forward(p, altered, resets)
+        probs2 = run_lane(p, altered, resets)
         np.testing.assert_array_equal(probs2[5:], probs[5:])
         assert not np.array_equal(probs2[:5], probs[:5])
 
@@ -176,40 +188,42 @@ class TestForward:
         rng = np.random.default_rng(2)
         p = random_params(rng, hidden=6)
         frames = rng.uniform(-1, 1, (10, 13))
-        a, _ = forward(p, frames, dropout_p=0.0)
-        b, _ = forward(p, frames, dropout_p=0.0, rng_seed=99)
+        a = run_lane(p, frames, dropout_p=0.0)
+        b = run_lane(p, frames, dropout_p=0.0, rng_seed=99)
         np.testing.assert_array_equal(a, b)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
         p = random_params(rng, hidden=6)
         frames = rng.uniform(-1, 1, (10, 13))
-        a, _ = forward(p, frames, dropout_p=0.4, rng_seed=5)
-        b, _ = forward(p, frames, dropout_p=0.4, rng_seed=5)
+        a = run_lane(p, frames, dropout_p=0.4, rng_seed=5)
+        b = run_lane(p, frames, dropout_p=0.4, rng_seed=5)
         np.testing.assert_array_equal(a, b)
-        c, _ = forward(p, frames, dropout_p=0.4, rng_seed=6)
+        c = run_lane(p, frames, dropout_p=0.4, rng_seed=6)
         assert not np.array_equal(a, c)
 
     def test_empty_sequence(self):
         p = init_params(0, hidden_size=4)
-        probs, state = forward(p, np.zeros((0, 13)))
-        assert probs.shape == (0,)
-        assert (state.h == 0).all()
+        zeros = np.zeros((1, 4))
+        out = forward_batch(p, np.zeros((0, 1, 13)), np.zeros((0, 1), dtype=bool),
+                            zeros, zeros)
+        assert out.probs.shape == (0, 1)
+        assert (out.h == 0).all() and (out.c == 0).all()
 
     def test_out_bias_monotonicity(self):
         rng = np.random.default_rng(4)
         p = random_params(rng, hidden=6)
         frames = rng.uniform(-1, 1, (20, 13))
-        base, _ = forward(p, frames)
+        base = run_lane(p, frames)
         p.out_b += 0.7
-        shifted, _ = forward(p, frames)
+        shifted = run_lane(p, frames)
         assert (shifted > base).all()
 
     def test_infer_step_matches_forward(self):
         rng = np.random.default_rng(6)
         p = random_params(rng, hidden=6)
         frames = rng.uniform(-1, 1, (15, 13))
-        probs, _ = forward(p, frames)
+        probs = run_lane(p, frames)
         state = LstmState.zeros(6)
         streamed = []
         for frame in frames:

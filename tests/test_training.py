@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from eosnet.errors import DataValidationError
 from eosnet.ingest import ActionKind, RawAction, StudentLog
-from eosnet.net import ModelParams, forward, init_params, loss_weighted_bce
+from eosnet.net import (
+    ModelParams,
+    backward_batch,
+    forward_batch,
+    init_params,
+    loss_weighted_bce,
+)
 from eosnet.sessions import label, segment
 from eosnet.training import (
     Batch,
@@ -22,6 +28,14 @@ from eosnet.training import (
     student_weights,
     train,
 )
+
+
+def lane_probs(params, seq):
+    """Inference probabilities of one sequence run alone, as one lane."""
+    zeros = np.zeros((1, params.hidden_size))
+    out = forward_batch(params, seq.features[:, None, :], seq.resets[:, None],
+                        zeros, zeros)
+    return out.probs[:, 0]
 
 
 def labeled_from_gaps(gaps, student="s"):
@@ -163,8 +177,6 @@ class TestMakeBatches:
 
 class TestBatchedLossMatchesUnbatched:
     def test_windowed_batch_loss_equals_per_student_loss(self):
-        from eosnet.net import backward_batch, forward_batch
-
         rng = np.random.default_rng(5)
         params = ModelParams(*(rng.normal(0, 0.3, size=a.shape)
                                for a in init_params(0, hidden_size=8).arrays()))
@@ -189,7 +201,7 @@ class TestBatchedLossMatchesUnbatched:
 
         total_num = total_den = 0.0
         for seq in seqs:
-            probs, _ = forward(params, seq.features, seq.resets)
+            probs = lane_probs(params, seq)
             per_step = -(seq.labels * np.log(probs)
                          + (1 - seq.labels) * np.log1p(-probs))
             total_num += float((seq.weights * per_step).sum())
@@ -204,7 +216,7 @@ class TestBatchedLossMatchesUnbatched:
                 for i in range(9)]
         scored = score_sequences(params, seqs, batch_size=4)
         for seq in seqs:
-            probs, _ = forward(params, seq.features, seq.resets)
+            probs = lane_probs(params, seq)
             np.testing.assert_allclose(scored[seq.student_id], probs, rtol=1e-12)
 
 
@@ -301,10 +313,14 @@ class TestTrainLoop:
                                                   rising.params.arrays()))
 
     def test_session_level_resets_at_each_session(self):
-        seqs = self._sequences(Level.SESSION)
-        for seq in seqs:
-            assert seq.resets[0]
-            assert seq.resets.sum() >= 1
+        labeled = make_toy_students(12, np.random.default_rng(0))
+        assert max(len(seq.sessions) for seq in labeled) > 1
+        for seq in labeled:
+            starts = np.zeros(seq.n_actions, dtype=bool)
+            starts[np.cumsum([0] + [len(s) for s in seq.sessions[:-1]])] = True
+            np.testing.assert_array_equal(
+                prepare_sequence(seq, Level.SESSION).resets, starts)
+            assert not prepare_sequence(seq, Level.STUDENT).resets.any()
 
     def test_empty_sets_rejected(self):
         seqs = self._sequences(Level.STUDENT)
