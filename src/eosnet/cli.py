@@ -5,6 +5,17 @@ Subcommands: ``generate``, ``sessionize``, ``featurize``, ``train``,
 ``--config``, ``--threads``, ``--quiet``) attach to every subcommand.
 Exit codes: 0 success, 1 usage, 2 data validation, 3 numerical fault.
 
+Sessions follow the one 15-minute rule of ``sessions.starts_session``,
+which no flag changes; ``sessionize --data --out [--lenient]`` appends
+``session_index,label`` to each record (``--lenient`` skips malformed ones).
+
+``score --state-out`` writes the JSON state that ``--state-in`` resumes:
+``version`` (2), ``level`` and ``utc_offset_minutes`` once, then per
+student only history: ``featurizer`` (``last_timestamp``, ``last_lesson``,
+``last_topic``, ``session_gap_value``), ``h`` and ``c``.  A state of
+another version, level or offset, or with any malformed field, is a data
+error.
+
 Heavy imports happen inside the handlers, so ``--threads`` can pin the
 BLAS thread count before the numerics are loaded.
 """
@@ -69,7 +80,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed records instead of aborting")
-    p.add_argument("--gap-seconds", type=int, default=900)
 
     p = sub.add_parser("featurize", parents=[common],
                        help="emit the 13 feature columns plus label")
@@ -149,7 +159,7 @@ def _configure(args) -> dict[str, str]:
         raise UsageError(str(exc)) from None
 
 
-def _load_labeled(path, strict=True, gap_seconds=900):
+def _load_labeled(path, strict=True):
     """Parse a log file into per-student labelled sequences (sorted ids)."""
     from eosnet.ingest import group_by_student, parse_log_file
     from eosnet.sessions import label, segment
@@ -160,7 +170,7 @@ def _load_labeled(path, strict=True, gap_seconds=900):
         log.info("skipped %d malformed records", len(bad))
     labeled = {}
     for student in group_by_student(actions):
-        labeled[student.student_id] = label(segment(student, gap_seconds=gap_seconds))
+        labeled[student.student_id] = label(segment(student))
     return labeled
 
 
@@ -221,8 +231,7 @@ def cmd_sessionize(args, mapping) -> int:
     from eosnet.fileio import atomic_write_text
     from eosnet.ingest import HEADER, format_action
 
-    labeled = _load_labeled(args.data, strict=not args.lenient,
-                            gap_seconds=args.gap_seconds)
+    labeled = _load_labeled(args.data, strict=not args.lenient)
     rows = [HEADER + ",session_index,label"]
     for seq in labeled.values():
         pos = 0
@@ -386,10 +395,10 @@ def cmd_evaluate(args, mapping) -> int:
     return EXIT_OK
 
 
-SCORE_STATE_VERSION = 1
+SCORE_STATE_VERSION = 2
 
 
-def _load_score_state(path, level, hidden_size):
+def _load_score_state(path, level, utc_offset_minutes, hidden_size):
     """Read a ``score --state-out`` file into per-student (featurizer,
     LSTM state) pairs; any defect in it is a DataValidationError."""
     import numpy as np
@@ -410,6 +419,13 @@ def _load_score_state(path, level, hidden_size):
         if saved["level"] != level:
             raise DataValidationError(
                 f"state was saved for level {saved['level']!r}, not {level!r}")
+        offset = saved["utc_offset_minutes"]
+        if isinstance(offset, bool) or not isinstance(offset, int):
+            raise ValueError(f"utc_offset_minutes has the wrong type: {offset!r}")
+        if offset != utc_offset_minutes:
+            raise DataValidationError(
+                f"state was saved for --utc-offset-minutes {offset}, "
+                f"not {utc_offset_minutes}")
         states = {}
         for sid, entry in saved["students"].items():
             h = np.asarray(entry["h"], dtype=np.float64)
@@ -418,7 +434,9 @@ def _load_score_state(path, level, hidden_size):
                 raise DataValidationError(
                     f"{path}: state of {sid} has h of shape {h.shape} and c of shape "
                     f"{c.shape}; the checkpoint's hidden size is {hidden_size}")
-            states[sid] = (StreamFeaturizer.from_dict(entry["featurizer"]),
+            if not (np.isfinite(h).all() and np.isfinite(c).all()):
+                raise DataValidationError(f"{path}: state of {sid} has non-finite h or c")
+            states[sid] = (StreamFeaturizer.from_dict(entry["featurizer"], offset),
                            LstmState(h=h, c=c))
     except DataValidationError:
         raise
@@ -440,7 +458,8 @@ def cmd_score(args, mapping) -> int:
 
     states: dict[str, tuple[StreamFeaturizer, LstmState]] = {}
     if args.state_in:
-        states = _load_score_state(args.state_in, args.level, params.hidden_size)
+        states = _load_score_state(args.state_in, args.level,
+                                   args.utc_offset_minutes, params.hidden_size)
 
     if args.data == "-":
         lines = sys.stdin
@@ -483,6 +502,7 @@ def cmd_score(args, mapping) -> int:
         payload = {
             "version": SCORE_STATE_VERSION,
             "level": args.level,
+            "utc_offset_minutes": args.utc_offset_minutes,
             "students": {
                 sid: {
                     "featurizer": featurizer.to_dict(),

@@ -49,12 +49,6 @@ def _coerce_like(default: Any, raw: str) -> Any:
         return None
     if isinstance(default, Enum):
         return type(default)(raw)
-    if isinstance(default, bool):
-        if raw.lower() in ("1", "true", "yes"):
-            return True
-        if raw.lower() in ("0", "false", "no"):
-            return False
-        raise ValueError(f"bad boolean {raw!r}")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):

@@ -9,6 +9,7 @@ the stratum's sessions (or students) into one score/label set.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,16 +24,14 @@ LENGTH_BUCKETS: tuple[tuple[int, Optional[int]], ...] = (
     (1, 5), (6, 10), (11, 20), (21, 30), (31, 40), (41, 50),
     (51, 60), (61, 70), (71, 80), (81, 90), (91, None),
 )
+BUCKET_LABELS = tuple(f"{lo}-{'max' if hi is None else hi}" for lo, hi in LENGTH_BUCKETS)
 
 
 def bucket_key(count: int) -> str:
     """Map a positive count onto its interval label, e.g. 7 -> '6-10'."""
-    for lo, hi in LENGTH_BUCKETS:
-        if hi is None:
-            if count >= lo:
-                return f"{lo}-max"
-        elif lo <= count <= hi:
-            return f"{lo}-{hi}"
+    for (lo, hi), key in zip(LENGTH_BUCKETS, BUCKET_LABELS):
+        if lo <= count and (hi is None or count <= hi):
+            return key
     raise ValueError(f"count must be positive, got {count}")
 
 
@@ -114,13 +113,11 @@ class EvalReport:
         put("auc", "global", self.global_auc)
         for cls in HomeworkClass:
             put("auc", f"homework_{cls.value}", self.homework_auc.get(cls))
-        for lo, hi in LENGTH_BUCKETS:
-            key = f"{lo}-{hi if hi is not None else 'max'}"
+        for key in BUCKET_LABELS:
             put("auc", f"length_{key}", self.length_auc.get(key))
         put("auc", "div5", self.div5_auc[0])
         put("auc", "nondiv5", self.div5_auc[1])
-        for lo, hi in LENGTH_BUCKETS:
-            key = f"{lo}-{hi if hi is not None else 'max'}"
+        for key in BUCKET_LABELS:
             put("auc", f"usage_{key}", self.usage_auc.get(key))
         put("mean_prob", "eos", self.eos_mean_prob)
         return rows
@@ -138,6 +135,16 @@ def _pooled_auc(sessions: Sequence[ScoredSession]) -> Optional[float]:
     scores = np.concatenate([s.probs for s in sessions])
     labels = np.concatenate([s.labels for s in sessions])
     return auc(scores, labels)
+
+
+def _bucket_aucs(sessions: Sequence[ScoredSession], count_of) -> dict:
+    """Pooled AUC per ``bucket_key(count_of(session))``, in bucket order,
+    omitting buckets without an AUC."""
+    groups: dict[str, list[ScoredSession]] = {key: [] for key in BUCKET_LABELS}
+    for session in sessions:
+        groups[bucket_key(count_of(session))].append(session)
+    aucs = {key: _pooled_auc(members) for key, members in groups.items()}
+    return {key: value for key, value in aucs.items() if value is not None}
 
 
 def trajectory(sessions: Sequence[ScoredSession]) -> Optional[tuple[np.ndarray, float]]:
@@ -176,29 +183,15 @@ def compute_report(sessions: Sequence[ScoredSession]) -> EvalReport:
         if value is not None:
             report.homework_auc[cls] = value
 
-    for lo, hi in LENGTH_BUCKETS:
-        members = [s for s in sessions
-                   if s.length >= lo and (hi is None or s.length <= hi)]
-        value = _pooled_auc(members)
-        if value is not None:
-            key = f"{lo}-{hi if hi is not None else 'max'}"
-            report.length_auc[key] = value
+    report.length_auc = _bucket_aucs(sessions, lambda s: s.length)
 
     report.div5_auc = (
         _pooled_auc([s for s in sessions if s.length % 5 == 0]),
         _pooled_auc([s for s in sessions if s.length % 5 != 0]),
     )
 
-    session_counts: dict[str, int] = {}
-    for session in sessions:
-        session_counts[session.student_id] = session_counts.get(session.student_id, 0) + 1
-    for lo, hi in LENGTH_BUCKETS:
-        students = {sid for sid, n in session_counts.items()
-                    if n >= lo and (hi is None or n <= hi)}
-        value = _pooled_auc([s for s in sessions if s.student_id in students])
-        if value is not None:
-            key = f"{lo}-{hi if hi is not None else 'max'}"
-            report.usage_auc[key] = value
+    session_counts = Counter(s.student_id for s in sessions)
+    report.usage_auc = _bucket_aucs(sessions, lambda s: session_counts[s.student_id])
 
     traj = trajectory(sessions)
     if traj is not None:

@@ -2,10 +2,11 @@
 
 Every action becomes a 13-dimensional float vector with the layout below;
 ``FEATURE_NAMES`` holds the column names in this order.
-``featurize`` runs over a labelled sequence; :class:`StreamFeaturizer`
-produces the identical encoding one action at a time (used for live
-scoring, where features must be computable causally) and is the single
-code path both share.
+:class:`StreamFeaturizer` encodes one student's actions one at a time,
+causally, as live scoring needs; ``featurize`` pushes every action of a
+labelled sequence through it, so batch and live encodings are one code
+path.  Session starts (column 12, and the session gap of column 4) come
+from ``sessions.starts_session``, the same rule that segments sessions.
 
 Layout (column indices):
 
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from eosnet.ingest import ActionKind, RawAction
-from eosnet.sessions import DEFAULT_GAP_SECONDS, LabeledSequence
+from eosnet.sessions import LabeledSequence, starts_session
 
 FEATURE_NAMES = (
     "tod_8_12", "tod_12_15", "tod_15_8", "gap_action", "gap_session",
@@ -68,8 +69,6 @@ _KIND_COLUMN = {
 
 # JSON types of the ``to_dict`` fields; None means no action seen yet
 _STATE_TYPES = {
-    "utc_offset_minutes": int,
-    "gap_seconds": int,
     "last_timestamp": (int, type(None)),
     "last_lesson": (str, type(None)),
     "last_topic": (str, type(None)),
@@ -103,32 +102,26 @@ def transform_gap(delta_seconds: int, cap_seconds: int) -> float:
 class StreamFeaturizer:
     """Causal per-student featurizer.
 
-    Feeds one action at a time and returns its feature vector.  Session
-    starts can be supplied explicitly (when sessions were segmented
-    beforehand) or inferred from the gap rule; both agree whenever the
-    sessions came from the default segmentation.  The internal state is
-    serializable so scoring can be resumed across process invocations.
+    Feeds one action at a time and returns its feature vector; an action
+    starts a session where ``starts_session`` says so.  The student's
+    history (``to_dict``) is serializable so scoring can be resumed
+    across process invocations; the UTC offset is not part of it.
     """
 
-    def __init__(self, utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES,
-                 gap_seconds: int = DEFAULT_GAP_SECONDS):
+    def __init__(self, utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES):
         self.utc_offset_minutes = utc_offset_minutes
-        self.gap_seconds = gap_seconds
         self.last_timestamp: Optional[int] = None
         self.last_lesson: Optional[str] = None
         self.last_topic: Optional[str] = None
         self.session_gap_value = 1.0  # column 4, constant within a session
 
-    def push(self, action: RawAction, session_start: Optional[bool] = None) -> np.ndarray:
+    def push(self, action: RawAction) -> np.ndarray:
         first_ever = self.last_timestamp is None
         if not first_ever and action.timestamp < self.last_timestamp:
             raise ValueError(
                 f"out-of-order timestamp {action.timestamp} after {self.last_timestamp}"
             )
-        if session_start is None:
-            session_start = first_ever or (
-                action.timestamp - self.last_timestamp > self.gap_seconds
-            )
+        session_start = starts_session(self.last_timestamp, action.timestamp)
 
         frame = np.zeros(FEATURE_DIM)
         frame[0:3] = time_of_day_bucket(action.timestamp, self.utc_offset_minutes)
@@ -157,32 +150,22 @@ class StreamFeaturizer:
         return frame
 
     def to_dict(self) -> dict:
-        return {
-            "utc_offset_minutes": self.utc_offset_minutes,
-            "gap_seconds": self.gap_seconds,
-            "last_timestamp": self.last_timestamp,
-            "last_lesson": self.last_lesson,
-            "last_topic": self.last_topic,
-            "session_gap_value": self.session_gap_value,
-        }
+        return {key: getattr(self, key) for key in _STATE_TYPES}
 
     @classmethod
-    def from_dict(cls, state: dict) -> "StreamFeaturizer":
-        """Inverse of :meth:`to_dict`; a field of the wrong type or out of
-        range raises ``ValueError``."""
+    def from_dict(cls, state: dict, utc_offset_minutes: int) -> "StreamFeaturizer":
+        """Inverse of :meth:`to_dict` for a featurizer at the given UTC
+        offset; a field of the wrong type or out of range raises
+        ``ValueError``."""
         for key, types in _STATE_TYPES.items():
             if isinstance(state[key], bool) or not isinstance(state[key], types):
                 raise ValueError(f"{key} has the wrong type: {state[key]!r}")
-        if state["gap_seconds"] <= 0:
-            raise ValueError(f"gap_seconds must be positive, got {state['gap_seconds']}")
         if not 0.0 <= state["session_gap_value"] <= 1.0:
             raise ValueError(
                 f"session_gap_value must be in [0, 1], got {state['session_gap_value']}")
-        featurizer = cls(state["utc_offset_minutes"], state["gap_seconds"])
-        featurizer.last_timestamp = state["last_timestamp"]
-        featurizer.last_lesson = state["last_lesson"]
-        featurizer.last_topic = state["last_topic"]
-        featurizer.session_gap_value = state["session_gap_value"]
+        featurizer = cls(utc_offset_minutes)
+        for key in _STATE_TYPES:
+            setattr(featurizer, key, state[key])
         return featurizer
 
 
@@ -191,9 +174,6 @@ def featurize(seq: LabeledSequence,
     """Encode every action of a labelled sequence; returns (n, 13)."""
     featurizer = StreamFeaturizer(utc_offset_minutes=utc_offset_minutes)
     frames = np.zeros((seq.n_actions, FEATURE_DIM))
-    row = 0
-    for session in seq.sessions:
-        for position, action in enumerate(session.actions):
-            frames[row] = featurizer.push(action, session_start=position == 0)
-            row += 1
+    for row, action in enumerate(seq.actions):
+        frames[row] = featurizer.push(action)
     return frames

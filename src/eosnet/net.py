@@ -33,9 +33,9 @@ from typing import Optional
 import numpy as np
 
 from eosnet.errors import CheckpointError, NumericalFault
+from eosnet.features import FEATURE_DIM
 from eosnet.fileio import atomic_write_bytes
 
-DEFAULT_INPUT_DIM = 13
 DEFAULT_HIDDEN_SIZE = 400
 FORGET_BIAS = 1.0
 
@@ -134,7 +134,7 @@ def fan_in_sizes(hidden_size: int) -> tuple[int, int]:
     return max(1, hidden_size // 2), max(1, hidden_size // 4)
 
 
-def init_params(seed: int, input_dim: int = DEFAULT_INPUT_DIM,
+def init_params(seed: int, input_dim: int = FEATURE_DIM,
                 hidden_size: int = DEFAULT_HIDDEN_SIZE) -> ModelParams:
     """Glorot-uniform weights, zero biases, forget-gate bias 1.0.
 

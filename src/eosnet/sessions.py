@@ -1,21 +1,31 @@
 """Gap-based session segmentation and end-of-session labelling.
 
 A session is a maximal run of one student's actions where no inter-action
-gap exceeds ``DEFAULT_GAP_SECONDS`` (15 minutes).  The gap rule is a
-strict "greater than": two actions exactly 900 s apart stay in the same
-session.  The last action of every session carries label 1, all others 0.
+gap exceeds ``SESSION_GAP_SECONDS`` (15 minutes).  ``starts_session`` is
+the one statement of that rule: an action starts a session when it is the
+student's first or follows the previous one by strictly more than 900 s,
+so two actions exactly 900 s apart stay in the same session.  ``segment``
+and ``features.StreamFeaturizer.push`` both decide session starts with
+it.  The last action of every session carries label 1, all others 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
 from eosnet.ingest import RawAction, StudentLog
 
-DEFAULT_GAP_SECONDS = 900
+SESSION_GAP_SECONDS = 900
+
+
+def starts_session(previous_timestamp: Optional[int], timestamp: int) -> bool:
+    """Whether an action at ``timestamp`` starts a new session, given the
+    timestamp of the student's previous action (None if there is none)."""
+    return previous_timestamp is None or timestamp - previous_timestamp > SESSION_GAP_SECONDS
 
 
 @dataclass(slots=True)
@@ -57,20 +67,17 @@ class HomeworkClass(Enum):
     NONE = "none"
 
 
-def segment(log: StudentLog, gap_seconds: int = DEFAULT_GAP_SECONDS) -> list[Session]:
-    """Split a chronological student log at gaps strictly greater than
-    ``gap_seconds``.  The concatenation of the result equals the input."""
-    if gap_seconds <= 0:
-        raise ValueError("gap_seconds must be positive")
+def segment(log: StudentLog) -> list[Session]:
+    """Split a chronological student log into sessions at every action
+    that ``starts_session``.  The concatenation of the result equals the
+    input."""
     sessions: list[Session] = []
-    current: list[RawAction] = []
+    previous: Optional[int] = None
     for action in log.actions:
-        if current and action.timestamp - current[-1].timestamp > gap_seconds:
-            sessions.append(Session(log.student_id, current, len(sessions)))
-            current = []
-        current.append(action)
-    if current:
-        sessions.append(Session(log.student_id, current, len(sessions)))
+        if starts_session(previous, action.timestamp):
+            sessions.append(Session(log.student_id, [], len(sessions)))
+        sessions[-1].actions.append(action)
+        previous = action.timestamp
     return sessions
 
 

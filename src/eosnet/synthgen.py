@@ -11,8 +11,8 @@ homework assignment length, a mean free-session length multiplier, a
 time-of-day preference, and an inter-session rhythm.  The profile is
 only observable through the student's history, which is what makes a
 history-carrying model outperform a per-session one on this data.
-Session boundaries respect the 900-second gap rule by construction, so
-segmentation recovers them exactly.
+Session boundaries respect the gap rule (``sessions.SESSION_GAP_SECONDS``)
+by construction, so segmentation recovers them exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from eosnet.ingest import ActionKind, RawAction, StudentLog
-from eosnet.sessions import HomeworkClass, segment, session_homework_class
+from eosnet.sessions import SESSION_GAP_SECONDS, HomeworkClass, segment, session_homework_class
 
 _PURE, _PARTLY, _FREE = 0, 1, 2
 
@@ -152,7 +152,8 @@ def _session_start(rng: np.random.Generator, cfg: GenConfig,
                    profile: StudentProfile, prev_end: Optional[int]) -> int:
     """Next session start: lognormal gap scaled by the student's rhythm,
     optionally re-anchored into the student's preferred day bucket;
-    always strictly more than 900 s after the previous action."""
+    always strictly more than ``SESSION_GAP_SECONDS`` after the previous
+    action."""
     offset = 60 * cfg.utc_offset_minutes
     if prev_end is None:
         day = cfg.start_epoch + int(rng.integers(0, 30)) * 86400
@@ -161,11 +162,11 @@ def _session_start(rng: np.random.Generator, cfg: GenConfig,
         gap = rng.lognormal(math.log(cfg.intersession_median_hours * 3600.0
                                      * profile.rhythm),
                             cfg.intersession_log_sigma)
-        start = prev_end + max(901, int(gap))
+        start = prev_end + max(SESSION_GAP_SECONDS + 1, int(gap))
         if rng.random() >= cfg.tod_strength:
             return start
         day = ((start + offset) // 86400) * 86400 - offset
-        floor_ts = prev_end + 900
+        floor_ts = prev_end + SESSION_GAP_SECONDS
     bucket = int(rng.choice(3, p=profile.tod_weights))
     lo, hi = _BUCKET_HOURS[bucket]
     start = day + int(rng.uniform(lo, hi) * 3600.0)
@@ -193,7 +194,7 @@ class _ContentProcess:
             elif cfg.lessons_per_topic > 1:
                 self.lesson = (self.lesson + 1
                                + int(pick * (cfg.lessons_per_topic - 1))) % cfg.lessons_per_topic
-        return (f"L{self.topic * cfg.lessons_per_topic + self.lesson}", f"T{self.topic}")
+        return self.current()
 
     def current(self) -> tuple[str, str]:
         cfg = self.cfg

@@ -305,7 +305,7 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
     history: list[EpochStats] = []
     best_params = params.copy()
 
-    val_labels = np.concatenate([s.labels for s in val_seqs]) if val_seqs else None
+    val_labels = np.concatenate([s.labels for s in val_seqs])
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()

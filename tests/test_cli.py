@@ -198,26 +198,49 @@ class TestScoreStateIn:
                    + (self.tmp / "second.csv").read_text())
         assert resumed == (self.tmp / "all.csv").read_text()
 
-    def test_session_reset_follows_saved_gap(self):
-        # A saved gap longer than any in the log starts no session for a
-        # resumed student, so session level resets nothing that student
-        # level carries over: both score that student's rows alike.
-        state = self._save_state("--level", "session")
-        resumed = set(json.loads(state.read_text())["students"])
-        outputs = []
-        for level in LEVELS:
-            saved = json.loads(state.read_text())
-            saved["level"] = level
-            for entry in saved["students"].values():
-                entry["featurizer"]["gap_seconds"] = 10 ** 9
-            edited = self.tmp / f"{level}.json"
-            edited.write_text(json.dumps(saved))
-            out = self.tmp / f"{level}.csv"
-            assert self._score(self.second, out, "--level", level,
-                               "--state-in", str(edited)) == EXIT_OK
-            outputs.append([row for row in out.read_text().splitlines()
-                            if row.split(",")[0] in resumed])
-        assert outputs[0] and outputs[0] == outputs[1]
+    def test_state_holds_offset_once_and_only_history_per_student(self):
+        saved = json.loads(self._save_state("--utc-offset-minutes", "0").read_text())
+        assert list(saved) == ["version", "level", "utc_offset_minutes", "students"]
+        assert saved["utc_offset_minutes"] == 0
+        assert saved["students"]
+        for entry in saved["students"].values():
+            assert sorted(entry) == ["c", "featurizer", "h"]
+            assert sorted(entry["featurizer"]) == [
+                "last_lesson", "last_timestamp", "last_topic", "session_gap_value"]
+
+    def test_offset_differs_from_saved(self, capsys):
+        state = self._save_state("--utc-offset-minutes", "60")
+        assert self._score(self.second, self.tmp / "second.csv",
+                           "--utc-offset-minutes", "0",
+                           "--state-in", str(state)) == EXIT_DATA
+        assert_one_error_line(capsys, "--utc-offset-minutes 60, not 0")
+
+    @pytest.mark.parametrize("value", ["60", True, None])
+    def test_bad_saved_offset(self, capsys, value):
+        def corrupt(saved):
+            if value is None:
+                del saved["utc_offset_minutes"]
+            else:
+                saved["utc_offset_minutes"] = value
+
+        path = self._rewrite(corrupt)
+        match = ("lacks key 'utc_offset_minutes'" if value is None
+                 else "malformed scoring state: utc_offset_minutes")
+        self._assert_data_error(capsys, path, match)
+
+    @pytest.mark.parametrize("key", ["h", "c"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_activation(self, capsys, key, value):
+        sid = None
+
+        def corrupt(saved):
+            nonlocal sid
+            sid, entry = next(iter(saved["students"].items()))
+            entry[key][0] = value
+
+        path = self._rewrite(corrupt)
+        assert ("NaN" if value != value else "Infinity") in path.read_text()
+        self._assert_data_error(capsys, path, f"state of {sid} has non-finite h or c")
 
     def test_corrupt_json(self, capsys):
         path = self.tmp / "corrupt.json"
@@ -229,8 +252,8 @@ class TestScoreStateIn:
         self._assert_data_error(capsys, path, "lacks key 'students'")
 
     def test_unsupported_version(self, capsys):
-        path = self._rewrite(lambda saved: saved.update(version=2))
-        self._assert_data_error(capsys, path, "version 2")
+        path = self._rewrite(lambda saved: saved.update(version=1))
+        self._assert_data_error(capsys, path, "version 1")
 
     @pytest.mark.parametrize("key", ["h", "c"])
     def test_hidden_size_mismatch(self, capsys, key):
@@ -250,8 +273,6 @@ class TestScoreStateIn:
         ("session_gap_value", 1.5),
         ("session_gap_value", -0.1),
         ("session_gap_value", "0.5"),
-        ("gap_seconds", 0),
-        ("gap_seconds", -900),
     ])
     def test_bad_featurizer_field(self, capsys, key, value):
         def corrupt(saved):

@@ -225,7 +225,7 @@ class TestFeatureProperties:
         stream = StreamFeaturizer()
         for action in actions[:3]:
             stream.push(action)
-        resumed = StreamFeaturizer.from_dict(stream.to_dict())
+        resumed = StreamFeaturizer.from_dict(stream.to_dict(), stream.utc_offset_minutes)
         for action in actions[3:]:
             np.testing.assert_array_equal(stream.push(action), resumed.push(action))
 

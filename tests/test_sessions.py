@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from eosnet import features as F
+from eosnet.features import StreamFeaturizer
 from eosnet.ingest import ActionKind, RawAction, StudentLog
 from eosnet.sessions import (
     HomeworkClass,
@@ -38,14 +40,22 @@ def scan_oracle(gaps, threshold=900):
     return lengths
 
 
+def pushed_session_starts(log):
+    """The SESSION_START column that StreamFeaturizer.push writes."""
+    featurizer = StreamFeaturizer()
+    return [featurizer.push(a)[F.SESSION_START] for a in log.actions]
+
+
 class TestSegment:
     def test_gap_exactly_900_stays_in_session(self):
-        sessions = segment(log_from_gaps([900]))
-        assert [len(s) for s in sessions] == [2]
+        log = log_from_gaps([900])
+        assert [len(s) for s in segment(log)] == [2]
+        assert pushed_session_starts(log) == [1.0, 0.0]
 
     def test_gap_901_splits(self):
-        sessions = segment(log_from_gaps([901]))
-        assert [len(s) for s in sessions] == [1, 1]
+        log = log_from_gaps([901])
+        assert [len(s) for s in segment(log)] == [1, 1]
+        assert pushed_session_starts(log) == [1.0, 1.0]
 
     def test_seven_action_sequence_one_session(self):
         # M M M Q Q Q M with all gaps below the threshold: a single
@@ -71,10 +81,6 @@ class TestSegment:
         assert [s.index for s in sessions] == [0, 1, 2]
         rebuilt = [a for s in sessions for a in s.actions]
         assert rebuilt == log.actions
-
-    def test_custom_gap(self):
-        sessions = segment(log_from_gaps([100, 100]), gap_seconds=99)
-        assert [len(s) for s in sessions] == [1, 1, 1]
 
     @given(st.lists(st.integers(min_value=0, max_value=3000), max_size=60))
     def test_matches_scan_oracle(self, gaps):
