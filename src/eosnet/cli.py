@@ -1,8 +1,12 @@
 """Command-line entry point.
 
 Subcommands: ``generate``, ``sessionize``, ``featurize``, ``train``,
-``evaluate``, ``score``, ``report``.  Common flags (``--seed``,
-``--config``, ``--threads``, ``--quiet``) attach to every subcommand.
+``evaluate``, ``score``, ``report``.  Flags are the only configuration:
+``--threads`` and ``--quiet`` attach to every subcommand, and every other
+flag only to the subcommands that read it (``--seed`` to ``generate`` and
+``train``).  There is no config file.  ``generate`` and ``train`` build
+their ``GenConfig``/``TrainConfig`` from the flags given; fields without a
+flag keep their defaults.
 Exit codes: 0 success, 1 usage, 2 data validation, 3 numerical fault.
 
 Sessions follow the one 15-minute rule of ``sessions.starts_session``,
@@ -54,25 +58,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed(text):
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _patience(text):
+    if text.lower() == "none":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or 'none', got {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for generation / split / training")
-    common.add_argument("--config", default=None,
-                        help="key=value config file providing defaults")
     common.add_argument("--threads", type=int, default=None,
                         help="BLAS thread count (set before numerics load)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
+    # Config-field flags default to SUPPRESS: an absent flag leaves no
+    # attribute, so the dataclass default applies (see _config_from_flags).
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
+                        help="seed for generation / split and training")
+    leveled = _Parser(add_help=False)
+    leveled.add_argument("--level", choices=["student", "session"], default="student")
+    offset = _Parser(add_help=False)
+    offset.add_argument("--utc-offset-minutes", type=int, default=60)
 
     parser = _Parser(prog="eosnet",
                      description="End-of-session probability modelling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common],
+    p = sub.add_parser("generate", parents=[common, seeded],
                        help="write a synthetic action log")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-students", type=int, default=None)
+    p.add_argument("--n-students", type=int, default=argparse.SUPPRESS)
 
     p = sub.add_parser("sessionize", parents=[common],
                        help="append session_index and label columns to a log")
@@ -81,53 +106,46 @@ def _build_parser() -> _Parser:
     p.add_argument("--lenient", action="store_true",
                    help="skip malformed records instead of aborting")
 
-    p = sub.add_parser("featurize", parents=[common],
+    p = sub.add_parser("featurize", parents=[common, offset],
                        help="emit the 13 feature columns plus label")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--utc-offset-minutes", type=int, default=60)
     p.add_argument("--with-keys", action="store_true",
                    help="prepend student_id and timestamp columns")
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[common, seeded, leveled, offset],
                        help="train a model; writes checkpoint and history")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--level", choices=["student", "session"], default="student")
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--dropout-p", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--patience", default=None,
+    p.add_argument("--learning-rate", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--dropout-p", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--patience", type=_patience, default=argparse.SUPPRESS,
                    help="epochs without improvement before stopping, or 'none'")
-    p.add_argument("--tbptt-window", type=int, default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
-    p.add_argument("--utc-offset-minutes", type=int, default=60)
+    p.add_argument("--tbptt-window", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-epochs", type=int, default=argparse.SUPPRESS)
 
-    p = sub.add_parser("evaluate", parents=[common],
+    p = sub.add_parser("evaluate", parents=[common, leveled, offset],
                        help="write the stratified AUC report for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--level", choices=["student", "session"], default="student")
-    p.add_argument("--split-seed", type=int, default=None,
+    p.add_argument("--split-seed", type=_seed, default=None,
                    help="evaluate the test part of this split (default: all students)")
     p.add_argument("--split-part", choices=["train", "validation", "test", "all"],
                    default="test")
     p.add_argument("--dump-scores", default=None,
                    help="also write per-action student_id,timestamp,prob,label rows")
-    p.add_argument("--utc-offset-minutes", type=int, default=60)
 
-    p = sub.add_parser("score", parents=[common],
+    p = sub.add_parser("score", parents=[common, leveled, offset],
                        help="stream per-action probabilities for a log")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="log file, or '-' for stdin")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--level", choices=["student", "session"], default="student")
     p.add_argument("--state-in", default=None,
                    help="resume from a saved scoring state")
     p.add_argument("--state-out", default=None,
                    help="persist the scoring state for later invocations")
-    p.add_argument("--utc-offset-minutes", type=int, default=60)
 
     p = sub.add_parser("report", parents=[common],
                        help="corpus statistics for a log file")
@@ -137,7 +155,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _configure(args) -> dict[str, str]:
+def _configure(args) -> None:
     logging.basicConfig(stream=sys.stderr, format="%(message)s",
                         level=logging.WARNING if args.quiet else logging.INFO)
     if args.threads is not None:
@@ -147,14 +165,15 @@ def _configure(args) -> dict[str, str]:
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
                 os.environ[var] = str(args.threads)
-    if args.config is None:
-        return {}
-    if not os.path.exists(args.config):
-        raise UsageError(f"config file not found: {args.config}")
-    from eosnet.configio import load_key_value
 
+
+def _config_from_flags(cls, args):
+    """Build a config dataclass from the flags given whose names are its
+    fields; an invalid value is a usage error."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+             if hasattr(args, f.name)}
     try:
-        return load_key_value(args.config)
+        return cls(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -190,18 +209,13 @@ def _load_model(path):
 # handlers
 # ---------------------------------------------------------------------------
 
-def cmd_generate(args, mapping) -> int:
-    from eosnet.configio import build_config, config_to_text
+def cmd_generate(args) -> int:
     from eosnet.fileio import atomic_write_text, write_manifest
     from eosnet.ingest import HEADER, format_action
-    from eosnet.synthgen import GenConfig, generate, summarize
+    from eosnet.synthgen import GenConfig, config_to_text, generate, summarize
 
     t0 = time.perf_counter()
-    try:
-        cfg = build_config(GenConfig, mapping,
-                           n_students=args.n_students, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cfg = _config_from_flags(GenConfig, args)
     logs = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
     actions_path = os.path.join(args.out, "actions.csv")
@@ -227,7 +241,7 @@ def cmd_generate(args, mapping) -> int:
     return EXIT_OK
 
 
-def cmd_sessionize(args, mapping) -> int:
+def cmd_sessionize(args) -> int:
     from eosnet.fileio import atomic_write_text
     from eosnet.ingest import HEADER, format_action
 
@@ -243,7 +257,7 @@ def cmd_sessionize(args, mapping) -> int:
     return EXIT_OK
 
 
-def cmd_featurize(args, mapping) -> int:
+def cmd_featurize(args) -> int:
     from eosnet.features import FEATURE_NAMES, featurize
     from eosnet.fileio import atomic_write_text
 
@@ -266,31 +280,13 @@ def cmd_featurize(args, mapping) -> int:
     return EXIT_OK
 
 
-def cmd_train(args, mapping) -> int:
-    from eosnet.configio import build_config
+def cmd_train(args) -> int:
     from eosnet.fileio import atomic_write_text, write_manifest
     from eosnet.net import save_checkpoint
-    from eosnet.training import (
-        Level, TrainConfig, prepare_sequence, split_students, train,
-    )
+    from eosnet.training import TrainConfig, prepare_sequence, split_students, train
 
     t0 = time.perf_counter()
-    if args.patience is not None:
-        mapping = dict(mapping)
-        mapping["patience"] = args.patience
-    try:
-        config = build_config(
-            TrainConfig, mapping,
-            learning_rate=args.learning_rate,
-            dropout_p=args.dropout_p,
-            batch_size=args.batch_size,
-            tbptt_window=args.tbptt_window,
-            max_epochs=args.max_epochs,
-            level=Level(args.level),
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = _config_from_flags(TrainConfig, args)
 
     labeled = _load_labeled(args.data)
     split = split_students(labeled.keys(), config.seed)
@@ -343,7 +339,7 @@ def _select_students(labeled, split_seed, part):
             "test": split.test}[part]
 
 
-def cmd_evaluate(args, mapping) -> int:
+def cmd_evaluate(args) -> int:
     from eosnet.evaluation import compute_report, scored_sessions
     from eosnet.fileio import atomic_write_text, write_manifest
     from eosnet.training import Level, prepare_sequence, score_sequences
@@ -428,6 +424,12 @@ def _load_score_state(path, level, utc_offset_minutes, hidden_size):
                 f"not {utc_offset_minutes}")
         states = {}
         for sid, entry in saved["students"].items():
+            for key in ("h", "c"):
+                # json gives bool and str too, which np.asarray would coerce
+                if not (isinstance(entry[key], list)
+                        and all(type(v) in (int, float) for v in entry[key])):
+                    raise DataValidationError(
+                        f"{path}: state of {sid} has {key} that is not a list of numbers")
             h = np.asarray(entry["h"], dtype=np.float64)
             c = np.asarray(entry["c"], dtype=np.float64)
             if h.shape != (hidden_size,) or c.shape != (hidden_size,):
@@ -442,12 +444,12 @@ def _load_score_state(path, level, utc_offset_minutes, hidden_size):
         raise
     except KeyError as exc:
         raise DataValidationError(f"{path}: scoring state lacks key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DataValidationError(f"{path}: malformed scoring state: {exc}") from None
     return states
 
 
-def cmd_score(args, mapping) -> int:
+def cmd_score(args) -> int:
     from eosnet.features import SESSION_START, StreamFeaturizer
     from eosnet.fileio import atomic_write_text
     from eosnet.ingest import HEADER, parse_line
@@ -516,7 +518,7 @@ def cmd_score(args, mapping) -> int:
     return EXIT_OK
 
 
-def cmd_report(args, mapping) -> int:
+def cmd_report(args) -> int:
     from eosnet.fileio import atomic_write_text
     from eosnet.ingest import group_by_student, parse_log_file
     from eosnet.synthgen import summarize
@@ -552,8 +554,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        mapping = _configure(args)
-        return _HANDLERS[args.command](args, mapping)
+        _configure(args)
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

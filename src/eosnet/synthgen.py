@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -81,6 +81,16 @@ class GenConfig:
             raise ValueError("length choices and weights differ in size")
         if self.free_length_mean < 1.0:
             raise ValueError("free_length_mean must be >= 1")
+
+
+def config_to_text(cfg: GenConfig) -> str:
+    """One ``name=value`` line per field; tuples are comma-separated."""
+    lines = []
+    for fld in fields(cfg):
+        value = getattr(cfg, fld.name)
+        values = value if isinstance(value, tuple) else (value,)
+        lines.append(f"{fld.name}={','.join(map(repr, values))}")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(slots=True)

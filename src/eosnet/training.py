@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -61,8 +61,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.tbptt_window < 1:
             raise ValueError("tbptt_window must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.patience is not None and self.patience < 1:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from eosnet.cli import EXIT_DATA, EXIT_OK, main
+from eosnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from eosnet.net import init_params, load_checkpoint, save_checkpoint
 from eosnet.training import TrainConfig
 
@@ -49,6 +49,60 @@ def probs_by_student(rows, prob_column):
         cells = row.split(",")
         out.setdefault(cells[0], []).append(float(cells[prob_column]))
     return out
+
+
+# The required flags of each subcommand; parsing fails before any is opened.
+REQUIRED = {
+    "generate": ["--out", "out"],
+    "sessionize": ["--data", "a.csv", "--out", "b.csv"],
+    "featurize": ["--data", "a.csv", "--out", "b.csv"],
+    "train": ["--data", "a.csv", "--out", "out"],
+    "evaluate": ["--checkpoint", "m.ckpt", "--data", "a.csv", "--out", "out"],
+    "score": ["--checkpoint", "m.ckpt", "--data", "a.csv"],
+    "report": ["--data", "a.csv"],
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_no_config_file(self, command, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text("level=session\n")
+        assert main([command, *REQUIRED[command], "--config", str(config)]) == EXIT_USAGE
+        assert_one_error_line(capsys, "unrecognized arguments: --config")
+
+    @pytest.mark.parametrize("command",
+                             ["sessionize", "featurize", "evaluate", "score", "report"])
+    def test_seed_only_where_read(self, command, capsys):
+        assert main([command, *REQUIRED[command], "--seed", "1"]) == EXIT_USAGE
+        assert_one_error_line(capsys, "unrecognized arguments: --seed 1")
+
+    @pytest.mark.parametrize("flags, match", [
+        (["--patience", "0"], "patience must be >= 1"),
+        (["--patience", "x"], "expected an integer or 'none', got 'x'"),
+        (["--learning-rate", "nan"], "learning_rate must be finite and positive"),
+        (["--learning-rate", "inf"], "learning_rate must be finite and positive"),
+    ])
+    def test_bad_train_setting(self, corpus, tmp_path, capsys, flags, match):
+        data, _ = corpus
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out), "--quiet",
+                     *flags]) == EXIT_USAGE
+        assert_one_error_line(capsys, match)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("generate", "--seed"), ("train", "--seed"), ("evaluate", "--split-seed")])
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_seed(self, command, flag, value, capsys):
+        assert main([command, *REQUIRED[command], flag, value]) == EXIT_USAGE
+        assert_one_error_line(capsys, f"expected an integer >= 0, got '{value}'")
+
+    def test_generate_needs_a_student(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        assert main(["generate", "--out", str(out), "--n-students", "0"]) == EXIT_USAGE
+        assert_one_error_line(capsys, "n_students must be >= 1")
+        assert not out.exists()
 
 
 class TestFeaturize:
@@ -241,6 +295,26 @@ class TestScoreStateIn:
         path = self._rewrite(corrupt)
         assert ("NaN" if value != value else "Infinity") in path.read_text()
         self._assert_data_error(capsys, path, f"state of {sid} has non-finite h or c")
+
+    @pytest.mark.parametrize("key", ["h", "c"])
+    @pytest.mark.parametrize("value", ["0.5", True])
+    def test_non_number_activation(self, capsys, key, value):
+        sid = None
+
+        def corrupt(saved):
+            nonlocal sid
+            sid, entry = next(iter(saved["students"].items()))
+            entry[key][0] = value
+
+        path = self._rewrite(corrupt)
+        self._assert_data_error(
+            capsys, path, f"state of {sid} has {key} that is not a list of numbers")
+
+    def test_activation_beyond_float_range(self, capsys):
+        def corrupt(saved):
+            next(iter(saved["students"].values()))["h"][0] = 10 ** 400
+
+        self._assert_data_error(capsys, self._rewrite(corrupt), "malformed scoring state")
 
     def test_corrupt_json(self, capsys):
         path = self.tmp / "corrupt.json"

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eosnet.evaluation import (
-    EvalReport,
     ScoredSession,
     auc,
     bucket_key,

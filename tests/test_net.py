@@ -1,7 +1,6 @@
 """Network core: LSTM step, forward contracts, loss, RMSprop, checkpoints."""
 
 import math
-import os
 
 import numpy as np
 import pytest

@@ -1,7 +1,5 @@
 """Session segmentation, labelling, and homework classification."""
 
-import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from eosnet import features as F

@@ -1,11 +1,15 @@
 """Synthetic generator: determinism, calibration, and structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from eosnet.ingest import format_action
-from eosnet.sessions import HomeworkClass, label, segment, session_homework_class
-from eosnet.synthgen import GenConfig, generate, profile_multipliers, summarize
+from eosnet.sessions import HomeworkClass, segment, session_homework_class
+from eosnet.synthgen import (
+    GenConfig, config_to_text, generate, profile_multipliers, summarize,
+)
 
 
 def small_config(**overrides):
@@ -117,6 +121,17 @@ class TestCalibration:
         summary = summarize(corpus)
         mean_actions = summary.n_actions / summary.n_students
         assert 35 <= mean_actions <= 70
+
+
+class TestConfigText:
+    def test_one_line_per_field(self):
+        lines = config_to_text(small_config(n_students=5)).splitlines()
+        assert [line.split("=")[0] for line in lines] == [
+            f.name for f in dataclasses.fields(GenConfig)]
+        assert "n_students=5" in lines
+        assert "sessions_log_sigma=0.45" in lines
+        assert "homework_length_choices=5,10,15,20,25" in lines
+        assert "accuracy_range=0.55,0.95" in lines
 
 
 class TestSummarize:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from eosnet.errors import DataValidationError
 from eosnet.ingest import ActionKind, RawAction, StudentLog
@@ -11,11 +11,9 @@ from eosnet.net import (
     backward_batch,
     forward_batch,
     init_params,
-    loss_weighted_bce,
 )
 from eosnet.sessions import label, segment
 from eosnet.training import (
-    Batch,
     EarlyStopper,
     Level,
     TrainConfig,
@@ -337,6 +335,11 @@ class TestTrainConfigValidation:
     def test_bad_batch(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0, -0.001])
+    def test_bad_learning_rate(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
 
     def test_level_from_string(self):
         assert TrainConfig(level="session").level is Level.SESSION
