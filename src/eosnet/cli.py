@@ -13,12 +13,18 @@ Sessions follow the one 15-minute rule of ``sessions.starts_session``,
 which no flag changes; ``sessionize --data --out [--lenient]`` appends
 ``session_index,label`` to each record (``--lenient`` skips malformed ones).
 
+``--utc-offset-minutes`` (``featurize``, ``train``, ``evaluate``,
+``score``) takes an integer in [-720, 840], the offsets of real time
+zones; anything else is a usage error.
+
 ``score --state-out`` writes the JSON state that ``--state-in`` resumes:
-``version`` (2), ``level`` and ``utc_offset_minutes`` once, then per
-student only history: ``featurizer`` (``last_timestamp``, ``last_lesson``,
-``last_topic``, ``session_gap_value``), ``h`` and ``c``.  A state of
-another version, level or offset, or with any malformed field, is a data
-error.
+``version`` (3), ``level`` and ``utc_offset_minutes``; ``students``, a
+mapping of student id to featurizer history (``last_timestamp``,
+``last_lesson``, ``last_topic``, ``session_gap_value``) in sorted id order;
+and ``h`` and ``c``, each the base64 of one (N, H) little-endian float64
+matrix whose row k is the LSTM state of the k-th student of ``students``.
+The matrices round-trip bit for bit.  A state of another version, level or
+offset, or with any malformed field, is a data error.
 
 Heavy imports happen inside the handlers, so ``--threads`` can pin the
 BLAS thread count before the numerics are loaded.
@@ -27,6 +33,7 @@ BLAS thread count before the numerics are loaded.
 from __future__ import annotations
 
 import argparse
+import base64
 import dataclasses
 import json
 import logging
@@ -64,6 +71,19 @@ def _seed(text):
     return int(text)
 
 
+def _utc_offset(text):
+    """Minutes east of UTC, within the offsets of real time zones
+    (UTC-12:00 to UTC+14:00)."""
+    try:
+        minutes = int(text)
+    except ValueError:
+        minutes = None
+    if minutes is None or not -720 <= minutes <= 840:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [-720, 840], got {text!r}")
+    return minutes
+
+
 def _patience(text):
     if text.lower() == "none":
         return None
@@ -88,7 +108,7 @@ def _build_parser() -> _Parser:
     leveled = _Parser(add_help=False)
     leveled.add_argument("--level", choices=["student", "session"], default="student")
     offset = _Parser(add_help=False)
-    offset.add_argument("--utc-offset-minutes", type=int, default=60)
+    offset.add_argument("--utc-offset-minutes", type=_utc_offset, default=60)
 
     parser = _Parser(prog="eosnet",
                      description="End-of-session probability modelling")
@@ -391,12 +411,47 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-SCORE_STATE_VERSION = 2
+SCORE_STATE_VERSION = 3
+_STATE_DTYPE = "<f8"
+
+
+def _encode_matrix(matrix) -> str:
+    raw = matrix.astype(_STATE_DTYPE, copy=False).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode_matrix(path, saved, key, n_students, hidden_size):
+    """The (n_students, hidden_size) float64 matrix stored under ``key``."""
+    import numpy as np
+
+    text = saved[key]
+    try:
+        if not isinstance(text, str):
+            raise ValueError(f"not a string but {type(text).__name__}")
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error is one
+        raise DataValidationError(
+            f"{path}: {key} is not base64 of float64 values: {exc}") from None
+    expected = n_students * hidden_size * 8
+    if len(raw) != expected:
+        raise DataValidationError(
+            f"{path}: {key} has {len(raw)} bytes, not {n_students} rows x "
+            f"{hidden_size} x 8 = {expected}; the checkpoint's hidden size is {hidden_size}")
+    return np.frombuffer(raw, dtype=_STATE_DTYPE).reshape(n_students, hidden_size)
 
 
 def _load_score_state(path, level, utc_offset_minutes, hidden_size):
     """Read a ``score --state-out`` file into per-student (featurizer,
-    LSTM state) pairs; any defect in it is a DataValidationError."""
+    LSTM state) pairs; any defect in it is a DataValidationError.
+
+    ``h`` and ``c`` are checked as whole matrices: each must be a base64
+    string (strict alphabet and padding) that decodes to exactly
+    ``len(students) * hidden_size * 8`` bytes, read as little-endian
+    float64 with row k for the k-th student of ``students``, and every
+    value must be finite; the error names the first student with a
+    non-finite row.  Each featurizer history is checked by
+    ``StreamFeaturizer.from_dict``.
+    """
     import numpy as np
 
     from eosnet.features import StreamFeaturizer
@@ -422,34 +477,33 @@ def _load_score_state(path, level, utc_offset_minutes, hidden_size):
             raise DataValidationError(
                 f"state was saved for --utc-offset-minutes {offset}, "
                 f"not {utc_offset_minutes}")
-        states = {}
-        for sid, entry in saved["students"].items():
-            for key in ("h", "c"):
-                # json gives bool and str too, which np.asarray would coerce
-                if not (isinstance(entry[key], list)
-                        and all(type(v) in (int, float) for v in entry[key])):
-                    raise DataValidationError(
-                        f"{path}: state of {sid} has {key} that is not a list of numbers")
-            h = np.asarray(entry["h"], dtype=np.float64)
-            c = np.asarray(entry["c"], dtype=np.float64)
-            if h.shape != (hidden_size,) or c.shape != (hidden_size,):
-                raise DataValidationError(
-                    f"{path}: state of {sid} has h of shape {h.shape} and c of shape "
-                    f"{c.shape}; the checkpoint's hidden size is {hidden_size}")
-            if not (np.isfinite(h).all() and np.isfinite(c).all()):
-                raise DataValidationError(f"{path}: state of {sid} has non-finite h or c")
-            states[sid] = (StreamFeaturizer.from_dict(entry["featurizer"], offset),
-                           LstmState(h=h, c=c))
+        students = saved["students"]
+        if not isinstance(students, dict):
+            raise ValueError(f"students is not a mapping: {students!r}")
+        ids = list(students)
+        h = _decode_matrix(path, saved, "h", len(ids), hidden_size)
+        c = _decode_matrix(path, saved, "c", len(ids), hidden_size)
+        finite = np.isfinite(h).all(axis=1) & np.isfinite(c).all(axis=1)
+        if not finite.all():
+            sid = ids[int(np.argmin(finite))]
+            raise DataValidationError(f"{path}: state of {sid} has non-finite h or c")
+        states = {
+            sid: (StreamFeaturizer.from_dict(students[sid], offset),
+                  LstmState(h=h[k], c=c[k]))
+            for k, sid in enumerate(ids)
+        }
     except DataValidationError:
         raise
     except KeyError as exc:
         raise DataValidationError(f"{path}: scoring state lacks key {exc}") from None
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: malformed scoring state: {exc}") from None
     return states
 
 
 def cmd_score(args) -> int:
+    import numpy as np
+
     from eosnet.features import SESSION_START, StreamFeaturizer
     from eosnet.fileio import atomic_write_text
     from eosnet.ingest import HEADER, parse_line
@@ -501,18 +555,19 @@ def cmd_score(args) -> int:
             print(row)
 
     if args.state_out:
+        ids = sorted(states)
+        h = np.empty((len(ids), params.hidden_size))
+        c = np.empty_like(h)
+        for k, sid in enumerate(ids):
+            state = states[sid][1]
+            h[k], c[k] = state.h, state.c
         payload = {
             "version": SCORE_STATE_VERSION,
             "level": args.level,
             "utc_offset_minutes": args.utc_offset_minutes,
-            "students": {
-                sid: {
-                    "featurizer": featurizer.to_dict(),
-                    "h": [float(v) for v in state.h],
-                    "c": [float(v) for v in state.c],
-                }
-                for sid, (featurizer, state) in sorted(states.items())
-            },
+            "students": {sid: states[sid][0].to_dict() for sid in ids},
+            "h": _encode_matrix(h),
+            "c": _encode_matrix(c),
         }
         atomic_write_text(args.state_out, json.dumps(payload) + "\n")
     return EXIT_OK

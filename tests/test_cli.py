@@ -1,14 +1,20 @@
 """Command-line contract: outputs and exit codes of ``cli.main`` on a tiny
 generated corpus with an H=8 checkpoint."""
 
+import base64
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eosnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from eosnet.net import init_params, load_checkpoint, save_checkpoint
-from eosnet.training import TrainConfig
+from eosnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _load_labeled, main
+from eosnet.ingest import HEADER
+from eosnet.net import forward_batch, init_params, load_checkpoint, save_checkpoint
+from eosnet.training import Level, TrainConfig, prepare_sequence
 
 LEVELS = ["student", "session"]
 
@@ -97,6 +103,22 @@ class TestFlags:
     def test_bad_seed(self, command, flag, value, capsys):
         assert main([command, *REQUIRED[command], flag, value]) == EXIT_USAGE
         assert_one_error_line(capsys, f"expected an integer >= 0, got '{value}'")
+
+    @pytest.mark.parametrize("command", ["featurize", "train", "evaluate", "score"])
+    @pytest.mark.parametrize("minutes", ["-721", "841", "1500", "x"])
+    def test_utc_offset_out_of_range(self, command, minutes, capsys):
+        assert main([command, *REQUIRED[command],
+                     "--utc-offset-minutes", minutes]) == EXIT_USAGE
+        assert_one_error_line(capsys, f"expected an integer in [-720, 840], got '{minutes}'")
+
+    @pytest.mark.parametrize("minutes", ["-720", "840"])
+    def test_utc_offset_range_ends(self, corpus, tmp_path, minutes):
+        data, ckpt = corpus
+        assert main(["featurize", "--data", str(data), "--out", str(tmp_path / "f.csv"),
+                     "--utc-offset-minutes", minutes, "--quiet"]) == EXIT_OK
+        assert main(["score", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "s.csv"),
+                     "--utc-offset-minutes", minutes, "--quiet"]) == EXIT_OK
 
     def test_generate_needs_a_student(self, tmp_path, capsys):
         out = tmp_path / "gen"
@@ -201,6 +223,32 @@ class TestScore:
         for sid, probs in batch.items():
             assert stream[sid] == pytest.approx(probs, rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_split_at_any_line_equals_one_pass(self, corpus, tmp_path, level):
+        data, ckpt = corpus
+        lines = data.read_text().splitlines(keepends=True)
+        whole = tmp_path / "whole.csv"
+        assert main(["score", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(whole), "--level", level, "--quiet"]) == EXIT_OK
+
+        @settings(max_examples=25, deadline=None)
+        @given(st.integers(0, len(lines)))
+        def split_at(line):
+            with tempfile.TemporaryDirectory() as tmp:
+                part, out, state = (str(Path(tmp) / name)
+                                    for name in ("in.csv", "out.csv", "state.json"))
+                rows = ""
+                for chunk, flags in ((lines[:line], ["--state-out", state]),
+                                     (lines[line:], ["--state-in", state])):
+                    Path(part).write_text("".join(chunk))
+                    assert main(["score", "--checkpoint", str(ckpt), "--data", part,
+                                 "--out", out, "--level", level, "--quiet",
+                                 *flags]) == EXIT_OK
+                    rows += Path(out).read_text()
+                assert rows == whole.read_text()
+
+        split_at()
+
     def test_out_of_order_timestamp(self, corpus, tmp_path, capsys):
         data, ckpt = corpus
         header, first, second = data.read_text().splitlines()[:3]
@@ -211,6 +259,16 @@ class TestScore:
         assert main(["score", "--checkpoint", str(ckpt), "--data", str(path),
                      "--out", str(tmp_path / "out.csv"), "--quiet"]) == EXIT_DATA
         assert_one_error_line(capsys, "line 3")
+
+
+def decode_matrix(saved, key):
+    """A writable copy of the (N, H) float64 matrix a v3 state stores under key."""
+    raw = base64.b64decode(saved[key])
+    return np.frombuffer(raw, dtype="<f8").reshape(len(saved["students"]), -1).copy()
+
+
+def encode_matrix(matrix):
+    return base64.b64encode(np.asarray(matrix, dtype="<f8").tobytes()).decode("ascii")
 
 
 class TestScoreStateIn:
@@ -254,13 +312,39 @@ class TestScoreStateIn:
 
     def test_state_holds_offset_once_and_only_history_per_student(self):
         saved = json.loads(self._save_state("--utc-offset-minutes", "0").read_text())
-        assert list(saved) == ["version", "level", "utc_offset_minutes", "students"]
-        assert saved["utc_offset_minutes"] == 0
-        assert saved["students"]
-        for entry in saved["students"].values():
-            assert sorted(entry) == ["c", "featurizer", "h"]
-            assert sorted(entry["featurizer"]) == [
+        assert list(saved) == ["version", "level", "utc_offset_minutes", "students",
+                               "h", "c"]
+        assert saved["version"] == 3 and saved["utc_offset_minutes"] == 0
+        assert saved["students"] and list(saved["students"]) == sorted(saved["students"])
+        for history in saved["students"].values():
+            assert sorted(history) == [
                 "last_lesson", "last_timestamp", "last_topic", "session_gap_value"]
+        for key in ("h", "c"):
+            assert decode_matrix(saved, key).shape == (len(saved["students"]), 8)
+
+    def test_header_only_log_rewrites_state_byte_for_byte(self):
+        state = self._save_state()
+        header_only = self.tmp / "header.csv"
+        header_only.write_text(HEADER + "\n")
+        again = self.tmp / "again.json"
+        assert self._score(header_only, self.tmp / "none.csv", "--state-in", str(state),
+                           "--state-out", str(again)) == EXIT_OK
+        assert (self.tmp / "none.csv").read_text() == ""
+        assert again.read_bytes() == state.read_bytes()
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_saved_rows_equal_forward_batch_bit_for_bit(self, level):
+        saved = json.loads(self._save_state("--level", level).read_text())
+        h, c = decode_matrix(saved, "h"), decode_matrix(saved, "c")
+        labeled = _load_labeled(self.first)
+        params = load_checkpoint(self.ckpt)
+        assert list(saved["students"]) == sorted(labeled)
+        for k, sid in enumerate(saved["students"]):
+            seq = prepare_sequence(labeled[sid], Level(level))
+            out = forward_batch(params, seq.features[:, None, :], seq.resets[:, None],
+                                np.zeros((1, 8)), np.zeros((1, 8)))
+            assert h[k].tobytes() == out.h[0].tobytes()
+            assert c[k].tobytes() == out.c[0].tobytes()
 
     def test_offset_differs_from_saved(self, capsys):
         state = self._save_state("--utc-offset-minutes", "60")
@@ -289,32 +373,46 @@ class TestScoreStateIn:
 
         def corrupt(saved):
             nonlocal sid
-            sid, entry = next(iter(saved["students"].items()))
-            entry[key][0] = value
+            sid = list(saved["students"])[1]
+            matrix = decode_matrix(saved, key)
+            matrix[1:, 0] = value
+            saved[key] = encode_matrix(matrix)
 
-        path = self._rewrite(corrupt)
-        assert ("NaN" if value != value else "Infinity") in path.read_text()
-        self._assert_data_error(capsys, path, f"state of {sid} has non-finite h or c")
+        self._assert_data_error(capsys, self._rewrite(corrupt),
+                                f"state of {sid} has non-finite h or c")
 
     @pytest.mark.parametrize("key", ["h", "c"])
-    @pytest.mark.parametrize("value", ["0.5", True])
+    @pytest.mark.parametrize("value", [
+        "0.5", True, pytest.param([0.5] * 8, id="list"), "AAAAA",
+        pytest.param("AAAA\nAAAA", id="newline")])
     def test_non_number_activation(self, capsys, key, value):
-        sid = None
-
         def corrupt(saved):
-            nonlocal sid
-            sid, entry = next(iter(saved["students"].items()))
-            entry[key][0] = value
+            saved[key] = value
 
-        path = self._rewrite(corrupt)
-        self._assert_data_error(
-            capsys, path, f"state of {sid} has {key} that is not a list of numbers")
+        self._assert_data_error(capsys, self._rewrite(corrupt),
+                                f"{key} is not base64 of float64 values")
 
     def test_activation_beyond_float_range(self, capsys):
         def corrupt(saved):
-            next(iter(saved["students"].values()))["h"][0] = 10 ** 400
+            saved["h"] = 10 ** 400
 
-        self._assert_data_error(capsys, self._rewrite(corrupt), "malformed scoring state")
+        self._assert_data_error(capsys, self._rewrite(corrupt),
+                                "h is not base64 of float64 values: not a string")
+
+    @pytest.mark.parametrize("key, cut", [
+        pytest.param("h", 1, id="h-one-value"), pytest.param("c", 8, id="c-one-row")])
+    def test_wrong_byte_count(self, capsys, key, cut):
+        match = None
+
+        def corrupt(saved):
+            nonlocal match
+            matrix = decode_matrix(saved, key).ravel()
+            n_rows = len(saved["students"])
+            match = (f"{key} has {8 * (matrix.size - cut)} bytes, "
+                     f"not {n_rows} rows x 8 x 8 = {8 * matrix.size}")
+            saved[key] = encode_matrix(matrix[:-cut])
+
+        self._assert_data_error(capsys, self._rewrite(corrupt), match)
 
     def test_corrupt_json(self, capsys):
         path = self.tmp / "corrupt.json"
@@ -329,11 +427,22 @@ class TestScoreStateIn:
         path = self._rewrite(lambda saved: saved.update(version=1))
         self._assert_data_error(capsys, path, "version 1")
 
+    def test_version_2_is_refused(self, capsys):
+        def to_version_2(saved):
+            h, c = decode_matrix(saved, "h"), decode_matrix(saved, "c")
+            saved["version"] = 2
+            saved["students"] = {
+                sid: {"featurizer": history, "h": h[k].tolist(), "c": c[k].tolist()}
+                for k, (sid, history) in enumerate(saved["students"].items())}
+            del saved["h"], saved["c"]
+
+        self._assert_data_error(capsys, self._rewrite(to_version_2),
+                                "version 2 is not supported (expected 3)")
+
     @pytest.mark.parametrize("key", ["h", "c"])
     def test_hidden_size_mismatch(self, capsys, key):
         def shrink(saved):
-            entry = next(iter(saved["students"].values()))
-            entry[key] = entry[key][:5]
+            saved[key] = encode_matrix(decode_matrix(saved, key)[:, :5])
 
         path = self._rewrite(shrink)
         self._assert_data_error(capsys, path, "hidden size is 8")
@@ -350,8 +459,8 @@ class TestScoreStateIn:
     ])
     def test_bad_featurizer_field(self, capsys, key, value):
         def corrupt(saved):
-            for entry in saved["students"].values():
-                entry["featurizer"][key] = value
+            for history in saved["students"].values():
+                history[key] = value
 
         path = self._rewrite(corrupt)
         self._assert_data_error(capsys, path, f"malformed scoring state: {key}")
