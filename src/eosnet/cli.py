@@ -9,6 +9,11 @@ their ``GenConfig``/``TrainConfig`` from the flags given; fields without a
 flag keep their defaults.
 Exit codes: 0 success, 1 usage, 2 data validation, 3 numerical fault.
 
+``generate``, ``train`` and ``evaluate`` write ``manifest.json`` to
+``--out``; its ``config`` holds the ``repr`` of every parsed flag, given or
+not, and of every field of the ``GenConfig``/``TrainConfig`` built.
+``generate`` writes only ``actions.csv`` and ``manifest.json``.
+
 Sessions follow the one 15-minute rule of ``sessions.starts_session``,
 which no flag changes; ``sessionize --data --out [--lenient]`` appends
 ``session_index,label`` to each record (``--lenient`` skips malformed ones).
@@ -151,9 +156,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--split-seed", type=_seed, default=None,
-                   help="evaluate the test part of this split (default: all students)")
+                   help="student split seed; --split-part train/validation/test need it")
     p.add_argument("--split-part", choices=["train", "validation", "test", "all"],
-                   default="test")
+                   default="all", help="students to evaluate (default: all of them)")
     p.add_argument("--dump-scores", default=None,
                    help="also write per-action student_id,timestamp,prob,label rows")
 
@@ -198,6 +203,21 @@ def _config_from_flags(cls, args):
         raise UsageError(str(exc)) from None
 
 
+def _write_manifest(args, config, inputs, outputs, t0, **timings) -> None:
+    """Write ``args.out``/manifest.json; ``config`` is a ``GenConfig``,
+    a ``TrainConfig`` or None, and ``timings`` gains the seconds since ``t0``."""
+    from eosnet.fileio import write_manifest
+
+    entries = {name: repr(value) for name, value in vars(args).items()
+               if name != "command"}
+    if config is not None:
+        entries.update((f.name, repr(getattr(config, f.name)))
+                       for f in dataclasses.fields(config))
+    timings["seconds"] = time.perf_counter() - t0
+    write_manifest(os.path.join(args.out, "manifest.json"), args.command,
+                   entries, inputs, outputs, timings)
+
+
 def _load_labeled(path, strict=True):
     """Parse a log file into per-student labelled sequences (sorted ids)."""
     from eosnet.ingest import group_by_student, parse_log_file
@@ -230,9 +250,9 @@ def _load_model(path):
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    from eosnet.fileio import atomic_write_text, write_manifest
+    from eosnet.fileio import atomic_write_text
     from eosnet.ingest import HEADER, format_action
-    from eosnet.synthgen import GenConfig, config_to_text, generate, summarize
+    from eosnet.synthgen import GenConfig, generate, summarize
 
     t0 = time.perf_counter()
     cfg = _config_from_flags(GenConfig, args)
@@ -243,21 +263,11 @@ def cmd_generate(args) -> int:
     for student in logs:
         rows.extend(format_action(a) for a in student.actions)
     atomic_write_text(actions_path, "\n".join(rows) + "\n")
-    config_path = os.path.join(args.out, "gen_config.txt")
-    atomic_write_text(config_path, config_to_text(cfg))
 
     summary = summarize(logs)
     log.info("generated %d students, %d sessions, %d actions",
              summary.n_students, summary.n_sessions, summary.n_actions)
-    write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        command="generate",
-        config={"file": config_path},
-        seeds={"generator": cfg.seed},
-        inputs=[],
-        outputs=[actions_path, config_path],
-        timings={"seconds": time.perf_counter() - t0},
-    )
+    _write_manifest(args, cfg, [], [actions_path], t0)
     return EXIT_OK
 
 
@@ -301,7 +311,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from eosnet.fileio import atomic_write_text, write_manifest
+    from eosnet.fileio import atomic_write_text
     from eosnet.net import save_checkpoint
     from eosnet.training import TrainConfig, prepare_sequence, split_students, train
 
@@ -332,42 +342,29 @@ def cmd_train(args) -> int:
     atomic_write_text(history_path, "\n".join(rows) + "\n")
     log.info("best epoch %d (val_auc %.5f)", result.best_epoch, result.best_val_auc)
 
-    write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        command="train",
-        config={f.name: repr(getattr(config, f.name))
-                for f in dataclasses.fields(config)},
-        seeds={"split": config.seed, "train": config.seed},
-        inputs=[args.data],
-        outputs=[ckpt_path, history_path],
-        timings={
-            "seconds": time.perf_counter() - t0,
-            "epoch_seconds": [s.seconds for s in result.history],
-            "best_epoch": result.best_epoch,
-        },
-    )
+    _write_manifest(args, config, [args.data], [ckpt_path, history_path], t0,
+                    epoch_seconds=[s.seconds for s in result.history],
+                    best_epoch=result.best_epoch)
     return EXIT_OK
-
-
-def _select_students(labeled, split_seed, part):
-    if split_seed is None or part == "all":
-        return sorted(labeled)
-    from eosnet.training import split_students
-
-    split = split_students(labeled.keys(), split_seed)
-    return {"train": split.train, "validation": split.validation,
-            "test": split.test}[part]
 
 
 def cmd_evaluate(args) -> int:
     from eosnet.evaluation import compute_report, scored_sessions
-    from eosnet.fileio import atomic_write_text, write_manifest
-    from eosnet.training import Level, prepare_sequence, score_sequences
+    from eosnet.fileio import atomic_write_text
+    from eosnet.training import Level, prepare_sequence, score_sequences, split_students
+
+    if args.split_part == "all" and args.split_seed is not None:
+        raise UsageError("--split-seed selects nothing with --split-part all")
+    if args.split_part != "all" and args.split_seed is None:
+        raise UsageError(f"--split-part {args.split_part} needs --split-seed")
 
     t0 = time.perf_counter()
     params = _load_model(args.checkpoint)
     labeled = _load_labeled(args.data)
-    ids = _select_students(labeled, args.split_seed, args.split_part)
+    if args.split_part == "all":
+        ids = sorted(labeled)
+    else:
+        ids = getattr(split_students(labeled.keys(), args.split_seed), args.split_part)
     level = Level(args.level)
     sequences = [prepare_sequence(labeled[sid], level, args.utc_offset_minutes)
                  for sid in ids]
@@ -399,15 +396,7 @@ def cmd_evaluate(args) -> int:
     if report.global_auc is not None:
         log.info("global AUC %.5f over %d sessions", report.global_auc,
                  len(all_sessions))
-    write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        command="evaluate",
-        config={"level": args.level, "split_part": args.split_part},
-        seeds={"split": args.split_seed},
-        inputs=[args.checkpoint, args.data],
-        outputs=outputs,
-        timings={"seconds": time.perf_counter() - t0},
-    )
+    _write_manifest(args, None, [args.checkpoint, args.data], outputs, t0)
     return EXIT_OK
 
 
@@ -506,7 +495,7 @@ def cmd_score(args) -> int:
 
     from eosnet.features import SESSION_START, StreamFeaturizer
     from eosnet.fileio import atomic_write_text
-    from eosnet.ingest import HEADER, parse_line
+    from eosnet.ingest import read_actions
     from eosnet.net import LstmState, infer_step
 
     params = _load_model(args.checkpoint)
@@ -523,11 +512,7 @@ def cmd_score(args) -> int:
         lines = open(args.data, encoding="utf-8")
     out_rows = []
     try:
-        for line_no, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped or (line_no == 1 and stripped == HEADER):
-                continue
-            action = parse_line(stripped, line_no)
+        for line_no, action in read_actions(lines):
             if action.student_id not in states:
                 states[action.student_id] = (
                     StreamFeaturizer(utc_offset_minutes=args.utc_offset_minutes),

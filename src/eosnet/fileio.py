@@ -1,8 +1,9 @@
 """Atomic file output, artifact hashing, and run manifests.
 
 Every artifact the CLI produces goes through write-then-rename, so a
-killed run never leaves a partial file behind.  Manifests list each
-produced artifact with its content hash.
+killed run never leaves a partial file behind.  A manifest records the
+command, the caller's ``config`` mapping, each input and output with its
+content hash, the package versions and the run's timings.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(path, command: str, config: dict, seeds: dict,
+def write_manifest(path, command: str, config: dict,
                    inputs: list, outputs: list, timings: dict) -> None:
     """Write a JSON run manifest next to the run's artifacts."""
     import eosnet
@@ -48,7 +49,6 @@ def write_manifest(path, command: str, config: dict, seeds: dict,
     manifest = {
         "command": command,
         "config": config,
-        "seeds": seeds,
         "inputs": [{"path": str(p), "sha256": sha256_file(p)} for p in inputs],
         "outputs": [{"path": str(p), "sha256": sha256_file(p)} for p in outputs],
         "versions": {

@@ -13,10 +13,9 @@ UTC seconds.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from eosnet.errors import LogParseError
 
@@ -119,42 +118,37 @@ def format_action(action: RawAction) -> str:
     )
 
 
-def parse_log(
-    stream: Union[IO[str], IO[bytes], Iterable[str]],
+def read_actions(
+    lines: Iterable[str],
     strict: bool = True,
     bad_records: Optional[list[LogParseError]] = None,
-) -> list[RawAction]:
-    """Parse a log stream into actions, in file order.
+) -> Iterator[tuple[int, RawAction]]:
+    """Yield ``(line_no, action)`` for each record of a log, in file order.
 
-    An optional header line is skipped.  In strict mode (default) the
-    first malformed record aborts the parse; in lenient mode malformed
-    records are skipped and collected into ``bad_records`` when given.
+    Blank lines and a header on line 1 are skipped.  In strict mode
+    (default) the first malformed record raises :class:`LogParseError`; in
+    lenient mode malformed records are skipped and collected into
+    ``bad_records`` when given.
     """
-    if isinstance(stream, io.IOBase) and isinstance(stream, io.RawIOBase | io.BufferedIOBase):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
-    actions: list[RawAction] = []
-    for line_no, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
+    for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
-        if not stripped:
-            continue
-        if line_no == 1 and stripped == HEADER:
+        if not stripped or (line_no == 1 and stripped == HEADER):
             continue
         try:
-            actions.append(parse_line(stripped, line_no))
+            action = parse_line(stripped, line_no)
         except LogParseError as exc:
             if strict:
                 raise
             if bad_records is not None:
                 bad_records.append(exc)
-    return actions
+            continue
+        yield line_no, action
 
 
 def parse_log_file(path, strict: bool = True,
                    bad_records: Optional[list[LogParseError]] = None) -> list[RawAction]:
     with open(path, encoding="utf-8") as handle:
-        return parse_log(handle, strict=strict, bad_records=bad_records)
+        return [action for _, action in read_actions(handle, strict, bad_records)]
 
 
 def group_by_student(actions: Iterable[RawAction]) -> list[StudentLog]:

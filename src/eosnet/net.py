@@ -383,22 +383,8 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# loss, and the streaming wrappers
+# the streaming wrappers
 # ---------------------------------------------------------------------------
-
-def loss_weighted_bce(probs, labels, weights) -> float:
-    """Weight-normalized binary cross entropy:
-    sum(w * bce) / sum(w), with probabilities strictly inside (0, 1)."""
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if not (p.shape == y.shape == w.shape):
-        raise ValueError(f"length mismatch: {p.shape}, {y.shape}, {w.shape}")
-    if p.size == 0:
-        return 0.0
-    per_step = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-    return float((w * per_step).sum() / w.sum())
-
 
 def infer_step(params: ModelParams, frame, state: LstmState) -> tuple[float, LstmState]:
     """Inference for a single action: one LSTM step plus the dense head.

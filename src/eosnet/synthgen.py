@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -81,16 +81,6 @@ class GenConfig:
             raise ValueError("length choices and weights differ in size")
         if self.free_length_mean < 1.0:
             raise ValueError("free_length_mean must be >= 1")
-
-
-def config_to_text(cfg: GenConfig) -> str:
-    """One ``name=value`` line per field; tuples are comma-separated."""
-    lines = []
-    for fld in fields(cfg):
-        value = getattr(cfg, fld.name)
-        values = value if isinstance(value, tuple) else (value,)
-        lines.append(f"{fld.name}={','.join(map(repr, values))}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(slots=True)
@@ -292,17 +282,6 @@ def generate(cfg: GenConfig) -> list[StudentLog]:
         _generate_student(f"s{index:06d}", np.random.default_rng(children[index]), cfg)
         for index in range(cfg.n_students)
     ]
-
-
-def profile_multipliers(cfg: GenConfig) -> dict[str, float]:
-    """Replay only the latent length multipliers (for calibration tests)."""
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(cfg.n_students)
-    out = {}
-    for index in range(cfg.n_students):
-        rng = np.random.default_rng(children[index])
-        out[f"s{index:06d}"] = _draw_profile(rng, cfg).length_multiplier
-    return out
 
 
 @dataclass(slots=True)

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eosnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _load_labeled, main
 from eosnet.ingest import HEADER
 from eosnet.net import forward_batch, init_params, load_checkpoint, save_checkpoint
-from eosnet.training import Level, TrainConfig, prepare_sequence
+from eosnet.training import Level, TrainConfig, prepare_sequence, split_students
 
 LEVELS = ["student", "session"]
 
@@ -126,6 +126,30 @@ class TestFlags:
         assert_one_error_line(capsys, "n_students must be >= 1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("part", ["train", "validation", "test"])
+    def test_split_part_needs_split_seed(self, corpus, tmp_path, capsys, part):
+        data, ckpt = corpus
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out), "--split-part", part]) == EXIT_USAGE
+        assert_one_error_line(capsys, f"--split-part {part} needs --split-seed")
+        assert not out.exists()
+
+    def test_split_seed_needs_a_split_part(self, corpus, tmp_path, capsys):
+        data, ckpt = corpus
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out), "--split-seed", "0"]) == EXIT_USAGE
+        assert_one_error_line(capsys, "--split-seed selects nothing with --split-part all")
+        assert not out.exists()
+
+
+class TestGenerate:
+    def test_writes_only_log_and_manifest(self, tmp_path):
+        assert main(["generate", "--out", str(tmp_path), "--n-students", "2",
+                     "--quiet"]) == EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["actions.csv", "manifest.json"]
+
 
 class TestFeaturize:
     HEADER = ("tod_8_12,tod_12_15,tod_15_8,gap_action,gap_session,"
@@ -179,15 +203,21 @@ class TestTrain:
         out = tmp_path / "run"
         assert main(["train", "--data", str(data), "--out", str(out),
                      "--max-epochs", "1", "--patience", "none", "--seed", "0",
-                     "--quiet"]) == EXIT_OK
+                     "--utc-offset-minutes", "120", "--quiet"]) == EXIT_OK
         params = load_checkpoint(out / "model.ckpt")
         assert params.input_dim == 13 and params.all_finite()
         header, *rows = (out / "history.csv").read_text().splitlines()
         assert header == "epoch,train_loss,val_auc" and len(rows) == 1
         manifest = json.loads((out / "manifest.json").read_text())
-        assert (sorted(manifest["config"])
-                == sorted(f.name for f in dataclasses.fields(TrainConfig)))
+        config = TrainConfig(max_epochs=1, patience=None, seed=0)
+        assert manifest["config"] == {
+            **{f.name: repr(getattr(config, f.name))
+               for f in dataclasses.fields(TrainConfig)},
+            "data": repr(str(data)), "out": repr(str(out)),
+            "utc_offset_minutes": "120", "threads": "None", "quiet": "True",
+        }
         assert manifest["config"]["patience"] == "None"
+        assert "seeds" not in manifest
 
 
 class TestEvaluate:
@@ -205,23 +235,63 @@ class TestEvaluate:
             assert not prob.startswith("np.")
             assert 0.0 < float(prob) < 1.0
 
+    def test_split_seed_scores_the_test_part(self, corpus, tmp_path):
+        data, ckpt = corpus
+        dump = tmp_path / "scores.csv"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "eval"), "--split-part", "test",
+                     "--split-seed", "0", "--dump-scores", str(dump), "--quiet"]) == EXIT_OK
+        scored = probs_by_student(dump.read_text().splitlines()[1:], 2)
+        test = split_students(_load_labeled(str(data)).keys(), 0).test
+        assert test and sorted(scored) == sorted(test)
+
+    def test_manifest_records_every_flag(self, corpus, tmp_path):
+        data, ckpt = corpus
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out), "--split-part", "validation",
+                     "--split-seed", "4", "--utc-offset-minutes", "-90",
+                     "--quiet"]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == {
+            "checkpoint": repr(str(ckpt)), "data": repr(str(data)), "out": repr(str(out)),
+            "level": "'student'", "utc_offset_minutes": "-90", "split_seed": "4",
+            "split_part": "'validation'", "dump_scores": "None", "threads": "None",
+            "quiet": "True",
+        }
+        assert "seeds" not in manifest
+
 
 class TestScore:
     @pytest.mark.parametrize("level", LEVELS)
-    def test_equals_evaluate_dump_scores(self, corpus, tmp_path, level):
+    def test_equals_evaluate_dump_scores(self, corpus, level):
+        """On the log of any set of students, the whole corpus included."""
         data, ckpt = corpus
-        dump, streamed = tmp_path / "dump.csv", tmp_path / "score.csv"
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--out", str(tmp_path / "eval"), "--level", level,
-                     "--split-part", "all", "--dump-scores", str(dump),
-                     "--quiet"]) == EXIT_OK
-        assert main(["score", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--out", str(streamed), "--level", level, "--quiet"]) == EXIT_OK
-        batch = probs_by_student(dump.read_text().splitlines()[1:], 2)
-        stream = probs_by_student(streamed.read_text().splitlines(), 2)
-        assert batch.keys() == stream.keys()
-        for sid, probs in batch.items():
-            assert stream[sid] == pytest.approx(probs, rel=0, abs=1e-12)
+        header, *records = data.read_text().splitlines(keepends=True)
+        ids = sorted({record.split(",")[0] for record in records})
+
+        @settings(max_examples=15, deadline=None)
+        @given(st.sets(st.sampled_from(ids), min_size=1))
+        @example(set(ids))
+        def on_students(chosen):
+            with tempfile.TemporaryDirectory() as tmp:
+                log, dump, streamed = (str(Path(tmp) / name)
+                                       for name in ("log.csv", "dump.csv", "score.csv"))
+                Path(log).write_text(header + "".join(
+                    r for r in records if r.split(",")[0] in chosen))
+                assert main(["evaluate", "--checkpoint", str(ckpt), "--data", log,
+                             "--out", str(Path(tmp) / "eval"), "--level", level,
+                             "--split-part", "all", "--dump-scores", dump,
+                             "--quiet"]) == EXIT_OK
+                assert main(["score", "--checkpoint", str(ckpt), "--data", log,
+                             "--out", streamed, "--level", level, "--quiet"]) == EXIT_OK
+                batch = probs_by_student(Path(dump).read_text().splitlines()[1:], 2)
+                stream = probs_by_student(Path(streamed).read_text().splitlines(), 2)
+            assert batch.keys() == stream.keys() == chosen
+            for sid, probs in batch.items():
+                assert stream[sid] == pytest.approx(probs, rel=0, abs=1e-12)
+
+        on_students()
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_split_at_any_line_equals_one_pass(self, corpus, tmp_path, level):

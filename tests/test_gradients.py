@@ -15,12 +15,27 @@ from eosnet.net import (
     backward_batch,
     forward_batch,
     init_params,
-    loss_weighted_bce,
 )
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
 FLOOR = 1e-6
+
+
+def loss_weighted_bce(probs, labels, weights) -> float:
+    """Weight-normalized binary cross entropy:
+    sum(w * bce) / sum(w), with probabilities strictly inside (0, 1).
+
+    The loss whose gradient ``backward_batch`` returns, written directly."""
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if not (p.shape == y.shape == w.shape):
+        raise ValueError(f"length mismatch: {p.shape}, {y.shape}, {w.shape}")
+    if p.size == 0:
+        return 0.0
+    per_step = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+    return float((w * per_step).sum() / w.sum())
 
 
 def random_params(rng, input_dim=13, hidden=4, scale=0.4):

@@ -1,7 +1,5 @@
 """Log parsing, validation, and per-student grouping."""
 
-import io
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +11,8 @@ from eosnet.ingest import (
     format_action,
     group_by_student,
     parse_line,
-    parse_log,
+    parse_log_file,
+    read_actions,
 )
 
 
@@ -63,27 +62,27 @@ class TestParseLine:
 
 class TestParseLog:
     def test_header_skipped(self):
-        text = HEADER + "\ns1,10,material,L1,T1,,0\n"
-        actions = parse_log(io.StringIO(text))
-        assert len(actions) == 1
+        lines = [HEADER + "\n", "\n", "s1,10,material,L1,T1,,0\n"]
+        assert [n for n, _ in read_actions(lines)] == [3]
 
     def test_strict_aborts_on_first_error(self):
-        text = "s1,10,material,L1,T1,,0\nbroken\ns1,20,material,L1,T1,,0\n"
+        lines = ["s1,10,material,L1,T1,,0\n", "broken\n", "s1,20,material,L1,T1,,0\n"]
         with pytest.raises(LogParseError) as info:
-            parse_log(io.StringIO(text))
+            list(read_actions(lines))
         assert info.value.line_no == 2
 
     def test_lenient_skips_and_counts(self):
-        text = "s1,10,material,L1,T1,,0\nbroken\ns1,20,material,L1,T1,,0\n"
+        lines = ["s1,10,material,L1,T1,,0\n", "broken\n", "s1,20,material,L1,T1,,0\n"]
         bad = []
-        actions = parse_log(io.StringIO(text), strict=False, bad_records=bad)
-        assert len(actions) == 2
+        read = list(read_actions(lines, strict=False, bad_records=bad))
+        assert [n for n, _ in read] == [1, 3]
         assert len(bad) == 1 and bad[0].line_no == 2
 
-    def test_bytes_stream(self):
-        text = "s1,10,material,L1,T1,,0\n"
-        actions = parse_log(io.BytesIO(text.encode()))
-        assert len(actions) == 1
+    def test_bytes_stream(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(f"{HEADER}\nsch\u00fcler,10,material,L1,T1,,0\n".encode("utf-8"))
+        actions = parse_log_file(path)
+        assert [a.student_id for a in actions] == ["sch\u00fcler"]
 
 
 _KINDS = st.sampled_from(list(ActionKind))
@@ -106,9 +105,8 @@ def actions(draw):
 class TestRoundTrip:
     @given(st.lists(actions(), max_size=30))
     def test_parse_serialize_parse_identity(self, items):
-        text = "\n".join(format_action(a) for a in items) + "\n"
-        parsed = parse_log(io.StringIO(text)) if items else []
-        assert parsed == items
+        lines = [format_action(a) + "\n" for a in items]
+        assert [a for _, a in read_actions(lines)] == items
 
 
 class TestGroupByStudent:

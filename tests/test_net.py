@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from test_gradients import loss_weighted_bce
 
 from eosnet.errors import CheckpointError
 from eosnet.net import (
@@ -14,7 +15,6 @@ from eosnet.net import (
     init_params,
     forward_batch,
     load_checkpoint,
-    loss_weighted_bce,
     lstm_step,
     rmsprop_update,
     save_checkpoint,

@@ -1,21 +1,33 @@
 """Synthetic generator: determinism, calibration, and structure."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from eosnet.cli import EXIT_OK, main
 from eosnet.ingest import format_action
 from eosnet.sessions import HomeworkClass, segment, session_homework_class
-from eosnet.synthgen import (
-    GenConfig, config_to_text, generate, profile_multipliers, summarize,
-)
+from eosnet.synthgen import GenConfig, _draw_profile, generate, summarize
 
 
 def small_config(**overrides):
     defaults = dict(n_students=60, seed=7)
     defaults.update(overrides)
     return GenConfig(**defaults)
+
+
+def profile_multipliers(cfg: GenConfig) -> dict[str, float]:
+    """Replay only the latent length multipliers, drawn as ``generate``
+    draws them: one spawned substream per student, the profile first."""
+    root = np.random.SeedSequence(cfg.seed)
+    children = root.spawn(cfg.n_students)
+    out = {}
+    for index in range(cfg.n_students):
+        rng = np.random.default_rng(children[index])
+        out[f"s{index:06d}"] = _draw_profile(rng, cfg).length_multiplier
+    return out
 
 
 class TestDeterminism:
@@ -124,14 +136,18 @@ class TestCalibration:
 
 
 class TestConfigText:
-    def test_one_line_per_field(self):
-        lines = config_to_text(small_config(n_students=5)).splitlines()
-        assert [line.split("=")[0] for line in lines] == [
-            f.name for f in dataclasses.fields(GenConfig)]
-        assert "n_students=5" in lines
-        assert "sessions_log_sigma=0.45" in lines
-        assert "homework_length_choices=5,10,15,20,25" in lines
-        assert "accuracy_range=0.55,0.95" in lines
+    def test_one_line_per_field(self, tmp_path):
+        """The generate manifest holds every GenConfig field as ``repr``."""
+        assert main(["generate", "--out", str(tmp_path), "--n-students", "5",
+                     "--quiet"]) == EXIT_OK
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        cfg = GenConfig(n_students=5)
+        for f in dataclasses.fields(GenConfig):
+            assert config[f.name] == repr(getattr(cfg, f.name))
+        assert config["n_students"] == "5"
+        assert config["sessions_log_sigma"] == "0.45"
+        assert config["homework_length_choices"] == "(5, 10, 15, 20, 25)"
+        assert config["accuracy_range"] == "(0.55, 0.95)"
 
 
 class TestSummarize:
