@@ -11,12 +11,15 @@ Exit codes: 0 success, 1 usage, 2 data validation, 3 numerical fault.
 
 ``generate``, ``train`` and ``evaluate`` write ``manifest.json`` to
 ``--out``; its ``config`` holds the ``repr`` of every parsed flag, given or
-not, and of every field of the ``GenConfig``/``TrainConfig`` built.
+not, and of every field of the ``GenConfig``/``TrainConfig`` built (an enum
+field as the ``repr`` of its value), so every entry is a Python literal.
 ``generate`` writes only ``actions.csv`` and ``manifest.json``.
 
 Sessions follow the one 15-minute rule of ``sessions.starts_session``,
 which no flag changes; ``sessionize --data --out [--lenient]`` appends
 ``session_index,label`` to each record (``--lenient`` skips malformed ones).
+
+``--threads`` takes an integer >= 1; anything else is a usage error.
 
 ``--utc-offset-minutes`` (``featurize``, ``train``, ``evaluate``,
 ``score``) takes an integer in [-720, 840], the offsets of real time
@@ -45,6 +48,7 @@ import logging
 import os
 import sys
 import time
+from enum import Enum
 
 from eosnet.errors import (
     CheckpointError,
@@ -76,6 +80,12 @@ def _seed(text):
     return int(text)
 
 
+def _threads(text):
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _utc_offset(text):
     """Minutes east of UTC, within the offsets of real time zones
     (UTC-12:00 to UTC+14:00)."""
@@ -101,7 +111,7 @@ def _patience(text):
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
+    common.add_argument("--threads", type=_threads, default=None,
                         help="BLAS thread count (set before numerics load)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
@@ -205,13 +215,18 @@ def _config_from_flags(cls, args):
 
 def _write_manifest(args, config, inputs, outputs, t0, **timings) -> None:
     """Write ``args.out``/manifest.json; ``config`` is a ``GenConfig``,
-    a ``TrainConfig`` or None, and ``timings`` gains the seconds since ``t0``."""
+    a ``TrainConfig`` or None, and ``timings`` gains the seconds since ``t0``.
+    Each config entry is a Python literal: an ``Enum`` is recorded by the
+    ``repr`` of its value."""
     from eosnet.fileio import write_manifest
 
-    entries = {name: repr(value) for name, value in vars(args).items()
+    def literal(value):
+        return repr(value.value if isinstance(value, Enum) else value)
+
+    entries = {name: literal(value) for name, value in vars(args).items()
                if name != "command"}
     if config is not None:
-        entries.update((f.name, repr(getattr(config, f.name)))
+        entries.update((f.name, literal(getattr(config, f.name)))
                        for f in dataclasses.fields(config))
     timings["seconds"] = time.perf_counter() - t0
     write_manifest(os.path.join(args.out, "manifest.json"), args.command,

@@ -9,19 +9,33 @@ are T=1, B=1 wrappers over it.  Gate blocks inside ``lstm_W``/``lstm_b``
 are stacked in the order input, forget, candidate, output, and the LSTM
 input is the concatenation ``[x; h]`` (feature columns first).
 
+Lanes are packed: a caller passes each lane's count of real steps,
+``lengths``, in non-decreasing order (the layout of PyTorch's
+``pack_padded_sequence`` ``batch_sizes``, reversed).  The lanes live at
+step t are then one contiguous suffix ``[B - b_t:]``, and step t works on
+that slice only; no lane is re-sorted, so the weight-gradient sums keep
+their order.  Without ``lengths`` every lane runs all T steps, as the
+T=1, B=1 streaming path does.  A lane's final ``h``/``c`` is its state
+after its own last real step, and a padded step's probability is exactly
+0.5.
+
 The time loop of :func:`forward_batch` keeps ``[x_t; h]`` in one
 ``(B, D+H)`` buffer and computes all four gate pre-activations with a
 single GEMM per step.  The gates take one ``tanh`` pass over all ``4H``
 columns: the input, forget and output blocks are halved first and mapped
 back afterwards, using sigma(x) = tanh(x/2)/2 + 1/2 (halving is exact in
 float64, so the only change from the exp form is rounding in the last
-place).  The output head keeps the exact exp-form :func:`sigmoid`, which
-keeps the relative precision of tiny probabilities that the loss needs;
-it runs on ``T*B`` values.  At inference (``want_cache=False``) the loop
-allocates the per-step hidden states ``(T, B, H)`` that the dense head
-reads, plus ``O(B*(D+5H))`` of step buffers; the post-activation gates
-``(T, B, 4H)`` and cell states ``(T, B, H)`` that backpropagation needs are
-stored only with ``want_cache=True``.
+place).  The dense head (two ReLU layers and the output unit) runs inside
+the loop on the same live slice, in training and in inference alike, and
+each step writes its logits into one ``(T, B)`` array (0 where padded).
+The exact exp-form :func:`sigmoid` and the clip run once over that array;
+the exp form keeps the relative precision of tiny probabilities that the
+loss needs.  At inference (``want_cache=False``) the loop therefore holds
+only ``O(B*(D+5H))`` of step buffers plus the logits, whatever the
+history length.  With ``want_cache=True`` it also writes each step's
+gates ``(T, B, 4H)``, cell and hidden states ``(T, B, H)`` and dense
+activations into the cache that backpropagation reads; their padded
+entries stay 0.
 """
 
 from __future__ import annotations
@@ -170,6 +184,7 @@ def init_params(seed: int, input_dim: int = FEATURE_DIM,
 class _ForwardCache:
     X: np.ndarray        # (T, B, D)
     resets: np.ndarray   # (T, B) bool
+    first_live: list     # step t ran lanes [first_live[t]:]
     gates: np.ndarray    # (T, B, 4H) post-activation, blocks i|f|g|o
     c: np.ndarray        # (T, B, H)
     h: np.ndarray        # (T, B, H)
@@ -185,35 +200,52 @@ class _ForwardCache:
 
 @dataclass(slots=True)
 class BatchForward:
-    probs: np.ndarray    # (T, B), strictly inside (0, 1)
-    h: np.ndarray        # (B, H) final hidden state
-    c: np.ndarray        # (B, H) final cell state
+    probs: np.ndarray    # (T, B), strictly inside (0, 1); 0.5 where padded
+    h: np.ndarray        # (B, H) hidden state after each lane's last real step
+    c: np.ndarray        # (B, H) cell state after each lane's last real step
     cache: Optional[_ForwardCache]
+
+
+def _first_live(lengths, T: int, B: int) -> list:
+    """For each step t, the first lane of the live suffix ``[B - b_t:]``."""
+    lengths = np.asarray(lengths)
+    if lengths.shape != (B,):
+        raise ValueError(f"lengths has shape {lengths.shape}, expected ({B},)")
+    if (np.diff(lengths) < 0).any():
+        raise ValueError("lengths must be non-decreasing (the longest lanes last)")
+    if B and (lengths[0] < 0 or lengths[-1] > T):
+        raise ValueError(f"lengths must lie in [0, {T}]")
+    return np.searchsorted(lengths, np.arange(T), side="right").tolist()
 
 
 def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
                   h0: np.ndarray, c0: np.ndarray, dropout_p: float = 0.0,
                   rng: Optional[np.random.Generator] = None,
-                  want_cache: bool = False) -> BatchForward:
+                  want_cache: bool = False, lengths=None) -> BatchForward:
     """Run the full pipeline over a time-major batch.
 
-    ``resets[t, b]`` zeroes lane b's state before step t.  Dropout
-    (inverted, scale 1/(1-p)) is applied to the LSTM output and both
-    dense outputs only when an RNG is supplied and p > 0; inference mode
-    applies no masks and no scaling.
+    ``resets[t, b]`` zeroes lane b's state before step t.  ``lengths[b]``
+    is lane b's count of real steps, in non-decreasing order (a decreasing
+    order is a ValueError); step t then runs only the lanes still live.
+    Without ``lengths`` every lane runs all T steps.  Dropout (inverted,
+    scale 1/(1-p)) is applied to the LSTM output and both dense outputs
+    only when an RNG is supplied and p > 0; inference mode applies no
+    masks and no scaling.
     """
     T, B, D = X.shape
     hidden = params.hidden_size
     if D != params.input_dim:
         raise ValueError(f"feature dim {D} != model input dim {params.input_dim}")
+    first = [0] * T if lengths is None else _first_live(lengths, T, B)
 
+    h1, h2 = params.dense1_size, params.dense2_size
     train = rng is not None and dropout_p > 0.0
     if train:
         keep = 1.0 - dropout_p
-        h1, h2 = params.dense1_size, params.dense2_size
         m0 = (rng.random((T, B, hidden)) < keep) / keep
         m1 = (rng.random((T, B, h1)) < keep) / keep
         m2 = (rng.random((T, B, h2)) < keep) / keep
+        hd, a1d, a2d = np.empty((B, hidden)), np.empty((B, h1)), np.empty((B, h2))
     else:
         m0 = m1 = m2 = None
 
@@ -225,50 +257,74 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     scale[2 * hidden:3 * hidden] = 1.0
     shift = 1.0 - scale
     bias = params.lstm_b * scale
+    W1_T, b1 = params.dense1_W.T, params.dense1_b
+    W2_T, b2 = params.dense2_W.T, params.dense2_b
+    w_out, b_out = params.out_W[0], params.out_b
 
     xh = np.empty((B, D + hidden))
     xh[:, D:] = h0
     h = xh[:, D:]
     c = np.array(c0, dtype=np.float64)
     z = np.empty((B, 4 * hidden))
-    i, f, g, o = (z[:, k * hidden:(k + 1) * hidden] for k in range(4))
     ig = np.empty((B, hidden))
-    hs = np.empty((T, B, hidden))
+    logits = np.zeros((T, B))
     if want_cache:
+        # Padded entries stay 0: backward_batch's weight-gradient GEMMs
+        # run over the whole window and multiply them by zero.
         gates = np.empty((T, B, 4 * hidden))
-        cs = np.empty((T, B, hidden))
+        cs = np.zeros((T, B, hidden))
+        hs = np.zeros((T, B, hidden))
+        a1s = np.zeros((T, B, h1))
+        a2s = np.zeros((T, B, h2))
+    else:
+        a1, a2 = np.empty((B, h1)), np.empty((B, h2))
+    lo = None
     for t in range(T):
-        xh[:, :D] = X[t]
-        live = ~resets[t]
+        if first[t] != lo:
+            lo = first[t]
+            xh_l, h_l, c_l, z_l, ig_l = xh[lo:], h[lo:], c[lo:], z[lo:], ig[lo:]
+            i, f, g, o = (z_l[:, k * hidden:(k + 1) * hidden] for k in range(4))
+            if not want_cache:
+                a1_l, a2_l = a1[lo:], a2[lo:]
+            if train:
+                hd_l, a1d_l, a2d_l = hd[lo:], a1d[lo:], a2d[lo:]
+        xh_l[:, :D] = X[t, lo:]
+        live = ~resets[t, lo:]
         if not live.all():
-            h *= live[:, None]
-            c *= live[:, None]
-        np.matmul(xh, W_T, out=z)
-        z *= scale
-        z += bias
-        np.tanh(z, out=z)
-        z *= scale
-        z += shift
-        c *= f
-        np.multiply(i, g, out=ig)
-        c += ig
-        np.tanh(c, out=hs[t])
-        hs[t] *= o
-        h[...] = hs[t]
+            h_l *= live[:, None]
+            c_l *= live[:, None]
+        np.matmul(xh_l, W_T, out=z_l)
+        z_l *= scale
+        z_l += bias
+        np.tanh(z_l, out=z_l)
+        z_l *= scale
+        z_l += shift
+        c_l *= f
+        np.multiply(i, g, out=ig_l)
+        c_l += ig_l
+        np.tanh(c_l, out=h_l)
+        h_l *= o
         if want_cache:
-            gates[t] = z
-            cs[t] = c
+            gates[t, lo:] = z_l
+            cs[t, lo:] = c_l
+            hs[t, lo:] = h_l
+            a1_l, a2_l = a1s[t, lo:], a2s[t, lo:]
 
-    flat_h = hs.reshape(T * B, hidden)
-    if train:
-        flat_h = flat_h * m0.reshape(T * B, hidden)
-    a1 = np.maximum(flat_h @ params.dense1_W.T + params.dense1_b, 0.0)
-    a1d = a1 * m1.reshape(T * B, -1) if train else a1
-    a2 = np.maximum(a1d @ params.dense2_W.T + params.dense2_b, 0.0)
-    a2d = a2 * m2.reshape(T * B, -1) if train else a2
-    z_out = a2d @ params.out_W.T + params.out_b
-    probs = np.clip(sigmoid(z_out[:, 0]), _PROB_LO, _PROB_HI).reshape(T, B)
+        # the dense head on the same live lanes
+        top = np.multiply(h_l, m0[t, lo:], out=hd_l) if train else h_l
+        np.matmul(top, W1_T, out=a1_l)
+        a1_l += b1
+        np.maximum(a1_l, 0.0, out=a1_l)
+        top = np.multiply(a1_l, m1[t, lo:], out=a1d_l) if train else a1_l
+        np.matmul(top, W2_T, out=a2_l)
+        a2_l += b2
+        np.maximum(a2_l, 0.0, out=a2_l)
+        top = np.multiply(a2_l, m2[t, lo:], out=a2d_l) if train else a2_l
+        logit = logits[t, lo:]
+        np.matmul(top, w_out, out=logit)
+        logit += b_out
 
+    probs = np.clip(sigmoid(logits), _PROB_LO, _PROB_HI)
     if not np.isfinite(probs).all():
         bad = np.argwhere(~np.isfinite(probs))
         raise NumericalFault("non-finite activation", step=int(bad[0][0]))
@@ -276,10 +332,9 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     cache = None
     if want_cache:
         cache = _ForwardCache(
-            X=X, resets=resets, gates=gates, c=cs, h=hs,
+            X=X, resets=resets, first_live=first, gates=gates, c=cs, h=hs,
             h0=np.asarray(h0, dtype=np.float64), c0=np.asarray(c0, dtype=np.float64),
-            m0=m0, m1=m1, m2=m2,
-            a1=a1.reshape(T, B, -1), a2=a2.reshape(T, B, -1), probs=probs,
+            m0=m0, m1=m1, m2=m2, a1=a1s, a2=a2s, probs=probs,
         )
     return BatchForward(probs=probs, h=h.copy(), c=c, cache=cache)
 
@@ -291,7 +346,9 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     Returns ``(grads, loss_numerator, weight_sum)`` where the window loss
     is ``loss_numerator / weight_sum``.  Invalid (padding) steps carry
     zero weight; gradients stop at the window boundary (the initial state
-    is treated as a constant) and at every reset.
+    is treated as a constant) and at every reset.  The BPTT loop runs on
+    the lanes that the forward pass stepped; the gate gradients of every
+    other lane-step are zero.
     """
     T, B, D = cache.X.shape
     hidden = params.hidden_size
@@ -352,25 +409,30 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     h_prev *= live
     c_prev *= live
 
-    dz4 = np.empty((T, B, 4 * hidden))
+    # Going back in time the live suffix only grows, so a lane's carries
+    # are still zero at its last real step.
+    dz4 = np.zeros((T, B, 4 * hidden))
     dh_carry = np.zeros((B, hidden))
     dc_carry = np.zeros((B, hidden))
     for t in range(T - 1, -1, -1):
-        i = cache.gates[t, :, :hidden]
-        f = cache.gates[t, :, hidden:2 * hidden]
-        g = cache.gates[t, :, 2 * hidden:3 * hidden]
-        o = cache.gates[t, :, 3 * hidden:]
-        tc = np.tanh(cache.c[t])
+        lo = cache.first_live[t]
+        gates = cache.gates[t, lo:]
+        i = gates[:, :hidden]
+        f = gates[:, hidden:2 * hidden]
+        g = gates[:, 2 * hidden:3 * hidden]
+        o = gates[:, 3 * hidden:]
+        tc = np.tanh(cache.c[t, lo:])
 
-        dh = dh_top[t] + dh_carry
-        dc = dh * o * (1.0 - tc * tc) + dc_carry
-        dz4[t, :, :hidden] = dc * g * i * (1.0 - i)
-        dz4[t, :, hidden:2 * hidden] = dc * c_prev[t] * f * (1.0 - f)
-        dz4[t, :, 2 * hidden:3 * hidden] = dc * i * (1.0 - g * g)
-        dz4[t, :, 3 * hidden:] = dh * tc * o * (1.0 - o)
+        dh = dh_top[t, lo:] + dh_carry[lo:]
+        dc = dh * o * (1.0 - tc * tc) + dc_carry[lo:]
+        d = dz4[t, lo:]
+        d[:, :hidden] = dc * g * i * (1.0 - i)
+        d[:, hidden:2 * hidden] = dc * c_prev[t, lo:] * f * (1.0 - f)
+        d[:, 2 * hidden:3 * hidden] = dc * i * (1.0 - g * g)
+        d[:, 3 * hidden:] = dh * tc * o * (1.0 - o)
 
-        dh_carry = (dz4[t] @ Wh) * live[t]
-        dc_carry = dc * f * live[t]
+        dh_carry[lo:] = (d @ Wh) * live[t, lo:]
+        dc_carry[lo:] = dc * f * live[t, lo:]
 
     dz4_flat = dz4.reshape(TB, 4 * hidden)
     grads.lstm_W[:, :D] += dz4_flat.T @ cache.X.reshape(TB, D)

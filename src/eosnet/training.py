@@ -206,8 +206,11 @@ def make_batches(sequences: Sequence[TrainSequence], batch_size: int,
 
     Students are shuffled, then stably sorted by length so each batch
     holds similar lengths (less padding waste); batch order is shuffled
-    again.  Each student's frames are cut into consecutive windows of at
-    most ``tbptt_window`` steps; recurrent state carries across a batch's
+    again.  Within a batch the lanes keep that non-decreasing length
+    order, and so does each window's count of real steps per lane, which
+    is the order ``forward_batch`` needs to step only the live lanes.
+    Each student's frames are cut into consecutive windows of at most
+    ``tbptt_window`` steps; recurrent state carries across a batch's
     windows while gradients do not.
     """
     if not sequences:
@@ -227,8 +230,9 @@ def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
                     batch_size: int = 64) -> dict[str, np.ndarray]:
     """Inference-mode probabilities for many students, batched.
 
-    Deterministic: students are processed in (length, id) order and each
-    batch runs as one padded forward pass.
+    Deterministic: students are processed in (length, id) order, so each
+    batch's lanes come in the non-decreasing length order that lets one
+    ``forward_batch`` call step only the live lanes; padding is never run.
     """
     hidden = params.hidden_size
     order = sorted(range(len(sequences)),
@@ -240,7 +244,8 @@ def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
         window = batch.windows[0]
         h = np.zeros((len(group), hidden))
         c = np.zeros((len(group), hidden))
-        result = forward_batch(params, window.X, window.resets, h, c)
+        result = forward_batch(params, window.X, window.resets, h, c,
+                               lengths=batch.lengths)
         for lane, seq in enumerate(group):
             out[seq.student_id] = result.probs[:len(seq), lane].copy()
     return out
@@ -324,7 +329,8 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
                 try:
                     result = forward_batch(params, window.X, window.resets, h, c,
                                            dropout_p=config.dropout_p, rng=rng,
-                                           want_cache=True)
+                                           want_cache=True,
+                                           lengths=window.valid.sum(axis=0))
                     grads, num, den = backward_batch(params, result.cache,
                                                      window.labels, window.weights,
                                                      window.valid)

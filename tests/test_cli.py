@@ -1,6 +1,7 @@
 """Command-line contract: outputs and exit codes of ``cli.main`` on a tiny
 generated corpus with an H=8 checkpoint."""
 
+import ast
 import base64
 import dataclasses
 import json
@@ -46,6 +47,15 @@ def assert_one_error_line(capsys, match):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert match in err
+
+
+def assert_literals(config):
+    """Every manifest config entry reads back with ``ast.literal_eval``."""
+    for name, text in config.items():
+        try:
+            ast.literal_eval(text)
+        except (ValueError, SyntaxError):
+            pytest.fail(f"config entry {name} = {text} is not a Python literal")
 
 
 def probs_by_student(rows, prob_column):
@@ -104,6 +114,12 @@ class TestFlags:
         assert main([command, *REQUIRED[command], flag, value]) == EXIT_USAGE
         assert_one_error_line(capsys, f"expected an integer >= 0, got '{value}'")
 
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    def test_bad_threads(self, value, capsys):
+        # parsing fails before any thread count is exported or a file opened
+        assert main(["report", *REQUIRED["report"], "--threads", value]) == EXIT_USAGE
+        assert_one_error_line(capsys, f"expected an integer >= 1, got '{value}'")
+
     @pytest.mark.parametrize("command", ["featurize", "train", "evaluate", "score"])
     @pytest.mark.parametrize("minutes", ["-721", "841", "1500", "x"])
     def test_utc_offset_out_of_range(self, command, minutes, capsys):
@@ -149,6 +165,7 @@ class TestGenerate:
         assert main(["generate", "--out", str(tmp_path), "--n-students", "2",
                      "--quiet"]) == EXIT_OK
         assert sorted(p.name for p in tmp_path.iterdir()) == ["actions.csv", "manifest.json"]
+        assert_literals(json.loads((tmp_path / "manifest.json").read_text())["config"])
 
 
 class TestFeaturize:
@@ -213,11 +230,13 @@ class TestTrain:
         assert manifest["config"] == {
             **{f.name: repr(getattr(config, f.name))
                for f in dataclasses.fields(TrainConfig)},
+            "level": "'student'",
             "data": repr(str(data)), "out": repr(str(out)),
             "utc_offset_minutes": "120", "threads": "None", "quiet": "True",
         }
         assert manifest["config"]["patience"] == "None"
         assert "seeds" not in manifest
+        assert_literals(manifest["config"])
 
 
 class TestEvaluate:
@@ -260,6 +279,7 @@ class TestEvaluate:
             "quiet": "True",
         }
         assert "seeds" not in manifest
+        assert_literals(manifest["config"])
 
 
 class TestScore:

@@ -63,21 +63,23 @@ def random_instance(seed, steps=10, hidden=4, lanes=1, padded_from=None):
     return params, X, labels, weights, resets, valid, dropout_p, rng_seed
 
 
-def run_window(params, X, resets, dropout_p, rng_seed, want_cache=False):
+def run_window(params, X, resets, dropout_p, rng_seed, want_cache=False,
+               lengths=None):
     """Forward pass from a zero state; the same seed repeats the dropout masks."""
     zeros = np.zeros((X.shape[1], params.hidden_size))
     rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
     return forward_batch(params, X, resets, zeros, zeros, dropout_p=dropout_p,
-                         rng=rng, want_cache=want_cache)
+                         rng=rng, want_cache=want_cache, lengths=lengths)
 
 
 def finite_difference_check(params, X, labels, weights, resets, valid,
-                            dropout_p, rng_seed):
-    cache = run_window(params, X, resets, dropout_p, rng_seed, want_cache=True).cache
+                            dropout_p, rng_seed, lengths=None):
+    cache = run_window(params, X, resets, dropout_p, rng_seed, want_cache=True,
+                       lengths=lengths).cache
     grads, _, _ = backward_batch(params, cache, labels, weights, valid)
 
     def loss_at(p):
-        probs = run_window(p, X, resets, dropout_p, rng_seed).probs
+        probs = run_window(p, X, resets, dropout_p, rng_seed, lengths=lengths).probs
         return loss_weighted_bce(probs[valid], labels[valid], weights[valid])
 
     worst = 0.0
@@ -107,6 +109,29 @@ class TestGradients:
         instance = random_instance(107, lanes=3, padded_from=6)
         assert instance[6] > 0.0  # dropout on, so the masks cover padding too
         assert finite_difference_check(*instance) < REL_TOL
+
+    def test_packed_window(self):
+        # Lanes of lengths 3, 7 and 9 stepped as live suffixes, dropout on,
+        # and a reset in the middle of the window on both longer lanes.  The
+        # padded steps hold random features and resets that must not count.
+        params, X, labels, weights, resets, _, _, _ = random_instance(108, steps=9,
+                                                                     lanes=3)
+        lengths = np.array([3, 7, 9])
+        valid = np.arange(9)[:, None] < lengths
+        resets[:] = False
+        resets[4, 1:] = True
+        resets[5, 0] = True  # a padded step
+        instance = (params, X, labels, weights, resets, valid, 0.4, 4242)
+        assert finite_difference_check(*instance, lengths=lengths) < REL_TOL
+
+        # The same window run on every lane for all 9 steps has the same
+        # gradient: backward_batch gives padded steps zero gate gradients.
+        packed = run_window(params, X, resets, 0.4, 4242, want_cache=True,
+                            lengths=lengths).cache
+        full = run_window(params, X, resets, 0.4, 4242, want_cache=True).cache
+        for a, b in zip(backward_batch(params, packed, labels, weights, valid)[0].arrays(),
+                        backward_batch(params, full, labels, weights, valid)[0].arrays()):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_through_resets_and_dropout(self):
         rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 """Network core: LSTM step, forward contracts, loss, RMSprop, checkpoints."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ def scalar_lstm_oracle(params, xs, h0, c0):
     return h, c
 
 
+def scalar_head_oracle(params, h):
+    """Plain-Python dense head: two ReLU layers and the sigmoid output."""
+    def dense(W, b, v):
+        return [sum(w * x for w, x in zip(row, v)) + bias
+                for row, bias in zip(W.tolist(), b.tolist())]
+
+    a1 = [max(v, 0.0) for v in dense(params.dense1_W, params.dense1_b, h)]
+    a2 = [max(v, 0.0) for v in dense(params.dense2_W, params.dense2_b, a1)]
+    logit = dense(params.out_W, params.out_b, a2)[0]
+    return 1.0 / (1.0 + math.exp(-logit))
+
+
 class TestLstmStep:
     def test_zero_params_zero_state(self):
         p = init_params(0, hidden_size=4).zeros_like()
@@ -159,6 +172,104 @@ class TestForwardBatch:
             np.testing.assert_array_equal(getattr(plain, name), getattr(cached, name))
         np.testing.assert_array_equal(h0, h0_before)
         np.testing.assert_array_equal(c0, c0_before)
+
+
+class TestPackedLanes:
+    """Lanes with ``lengths`` in non-decreasing order: step t runs only the
+    lanes still live, whatever the padded entries of X and resets hold."""
+
+    LENGTHS = [2, 5, 5]
+
+    def _inputs(self, hidden=3):
+        rng = np.random.default_rng(12)
+        p = random_params(rng, hidden=hidden)
+        T, B = max(self.LENGTHS), len(self.LENGTHS)
+        X = rng.uniform(-1, 1, (T, B, p.input_dim))
+        resets = np.zeros((T, B), dtype=bool)
+        resets[2, 1] = True  # a mid-sequence reset on a live lane
+        resets[3, 0] = True  # and one on a padded step, which must be ignored
+        h0 = rng.uniform(-1, 1, (B, hidden))
+        c0 = rng.uniform(-1, 1, (B, hidden))
+        return p, X, resets, h0, c0
+
+    def test_real_steps_match_scalar_oracle(self):
+        p, X, resets, h0, c0 = self._inputs()
+        out = forward_batch(p, X, resets, h0, c0, lengths=self.LENGTHS)
+        zeros = [0.0] * p.hidden_size
+        for lane, length in enumerate(self.LENGTHS):
+            h, c = h0[lane].tolist(), c0[lane].tolist()
+            for t in range(length):
+                if resets[t, lane]:
+                    h, c = zeros, zeros
+                h, c = scalar_lstm_oracle(p, [X[t, lane].tolist()], h, c)
+                assert out.probs[t, lane] == pytest.approx(
+                    scalar_head_oracle(p, h), rel=1e-12)
+            np.testing.assert_allclose(out.h[lane], h, rtol=1e-12)
+            np.testing.assert_allclose(out.c[lane], c, rtol=1e-12)
+
+    @pytest.mark.parametrize("want_cache", [False, True])
+    def test_final_state_is_the_one_lane_run_stopped_at_its_length(self, want_cache):
+        p, X, resets, h0, c0 = self._inputs()
+        out = forward_batch(p, X, resets, h0, c0, want_cache=want_cache,
+                            lengths=self.LENGTHS)
+        for lane, length in enumerate(self.LENGTHS):
+            alone = forward_batch(p, X[:length, lane:lane + 1],
+                                  resets[:length, lane:lane + 1],
+                                  h0[lane:lane + 1], c0[lane:lane + 1])
+            np.testing.assert_allclose(out.probs[:length, lane], alone.probs[:, 0],
+                                       rtol=1e-12)
+            np.testing.assert_allclose(out.h[lane], alone.h[0], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(out.c[lane], alone.c[0], rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("want_cache", [False, True])
+    def test_padded_entries_are_one_half(self, want_cache):
+        p, X, resets, h0, c0 = self._inputs()
+        out = forward_batch(p, X, resets, h0, c0, want_cache=want_cache,
+                            lengths=self.LENGTHS)
+        padded = np.arange(X.shape[0])[:, None] >= np.array(self.LENGTHS)
+        assert padded.sum() == 3
+        assert (out.probs[padded] == 0.5).all()
+        assert (out.probs[~padded] != 0.5).all()
+
+    @pytest.mark.parametrize("lanes, lengths", [
+        (2, [5, 2]), (3, [2, 5, 4]),     # decreasing
+        (3, [0, 2, 6]), (3, [-1, 2, 5]),  # outside [0, T]
+        (2, [2, 5, 5]),                   # one length per lane
+    ])
+    def test_bad_lengths_rejected(self, lanes, lengths):
+        p, X, resets, h0, c0 = self._inputs()
+        with pytest.raises(ValueError, match="lengths"):
+            forward_batch(p, X[:, :lanes], resets[:, :lanes], h0[:lanes], c0[:lanes],
+                          lengths=lengths)
+
+
+def inference_peak_bytes(T, B, hidden):
+    """Peak bytes that ``forward_batch`` allocates at inference, inputs
+    excluded, for a batch whose longest lane has T steps."""
+    rng = np.random.default_rng(0)
+    p = random_params(rng, hidden=hidden)
+    X = rng.uniform(-1, 1, (T, B, p.input_dim))
+    resets = np.zeros((T, B), dtype=bool)
+    lengths = np.linspace(1, T, B).astype(int)
+    zeros = np.zeros((B, hidden))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        forward_batch(p, X, resets, zeros, zeros, lengths=lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+class TestInferenceMemory:
+    def test_peak_does_not_grow_with_a_hidden_state_per_step(self):
+        # Only the (T, B) logits and probabilities grow with T; a per-step
+        # (T, B, H) buffer would add 350*B*H*8 bytes from T=50 to T=400.
+        B, hidden = 8, 32
+        growth = inference_peak_bytes(400, B, hidden) - inference_peak_bytes(50, B, hidden)
+        assert growth < 0.5 * 350 * B * hidden * 8
 
 
 class TestForward:
