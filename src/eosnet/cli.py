@@ -522,6 +522,7 @@ def cmd_score(args) -> int:
                                    args.utc_offset_minutes, params.hidden_size)
 
     if args.data == "-":
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict")  # whatever the locale
         lines = sys.stdin
     else:
         lines = open(args.data, encoding="utf-8")

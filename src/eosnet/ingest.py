@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
-from eosnet.errors import LogParseError
+from eosnet.errors import DataValidationError, LogParseError
 
 HEADER = "student_id,timestamp,action_kind,lesson_id,topic_id,correct,homework"
 
@@ -128,21 +128,26 @@ def read_actions(
     Blank lines and a header on line 1 are skipped.  In strict mode
     (default) the first malformed record raises :class:`LogParseError`; in
     lenient mode malformed records are skipped and collected into
-    ``bad_records`` when given.
+    ``bad_records`` when given.  A text stream that is not UTF-8 raises
+    :class:`DataValidationError` naming the stream, in either mode.
     """
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or (line_no == 1 and stripped == HEADER):
-            continue
-        try:
-            action = parse_line(stripped, line_no)
-        except LogParseError as exc:
-            if strict:
-                raise
-            if bad_records is not None:
-                bad_records.append(exc)
-            continue
-        yield line_no, action
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped or (line_no == 1 and stripped == HEADER):
+                continue
+            try:
+                action = parse_line(stripped, line_no)
+            except LogParseError as exc:
+                if strict:
+                    raise
+                if bad_records is not None:
+                    bad_records.append(exc)
+                continue
+            yield line_no, action
+    except UnicodeDecodeError as exc:
+        name = getattr(lines, "name", "input")
+        raise DataValidationError(f"{name}: not UTF-8 text ({exc.reason})") from None
 
 
 def parse_log_file(path, strict: bool = True,

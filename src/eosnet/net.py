@@ -340,31 +340,32 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
 
 
 def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray,
-                   weights: np.ndarray, valid: np.ndarray) -> tuple[ModelParams, float, float]:
+                   weights: np.ndarray) -> tuple[ModelParams, float, float]:
     """Exact gradient of the weight-normalized BCE over the cached window.
 
     Returns ``(grads, loss_numerator, weight_sum)`` where the window loss
-    is ``loss_numerator / weight_sum``.  Invalid (padding) steps carry
-    zero weight; gradients stop at the window boundary (the initial state
-    is treated as a constant) and at every reset.  The BPTT loop runs on
-    the lanes that the forward pass stepped; the gate gradients of every
-    other lane-step are zero.
+    is ``loss_numerator / weight_sum``.  Only the lane-steps the forward
+    pass ran count (``cache.first_live``); ``labels`` and ``weights`` at
+    padded steps are ignored.  Gradients stop at the window boundary (the
+    initial state is treated as a constant) and at every reset.  The BPTT
+    loop runs on the lanes that the forward pass stepped; the gate
+    gradients of every other lane-step are zero.
     """
     T, B, D = cache.X.shape
     hidden = params.hidden_size
     Wh = params.lstm_W[:, D:]
 
-    w_eff = np.where(valid, weights, 0.0)
+    ran = np.arange(B) >= np.array(cache.first_live, dtype=int)[:, None]
+    w_eff = np.where(ran, weights, 0.0)
     w_sum = float(w_eff.sum())
     grads = params.zeros_like()
     if T == 0 or w_sum == 0.0:
         return grads, 0.0, w_sum
 
+    # a padded step's probability is exactly 0.5, so both logs are finite
     p = cache.probs
     y = labels
-    ln_p = np.log(np.where(valid, p, 0.5))
-    ln_1mp = np.log1p(-np.where(valid, p, 0.5))
-    loss_num = float((w_eff * -(y * ln_p + (1 - y) * ln_1mp)).sum())
+    loss_num = float((w_eff * -(y * np.log(p) + (1 - y) * np.log1p(-p))).sum())
 
     train = cache.m0 is not None
     TB = T * B

@@ -9,8 +9,9 @@ assignments come in fives).
 Each student carries a persistent behavioural profile: a preferred
 homework assignment length, a mean free-session length multiplier, a
 time-of-day preference, and an inter-session rhythm.  The profile is
-only observable through the student's history, which is what makes a
-history-carrying model outperform a per-session one on this data.
+only observable through the student's history; by design that should let
+a history-carrying model outperform a per-session one on this data, but
+no run has shown it yet (ROADMAP item 3).
 Session boundaries respect the gap rule (``sessions.SESSION_GAP_SECONDS``)
 by construction, so segmentation recovers them exactly.
 """

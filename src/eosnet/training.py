@@ -1,11 +1,15 @@
-"""Training orchestration: per-student loss re-weighting, splits, batched
-truncated-BPTT windows, and the early-stopped RMSprop loop.
+"""Training orchestration: per-student loss re-weighting, splits, padded
+batches, truncated-BPTT windows, and the early-stopped RMSprop loop.
 
 Two training levels share one architecture and one code path.  Student
 level runs each student's full history as a single sequence with weights
 equal to the student's average session length at end-of-session steps.
 Session level zeroes the recurrent state at every session start and
 weights each end-of-session step by its own session's length.
+
+Padding is recorded only as per-lane ``lengths``, and a TBPTT window is a
+slice of its batch with the lengths clipped to it, so ``forward_batch``
+steps only real lane-steps and ``backward_batch`` counts only those.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -155,63 +159,61 @@ def prepare_sequence(seq: LabeledSequence, level: Level,
 
 
 @dataclass(slots=True)
-class Window:
-    """One padded TBPTT window of a batch, time-major."""
+class Batch:
+    """A group of students padded to its longest lane, time-major.
 
+    ``lengths`` (non-decreasing) is the only record of padding: lane b
+    holds real steps ``[:lengths[b]]`` of ``X``, ``labels``, ``weights``
+    and ``resets``, and zeros after them.
+    """
+
+    student_ids: list[str]
+    lengths: np.ndarray  # (B,) int
     X: np.ndarray        # (T, B, D)
     labels: np.ndarray   # (T, B)
     weights: np.ndarray  # (T, B)
     resets: np.ndarray   # (T, B) bool
-    valid: np.ndarray    # (T, B) bool
+
+    def windows(self, size: int) -> Iterator["Batch"]:
+        """Consecutive TBPTT windows of at most ``size`` steps.
+
+        Each is a ``Batch`` of views into this one (no copy); its lengths
+        are the lanes' real steps inside it, 0 for a lane already ended.
+        """
+        for start in range(0, self.X.shape[0], size):
+            stop = start + size
+            yield Batch(self.student_ids, np.clip(self.lengths - start, 0, size),
+                        self.X[start:stop], self.labels[start:stop],
+                        self.weights[start:stop], self.resets[start:stop])
 
 
-@dataclass(slots=True)
-class Batch:
-    student_ids: list[str]
-    lengths: list[int]
-    windows: list[Window]
-
-
-def _build_batch(group: Sequence[TrainSequence], tbptt_window: int) -> Batch:
-    lanes = len(group)
-    max_len = max(len(s) for s in group)
-    dim = group[0].features.shape[1]
-    windows = []
-    for start in range(0, max_len, tbptt_window):
-        span = min(tbptt_window, max_len - start)
-        X = np.zeros((span, lanes, dim))
-        labels = np.zeros((span, lanes))
-        weights = np.zeros((span, lanes))
-        resets = np.zeros((span, lanes), dtype=bool)
-        valid = np.zeros((span, lanes), dtype=bool)
-        for lane, seq in enumerate(group):
-            count = min(span, len(seq) - start)
-            if count <= 0:
-                continue
-            stop = start + count
-            X[:count, lane] = seq.features[start:stop]
-            labels[:count, lane] = seq.labels[start:stop]
-            weights[:count, lane] = seq.weights[start:stop]
-            resets[:count, lane] = seq.resets[start:stop]
-            valid[:count, lane] = True
-        windows.append(Window(X=X, labels=labels, weights=weights,
-                              resets=resets, valid=valid))
-    return Batch(student_ids=[s.student_id for s in group],
-                 lengths=[len(s) for s in group], windows=windows)
+def _build_batch(group: Sequence[TrainSequence]) -> Batch:
+    lengths = np.array([len(s) for s in group])
+    steps, lanes = int(lengths.max()), len(group)
+    X = np.zeros((steps, lanes, group[0].features.shape[1]))
+    labels = np.zeros((steps, lanes))
+    weights = np.zeros((steps, lanes))
+    resets = np.zeros((steps, lanes), dtype=bool)
+    for lane, seq in enumerate(group):
+        n = len(seq)
+        X[:n, lane] = seq.features
+        labels[:n, lane] = seq.labels
+        weights[:n, lane] = seq.weights
+        resets[:n, lane] = seq.resets
+    return Batch(student_ids=[s.student_id for s in group], lengths=lengths,
+                 X=X, labels=labels, weights=weights, resets=resets)
 
 
 def make_batches(sequences: Sequence[TrainSequence], batch_size: int,
-                 tbptt_window: int, seed: int, epoch: int = 0) -> list[Batch]:
+                 seed: int, epoch: int = 0) -> list[Batch]:
     """Deterministic epoch batching.
 
     Students are shuffled, then stably sorted by length so each batch
     holds similar lengths (less padding waste); batch order is shuffled
     again.  Within a batch the lanes keep that non-decreasing length
-    order, and so does each window's count of real steps per lane, which
-    is the order ``forward_batch`` needs to step only the live lanes.
-    Each student's frames are cut into consecutive windows of at most
-    ``tbptt_window`` steps; recurrent state carries across a batch's
-    windows while gradients do not.
+    order, which is the order ``forward_batch`` needs to step only the
+    live lanes.  Training cuts each batch into TBPTT windows with
+    :meth:`Batch.windows`.
     """
     if not sequences:
         return []
@@ -219,11 +221,8 @@ def make_batches(sequences: Sequence[TrainSequence], batch_size: int,
     perm = rng.permutation(len(sequences))
     order = sorted(perm.tolist(), key=lambda idx: len(sequences[idx]))
     groups = [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
-    batches = [
-        _build_batch([sequences[i] for i in groups[g]], tbptt_window)
-        for g in rng.permutation(len(groups))
-    ]
-    return batches
+    return [_build_batch([sequences[i] for i in groups[g]])
+            for g in rng.permutation(len(groups))]
 
 
 def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
@@ -234,17 +233,14 @@ def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
     batch's lanes come in the non-decreasing length order that lets one
     ``forward_batch`` call step only the live lanes; padding is never run.
     """
-    hidden = params.hidden_size
     order = sorted(range(len(sequences)),
                    key=lambda i: (len(sequences[i]), sequences[i].student_id))
     out: dict[str, np.ndarray] = {}
     for start in range(0, len(order), batch_size):
         group = [sequences[i] for i in order[start:start + batch_size]]
-        batch = _build_batch(group, tbptt_window=max(len(s) for s in group))
-        window = batch.windows[0]
-        h = np.zeros((len(group), hidden))
-        c = np.zeros((len(group), hidden))
-        result = forward_batch(params, window.X, window.resets, h, c,
+        batch = _build_batch(group)
+        h = c = np.zeros((len(group), params.hidden_size))
+        result = forward_batch(params, batch.X, batch.resets, h, c,
                                lengths=batch.lengths)
         for lane, seq in enumerate(group):
             out[seq.student_id] = result.probs[:len(seq), lane].copy()
@@ -299,9 +295,11 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
           progress=None) -> TrainResult:
     """Run the full training loop and return the best-validation model.
 
-    One RMSprop update per window; epoch loss is the weight-normalized
-    BCE over all valid steps.  After each epoch the pooled validation AUC
-    decides early stopping (patience epochs without improvement).
+    One RMSprop update per TBPTT window; recurrent state carries across a
+    batch's windows while gradients do not.  Epoch loss is the
+    weight-normalized BCE over all real steps.  After each epoch the pooled
+    validation AUC decides early stopping (patience epochs without
+    improvement).
     """
     if not train_seqs or not val_seqs:
         raise DataValidationError("train and validation sets must be non-empty")
@@ -315,31 +313,24 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        batches = make_batches(train_seqs, config.batch_size,
-                               config.tbptt_window, config.seed, epoch)
-        loss_num = 0.0
-        loss_den = 0.0
+        batches = make_batches(train_seqs, config.batch_size, config.seed, epoch)
+        loss_num = loss_den = 0.0
         for b_idx, batch in enumerate(batches):
-            lanes = len(batch.student_ids)
-            h = np.zeros((lanes, params.hidden_size))
-            c = np.zeros((lanes, params.hidden_size))
-            for w_idx, window in enumerate(batch.windows):
+            h = c = np.zeros((len(batch.student_ids), params.hidden_size))
+            for w_idx, window in enumerate(batch.windows(config.tbptt_window)):
                 rng = np.random.default_rng(
                     [_DROPOUT_NS, config.seed, epoch, b_idx, w_idx])
                 try:
                     result = forward_batch(params, window.X, window.resets, h, c,
                                            dropout_p=config.dropout_p, rng=rng,
-                                           want_cache=True,
-                                           lengths=window.valid.sum(axis=0))
+                                           want_cache=True, lengths=window.lengths)
                     grads, num, den = backward_batch(params, result.cache,
-                                                     window.labels, window.weights,
-                                                     window.valid)
+                                                     window.labels, window.weights)
+                    if not math.isfinite(num):
+                        raise NumericalFault("non-finite loss")
                 except NumericalFault as fault:
                     raise NumericalFault("training diverged", epoch=epoch,
                                          batch=b_idx, window=w_idx) from fault
-                if not math.isfinite(num):
-                    raise NumericalFault("training diverged", epoch=epoch,
-                                         batch=b_idx, window=w_idx)
                 if den > 0.0:
                     params, opt = rmsprop_update(params, grads, opt,
                                                  lr=config.learning_rate)

@@ -4,7 +4,9 @@ generated corpus with an H=8 checkpoint."""
 import ast
 import base64
 import dataclasses
+import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -239,6 +241,18 @@ class TestTrain:
         assert_literals(manifest["config"])
 
 
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_seeded_runs_are_byte_identical(self, corpus, tmp_path, level):
+        data, _ = corpus
+        runs = [tmp_path / "first", tmp_path / "second"]
+        for out in runs:
+            assert main(["train", "--data", str(data), "--out", str(out),
+                         "--level", level, "--max-epochs", "2", "--patience", "none",
+                         "--seed", "5", "--tbptt-window", "7", "--quiet"]) == EXIT_OK
+        for name in ("model.ckpt", "history.csv"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 class TestEvaluate:
     def test_dump_scores_writes_float_literals(self, corpus, tmp_path):
         data, ckpt = corpus
@@ -349,6 +363,35 @@ class TestScore:
         assert main(["score", "--checkpoint", str(ckpt), "--data", str(path),
                      "--out", str(tmp_path / "out.csv"), "--quiet"]) == EXIT_DATA
         assert_one_error_line(capsys, "line 3")
+
+
+NOT_UTF8 = f"{HEADER}\ns1,1,material,L,T,,0\n".encode() + b"\xff\xfe,2,material,L,T,,0\n"
+
+
+class TestNotUtf8Log:
+    """A log that is not UTF-8 is a data error, named in one message line."""
+
+    @pytest.mark.parametrize("command", sorted(set(REQUIRED) - {"generate"}))
+    def test_every_log_reading_command(self, corpus, tmp_path, capsys, command):
+        _, ckpt = corpus
+        log = tmp_path / "bad.csv"
+        log.write_bytes(NOT_UTF8)
+        paths = {"a.csv": str(log), "m.ckpt": str(ckpt),
+                 "b.csv": str(tmp_path / "b.csv"), "out": str(tmp_path / "out")}
+        argv = [paths.get(arg, arg) for arg in REQUIRED[command]]
+        assert main([command, *argv, "--quiet"]) == EXIT_DATA
+        assert_one_error_line(capsys, f"{log}: not UTF-8 text")
+
+    def test_score_from_stdin(self, corpus, monkeypatch, capsys):
+        _, ckpt = corpus
+        raw = io.BytesIO(NOT_UTF8)
+        raw.name = "<stdin>"
+        # the stream a C locale gives: undecodable bytes pass as surrogates
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            raw, encoding="utf-8", errors="surrogateescape"))
+        assert main(["score", "--checkpoint", str(ckpt), "--data", "-",
+                     "--quiet"]) == EXIT_DATA
+        assert_one_error_line(capsys, "<stdin>: not UTF-8 text")
 
 
 def decode_matrix(saved, key):

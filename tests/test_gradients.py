@@ -44,23 +44,25 @@ def random_params(rng, input_dim=13, hidden=4, scale=0.4):
 
 
 def random_instance(seed, steps=10, hidden=4, lanes=1, padded_from=None):
-    """A random time-major window.  With ``padded_from``, lane 1 ends at that
-    step: the rest of it has zero features, no resets and ``valid=False``,
-    as the training batcher pads a shorter student.  Its labels and weights
-    stay random, so only the ``valid`` mask keeps them out of the loss."""
+    """A random time-major window and its per-lane ``lengths``.  With
+    ``padded_from``, lane 0 (the shortest lane comes first) ends at that
+    step: the rest of it has zero features and no resets, as the training
+    batcher pads a shorter student.  Its labels and weights stay random, so
+    only its length keeps them out of the loss."""
     rng = np.random.default_rng(seed)
     params = random_params(rng, hidden=hidden)
     X = rng.uniform(-1, 1, (steps, lanes, 13))
     labels = rng.integers(0, 2, (steps, lanes)).astype(float)
     weights = rng.uniform(0.5, 3.0, (steps, lanes))
     resets = rng.random((steps, lanes)) < 0.25
-    valid = np.ones((steps, lanes), dtype=bool)
+    lengths = np.full(lanes, steps)
     if padded_from is not None:
-        for arr in (X, resets, valid):
-            arr[padded_from:, 1] = 0
+        X[padded_from:, 0] = 0
+        resets[padded_from:, 0] = False
+        lengths[0] = padded_from
     dropout_p = float(rng.choice([0.0, 0.3, 0.5]))
     rng_seed = int(rng.integers(1 << 30)) if dropout_p > 0 else None
-    return params, X, labels, weights, resets, valid, dropout_p, rng_seed
+    return params, X, labels, weights, resets, lengths, dropout_p, rng_seed
 
 
 def run_window(params, X, resets, dropout_p, rng_seed, want_cache=False,
@@ -72,15 +74,16 @@ def run_window(params, X, resets, dropout_p, rng_seed, want_cache=False,
                          rng=rng, want_cache=want_cache, lengths=lengths)
 
 
-def finite_difference_check(params, X, labels, weights, resets, valid,
-                            dropout_p, rng_seed, lengths=None):
+def finite_difference_check(params, X, labels, weights, resets, lengths,
+                            dropout_p, rng_seed):
     cache = run_window(params, X, resets, dropout_p, rng_seed, want_cache=True,
                        lengths=lengths).cache
-    grads, _, _ = backward_batch(params, cache, labels, weights, valid)
+    grads, _, _ = backward_batch(params, cache, labels, weights)
+    real = np.arange(X.shape[0])[:, None] < lengths
 
     def loss_at(p):
         probs = run_window(p, X, resets, dropout_p, rng_seed, lengths=lengths).probs
-        return loss_weighted_bce(probs[valid], labels[valid], weights[valid])
+        return loss_weighted_bce(probs[real], labels[real], weights[real])
 
     worst = 0.0
     for name in ModelParams.FIELDS:
@@ -107,30 +110,33 @@ class TestGradients:
 
     def test_padded_lane_in_batch(self):
         instance = random_instance(107, lanes=3, padded_from=6)
+        assert instance[5].tolist() == [6, 10, 10]
         assert instance[6] > 0.0  # dropout on, so the masks cover padding too
         assert finite_difference_check(*instance) < REL_TOL
 
     def test_packed_window(self):
         # Lanes of lengths 3, 7 and 9 stepped as live suffixes, dropout on,
         # and a reset in the middle of the window on both longer lanes.  The
-        # padded steps hold random features and resets that must not count.
+        # padded steps hold random features, labels, weights and resets that
+        # must not count.
         params, X, labels, weights, resets, _, _, _ = random_instance(108, steps=9,
                                                                      lanes=3)
         lengths = np.array([3, 7, 9])
-        valid = np.arange(9)[:, None] < lengths
         resets[:] = False
         resets[4, 1:] = True
         resets[5, 0] = True  # a padded step
-        instance = (params, X, labels, weights, resets, valid, 0.4, 4242)
-        assert finite_difference_check(*instance, lengths=lengths) < REL_TOL
+        instance = (params, X, labels, weights, resets, lengths, 0.4, 4242)
+        assert finite_difference_check(*instance) < REL_TOL
 
-        # The same window run on every lane for all 9 steps has the same
-        # gradient: backward_batch gives padded steps zero gate gradients.
+        # The same window run on every lane for all 9 steps, with zero
+        # weight on the padded steps, has the same gradient: backward_batch
+        # gives padded steps zero gate gradients.
         packed = run_window(params, X, resets, 0.4, 4242, want_cache=True,
                             lengths=lengths).cache
         full = run_window(params, X, resets, 0.4, 4242, want_cache=True).cache
-        for a, b in zip(backward_batch(params, packed, labels, weights, valid)[0].arrays(),
-                        backward_batch(params, full, labels, weights, valid)[0].arrays()):
+        real_weights = np.where(np.arange(9)[:, None] < lengths, weights, 0.0)
+        for a, b in zip(backward_batch(params, packed, labels, weights)[0].arrays(),
+                        backward_batch(params, full, labels, real_weights)[0].arrays()):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_through_resets_and_dropout(self):
@@ -141,17 +147,15 @@ class TestGradients:
         weights = rng.uniform(0.5, 3.0, (12, 1))
         resets = np.zeros((12, 1), dtype=bool)
         resets[[0, 4, 8]] = True
-        valid = np.ones((12, 1), dtype=bool)
         worst = finite_difference_check(params, X, labels, weights,
-                                        resets, valid, 0.4, 31337)
+                                        resets, np.array([12]), 0.4, 31337)
         assert worst < REL_TOL
 
     def test_window_without_valid_steps_gives_zero_gradients(self):
         params, X, labels, weights, resets, _, _, _ = random_instance(5, lanes=2)
-        cache = run_window(params, X, resets, 0.0, None, want_cache=True).cache
-        invalid = np.zeros(labels.shape, dtype=bool)
-        grads, loss_num, weight_sum = backward_batch(params, cache, labels,
-                                                     weights, invalid)
+        cache = run_window(params, X, resets, 0.0, None, want_cache=True,
+                           lengths=np.zeros(2, dtype=int)).cache
+        grads, loss_num, weight_sum = backward_batch(params, cache, labels, weights)
         assert (loss_num, weight_sum) == (0.0, 0.0)
         assert all((g == 0.0).all() for g in grads.arrays())
 
@@ -164,8 +168,7 @@ class TestGradients:
         weights = rng.uniform(0.5, 3.0, (15, 1))
         resets = np.zeros((15, 1), dtype=bool)
         out = run_window(params, X, resets, 0.0, None, want_cache=True)
-        grads, _, _ = backward_batch(params, out.cache, labels, weights,
-                                     np.ones((15, 1), dtype=bool))
+        grads, _, _ = backward_batch(params, out.cache, labels, weights)
         expected = float((weights * (out.probs - labels)).sum() / weights.sum())
         assert grads.out_b[0] == pytest.approx(expected, rel=1e-12)
 

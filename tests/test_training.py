@@ -135,30 +135,34 @@ class TestMakeBatches:
     def test_windowing_rule(self):
         rng = np.random.default_rng(0)
         seqs = [toy_sequence(rng, "a", 450)]
-        batches = make_batches(seqs, batch_size=4, tbptt_window=200, seed=0)
+        batches = make_batches(seqs, batch_size=4, seed=0)
         assert len(batches) == 1
-        spans = [w.X.shape[0] for w in batches[0].windows]
-        assert spans == [200, 200, 50]
-        assert all(w.X.shape[1] == 1 for w in batches[0].windows)
+        windows = list(batches[0].windows(200))
+        assert [w.X.shape[0] for w in windows] == [200, 200, 50]
+        assert [w.lengths.tolist() for w in windows] == [[200], [200], [50]]
+        assert all(w.X.shape[1] == 1 for w in windows)
+        # windows are views of the batch's arrays, not copies
+        assert all(np.shares_memory(w.X, batches[0].X) for w in windows)
 
     def test_padding_and_mask(self):
         rng = np.random.default_rng(1)
         seqs = [toy_sequence(rng, "a", 10), toy_sequence(rng, "b", 7)]
-        batches = make_batches(seqs, batch_size=2, tbptt_window=100, seed=0)
-        window = batches[0].windows[0]
-        assert window.X.shape == (10, 2, 13)
-        lane_of = {sid: lane for lane, sid in enumerate(batches[0].student_ids)}
-        short, long = lane_of["b"], lane_of["a"]
-        assert window.valid[:, long].all()
-        assert window.valid[:7, short].all() and not window.valid[7:, short].any()
-        assert (window.X[7:, short] == 0.0).all()
-        assert (window.weights[7:, short] == 0.0).all()
+        batches = make_batches(seqs, batch_size=2, seed=0)
+        batch = batches[0]
+        assert batch.X.shape == (10, 2, 13)
+        assert batch.student_ids == ["b", "a"]  # the short lane first
+        assert batch.lengths.tolist() == [7, 10]
+        np.testing.assert_array_equal(batch.X[:7, 0], seqs[1].features)
+        np.testing.assert_array_equal(batch.X[:, 1], seqs[0].features)
+        for padded in (batch.X[7:, 0], batch.labels[7:, 0],
+                       batch.weights[7:, 0], batch.resets[7:, 0]):
+            assert not padded.any()
 
     def test_every_student_appears_once_per_epoch(self):
         rng = np.random.default_rng(2)
         seqs = [toy_sequence(rng, f"s{i}", int(rng.integers(5, 40)))
                 for i in range(23)]
-        batches = make_batches(seqs, batch_size=4, tbptt_window=16, seed=9, epoch=3)
+        batches = make_batches(seqs, batch_size=4, seed=9, epoch=3)
         seen = [sid for batch in batches for sid in batch.student_ids]
         assert sorted(seen) == sorted(s.student_id for s in seqs)
 
@@ -166,10 +170,10 @@ class TestMakeBatches:
         rng = np.random.default_rng(3)
         seqs = [toy_sequence(rng, f"s{i}", int(rng.integers(5, 40)))
                 for i in range(30)]
-        a = make_batches(seqs, 8, 16, seed=4, epoch=1)
-        b = make_batches(seqs, 8, 16, seed=4, epoch=1)
+        a = make_batches(seqs, 8, seed=4, epoch=1)
+        b = make_batches(seqs, 8, seed=4, epoch=1)
         assert [x.student_ids for x in a] == [x.student_ids for x in b]
-        c = make_batches(seqs, 8, 16, seed=4, epoch=2)
+        c = make_batches(seqs, 8, seed=4, epoch=2)
         assert [x.student_ids for x in a] != [x.student_ids for x in c]
 
 
@@ -180,22 +184,26 @@ class TestBatchedLossMatchesUnbatched:
                                for a in init_params(0, hidden_size=8).arrays()))
         seqs = [toy_sequence(rng, f"s{i}", int(rng.integers(3, 50)))
                 for i in range(7)]
-        batches = make_batches(seqs, batch_size=3, tbptt_window=12, seed=0)
+        batches = make_batches(seqs, batch_size=3, seed=0)
 
         num = den = 0.0
+        ended_lanes = 0
         for batch in batches:
             lanes = len(batch.student_ids)
             h = np.zeros((lanes, 8))
             c = np.zeros((lanes, 8))
-            for window in batch.windows:
+            for window in batch.windows(12):
+                ended_lanes += int((window.lengths == 0).sum())
                 out = forward_batch(params, window.X, window.resets, h, c,
-                                    want_cache=True)
+                                    want_cache=True, lengths=window.lengths)
                 _, n, d = backward_batch(params, out.cache, window.labels,
-                                         window.weights, window.valid)
+                                         window.weights)
                 num += n
                 den += d
                 h, c = out.h, out.c
         batched_loss = num / den
+        # some lane ends in an earlier window and has length 0 in a later one
+        assert ended_lanes > 0
 
         total_num = total_den = 0.0
         for seq in seqs:
