@@ -35,7 +35,16 @@ only ``O(B*(D+5H))`` of step buffers plus the logits, whatever the
 history length.  With ``want_cache=True`` it also writes each step's
 gates ``(T, B, 4H)``, cell and hidden states ``(T, B, H)`` and dense
 activations into the cache that backpropagation reads; their padded
-entries stay 0.
+entries stay 0.  Its dropout masks are bool, and a kept unit is scaled as
+``(a * m) * inv_keep``, the same bits as a float mask ``m / keep``.
+
+The cache is single-use.  :func:`backward_batch` overwrites it in place
+(gate gradients over the gates, the pre-step hidden states over ``h``)
+and marks it spent, so beyond the cache it allocates only one
+``(T, B, H)`` buffer and ``O(B*4H)`` of step buffers; a second call on
+the same cache is a ValueError.  Both kernels check their outputs for
+non-finite values themselves and run with numpy's overflow and invalid
+warnings off.
 """
 
 from __future__ import annotations
@@ -182,6 +191,14 @@ def init_params(seed: int, input_dim: int = FEATURE_DIM,
 
 @dataclass(slots=True)
 class _ForwardCache:
+    """One training window's activations, read once by :func:`backward_batch`.
+
+    The dropout masks are bool (``None`` without dropout); a unit is kept
+    as ``(a * m) * inv_keep``.  Padded entries of every array are 0.
+    ``backward_batch`` overwrites ``gates``, ``h``, ``a1`` and ``a2`` in
+    place and marks the cache ``spent``.
+    """
+
     X: np.ndarray        # (T, B, D)
     resets: np.ndarray   # (T, B) bool
     first_live: list     # step t ran lanes [first_live[t]:]
@@ -190,12 +207,14 @@ class _ForwardCache:
     h: np.ndarray        # (T, B, H)
     h0: np.ndarray
     c0: np.ndarray
-    m0: Optional[np.ndarray]
-    m1: Optional[np.ndarray]
-    m2: Optional[np.ndarray]
+    m0: Optional[np.ndarray]  # (T, B, H) bool
+    m1: Optional[np.ndarray]  # (T, B, H1) bool
+    m2: Optional[np.ndarray]  # (T, B, H2) bool
+    inv_keep: float      # 1 / (1 - dropout_p)
     a1: np.ndarray       # (T, B, H1) post-ReLU
     a2: np.ndarray       # (T, B, H2) post-ReLU
     probs: np.ndarray    # (T, B)
+    spent: bool = False
 
 
 @dataclass(slots=True)
@@ -204,6 +223,11 @@ class BatchForward:
     h: np.ndarray        # (B, H) hidden state after each lane's last real step
     c: np.ndarray        # (B, H) cell state after each lane's last real step
     cache: Optional[_ForwardCache]
+
+
+# A diverging model overflows inside the kernels.  Each checks its outputs
+# for non-finite values itself, so numpy's warnings would only repeat that.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 def _first_live(lengths, T: int, B: int) -> list:
@@ -218,6 +242,18 @@ def _first_live(lengths, T: int, B: int) -> list:
     return np.searchsorted(lengths, np.arange(T), side="right").tolist()
 
 
+def _drop(a: np.ndarray, mask: Optional[np.ndarray], inv_keep: float,
+          out: np.ndarray) -> np.ndarray:
+    """Inverted dropout ``(a * mask) * inv_keep`` into ``out``; ``a`` itself
+    when there is no mask.  Bit for bit ``a * (mask / keep)``."""
+    if mask is None:
+        return a
+    np.multiply(a, mask, out=out)
+    out *= inv_keep
+    return out
+
+
+@_quiet_overflow
 def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
                   h0: np.ndarray, c0: np.ndarray, dropout_p: float = 0.0,
                   rng: Optional[np.random.Generator] = None,
@@ -240,11 +276,13 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
 
     h1, h2 = params.dense1_size, params.dense2_size
     train = rng is not None and dropout_p > 0.0
+    inv_keep = 1.0
     if train:
         keep = 1.0 - dropout_p
-        m0 = (rng.random((T, B, hidden)) < keep) / keep
-        m1 = (rng.random((T, B, h1)) < keep) / keep
-        m2 = (rng.random((T, B, h2)) < keep) / keep
+        inv_keep = 1.0 / keep
+        m0 = rng.random((T, B, hidden)) < keep
+        m1 = rng.random((T, B, h1)) < keep
+        m2 = rng.random((T, B, h2)) < keep
         hd, a1d, a2d = np.empty((B, hidden)), np.empty((B, h1)), np.empty((B, h2))
     else:
         m0 = m1 = m2 = None
@@ -271,7 +309,7 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     if want_cache:
         # Padded entries stay 0: backward_batch's weight-gradient GEMMs
         # run over the whole window and multiply them by zero.
-        gates = np.empty((T, B, 4 * hidden))
+        gates = np.zeros((T, B, 4 * hidden))
         cs = np.zeros((T, B, hidden))
         hs = np.zeros((T, B, hidden))
         a1s = np.zeros((T, B, h1))
@@ -311,15 +349,15 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
             a1_l, a2_l = a1s[t, lo:], a2s[t, lo:]
 
         # the dense head on the same live lanes
-        top = np.multiply(h_l, m0[t, lo:], out=hd_l) if train else h_l
+        top = _drop(h_l, m0[t, lo:], inv_keep, hd_l) if train else h_l
         np.matmul(top, W1_T, out=a1_l)
         a1_l += b1
         np.maximum(a1_l, 0.0, out=a1_l)
-        top = np.multiply(a1_l, m1[t, lo:], out=a1d_l) if train else a1_l
+        top = _drop(a1_l, m1[t, lo:], inv_keep, a1d_l) if train else a1_l
         np.matmul(top, W2_T, out=a2_l)
         a2_l += b2
         np.maximum(a2_l, 0.0, out=a2_l)
-        top = np.multiply(a2_l, m2[t, lo:], out=a2d_l) if train else a2_l
+        top = _drop(a2_l, m2[t, lo:], inv_keep, a2d_l) if train else a2_l
         logit = logits[t, lo:]
         np.matmul(top, w_out, out=logit)
         logit += b_out
@@ -334,11 +372,12 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
         cache = _ForwardCache(
             X=X, resets=resets, first_live=first, gates=gates, c=cs, h=hs,
             h0=np.asarray(h0, dtype=np.float64), c0=np.asarray(c0, dtype=np.float64),
-            m0=m0, m1=m1, m2=m2, a1=a1s, a2=a2s, probs=probs,
+            m0=m0, m1=m1, m2=m2, inv_keep=inv_keep, a1=a1s, a2=a2s, probs=probs,
         )
     return BatchForward(probs=probs, h=h.copy(), c=c, cache=cache)
 
 
+@_quiet_overflow
 def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray,
                    weights: np.ndarray) -> tuple[ModelParams, float, float]:
     """Exact gradient of the weight-normalized BCE over the cached window.
@@ -350,7 +389,16 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     initial state is treated as a constant) and at every reset.  The BPTT
     loop runs on the lanes that the forward pass stepped; the gate
     gradients of every other lane-step are zero.
+
+    The cache is consumed: the dense-head gradients overwrite ``a1`` and
+    ``a2``, the gate gradients ``gates`` and the pre-step hidden states
+    ``h``, so a second call on the same cache is a ValueError.  Beyond the
+    cache this allocates one ``(T, B, H)`` buffer, bool ReLU masks and
+    ``(B, 4H)`` step buffers.
     """
+    if cache.spent:
+        raise ValueError("this forward cache was already consumed by backward_batch")
+    cache.spent = True
     T, B, D = cache.X.shape
     hidden = params.hidden_size
     Wh = params.lstm_W[:, D:]
@@ -367,52 +415,41 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     y = labels
     loss_num = float((w_eff * -(y * np.log(p) + (1 - y) * np.log1p(-p))).sum())
 
-    train = cache.m0 is not None
+    # Output head and dense stack, batched over all steps.  Once its ReLU
+    # mask is taken, each cached activation is overwritten by its
+    # dropped-out copy and then by its pre-activation gradient.
     TB = T * B
-
-    # output head and dense stack, batched over all steps
+    inv_keep = cache.inv_keep
+    m0, m1, m2 = (None if m is None else m.reshape(TB, -1)
+                  for m in (cache.m0, cache.m1, cache.m2))
+    a1 = cache.a1.reshape(TB, -1)
+    a2 = cache.a2.reshape(TB, -1)
+    on1, on2 = a1 > 0.0, a2 > 0.0
     dz_out = (w_eff * (p - y) / w_sum).reshape(TB, 1)
-    a2d = cache.a2 * cache.m2 if train else cache.a2
-    a1d = cache.a1 * cache.m1 if train else cache.a1
-    a2d = a2d.reshape(TB, -1)
-    a1d = a1d.reshape(TB, -1)
-    grads.out_W += dz_out.T @ a2d
+    grads.out_W += dz_out.T @ _drop(a2, m2, inv_keep, a2)
     grads.out_b += dz_out.sum(axis=0)
 
-    da2 = dz_out @ params.out_W
-    if train:
-        da2 = da2 * cache.m2.reshape(TB, -1)
-    dz2 = da2 * (cache.a2.reshape(TB, -1) > 0.0)
-    grads.dense2_W += dz2.T @ a1d
+    dz2 = _drop(np.matmul(dz_out, params.out_W, out=a2), m2, inv_keep, a2)
+    dz2 *= on2
+    grads.dense2_W += dz2.T @ _drop(a1, m1, inv_keep, a1)
     grads.dense2_b += dz2.sum(axis=0)
 
-    da1 = dz2 @ params.dense2_W
-    if train:
-        da1 = da1 * cache.m1.reshape(TB, -1)
-    dz1 = da1 * (cache.a1.reshape(TB, -1) > 0.0)
-    hs_flat = cache.h.reshape(TB, hidden)
-    hd = hs_flat * cache.m0.reshape(TB, hidden) if train else hs_flat
-    grads.dense1_W += dz1.T @ hd
+    dz1 = _drop(np.matmul(dz2, params.dense2_W, out=a1), m1, inv_keep, a1)
+    dz1 *= on1
+    del on1, on2
+    # the one (T, B, H) buffer: the dropped-out h, then dh from the head
+    dh_top = np.empty((TB, hidden))
+    grads.dense1_W += dz1.T @ _drop(cache.h.reshape(TB, hidden), m0, inv_keep,
+                                    dh_top)
     grads.dense1_b += dz1.sum(axis=0)
-
-    dh_top = (dz1 @ params.dense1_W).reshape(T, B, hidden)
-    if train:
-        dh_top = dh_top * cache.m0
-
-    # state pre-step (after any reset), for gate gradients and dWh
-    live = ~cache.resets[..., None]
-    h_prev = np.empty_like(cache.h)
-    c_prev = np.empty_like(cache.c)
-    h_prev[0] = cache.h0
-    c_prev[0] = cache.c0
-    h_prev[1:] = cache.h[:-1]
-    c_prev[1:] = cache.c[:-1]
-    h_prev *= live
-    c_prev *= live
+    np.matmul(dz1, params.dense1_W, out=dh_top)
+    dh_top = _drop(dh_top, m0, inv_keep, dh_top).reshape(T, B, hidden)
 
     # Going back in time the live suffix only grows, so a lane's carries
-    # are still zero at its last real step.
-    dz4 = np.zeros((T, B, 4 * hidden))
+    # are still zero at its last real step.  Step t's gate gradients
+    # replace its gates in the cache once it has read them.
+    live = ~cache.resets[..., None]
+    d_all = np.empty((B, 4 * hidden))
     dh_carry = np.zeros((B, hidden))
     dc_carry = np.zeros((B, hidden))
     for t in range(T - 1, -1, -1):
@@ -423,22 +460,33 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
         g = gates[:, 2 * hidden:3 * hidden]
         o = gates[:, 3 * hidden:]
         tc = np.tanh(cache.c[t, lo:])
+        # the cell state step t started from, after any reset
+        c_prev = (cache.c[t - 1, lo:] if t else cache.c0[lo:]) * live[t, lo:]
 
         dh = dh_top[t, lo:] + dh_carry[lo:]
         dc = dh * o * (1.0 - tc * tc) + dc_carry[lo:]
-        d = dz4[t, lo:]
+        d = d_all[lo:]
         d[:, :hidden] = dc * g * i * (1.0 - i)
-        d[:, hidden:2 * hidden] = dc * c_prev[t, lo:] * f * (1.0 - f)
+        d[:, hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
         d[:, 2 * hidden:3 * hidden] = dc * i * (1.0 - g * g)
         d[:, 3 * hidden:] = dh * tc * o * (1.0 - o)
 
-        dh_carry[lo:] = (d @ Wh) * live[t, lo:]
         dc_carry[lo:] = dc * f * live[t, lo:]
+        gates[...] = d
+        dh_carry[lo:] = (d @ Wh) * live[t, lo:]
 
-    dz4_flat = dz4.reshape(TB, 4 * hidden)
-    grads.lstm_W[:, :D] += dz4_flat.T @ cache.X.reshape(TB, D)
-    grads.lstm_W[:, D:] += dz4_flat.T @ h_prev.reshape(TB, hidden)
-    grads.lstm_b += dz4_flat.sum(axis=0)
+    # The hidden state each step started from, after any reset, built
+    # in place of cache.h one step at a time (no full-size copy).
+    h_prev = cache.h
+    for t in range(T - 1, 0, -1):
+        h_prev[t] = h_prev[t - 1]
+    h_prev[0] = cache.h0
+    h_prev *= live
+
+    dz4 = cache.gates.reshape(TB, 4 * hidden)
+    grads.lstm_W[:, :D] += dz4.T @ cache.X.reshape(TB, D)
+    grads.lstm_W[:, D:] += dz4.T @ h_prev.reshape(TB, hidden)
+    grads.lstm_b += dz4.sum(axis=0)
 
     if not grads.all_finite():
         raise NumericalFault("non-finite gradient")

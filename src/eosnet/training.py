@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
@@ -290,6 +291,15 @@ class TrainResult:
     best_val_auc: float
 
 
+@contextmanager
+def _diverged(**context):
+    """Re-raise a numerical fault as ``training diverged`` with ``context``."""
+    try:
+        yield
+    except NumericalFault as fault:
+        raise NumericalFault("training diverged", **context) from fault
+
+
 def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
           val_seqs: Sequence[TrainSequence],
           progress=None) -> TrainResult:
@@ -320,26 +330,26 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
             for w_idx, window in enumerate(batch.windows(config.tbptt_window)):
                 rng = np.random.default_rng(
                     [_DROPOUT_NS, config.seed, epoch, b_idx, w_idx])
-                try:
+                with _diverged(epoch=epoch, batch=b_idx, window=w_idx):
                     result = forward_batch(params, window.X, window.resets, h, c,
                                            dropout_p=config.dropout_p, rng=rng,
                                            want_cache=True, lengths=window.lengths)
+                    h, c = result.h, result.c
                     grads, num, den = backward_batch(params, result.cache,
                                                      window.labels, window.weights)
+                    # the spent cache goes before the next window's is built
+                    del result
                     if not math.isfinite(num):
                         raise NumericalFault("non-finite loss")
-                except NumericalFault as fault:
-                    raise NumericalFault("training diverged", epoch=epoch,
-                                         batch=b_idx, window=w_idx) from fault
                 if den > 0.0:
                     params, opt = rmsprop_update(params, grads, opt,
                                                  lr=config.learning_rate)
-                h, c = result.h, result.c
                 loss_num += num
                 loss_den += den
         train_loss = loss_num / loss_den if loss_den else 0.0
 
-        scored = score_sequences(params, val_seqs, config.batch_size)
+        with _diverged(epoch=epoch):
+            scored = score_sequences(params, val_seqs, config.batch_size)
         val_scores = np.concatenate([scored[s.student_id] for s in val_seqs])
         val_auc = auc(val_scores, val_labels)
         val_auc = float("nan") if val_auc is None else val_auc

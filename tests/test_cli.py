@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eosnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _load_labeled, main
+from eosnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _load_labeled, main
 from eosnet.ingest import HEADER
 from eosnet.net import forward_batch, init_params, load_checkpoint, save_checkpoint
 from eosnet.training import Level, TrainConfig, prepare_sequence, split_students
@@ -240,6 +240,14 @@ class TestTrain:
         assert "seeds" not in manifest
         assert_literals(manifest["config"])
 
+    def test_diverging_run_ends_in_one_error_line(self, corpus, tmp_path, capsys):
+        # The first update sends the weights to ~1e300, so validation
+        # scoring overflows: one error line naming the epoch, no warnings.
+        data, _ = corpus
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--max-epochs", "1", "--patience", "none", "--seed", "0",
+                     "--learning-rate", "1e300", "--quiet"]) == EXIT_NUMERIC
+        assert_one_error_line(capsys, "training diverged (epoch=1)")
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_seeded_runs_are_byte_identical(self, corpus, tmp_path, level):

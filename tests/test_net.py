@@ -12,6 +12,7 @@ from eosnet.net import (
     LstmState,
     ModelParams,
     OptState,
+    backward_batch,
     infer_step,
     init_params,
     forward_batch,
@@ -96,16 +97,36 @@ def scalar_lstm_oracle(params, xs, h0, c0):
     return h, c
 
 
-def scalar_head_oracle(params, h):
-    """Plain-Python dense head: two ReLU layers and the sigmoid output."""
-    def dense(W, b, v):
+def scalar_head_oracle(params, h, masks=None):
+    """Plain-Python dense head: two ReLU layers and the sigmoid output.
+
+    ``masks`` holds a dropout multiplier per unit for the input of each
+    layer (the LSTM output, then each ReLU output): 0 or 1/keep."""
+    m0, m1, m2 = masks if masks is not None else (None, None, None)
+
+    def dense(W, b, v, m):
+        if m is not None:
+            v = [x * scale for x, scale in zip(v, m)]
         return [sum(w * x for w, x in zip(row, v)) + bias
                 for row, bias in zip(W.tolist(), b.tolist())]
 
-    a1 = [max(v, 0.0) for v in dense(params.dense1_W, params.dense1_b, h)]
-    a2 = [max(v, 0.0) for v in dense(params.dense2_W, params.dense2_b, a1)]
-    logit = dense(params.out_W, params.out_b, a2)[0]
+    a1 = [max(v, 0.0) for v in dense(params.dense1_W, params.dense1_b, h, m0)]
+    a2 = [max(v, 0.0) for v in dense(params.dense2_W, params.dense2_b, a1, m1)]
+    logit = dense(params.out_W, params.out_b, a2, m2)[0]
     return 1.0 / (1.0 + math.exp(-logit))
+
+
+def numpy_head_oracle(params, h, masks):
+    """The dense head in plain numpy over the rows of ``h`` (M, H), with the
+    float dropout masks ``(m0, m1, m2)`` (0 or 1/keep) multiplied in as
+    ``a * m``; the same GEMM shapes as one step of ``forward_batch``."""
+    m0, m1, m2 = masks
+    a1 = np.maximum((h * m0) @ params.dense1_W.T + params.dense1_b, 0.0)
+    a2 = np.maximum((a1 * m1) @ params.dense2_W.T + params.dense2_b, 0.0)
+    logit = (a2 * m2) @ params.out_W[0] + params.out_b
+    pos = logit >= 0
+    ex = np.exp(np.where(pos, -logit, logit))
+    return np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 class TestLstmStep:
@@ -270,6 +291,83 @@ class TestInferenceMemory:
         B, hidden = 8, 32
         growth = inference_peak_bytes(400, B, hidden) - inference_peak_bytes(50, B, hidden)
         assert growth < 0.5 * 350 * B * hidden * 8
+
+
+def training_window(T, B, hidden, dropout_p=0.4, seed=0):
+    """Params, a packed window with labels and weights, and its cache."""
+    rng = np.random.default_rng(seed)
+    p = random_params(rng, hidden=hidden)
+    X = rng.uniform(-1, 1, (T, B, p.input_dim))
+    resets = rng.random((T, B)) < 0.05
+    lengths = np.linspace(1, T, B).astype(int)
+    labels = rng.integers(0, 2, (T, B)).astype(float)
+    weights = rng.uniform(0.5, 3.0, (T, B))
+    zeros = np.zeros((B, hidden))
+    out = forward_batch(p, X, resets, zeros, zeros, dropout_p=dropout_p,
+                        rng=np.random.default_rng(seed + 1), want_cache=True,
+                        lengths=lengths)
+    return p, out.cache, labels, weights
+
+
+class TestTrainingMemory:
+    def test_backward_allocates_one_hidden_state_buffer_beyond_the_cache(self):
+        # The (T, B, H) dh buffer is 1x; a (T, B, 4H) gate-gradient array
+        # alone would be 4x.
+        T, B, hidden = 100, 8, 32
+        p, cache, labels, weights = training_window(T, B, hidden)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            backward_batch(p, cache, labels, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3 * T * B * hidden * 8
+
+    def test_masks_are_bool(self):
+        _, cache, _, _ = training_window(6, 3, 4)
+        assert all(m.dtype == bool for m in (cache.m0, cache.m1, cache.m2))
+        assert cache.inv_keep == 1.0 / (1.0 - 0.4)
+
+    def test_second_backward_on_one_cache_is_refused(self):
+        p, cache, labels, weights = training_window(6, 3, 4)
+        backward_batch(p, cache, labels, weights)
+        with pytest.raises(ValueError, match="already consumed"):
+            backward_batch(p, cache, labels, weights)
+
+
+class TestDropout:
+    def test_probs_equal_a_float_mask_head_oracle(self):
+        # The masks are drawn from the same seeded generator as
+        # (r < keep) / keep; the bool masks and 1/keep must give the same
+        # bits.  The oracles take each step's hidden states from the cache.
+        rng = np.random.default_rng(9)
+        p = random_params(rng, hidden=6)
+        lengths = [3, 8, 8, 8]
+        T, B, keep = max(lengths), len(lengths), 0.6
+        X = rng.uniform(-1, 1, (T, B, p.input_dim))
+        resets = np.zeros((T, B), dtype=bool)
+        zeros = np.zeros((B, p.hidden_size))
+        out = forward_batch(p, X, resets, zeros, zeros, dropout_p=1.0 - keep,
+                            rng=np.random.default_rng(21), want_cache=True,
+                            lengths=lengths)
+        draw = np.random.default_rng(21)
+        masks = [(draw.random((T, B, n)) < keep) / keep
+                 for n in (p.hidden_size, p.dense1_size, p.dense2_size)]
+        first = np.searchsorted(lengths, np.arange(T), side="right")
+        for t, lo in enumerate(first):
+            rows = out.cache.h[t, lo:]
+            np.testing.assert_array_equal(
+                out.probs[t, lo:],
+                numpy_head_oracle(p, rows, [m[t, lo:] for m in masks]))
+            for lane in range(lo, B):
+                lane_masks = [m[t, lane].tolist() for m in masks]
+                assert out.probs[t, lane] == pytest.approx(
+                    scalar_head_oracle(p, rows[lane - lo].tolist(), lane_masks),
+                    rel=1e-12)
+        # some unit of every layer is dropped and some kept
+        assert all(0 < (m == 0).mean() < 1 for m in masks)
 
 
 class TestForward:
