@@ -17,7 +17,15 @@ field as the ``repr`` of its value), so every entry is a Python literal.
 
 Sessions follow the one 15-minute rule of ``sessions.starts_session``,
 which no flag changes; ``sessionize --data --out [--lenient]`` appends
-``session_index,label`` to each record (``--lenient`` skips malformed ones).
+``session_index,label`` to each record (``--lenient`` skips malformed ones):
+the 0-based ordinal of its session within its student, and 1 on the last
+record of each session, else 0.
+
+``evaluate`` writes ``report.csv``, rows ``metric,stratum,value``: the AUC
+of each stratum that holds both classes (a stratum without both is
+omitted), then ``mean_prob,eos``; and ``trajectory.csv``, rows
+``chunk,mean_prob`` for the 5% chunks 1..20.  Those last two average over
+the sessions of length >= 20 and are omitted when there is none.
 
 ``--threads`` takes an integer >= 1; anything else is a usage error.
 
@@ -236,16 +244,13 @@ def _write_manifest(args, config, inputs, outputs, t0, **timings) -> None:
 def _load_labeled(path, strict=True):
     """Parse a log file into per-student labelled sequences (sorted ids)."""
     from eosnet.ingest import group_by_student, parse_log_file
-    from eosnet.sessions import label, segment
+    from eosnet.sessions import label
 
     bad: list = []
     actions = parse_log_file(path, strict=strict, bad_records=bad)
     if bad:
         log.info("skipped %d malformed records", len(bad))
-    labeled = {}
-    for student in group_by_student(actions):
-        labeled[student.student_id] = label(segment(student))
-    return labeled
+    return {student.student_id: label(student) for student in group_by_student(actions)}
 
 
 def _load_model(path):
@@ -287,17 +292,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sessionize(args) -> int:
+    import numpy as np
+
     from eosnet.fileio import atomic_write_text
     from eosnet.ingest import HEADER, format_action
 
     labeled = _load_labeled(args.data, strict=not args.lenient)
     rows = [HEADER + ",session_index,label"]
     for seq in labeled.values():
-        pos = 0
-        for session in seq.sessions:
-            for action in session.actions:
-                rows.append(f"{format_action(action)},{session.index},{seq.labels[pos]}")
-                pos += 1
+        session_index = (np.cumsum(seq.labels) - seq.labels).tolist()
+        for action, index, yval in zip(seq.actions, session_index, seq.labels.tolist()):
+            rows.append(f"{format_action(action)},{index},{yval}")
     atomic_write_text(args.out, "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -314,12 +319,11 @@ def cmd_featurize(args) -> int:
     for sid in sorted(labeled):
         seq = labeled[sid]
         frames = featurize(seq, utc_offset_minutes=args.utc_offset_minutes)
-        flat_actions = seq.actions
-        for row, (frame, yval) in enumerate(zip(frames, seq.labels)):
+        for action, frame, yval in zip(seq.actions, frames, seq.labels):
             cells = ",".join(repr(float(v)) for v in frame)
             prefix = ""
             if args.with_keys:
-                prefix = f"{sid},{flat_actions[row].timestamp},"
+                prefix = f"{sid},{action.timestamp},"
             rows.append(f"{prefix}{cells},{yval}")
     atomic_write_text(args.out, "\n".join(rows) + "\n")
     return EXIT_OK
@@ -385,10 +389,8 @@ def cmd_evaluate(args) -> int:
                  for sid in ids]
     probs = score_sequences(params, sequences)
 
-    all_sessions = []
-    for sid in ids:
-        all_sessions.extend(scored_sessions(labeled[sid], probs[sid]))
-    report = compute_report(all_sessions)
+    scored = scored_sessions([labeled[sid] for sid in ids], probs)
+    report = compute_report(scored)
 
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.csv")
@@ -410,7 +412,7 @@ def cmd_evaluate(args) -> int:
 
     if report.global_auc is not None:
         log.info("global AUC %.5f over %d sessions", report.global_auc,
-                 len(all_sessions))
+                 int(scored.labels.sum()))
     _write_manifest(args, None, [args.checkpoint, args.data], outputs, t0)
     return EXIT_OK
 

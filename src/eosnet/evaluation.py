@@ -5,17 +5,20 @@ AUC uses the average-rank (Mann-Whitney) formulation: the probability
 that a uniformly random positive outranks a uniformly random negative,
 with ties counted one half.  All stratified scores pool the actions of
 the stratum's sessions (or students) into one score/label set.
+
+The per-action end-of-session ``labels`` are the one record of session
+boundaries here too: a stratum is a mask over sessions, expanded over
+their actions, and no per-session copy of probabilities is kept.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from eosnet.sessions import HomeworkClass, LabeledSequence, session_homework_class
+from eosnet.sessions import HomeworkClass, LabeledSequence, homework_class, session_lengths
 
 N_TRAJECTORY_CHUNKS = 20
 MIN_TRAJECTORY_LENGTH = 20
@@ -54,40 +57,33 @@ def auc(scores, labels) -> Optional[float]:
 
 
 @dataclass(slots=True)
-class ScoredSession:
-    """One session's predicted probabilities plus stratification metadata."""
+class ScoredActions:
+    """Every scored action of the evaluated students, in student order and
+    then in time order, as aligned per-action arrays.
 
-    student_id: str
-    index: int
-    homework: HomeworkClass
-    probs: np.ndarray  # (length,), aligned with the session's actions
+    ``labels`` is the one record of session boundaries: each session ends
+    at a 1 and each student's last action is one.
+    """
 
-    @property
-    def length(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def labels(self) -> np.ndarray:
-        labels = np.zeros(self.length, dtype=np.int8)
-        labels[-1] = 1
-        return labels
+    probs: np.ndarray     # (n,) float64
+    labels: np.ndarray    # (n,) int8
+    homework: np.ndarray  # (n,) bool
+    students: np.ndarray  # (n,) int, the ordinal of the action's student
 
 
-def scored_sessions(seq: LabeledSequence, probs: np.ndarray) -> list[ScoredSession]:
-    """Split a student's per-action probabilities back into sessions."""
-    if probs.shape[0] != seq.n_actions:
-        raise ValueError("probabilities do not align with the sequence")
-    out = []
-    pos = 0
-    for session in seq.sessions:
-        out.append(ScoredSession(
-            student_id=seq.student_id,
-            index=session.index,
-            homework=session_homework_class(session),
-            probs=probs[pos:pos + len(session)].copy(),
-        ))
-        pos += len(session)
-    return out
+def scored_sessions(seqs: Sequence[LabeledSequence],
+                    probs: Mapping[str, np.ndarray]) -> ScoredActions:
+    """Align each student's probabilities ``probs[student_id]`` with the
+    labels and homework flags of its actions, students in ``seqs`` order."""
+    for seq in seqs:
+        if probs[seq.student_id].shape[0] != seq.n_actions:
+            raise ValueError(f"probabilities do not align with {seq.student_id}")
+    return ScoredActions(
+        probs=np.concatenate([np.zeros(0)] + [probs[s.student_id] for s in seqs]),
+        labels=np.concatenate([np.zeros(0, np.int8)] + [s.labels for s in seqs]),
+        homework=np.array([a.homework for s in seqs for a in s.actions], dtype=bool),
+        students=np.repeat(np.arange(len(seqs)), [s.n_actions for s in seqs]),
+    )
 
 
 @dataclass(slots=True)
@@ -129,25 +125,15 @@ class EvalReport:
         return [f"{i + 1},{float(v)!r}" for i, v in enumerate(self.trajectory)]
 
 
-def _pooled_auc(sessions: Sequence[ScoredSession]) -> Optional[float]:
-    if not sessions:
-        return None
-    scores = np.concatenate([s.probs for s in sessions])
-    labels = np.concatenate([s.labels for s in sessions])
-    return auc(scores, labels)
-
-
-def _bucket_aucs(sessions: Sequence[ScoredSession], count_of) -> dict:
-    """Pooled AUC per ``bucket_key(count_of(session))``, in bucket order,
-    omitting buckets without an AUC."""
-    groups: dict[str, list[ScoredSession]] = {key: [] for key in BUCKET_LABELS}
-    for session in sessions:
-        groups[bucket_key(count_of(session))].append(session)
-    aucs = {key: _pooled_auc(members) for key, members in groups.items()}
+def _stratum_aucs(pooled, session_keys: list, keys) -> dict:
+    """``pooled`` AUC of the sessions whose key is each of ``keys``, in
+    that order, omitting keys without an AUC."""
+    session_keys = np.array(session_keys, dtype=object)
+    aucs = {key: pooled(session_keys == key) for key in keys}
     return {key: value for key, value in aucs.items() if value is not None}
 
 
-def trajectory(sessions: Sequence[ScoredSession]) -> Optional[tuple[np.ndarray, float]]:
+def trajectory(scored: ScoredActions) -> Optional[tuple[np.ndarray, float]]:
     """Mean probability per 5% chunk over sessions of length >= 20, plus
     the mean probability at their true end-of-session actions.
 
@@ -159,41 +145,50 @@ def trajectory(sessions: Sequence[ScoredSession]) -> Optional[tuple[np.ndarray, 
     counts = np.zeros(N_TRAJECTORY_CHUNKS)
     eos_sum = 0.0
     eos_count = 0
-    for session in sessions:
-        length = session.length
+    end = 0
+    for length in session_lengths(scored.labels).tolist():
+        start, end = end, end + length
         if length < MIN_TRAJECTORY_LENGTH:
             continue
+        probs = scored.probs[start:end]
         chunks = (N_TRAJECTORY_CHUNKS * np.arange(length)) // length
-        np.add.at(sums, chunks, session.probs)
+        np.add.at(sums, chunks, probs)
         np.add.at(counts, chunks, 1)
-        eos_sum += float(session.probs[-1])
+        eos_sum += float(probs[-1])
         eos_count += 1
     if eos_count == 0:
         return None
     return sums / counts, eos_sum / eos_count
 
 
-def compute_report(sessions: Sequence[ScoredSession]) -> EvalReport:
-    """Assemble the full report from scored sessions."""
+def compute_report(scored: ScoredActions) -> EvalReport:
+    """Assemble the full report from the scored actions.
+
+    Each stratum is a mask over sessions, expanded over their actions;
+    its AUC pools those actions in their original order.
+    """
+    lengths = session_lengths(scored.labels)
+    session_of = np.cumsum(scored.labels) - scored.labels  # per action
+
+    def pooled(session_mask) -> Optional[float]:
+        mask = session_mask[session_of]
+        return auc(scored.probs[mask], scored.labels[mask]) if mask.any() else None
+
     report = EvalReport()
-    report.global_auc = _pooled_auc(sessions)
+    report.global_auc = pooled(np.ones(lengths.shape[0], dtype=bool))
 
-    for cls in HomeworkClass:
-        value = _pooled_auc([s for s in sessions if s.homework is cls])
-        if value is not None:
-            report.homework_auc[cls] = value
+    homework = np.bincount(session_of[scored.homework], minlength=lengths.shape[0])
+    report.homework_auc = _stratum_aucs(
+        pooled, list(map(homework_class, homework.tolist(), lengths.tolist())), HomeworkClass)
+    report.length_auc = _stratum_aucs(
+        pooled, list(map(bucket_key, lengths.tolist())), BUCKET_LABELS)
+    report.div5_auc = (pooled(lengths % 5 == 0), pooled(lengths % 5 != 0))
+    session_students = scored.students[np.flatnonzero(scored.labels)]
+    usage = np.bincount(session_students)[session_students]  # the student's sessions
+    report.usage_auc = _stratum_aucs(
+        pooled, list(map(bucket_key, usage.tolist())), BUCKET_LABELS)
 
-    report.length_auc = _bucket_aucs(sessions, lambda s: s.length)
-
-    report.div5_auc = (
-        _pooled_auc([s for s in sessions if s.length % 5 == 0]),
-        _pooled_auc([s for s in sessions if s.length % 5 != 0]),
-    )
-
-    session_counts = Counter(s.student_id for s in sessions)
-    report.usage_auc = _bucket_aucs(sessions, lambda s: session_counts[s.student_id])
-
-    traj = trajectory(sessions)
+    traj = trajectory(scored)
     if traj is not None:
         report.trajectory, report.eos_mean_prob = traj
     return report

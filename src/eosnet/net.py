@@ -531,16 +531,21 @@ class OptState:
         return cls(sq=params.zeros_like())
 
 
+@_quiet_overflow
 def rmsprop_update(params: ModelParams, grads: ModelParams, opt: OptState,
                    lr: float = 0.001) -> tuple[ModelParams, OptState]:
-    """s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(s)+eps)."""
+    """s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(s)+eps).
+    A non-finite s (a gradient beyond ~1e154) or theta raises NumericalFault."""
     new_sq = []
     new_params = []
     for theta, g, s in zip(params.arrays(), grads.arrays(), opt.sq.arrays()):
         s2 = RMSPROP_RHO * s + (1.0 - RMSPROP_RHO) * g * g
         new_sq.append(s2)
         new_params.append(theta - lr * g / (np.sqrt(s2) + RMSPROP_EPS))
-    return ModelParams(*new_params), OptState(sq=ModelParams(*new_sq))
+    sq, updated = ModelParams(*new_sq), ModelParams(*new_params)
+    if not (sq.all_finite() and updated.all_finite()):
+        raise NumericalFault("non-finite RMSprop update")
+    return updated, OptState(sq=sq)
 
 
 # ---------------------------------------------------------------------------

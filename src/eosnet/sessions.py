@@ -7,6 +7,10 @@ student's first or follows the previous one by strictly more than 900 s,
 so two actions exactly 900 s apart stay in the same session.  ``segment``
 and ``features.StreamFeaturizer.push`` both decide session starts with
 it.  The last action of every session carries label 1, all others 0.
+
+These per-action ``labels`` are the one record of where a student's
+sessions end: session lengths and ordinals are derived from them, and no
+per-session copy of the actions is kept.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from eosnet.ingest import RawAction, StudentLog
+from eosnet.ingest import StudentLog
 
 SESSION_GAP_SECONDS = 900
 
@@ -29,36 +33,27 @@ def starts_session(previous_timestamp: Optional[int], timestamp: int) -> bool:
 
 
 @dataclass(slots=True)
-class Session:
-    """One session: non-empty chronological actions of a single student."""
+class LabeledSequence(StudentLog):
+    """A student log plus per-action end-of-session labels.
 
-    student_id: str
-    actions: list[RawAction]
-    index: int  # 0-based ordinal within the student's history
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-
-@dataclass(slots=True)
-class LabeledSequence:
-    """A student's sessions plus per-action end-of-session labels.
-
-    ``labels`` aligns with the concatenation of all session actions and
-    holds exactly one 1 per session, at its last action.
+    ``labels`` aligns with ``actions`` and holds exactly one 1 per session,
+    at its last action, so the last action of a non-empty sequence is 1.
     """
 
-    student_id: str
-    sessions: list[Session]
-    labels: np.ndarray  # int8, length = total number of actions
-
-    @property
-    def actions(self) -> list[RawAction]:
-        return [action for session in self.sessions for action in session.actions]
+    labels: np.ndarray  # int8, length = number of actions
 
     @property
     def n_actions(self) -> int:
         return self.labels.shape[0]
+
+    @property
+    def session_lengths(self) -> np.ndarray:
+        return session_lengths(self.labels)
+
+
+def session_lengths(labels: np.ndarray) -> np.ndarray:
+    """The length of each session, in order, read off end-of-session labels."""
+    return np.diff(np.flatnonzero(labels), prepend=-1)
 
 
 class HomeworkClass(Enum):
@@ -67,37 +62,31 @@ class HomeworkClass(Enum):
     NONE = "none"
 
 
-def segment(log: StudentLog) -> list[Session]:
-    """Split a chronological student log into sessions at every action
-    that ``starts_session``.  The concatenation of the result equals the
-    input."""
-    sessions: list[Session] = []
+def segment(log: StudentLog) -> list[int]:
+    """The lengths of a chronological student log's sessions, in order:
+    a session starts at every action that ``starts_session``."""
+    lengths: list[int] = []
     previous: Optional[int] = None
     for action in log.actions:
         if starts_session(previous, action.timestamp):
-            sessions.append(Session(log.student_id, [], len(sessions)))
-        sessions[-1].actions.append(action)
+            lengths.append(0)
+        lengths[-1] += 1
         previous = action.timestamp
-    return sessions
+    return lengths
 
 
-def label(sessions: list[Session]) -> LabeledSequence:
-    """Attach end-of-session labels: 1 at each session's last action."""
-    if not sessions:
-        return LabeledSequence(student_id="", sessions=[], labels=np.zeros(0, dtype=np.int8))
-    labels = np.zeros(sum(len(s) for s in sessions), dtype=np.int8)
-    pos = -1
-    for session in sessions:
-        pos += len(session)
-        labels[pos] = 1
-    return LabeledSequence(student_id=sessions[0].student_id, sessions=sessions, labels=labels)
+def label(log: StudentLog) -> LabeledSequence:
+    """Segment ``log`` and label 1 at each session's last action."""
+    labels = np.zeros(len(log.actions), dtype=np.int8)
+    labels[np.cumsum(segment(log), dtype=np.intp) - 1] = 1
+    return LabeledSequence(log.student_id, log.actions, labels)
 
 
-def session_homework_class(session: Session) -> HomeworkClass:
-    """Only if every action is homework, None if none is, Partly otherwise."""
-    flags = [action.homework for action in session.actions]
-    if all(flags):
+def homework_class(homework_actions: int, length: int) -> HomeworkClass:
+    """The class of a session of ``length`` actions, ``homework_actions``
+    of them homework: Only if all are, None if none is, Partly otherwise."""
+    if homework_actions == length:
         return HomeworkClass.ONLY
-    if not any(flags):
+    if homework_actions == 0:
         return HomeworkClass.NONE
     return HomeworkClass.PARTLY

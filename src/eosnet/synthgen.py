@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from eosnet.ingest import ActionKind, RawAction, StudentLog
-from eosnet.sessions import SESSION_GAP_SECONDS, HomeworkClass, segment, session_homework_class
+from eosnet.sessions import SESSION_GAP_SECONDS, HomeworkClass, homework_class, segment
 
 _PURE, _PARTLY, _FREE = 0, 1, 2
 
@@ -317,13 +318,14 @@ def summarize(logs: list[StudentLog]) -> LogSummary:
     summary = LogSummary(n_students=len(logs))
     class_counts = Counter()
     for log in logs:
-        sessions = segment(log)
-        summary.n_sessions += len(sessions)
+        lengths = segment(log)
+        summary.n_sessions += len(lengths)
         summary.n_actions += len(log.actions)
-        summary.sessions_per_student_hist[len(sessions)] += 1
-        for session in sessions:
-            summary.session_length_hist[len(session)] += 1
-            class_counts[session_homework_class(session)] += 1
+        summary.sessions_per_student_hist[len(lengths)] += 1
+        summary.session_length_hist.update(lengths)
+        for end, length in zip(accumulate(lengths), lengths):
+            homework = sum(a.homework for a in log.actions[end - length:end])
+            class_counts[homework_class(homework, length)] += 1
     if summary.n_sessions:
         summary.homework_fractions = {
             cls: class_counts[cls] / summary.n_sessions for cls in HomeworkClass

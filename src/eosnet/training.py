@@ -109,7 +109,7 @@ def student_weights(seq: LabeledSequence) -> np.ndarray:
     """1.0 everywhere except label-1 steps, which carry the student's
     average session length (actions / sessions)."""
     weights = np.ones(seq.n_actions)
-    ratio = seq.n_actions / len(seq.sessions)
+    ratio = seq.n_actions / np.count_nonzero(seq.labels)
     weights[seq.labels == 1] = ratio
     return weights
 
@@ -118,7 +118,7 @@ def session_weights(seq: LabeledSequence) -> np.ndarray:
     """Session-level analogue: each end-of-session step weighs its own
     session's length."""
     weights = np.ones(seq.n_actions)
-    weights[seq.labels == 1] = [len(session) for session in seq.sessions]
+    weights[seq.labels == 1] = seq.session_lengths
     return weights
 
 
@@ -341,9 +341,9 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
                     del result
                     if not math.isfinite(num):
                         raise NumericalFault("non-finite loss")
-                if den > 0.0:
-                    params, opt = rmsprop_update(params, grads, opt,
-                                                 lr=config.learning_rate)
+                    if den > 0.0:
+                        params, opt = rmsprop_update(params, grads, opt,
+                                                     lr=config.learning_rate)
                 loss_num += num
                 loss_den += den
         train_loss = loss_num / loss_den if loss_den else 0.0

@@ -207,6 +207,27 @@ class TestSessionize:
         assert header.endswith(",session_index,label")
         assert len(rows) == n_actions
 
+    def test_value_columns_follow_the_gap_rule(self, corpus, tmp_path):
+        # session_index is 0-based per student and steps up exactly at a
+        # gap over 900 s; label is 1 exactly on each session's last row
+        data, _ = corpus
+        out = tmp_path / "sessions.csv"
+        assert main(["sessionize", "--data", str(data), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        keys = [(row[0], int(row[1]), int(row[7]), int(row[8])) for row in rows]
+        assert len(keys) == len(data.read_text().splitlines()) - 1
+        assert any(index > 0 for _, _, index, _ in keys)
+        for k, (sid, ts, index, eos) in enumerate(keys):
+            if k == 0 or keys[k - 1][0] != sid:
+                assert index == 0
+            else:
+                previous = keys[k - 1]
+                assert index == previous[2] + (ts - previous[1] > 900)
+            ends = k + 1 == len(keys) or keys[k + 1][0] != sid \
+                or keys[k + 1][1] - ts > 900
+            assert eos == int(ends)
+
     def test_strict_rejects_bad_line(self, with_bad_line, tmp_path, capsys):
         path, _ = with_bad_line
         out = tmp_path / "sessions.csv"
@@ -241,13 +262,15 @@ class TestTrain:
         assert_literals(manifest["config"])
 
     def test_diverging_run_ends_in_one_error_line(self, corpus, tmp_path, capsys):
-        # The first update sends the weights to ~1e300, so validation
-        # scoring overflows: one error line naming the epoch, no warnings.
-        data, _ = corpus
-        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
-                     "--max-epochs", "1", "--patience", "none", "--seed", "0",
-                     "--learning-rate", "1e300", "--quiet"]) == EXIT_NUMERIC
-        assert_one_error_line(capsys, "training diverged (epoch=1)")
+        # At 1e300 the first update sends the weights to ~1e300, so
+        # validation scoring overflows.  At 1e100 a later gradient squares
+        # to inf in RMSprop.  Either way: one error line, no warnings.
+        for learning_rate, context in (("1e300", "(epoch=1)"),
+                                       ("1e100", "(batch=0, epoch=2, window=0)")):
+            assert main(["train", "--data", str(corpus[0]), "--out", str(tmp_path / "run"),
+                         "--max-epochs", "3", "--patience", "none", "--seed", "0",
+                         "--learning-rate", learning_rate, "--quiet"]) == EXIT_NUMERIC
+            assert_one_error_line(capsys, f"training diverged {context}")
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_seeded_runs_are_byte_identical(self, corpus, tmp_path, level):

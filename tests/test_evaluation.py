@@ -1,11 +1,15 @@
 """AUC computation, stratified reports, trajectory, and scoring."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from eosnet.evaluation import (
-    ScoredSession,
+    BUCKET_LABELS,
+    EvalReport,
+    ScoredActions,
     auc,
     bucket_key,
     compute_report,
@@ -14,7 +18,7 @@ from eosnet.evaluation import (
 )
 from eosnet.ingest import ActionKind, RawAction, StudentLog
 from eosnet.net import ModelParams, forward_batch, init_params
-from eosnet.sessions import HomeworkClass, label, segment
+from eosnet.sessions import HomeworkClass, label
 from eosnet.training import Level, prepare_sequence, score_sequences
 
 
@@ -94,25 +98,44 @@ class TestBucketKey:
         assert bucket_key(count) == key
 
 
-def session(student, index, probs, homework=HomeworkClass.NONE):
-    return ScoredSession(student_id=student, index=index,
-                         homework=homework, probs=np.asarray(probs, dtype=float))
+def session(student, probs, homework=HomeworkClass.NONE):
+    """One hand-built session: its student, probabilities and homework
+    flags (Partly marks only the first action as homework)."""
+    probs = np.asarray(probs, dtype=float)
+    flags = np.full(probs.shape[0], homework is HomeworkClass.ONLY)
+    if homework is HomeworkClass.PARTLY:
+        flags[0] = True
+    return student, probs, flags
+
+
+def scored(*sessions):
+    """The flat record of hand-built sessions, each student's together."""
+    students = list(dict.fromkeys(student for student, _, _ in sessions))
+    labels = [np.zeros(len(probs), dtype=np.int8) for _, probs, _ in sessions]
+    for session_labels in labels:
+        session_labels[-1] = 1
+    return ScoredActions(
+        probs=np.concatenate([probs for _, probs, _ in sessions]),
+        labels=np.concatenate(labels),
+        homework=np.concatenate([flags for _, _, flags in sessions]),
+        students=np.concatenate([np.full(len(probs), students.index(student))
+                                 for student, probs, _ in sessions]),
+    )
 
 
 class TestStratifiedReport:
     def test_degenerate_single_length_stratum(self):
-        sessions = [session("a", 0, [0.1, 0.2, 0.1, 0.3, 0.8]),
-                    session("a", 1, [0.2, 0.1, 0.4, 0.2, 0.9]),
-                    session("b", 0, [0.3, 0.3, 0.1, 0.2, 0.7])]
-        report = compute_report(sessions)
+        report = compute_report(scored(session("a", [0.1, 0.2, 0.1, 0.3, 0.8]),
+                                       session("a", [0.2, 0.1, 0.4, 0.2, 0.9]),
+                                       session("b", [0.3, 0.3, 0.1, 0.2, 0.7])))
         assert list(report.length_auc) == ["1-5"]
         assert report.div5_auc[0] == pytest.approx(report.global_auc)
         assert report.div5_auc[1] is None
 
     def test_strata_match_pairwise_oracle(self):
-        hw = session("a", 0, [0.2, 0.9], HomeworkClass.ONLY)
-        free = session("b", 0, [0.5, 0.4, 0.6], HomeworkClass.NONE)
-        report = compute_report([hw, free])
+        hw = session("a", [0.2, 0.9], HomeworkClass.ONLY)
+        free = session("b", [0.5, 0.4, 0.6], HomeworkClass.NONE)
+        report = compute_report(scored(hw, free))
         assert report.homework_auc[HomeworkClass.ONLY] == pytest.approx(
             brute_force_auc([0.2, 0.9], [0, 1]))
         assert report.homework_auc[HomeworkClass.NONE] == pytest.approx(
@@ -122,18 +145,18 @@ class TestStratifiedReport:
         assert HomeworkClass.PARTLY not in report.homework_auc
 
     def test_usage_bucket_for_seven_sessions(self):
-        sessions = [session("a", i, [0.4, 0.6]) for i in range(7)]
-        sessions.append(session("b", 0, [0.5, 0.5]))
-        report = compute_report(sessions)
+        sessions = [session("a", [0.4, 0.6]) for _ in range(7)]
+        sessions.append(session("b", [0.5, 0.5]))
+        report = compute_report(scored(*sessions))
         assert "6-10" in report.usage_auc
         assert report.usage_auc["6-10"] == pytest.approx(
             auc([0.4, 0.6] * 7, [0, 1] * 7))
         assert report.usage_auc["1-5"] == 0.5
 
     def test_metric_lines_schema(self):
-        sessions = [session("a", 0, [0.1] * 5 + [0.9] * 5, HomeworkClass.ONLY),
-                    session("a", 1, [0.2, 0.8], HomeworkClass.PARTLY)]
-        report = compute_report(sessions)
+        report = compute_report(scored(
+            session("a", [0.1] * 5 + [0.9] * 5, HomeworkClass.ONLY),
+            session("a", [0.2, 0.8], HomeworkClass.PARTLY)))
         lines = report.metric_lines()
         names = {line.split(",")[0] + "," + line.split(",")[1] for line in lines}
         assert "auc,global" in names
@@ -144,26 +167,26 @@ class TestStratifiedReport:
 class TestTrajectory:
     def test_length_20_one_action_per_chunk(self):
         probs = np.linspace(0.1, 0.9, 20)
-        result = trajectory([session("a", 0, probs)])
+        result = trajectory(scored(session("a", probs)))
         chunks, eos_mean = result
         np.testing.assert_allclose(chunks, probs)
         assert eos_mean == pytest.approx(probs[-1])
 
     def test_length_100_five_actions_per_chunk(self):
         probs = np.arange(100, dtype=float)
-        chunks, _ = trajectory([session("a", 0, probs)])
+        chunks, _ = trajectory(scored(session("a", probs)))
         expected = probs.reshape(20, 5).mean(axis=1)
         np.testing.assert_allclose(chunks, expected)
 
     def test_constant_probabilities(self):
-        chunks, eos_mean = trajectory([session("a", 0, [0.3] * 25)])
+        chunks, eos_mean = trajectory(scored(session("a", [0.3] * 25)))
         np.testing.assert_allclose(chunks, 0.3)
         assert eos_mean == pytest.approx(0.3)
 
     def test_short_sessions_excluded(self):
-        assert trajectory([session("a", 0, [0.5] * 19)]) is None
-        result = trajectory([session("a", 0, [0.5] * 19),
-                             session("a", 1, [0.2] * 20)])
+        assert trajectory(scored(session("a", [0.5] * 19))) is None
+        result = trajectory(scored(session("a", [0.5] * 19),
+                                   session("a", [0.2] * 20)))
         chunks, _ = result
         np.testing.assert_allclose(chunks, 0.2)
 
@@ -175,6 +198,100 @@ class TestTrajectory:
         assert set(sizes.tolist()) <= {1, 2}
 
 
+def report_oracle(students):
+    """The report pooled from per-session lists.
+
+    ``students`` maps each student id to its sessions in time order, each
+    a ``(probs, homework_flags)`` pair of lists; every stratum concatenates
+    the lists of its sessions, students in mapping order.
+    """
+    sessions = [(sid, probs, flags) for sid, own in students.items()
+                for probs, flags in own]
+
+    def pooled(members):
+        if not members:
+            return None
+        scores = [p for _, probs, _ in members for p in probs]
+        labels = [int(j == len(probs) - 1) for _, probs, _ in members
+                  for j in range(len(probs))]
+        return auc(np.array(scores), np.array(labels, dtype=np.int8))
+
+    def buckets(count_of):
+        groups = {key: [] for key in BUCKET_LABELS}
+        for member in sessions:
+            groups[bucket_key(count_of(member))].append(member)
+        aucs = {key: pooled(members) for key, members in groups.items()}
+        return {key: value for key, value in aucs.items() if value is not None}
+
+    def homework(flags):
+        if all(flags):
+            return HomeworkClass.ONLY
+        return HomeworkClass.PARTLY if any(flags) else HomeworkClass.NONE
+
+    report = EvalReport()
+    report.global_auc = pooled(sessions)
+    for cls in HomeworkClass:
+        value = pooled([m for m in sessions if homework(m[2]) is cls])
+        if value is not None:
+            report.homework_auc[cls] = value
+    report.length_auc = buckets(lambda m: len(m[1]))
+    report.div5_auc = (pooled([m for m in sessions if len(m[1]) % 5 == 0]),
+                       pooled([m for m in sessions if len(m[1]) % 5 != 0]))
+    counts = Counter(sid for sid, _, _ in sessions)
+    report.usage_auc = buckets(lambda m: counts[m[0]])
+
+    sums, hits, eos = np.zeros(20), np.zeros(20), []
+    for _, probs, _ in sessions:
+        if len(probs) >= 20:
+            chunks = (20 * np.arange(len(probs))) // len(probs)
+            np.add.at(sums, chunks, probs)
+            np.add.at(hits, chunks, 1)
+            eos.append(probs[-1])
+    if eos:
+        total = 0.0
+        for p in eos:
+            total += p
+        report.trajectory, report.eos_mean_prob = sums / hits, total / len(eos)
+    return report
+
+
+# Per student: sessions of (length, homework mix) with mix 0 none, 1 all, 2 random.
+STUDENT_SESSIONS = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=100), st.integers(min_value=0, max_value=2)),
+    min_size=1, max_size=12)
+
+
+class TestReportOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(STUDENT_SESSIONS, max_size=8), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans())
+    def test_report_equals_per_session_oracle(self, shapes, seed, grid):
+        rng = np.random.default_rng(seed)
+        seqs, probs, students = [], {}, {}
+        for k, shape in enumerate(shapes):
+            sid = f"s{k}"
+            actions, own, ts = [], [], 0
+            for length, mix in shape:
+                flags = [bool(f) for f in rng.integers(0, 2, length)] if mix == 2 \
+                    else [bool(mix)] * length
+                # grid-valued probabilities tie across sessions and students
+                values = (rng.integers(0, 8, length) / 8 if grid
+                          else rng.uniform(0, 1, length)).tolist()
+                own.append((values, flags))
+                for flag in flags:
+                    actions.append(RawAction(sid, ts, ActionKind.MATERIAL,
+                                             "L1", "T1", None, flag))
+                    ts += 10
+                ts += 2000
+            seqs.append(label(StudentLog(sid, actions)))
+            probs[sid] = np.array([p for values, _ in own for p in values])
+            students[sid] = own
+        got = compute_report(scored_sessions(seqs, probs))
+        expected = report_oracle(students)
+        assert got.metric_lines() == expected.metric_lines()
+        assert got.trajectory_rows() == expected.trajectory_rows()
+
+
 def student_fixture(rng, student="s", n_sessions=3):
     actions = []
     ts = 1_600_000_000
@@ -184,7 +301,7 @@ def student_fixture(rng, student="s", n_sessions=3):
                                      "L1", "T1", None, False))
             ts += int(rng.integers(10, 400))
         ts += 2000
-    return label(segment(StudentLog(student, actions)))
+    return label(StudentLog(student, actions))
 
 
 def lane_probs(params, features, resets):
@@ -216,7 +333,7 @@ class TestScore:
         seq = student_fixture(rng)
         full = score(params, seq, Level.STUDENT)
         cut = seq.n_actions // 2
-        prefix_seq = label(segment(StudentLog("s", seq.actions[:cut])))
+        prefix_seq = label(StudentLog("s", seq.actions[:cut]))
         prefix = score(params, prefix_seq, Level.STUDENT)
         np.testing.assert_allclose(prefix, full[:cut], rtol=1e-12)
 
@@ -228,7 +345,7 @@ class TestScore:
         seq = student_fixture(rng, n_sessions=4)
         prepared = prepare_sequence(seq, Level.SESSION)
         full = lane_probs(params, prepared.features, prepared.resets)
-        last_len = len(seq.sessions[-1])
+        last_len = int(seq.session_lengths[-1])
         tail_frames = prepared.features[-last_len:]
         tail_resets = prepared.resets[-last_len:]
         tail = lane_probs(params, tail_frames, tail_resets)
@@ -240,7 +357,7 @@ class TestScore:
         seq = student_fixture(rng, n_sessions=4)
         prepared = prepare_sequence(seq, Level.STUDENT)
         full = lane_probs(params, prepared.features, prepared.resets)
-        last_len = len(seq.sessions[-1])
+        last_len = int(seq.session_lengths[-1])
         tail = lane_probs(params, prepared.features[-last_len:],
                           prepared.resets[-last_len:])
         assert np.abs(tail - full[-last_len:]).max() > 1e-9
@@ -262,8 +379,11 @@ class TestScore:
         rng = np.random.default_rng(4)
         seq = student_fixture(rng, n_sessions=3)
         probs = rng.uniform(0.01, 0.99, seq.n_actions)
-        sessions = scored_sessions(seq, probs)
-        assert len(sessions) == 3
-        assert sum(s.length for s in sessions) == seq.n_actions
-        np.testing.assert_array_equal(np.concatenate([s.probs for s in sessions]),
-                                      probs)
+        record = scored_sessions([seq], {seq.student_id: probs})
+        assert int(record.labels.sum()) == 3
+        assert record.probs.shape == record.homework.shape == (seq.n_actions,)
+        np.testing.assert_array_equal(record.probs, probs)
+        np.testing.assert_array_equal(record.labels, seq.labels)
+        np.testing.assert_array_equal(record.students, 0)
+        with pytest.raises(ValueError):
+            scored_sessions([seq], {seq.student_id: probs[1:]})

@@ -14,7 +14,7 @@ from eosnet.features import (
     transform_gap,
 )
 from eosnet.ingest import ActionKind, RawAction, StudentLog
-from eosnet.sessions import label, segment
+from eosnet.sessions import label
 
 
 def ts_at_local_hour(hour, utc_offset_minutes=60, day=20_000):
@@ -70,7 +70,7 @@ class TestTransformGap:
 def build_seq(specs, student="s"):
     """specs: list of (ts, kind, lesson, topic, correct, homework)."""
     actions = [RawAction(student, *spec) for spec in specs]
-    return label(segment(StudentLog(student, actions)))
+    return label(StudentLog(student, actions))
 
 
 M, Q = ActionKind.MATERIAL, ActionKind.FILL_OUT_QUESTION
@@ -174,7 +174,7 @@ def random_logs(draw):
 class TestFeatureProperties:
     @given(random_logs())
     def test_one_hot_groups_and_binary_columns(self, log):
-        seq = label(segment(log))
+        seq = label(log)
         frames = featurize(seq)
         assert frames.shape == (len(log.actions), F.FEATURE_DIM)
         assert (frames[:, 0:3].sum(axis=1) == 1.0).all()
@@ -186,27 +186,27 @@ class TestFeatureProperties:
 
     @given(random_logs())
     def test_causality_prefix_property(self, log):
-        seq = label(segment(log))
+        seq = label(log)
         frames = featurize(seq)
         cut = max(1, len(log.actions) // 2)
-        prefix_seq = label(segment(StudentLog("s", log.actions[:cut])))
+        prefix_seq = label(StudentLog("s", log.actions[:cut]))
         prefix = featurize(prefix_seq)
         np.testing.assert_array_equal(prefix, frames[:cut])
 
     @given(random_logs())
     def test_exactly_one_session_start_per_session(self, log):
-        seq = label(segment(log))
+        seq = label(log)
         frames = featurize(seq)
         starts = frames[:, F.SESSION_START]
-        assert int(starts.sum()) == len(seq.sessions)
+        assert int(starts.sum()) == len(seq.session_lengths)
         pos = 0
-        for session in seq.sessions:
+        for length in seq.session_lengths:
             assert starts[pos] == 1.0
-            pos += len(session)
+            pos += length
 
     @given(random_logs())
     def test_stream_featurizer_matches_batch(self, log):
-        seq = label(segment(log))
+        seq = label(log)
         frames = featurize(seq)
         stream = StreamFeaturizer()
         rows = [stream.push(a) for a in log.actions]

@@ -5,13 +5,7 @@ from hypothesis import given, strategies as st
 from eosnet import features as F
 from eosnet.features import StreamFeaturizer
 from eosnet.ingest import ActionKind, RawAction, StudentLog
-from eosnet.sessions import (
-    HomeworkClass,
-    Session,
-    label,
-    segment,
-    session_homework_class,
-)
+from eosnet.sessions import HomeworkClass, homework_class, label, segment
 
 
 def log_from_gaps(gaps, homework=None):
@@ -47,12 +41,12 @@ def pushed_session_starts(log):
 class TestSegment:
     def test_gap_exactly_900_stays_in_session(self):
         log = log_from_gaps([900])
-        assert [len(s) for s in segment(log)] == [2]
+        assert segment(log) == [2]
         assert pushed_session_starts(log) == [1.0, 0.0]
 
     def test_gap_901_splits(self):
         log = log_from_gaps([901])
-        assert [len(s) for s in segment(log)] == [1, 1]
+        assert segment(log) == [1, 1]
         assert pushed_session_starts(log) == [1.0, 1.0]
 
     def test_seven_action_sequence_one_session(self):
@@ -65,41 +59,44 @@ class TestSegment:
                       True if k.is_question else None, False)
             for i, k in enumerate(kinds)
         ]
-        seq = label(segment(StudentLog("s", actions)))
-        assert len(seq.sessions) == 1
+        seq = label(StudentLog("s", actions))
+        assert seq.session_lengths.tolist() == [7]
         assert seq.labels.tolist() == [0, 0, 0, 0, 0, 0, 1]
-        assert seq.sessions[0].actions[-1].kind is ActionKind.MATERIAL
+        assert seq.actions[-1].kind is ActionKind.MATERIAL
 
     def test_empty_log(self):
         assert segment(StudentLog("s", [])) == []
 
     def test_concatenation_and_indices(self):
+        # session ordinals are checked through ``sessionize`` in test_cli
         log = log_from_gaps([10, 2000, 10, 10, 5000])
-        sessions = segment(log)
-        assert [s.index for s in sessions] == [0, 1, 2]
-        rebuilt = [a for s in sessions for a in s.actions]
-        assert rebuilt == log.actions
+        assert segment(log) == [2, 3, 1]
+        seq = label(log)
+        assert seq.actions is log.actions
+        assert seq.session_lengths.tolist() == [2, 3, 1]
 
     @given(st.lists(st.integers(min_value=0, max_value=3000), max_size=60))
     def test_matches_scan_oracle(self, gaps):
-        sessions = segment(log_from_gaps(gaps))
-        assert [len(s) for s in sessions] == scan_oracle(gaps)
+        assert segment(log_from_gaps(gaps)) == scan_oracle(gaps)
 
     @given(st.lists(st.integers(min_value=0, max_value=3000), max_size=60))
     def test_partition_preserves_order(self, gaps):
         log = log_from_gaps(gaps)
-        sessions = segment(log)
-        assert sum(len(s) for s in sessions) == len(log.actions)
-        assert [a for s in sessions for a in s.actions] == log.actions
+        lengths = segment(log)
+        assert sum(lengths) == len(log.actions)
+        assert min(lengths) >= 1
+        seq = label(log)
+        assert seq.actions == log.actions
+        assert seq.session_lengths.tolist() == lengths
 
 
 class TestLabel:
     def test_single_session_of_five(self):
-        seq = label(segment(log_from_gaps([1, 1, 1, 1])))
+        seq = label(log_from_gaps([1, 1, 1, 1]))
         assert seq.labels.tolist() == [0, 0, 0, 0, 1]
 
     def test_three_singleton_sessions(self):
-        seq = label(segment(log_from_gaps([1000, 1000])))
+        seq = label(log_from_gaps([1000, 1000]))
         assert seq.labels.tolist() == [1, 1, 1]
 
     def test_400_actions_16_sessions(self):
@@ -107,34 +104,32 @@ class TestLabel:
         gaps = []
         for i in range(399):
             gaps.append(1000 if (i + 1) % 25 == 0 else 5)
-        seq = label(segment(log_from_gaps(gaps)))
-        assert len(seq.sessions) == 16
+        seq = label(log_from_gaps(gaps))
+        assert seq.session_lengths.tolist() == [25] * 16
         assert seq.labels.shape[0] == 400
         assert int(seq.labels.sum()) == 16
 
     @given(st.lists(st.integers(min_value=0, max_value=3000), max_size=60))
     def test_one_label_per_session_at_last_position(self, gaps):
-        sessions = segment(log_from_gaps(gaps))
-        seq = label(sessions)
-        assert int(seq.labels.sum()) == len(sessions)
+        lengths = segment(log_from_gaps(gaps))
+        seq = label(log_from_gaps(gaps))
+        assert int(seq.labels.sum()) == len(lengths)
         pos = -1
-        for session in sessions:
-            pos += len(session)
+        for length in lengths:
+            pos += length
             assert seq.labels[pos] == 1
         assert seq.labels.shape[0] == len(log_from_gaps(gaps).actions)
 
 
 class TestHomeworkClass:
-    def _session(self, flags):
-        actions = [RawAction("s", i, ActionKind.MATERIAL, "L1", "T1", None, f)
-                   for i, f in enumerate(flags)]
-        return Session("s", actions, 0)
+    def _classify(self, flags):
+        return homework_class(sum(flags), len(flags))
 
     def test_only(self):
-        assert session_homework_class(self._session([True, True])) is HomeworkClass.ONLY
+        assert self._classify([True, True]) is HomeworkClass.ONLY
 
     def test_partly(self):
-        assert session_homework_class(self._session([True, False])) is HomeworkClass.PARTLY
+        assert self._classify([True, False]) is HomeworkClass.PARTLY
 
     def test_none(self):
-        assert session_homework_class(self._session([False, False])) is HomeworkClass.NONE
+        assert self._classify([False, False]) is HomeworkClass.NONE

@@ -8,7 +8,7 @@ import pytest
 
 from eosnet.cli import EXIT_OK, main
 from eosnet.ingest import format_action
-from eosnet.sessions import HomeworkClass, segment, session_homework_class
+from eosnet.sessions import HomeworkClass, homework_class, segment
 from eosnet.synthgen import GenConfig, _draw_profile, generate, summarize
 
 
@@ -16,6 +16,15 @@ def small_config(**overrides):
     defaults = dict(n_students=60, seed=7)
     defaults.update(overrides)
     return GenConfig(**defaults)
+
+
+def sessions_of(log):
+    """The log's actions cut into sessions at the lengths ``segment`` finds."""
+    sessions, start = [], 0
+    for length in segment(log):
+        sessions.append(log.actions[start:start + length])
+        start += length
+    return sessions
 
 
 def profile_multipliers(cfg: GenConfig) -> dict[str, float]:
@@ -51,28 +60,29 @@ class TestStructure:
         logs = generate(small_config(homework_session_fraction=1.0,
                                      partly_fraction=0.0))
         for log in logs:
-            for session in segment(log):
+            for session in sessions_of(log):
                 assert len(session) % 5 == 0
-                assert session_homework_class(session) is HomeworkClass.ONLY
+                homework = sum(a.homework for a in session)
+                assert homework_class(homework, len(session)) is HomeworkClass.ONLY
 
     def test_sessionizer_recovers_generated_boundaries(self):
         logs = generate(small_config())
         for log in logs:
-            sessions = segment(log)
+            sessions = sessions_of(log)
             # within-session gaps <= 900, between-session gaps > 900
             for session in sessions:
-                ts = [a.timestamp for a in session.actions]
+                ts = [a.timestamp for a in session]
                 assert all(b - a <= 900 for a, b in zip(ts, ts[1:]))
             for prev, cur in zip(sessions, sessions[1:]):
-                gap = cur.actions[0].timestamp - prev.actions[-1].timestamp
+                gap = cur[0].timestamp - prev[-1].timestamp
                 assert gap > 900
 
     def test_partly_sessions_mix_flags(self):
         logs = generate(small_config(partly_fraction=1.0,
                                      homework_session_fraction=0.0))
         for log in logs:
-            for session in segment(log):
-                flags = [a.homework for a in session.actions]
+            for session in sessions_of(log):
+                flags = [a.homework for a in session]
                 assert any(flags) and not all(flags)
 
     def test_valid_actions(self):
@@ -115,8 +125,8 @@ class TestCalibration:
         pairs = []
         for log in corpus:
             m = multipliers[log.student_id]
-            for session in segment(log):
-                pairs.append((m, len(session)))
+            for length in segment(log):
+                pairs.append((m, length))
         values = np.array(pairs)
         # Spearman rank correlation, computed directly
         def ranks(x):

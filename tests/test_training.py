@@ -12,7 +12,7 @@ from eosnet.net import (
     forward_batch,
     init_params,
 )
-from eosnet.sessions import label, segment
+from eosnet.sessions import label
 from eosnet.training import (
     EarlyStopper,
     Level,
@@ -42,7 +42,7 @@ def labeled_from_gaps(gaps, student="s"):
         timestamps.append(timestamps[-1] + gap)
     actions = [RawAction(student, ts, ActionKind.MATERIAL, "L1", "T1", None, False)
                for ts in timestamps]
-    return label(segment(StudentLog(student, actions)))
+    return label(StudentLog(student, actions))
 
 
 def labeled_with_sessions(session_lengths, student="s"):
@@ -74,7 +74,7 @@ class TestStudentWeights:
     def test_weight_sum_identity(self, lengths):
         seq = labeled_with_sessions(lengths)
         weights = student_weights(seq)
-        actions, sessions = seq.n_actions, len(seq.sessions)
+        actions, sessions = seq.n_actions, len(lengths)
         assert weights.sum() == pytest.approx(2 * actions - sessions, rel=1e-12)
 
 
@@ -272,7 +272,7 @@ def make_toy_students(n_students, rng):
         actions = [RawAction(f"s{i}", ts, ActionKind.MATERIAL, "L1", "T1", None,
                              bool(rng.integers(2))) for ts in timestamps]
         logs.append(StudentLog(f"s{i}", actions))
-    return [label(segment(lg)) for lg in logs]
+    return [label(lg) for lg in logs]
 
 
 class TestTrainLoop:
@@ -320,10 +320,10 @@ class TestTrainLoop:
 
     def test_session_level_resets_at_each_session(self):
         labeled = make_toy_students(12, np.random.default_rng(0))
-        assert max(len(seq.sessions) for seq in labeled) > 1
+        assert max(len(seq.session_lengths) for seq in labeled) > 1
         for seq in labeled:
             starts = np.zeros(seq.n_actions, dtype=bool)
-            starts[np.cumsum([0] + [len(s) for s in seq.sessions[:-1]])] = True
+            starts[np.cumsum([0] + seq.session_lengths[:-1].tolist())] = True
             np.testing.assert_array_equal(
                 prepare_sequence(seq, Level.SESSION).resets, starts)
             assert not prepare_sequence(seq, Level.STUDENT).resets.any()
