@@ -32,25 +32,38 @@ The exact exp-form :func:`sigmoid` and the clip run once over that array;
 the exp form keeps the relative precision of tiny probabilities that the
 loss needs.  At inference (``want_cache=False``) the loop therefore holds
 only ``O(B*(D+5H))`` of step buffers plus the logits, whatever the
-history length.  With ``want_cache=True`` it also writes each step's
-gates ``(T, B, 4H)``, cell and hidden states ``(T, B, H)`` and dense
-activations into the cache that backpropagation reads; their padded
-entries stay 0.  Its dropout masks are bool, and a kept unit is scaled as
-``(a * m) * inv_keep``, the same bits as a float mask ``m / keep``.
+history length.
 
-The cache is single-use.  :func:`backward_batch` overwrites it in place
-(gate gradients over the gates, the pre-step hidden states over ``h``)
-and marks it spent, so beyond the cache it allocates only one
-``(T, B, H)`` buffer and ``O(B*4H)`` of step buffers; a second call on
-the same cache is a ValueError.  Both kernels check their outputs for
-non-finite values themselves and run with numpy's overflow and invalid
-warnings off.
+With ``want_cache=True`` the loop writes each step's gates, cell and
+hidden states and dense activations straight into the cache that
+backpropagation reads, in the packed-row layout of cuDNN-style RNN
+kernels (Appleyard, Kocisky & Blunsom 2016): the arrays are ``(n, width)``
+for the window's n real lane-steps, and step t owns the contiguous rows
+``offsets[t]:offsets[t+1]``, one per live lane.  Because the live lanes
+only shrink, the state a live lane starts step t from is in the tail of
+step t-1's rows, so no padded lane-step is stored and nothing is copied
+into the cache.  Each GEMM keeps the row count it has at inference, so
+a cached pass gives the same bits as a plain one.  The dropout masks are
+still drawn for every ``(t, b)`` entry, so the random stream does not
+depend on the lengths, and then cut to the real rows.  They are bool,
+and a kept unit is scaled as ``(a * m) * inv_keep``, the same bits as a
+float mask ``m / keep``.
+
+The cache is single-use.  :func:`backward_batch` runs the loss, the head,
+the BPTT loop and the weight-gradient GEMMs on the packed rows, overwrites
+the cache in place (gate gradients over the gates, the pre-step hidden
+states over ``c``) and marks it spent.  Beyond the cache and the gradients
+it allocates one ``(n, H)`` buffer and ``O(B*H)`` of step buffers; a
+second call on the same cache is a ValueError.  Both kernels check their
+outputs for non-finite values themselves and run with numpy's overflow
+and invalid warnings off.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -187,32 +200,34 @@ def init_params(seed: int, input_dim: int = FEATURE_DIM,
 
 # ---------------------------------------------------------------------------
 # batched forward / backward
-# ---------------------------------------------------------------------------
-
 @dataclass(slots=True)
 class _ForwardCache:
     """One training window's activations, read once by :func:`backward_batch`.
 
-    The dropout masks are bool (``None`` without dropout); a unit is kept
-    as ``(a * m) * inv_keep``.  Padded entries of every array are 0.
-    ``backward_batch`` overwrites ``gates``, ``h``, ``a1`` and ``a2`` in
+    Every array holds only the lane-steps the forward pass ran, as packed
+    rows: step t owns rows ``offsets[t]:offsets[t + 1]``, one per live lane
+    ``[first_live[t]:]`` in lane order, so a lane's previous state is in
+    the tail of step t-1's rows.  The dropout masks are bool (``None``
+    without dropout); a unit is kept as ``(a * m) * inv_keep``.
+    ``backward_batch`` overwrites ``gates``, ``c``, ``a1`` and ``a2`` in
     place and marks the cache ``spent``.
     """
 
-    X: np.ndarray        # (T, B, D)
+    X: np.ndarray        # (n, D) input rows
     resets: np.ndarray   # (T, B) bool
     first_live: list     # step t ran lanes [first_live[t]:]
-    gates: np.ndarray    # (T, B, 4H) post-activation, blocks i|f|g|o
-    c: np.ndarray        # (T, B, H)
-    h: np.ndarray        # (T, B, H)
-    h0: np.ndarray
-    c0: np.ndarray
-    m0: Optional[np.ndarray]  # (T, B, H) bool
-    m1: Optional[np.ndarray]  # (T, B, H1) bool
-    m2: Optional[np.ndarray]  # (T, B, H2) bool
+    offsets: list        # step t owns rows [offsets[t]:offsets[t + 1]]
+    gates: np.ndarray    # (n, 4H) post-activation, blocks i|f|g|o
+    c: np.ndarray        # (n, H)
+    h: np.ndarray        # (n, H)
+    h0: np.ndarray       # (B, H)
+    c0: np.ndarray       # (B, H)
+    m0: Optional[np.ndarray]  # (n, H) bool
+    m1: Optional[np.ndarray]  # (n, H1) bool
+    m2: Optional[np.ndarray]  # (n, H2) bool
     inv_keep: float      # 1 / (1 - dropout_p)
-    a1: np.ndarray       # (T, B, H1) post-ReLU
-    a2: np.ndarray       # (T, B, H2) post-ReLU
+    a1: np.ndarray       # (n, H1) post-ReLU
+    a2: np.ndarray       # (n, H2) post-ReLU
     probs: np.ndarray    # (T, B)
     spent: bool = False
 
@@ -240,6 +255,12 @@ def _first_live(lengths, T: int, B: int) -> list:
     if B and (lengths[0] < 0 or lengths[-1] > T):
         raise ValueError(f"lengths must lie in [0, {T}]")
     return np.searchsorted(lengths, np.arange(T), side="right").tolist()
+
+
+def _real_steps(first: list, B: int) -> np.ndarray:
+    """``(T, B)`` bool, true where lane b ran step t.  Indexing a
+    ``(T, B, ...)`` array with it gives that array's packed rows."""
+    return np.arange(B) >= np.array(first, dtype=int).reshape(-1, 1)
 
 
 def _drop(a: np.ndarray, mask: Optional[np.ndarray], inv_keep: float,
@@ -273,16 +294,21 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     if D != params.input_dim:
         raise ValueError(f"feature dim {D} != model input dim {params.input_dim}")
     first = [0] * T if lengths is None else _first_live(lengths, T, B)
+    # step t's live lanes own rows off[t]:off[t + 1] of the packed arrays
+    off = list(accumulate((B - lo for lo in first), initial=0))
 
     h1, h2 = params.dense1_size, params.dense2_size
     train = rng is not None and dropout_p > 0.0
+    real = _real_steps(first, B) if train or want_cache else None
     inv_keep = 1.0
     if train:
         keep = 1.0 - dropout_p
         inv_keep = 1.0 / keep
-        m0 = rng.random((T, B, hidden)) < keep
-        m1 = rng.random((T, B, h1)) < keep
-        m2 = rng.random((T, B, h2)) < keep
+        # Drawn for every (t, b) entry, so the stream does not depend on
+        # the lengths, then cut to the packed rows.
+        m0 = (rng.random((T, B, hidden)) < keep)[real]
+        m1 = (rng.random((T, B, h1)) < keep)[real]
+        m2 = (rng.random((T, B, h2)) < keep)[real]
         hd, a1d, a2d = np.empty((B, hidden)), np.empty((B, h1)), np.empty((B, h2))
     else:
         m0 = m1 = m2 = None
@@ -299,65 +325,71 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     W2_T, b2 = params.dense2_W.T, params.dense2_b
     w_out, b_out = params.out_W[0], params.out_b
 
+    h0 = np.asarray(h0, dtype=np.float64)
+    c0 = np.asarray(c0, dtype=np.float64)
     xh = np.empty((B, D + hidden))
-    xh[:, D:] = h0
-    h = xh[:, D:]
-    c = np.array(c0, dtype=np.float64)
-    z = np.empty((B, 4 * hidden))
     ig = np.empty((B, hidden))
     logits = np.zeros((T, B))
     if want_cache:
-        # Padded entries stay 0: backward_batch's weight-gradient GEMMs
-        # run over the whole window and multiply them by zero.
-        gates = np.zeros((T, B, 4 * hidden))
-        cs = np.zeros((T, B, hidden))
-        hs = np.zeros((T, B, hidden))
-        a1s = np.zeros((T, B, h1))
-        a2s = np.zeros((T, B, h2))
+        n = off[-1]
+        gates = np.empty((n, 4 * hidden))
+        cs, hs = np.empty((n, hidden)), np.empty((n, hidden))
+        a1s, a2s = np.empty((n, h1)), np.empty((n, h2))
     else:
+        # the state lives in step buffers, updated in place
+        xh[:, D:] = h0
+        c = c0.copy()
+        z = np.empty((B, 4 * hidden))
         a1, a2 = np.empty((B, h1)), np.empty((B, h2))
     lo = None
     for t in range(T):
         if first[t] != lo:
             lo = first[t]
-            xh_l, h_l, c_l, z_l, ig_l = xh[lo:], h[lo:], c[lo:], z[lo:], ig[lo:]
-            i, f, g, o = (z_l[:, k * hidden:(k + 1) * hidden] for k in range(4))
+            xh_l, ig_l = xh[lo:], ig[lo:]
             if not want_cache:
+                z_l, c_l, h_l = z[lo:], c[lo:], xh_l[:, D:]
                 a1_l, a2_l = a1[lo:], a2[lo:]
             if train:
                 hd_l, a1d_l, a2d_l = hd[lo:], a1d[lo:], a2d[lo:]
+        rows = slice(off[t], off[t + 1])
+        if want_cache:
+            # Step t writes straight into its own rows; the live lanes'
+            # previous state is the tail of step t-1's rows.
+            z_l, c_l, h_l = gates[rows], cs[rows], hs[rows]
+            a1_l, a2_l = a1s[rows], a2s[rows]
+            prev = slice(off[t] - len(c_l), off[t])
+            xh_l[:, D:] = hs[prev] if t else h0[lo:]
+            c_prev = cs[prev] if t else c0[lo:]
+        else:
+            c_prev = c_l
         xh_l[:, :D] = X[t, lo:]
         live = ~resets[t, lo:]
         if not live.all():
-            h_l *= live[:, None]
-            c_l *= live[:, None]
+            xh_l[:, D:] *= live[:, None]
+            c_prev = np.multiply(c_prev, live[:, None], out=c_l)
         np.matmul(xh_l, W_T, out=z_l)
         z_l *= scale
         z_l += bias
         np.tanh(z_l, out=z_l)
         z_l *= scale
         z_l += shift
-        c_l *= f
+        i, f, g, o = (z_l[:, k * hidden:(k + 1) * hidden] for k in range(4))
+        np.multiply(c_prev, f, out=c_l)
         np.multiply(i, g, out=ig_l)
         c_l += ig_l
         np.tanh(c_l, out=h_l)
         h_l *= o
-        if want_cache:
-            gates[t, lo:] = z_l
-            cs[t, lo:] = c_l
-            hs[t, lo:] = h_l
-            a1_l, a2_l = a1s[t, lo:], a2s[t, lo:]
 
         # the dense head on the same live lanes
-        top = _drop(h_l, m0[t, lo:], inv_keep, hd_l) if train else h_l
+        top = _drop(h_l, m0[rows], inv_keep, hd_l) if train else h_l
         np.matmul(top, W1_T, out=a1_l)
         a1_l += b1
         np.maximum(a1_l, 0.0, out=a1_l)
-        top = _drop(a1_l, m1[t, lo:], inv_keep, a1d_l) if train else a1_l
+        top = _drop(a1_l, m1[rows], inv_keep, a1d_l) if train else a1_l
         np.matmul(top, W2_T, out=a2_l)
         a2_l += b2
         np.maximum(a2_l, 0.0, out=a2_l)
-        top = _drop(a2_l, m2[t, lo:], inv_keep, a2d_l) if train else a2_l
+        top = _drop(a2_l, m2[rows], inv_keep, a2d_l) if train else a2_l
         logit = logits[t, lo:]
         np.matmul(top, w_out, out=logit)
         logit += b_out
@@ -366,15 +398,82 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     if not np.isfinite(probs).all():
         bad = np.argwhere(~np.isfinite(probs))
         raise NumericalFault("non-finite activation", step=int(bad[0][0]))
+    if not want_cache:
+        return BatchForward(probs=probs, h=xh[:, D:].copy(), c=c, cache=None)
 
-    cache = None
-    if want_cache:
-        cache = _ForwardCache(
-            X=X, resets=resets, first_live=first, gates=gates, c=cs, h=hs,
-            h0=np.asarray(h0, dtype=np.float64), c0=np.asarray(c0, dtype=np.float64),
-            m0=m0, m1=m1, m2=m2, inv_keep=inv_keep, a1=a1s, a2=a2s, probs=probs,
-        )
-    return BatchForward(probs=probs, h=h.copy(), c=c, cache=cache)
+    # A lane's final state is its row at its last real step (the row at
+    # off[length] - (B - lane)), or its initial state if it ran none.
+    steps = np.full(B, T) if lengths is None else np.asarray(lengths)
+    ran = steps > 0
+    last = (np.asarray(off)[steps] - B + np.arange(B))[ran]
+    h, c = h0.copy(), c0.copy()
+    h[ran], c[ran] = hs[last], cs[last]
+    cache = _ForwardCache(
+        X=X[real], resets=resets, first_live=first, offsets=off, gates=gates,
+        c=cs, h=hs, h0=h0, c0=c0, m0=m0, m1=m1, m2=m2, inv_keep=inv_keep,
+        a1=a1s, a2=a2s, probs=probs,
+    )
+    return BatchForward(probs=probs, h=h, c=c, cache=cache)
+
+
+def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray) -> None:
+    """Backpropagation through time over the cache's packed rows, given the
+    head's gradient ``dh`` with respect to each row's hidden state (used up
+    as the loop's scratch).  Each step's gate gradients replace its gates
+    once it has read them, so ``cache.gates`` ends up holding the gradient
+    of the loss with respect to every gate pre-activation."""
+    B = cache.resets.shape[1]
+    hidden = params.hidden_size
+    first, off = cache.first_live, cache.offsets
+    Wh = params.lstm_W[:, params.input_dim:]
+    # Going back in time the live suffix only grows, so a lane's carries
+    # are still zero at its last real step.
+    dh_carry, dc_carry = np.zeros((B, hidden)), np.zeros((B, hidden))
+    tc_buf, u_buf = np.empty((B, hidden)), np.empty((B, hidden))
+    for t in range(len(first) - 1, -1, -1):
+        lo, rows = first[t], slice(off[t], off[t + 1])
+        d = cache.gates[rows]
+        i, f, g, o = (d[:, k * hidden:(k + 1) * hidden] for k in range(4))
+        tc = np.tanh(cache.c[rows], out=tc_buf[lo:])
+        u, dc = u_buf[lo:], dc_carry[lo:]
+        dh_t = dh[rows]
+        dh_t += dh_carry[lo:]
+        # dc = dh * o * (1 - tc^2) + the carry from step t+1
+        np.multiply(tc, tc, out=u)
+        np.subtract(1.0, u, out=u)
+        u *= o
+        u *= dh_t
+        dc += u
+        # do = dh * tc * o * (1 - o)
+        tc *= dh_t
+        np.subtract(1.0, o, out=u)
+        u *= o
+        np.multiply(tc, u, out=o)
+        # dg = dc * i * (1 - g^2);  di = dc * g * i * (1 - i)
+        np.multiply(dc, i, out=u)
+        np.multiply(dc, g, out=tc)
+        np.multiply(g, g, out=g)
+        np.subtract(1.0, g, out=g)
+        g *= u
+        np.subtract(1.0, i, out=u)
+        i *= u
+        i *= tc
+        # df = dc * c_prev * f * (1 - f), where c_prev is the cell state
+        # step t started from, after any reset; the carry is dc * f
+        live = ~cache.resets[t, lo:, None]
+        reset = not live.all()
+        np.multiply(dc, cache.c[off[t] - len(dc):off[t]] if t else cache.c0[lo:],
+                    out=tc)
+        if reset:
+            tc *= live
+        np.subtract(1.0, f, out=u)
+        u *= f
+        dc *= f
+        np.multiply(tc, u, out=f)
+        np.matmul(d, Wh, out=dh_carry[lo:])
+        if reset:
+            dc *= live
+            dh_carry[lo:] *= live
 
 
 @_quiet_overflow
@@ -383,111 +482,78 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     """Exact gradient of the weight-normalized BCE over the cached window.
 
     Returns ``(grads, loss_numerator, weight_sum)`` where the window loss
-    is ``loss_numerator / weight_sum``.  Only the lane-steps the forward
-    pass ran count (``cache.first_live``); ``labels`` and ``weights`` at
-    padded steps are ignored.  Gradients stop at the window boundary (the
-    initial state is treated as a constant) and at every reset.  The BPTT
-    loop runs on the lanes that the forward pass stepped; the gate
-    gradients of every other lane-step are zero.
+    is ``loss_numerator / weight_sum``.  ``labels`` and ``weights`` are
+    ``(T, B)``; only the lane-steps the forward pass ran count, and their
+    values at padded steps are ignored.  Gradients stop at the window
+    boundary (the initial state is treated as a constant) and at every
+    reset.  The loss, the dense head, the BPTT loop and the weight-gradient
+    GEMMs all run on the cache's packed rows, so no work or memory goes to
+    padding.
 
     The cache is consumed: the dense-head gradients overwrite ``a1`` and
     ``a2``, the gate gradients ``gates`` and the pre-step hidden states
-    ``h``, so a second call on the same cache is a ValueError.  Beyond the
-    cache this allocates one ``(T, B, H)`` buffer, bool ReLU masks and
-    ``(B, 4H)`` step buffers.
+    ``c``, so a second call on the same cache is a ValueError.  Beyond the
+    cache and the gradients this allocates one ``(n, H)`` buffer for the
+    n real rows, freed before the LSTM weight gradient is, bool ReLU masks
+    and ``(B, H)`` step buffers.
     """
     if cache.spent:
         raise ValueError("this forward cache was already consumed by backward_batch")
     cache.spent = True
-    T, B, D = cache.X.shape
-    hidden = params.hidden_size
-    Wh = params.lstm_W[:, D:]
+    T, B = cache.resets.shape
+    D = params.input_dim
+    first, off = cache.first_live, cache.offsets
 
-    ran = np.arange(B) >= np.array(cache.first_live, dtype=int)[:, None]
-    w_eff = np.where(ran, weights, 0.0)
-    w_sum = float(w_eff.sum())
-    grads = params.zeros_like()
-    if T == 0 or w_sum == 0.0:
-        return grads, 0.0, w_sum
+    real = _real_steps(first, B)
+    w = weights[real]
+    w_sum = float(w.sum())
+    if w_sum == 0.0:
+        return params.zeros_like(), 0.0, w_sum
+    p, y = cache.probs[real], labels[real]
+    loss_num = float((w * -(y * np.log(p) + (1 - y) * np.log1p(-p))).sum())
 
-    # a padded step's probability is exactly 0.5, so both logs are finite
-    p = cache.probs
-    y = labels
-    loss_num = float((w_eff * -(y * np.log(p) + (1 - y) * np.log1p(-p))).sum())
-
-    # Output head and dense stack, batched over all steps.  Once its ReLU
+    # Output head and dense stack over all rows at once.  Once its ReLU
     # mask is taken, each cached activation is overwritten by its
     # dropped-out copy and then by its pre-activation gradient.
-    TB = T * B
-    inv_keep = cache.inv_keep
-    m0, m1, m2 = (None if m is None else m.reshape(TB, -1)
-                  for m in (cache.m0, cache.m1, cache.m2))
-    a1 = cache.a1.reshape(TB, -1)
-    a2 = cache.a2.reshape(TB, -1)
+    inv_keep, m0, m1, m2 = cache.inv_keep, cache.m0, cache.m1, cache.m2
+    a1, a2 = cache.a1, cache.a2
     on1, on2 = a1 > 0.0, a2 > 0.0
-    dz_out = (w_eff * (p - y) / w_sum).reshape(TB, 1)
-    grads.out_W += dz_out.T @ _drop(a2, m2, inv_keep, a2)
-    grads.out_b += dz_out.sum(axis=0)
+    dz_out = (w * (p - y) / w_sum)[:, None]
+    out_W = dz_out.T @ _drop(a2, m2, inv_keep, a2)
+    out_b = dz_out.sum(axis=0)
 
     dz2 = _drop(np.matmul(dz_out, params.out_W, out=a2), m2, inv_keep, a2)
     dz2 *= on2
-    grads.dense2_W += dz2.T @ _drop(a1, m1, inv_keep, a1)
-    grads.dense2_b += dz2.sum(axis=0)
+    dense2_W = dz2.T @ _drop(a1, m1, inv_keep, a1)
+    dense2_b = dz2.sum(axis=0)
 
     dz1 = _drop(np.matmul(dz2, params.dense2_W, out=a1), m1, inv_keep, a1)
     dz1 *= on1
     del on1, on2
-    # the one (T, B, H) buffer: the dropped-out h, then dh from the head
-    dh_top = np.empty((TB, hidden))
-    grads.dense1_W += dz1.T @ _drop(cache.h.reshape(TB, hidden), m0, inv_keep,
-                                    dh_top)
-    grads.dense1_b += dz1.sum(axis=0)
-    np.matmul(dz1, params.dense1_W, out=dh_top)
-    dh_top = _drop(dh_top, m0, inv_keep, dh_top).reshape(T, B, hidden)
-
-    # Going back in time the live suffix only grows, so a lane's carries
-    # are still zero at its last real step.  Step t's gate gradients
-    # replace its gates in the cache once it has read them.
-    live = ~cache.resets[..., None]
-    d_all = np.empty((B, 4 * hidden))
-    dh_carry = np.zeros((B, hidden))
-    dc_carry = np.zeros((B, hidden))
-    for t in range(T - 1, -1, -1):
-        lo = cache.first_live[t]
-        gates = cache.gates[t, lo:]
-        i = gates[:, :hidden]
-        f = gates[:, hidden:2 * hidden]
-        g = gates[:, 2 * hidden:3 * hidden]
-        o = gates[:, 3 * hidden:]
-        tc = np.tanh(cache.c[t, lo:])
-        # the cell state step t started from, after any reset
-        c_prev = (cache.c[t - 1, lo:] if t else cache.c0[lo:]) * live[t, lo:]
-
-        dh = dh_top[t, lo:] + dh_carry[lo:]
-        dc = dh * o * (1.0 - tc * tc) + dc_carry[lo:]
-        d = d_all[lo:]
-        d[:, :hidden] = dc * g * i * (1.0 - i)
-        d[:, hidden:2 * hidden] = dc * c_prev * f * (1.0 - f)
-        d[:, 2 * hidden:3 * hidden] = dc * i * (1.0 - g * g)
-        d[:, 3 * hidden:] = dh * tc * o * (1.0 - o)
-
-        dc_carry[lo:] = dc * f * live[t, lo:]
-        gates[...] = d
-        dh_carry[lo:] = (d @ Wh) * live[t, lo:]
+    # the one (n, H) buffer: the dropped-out h, then dh from the head
+    dh = np.empty(cache.h.shape)
+    dense1_W = dz1.T @ _drop(cache.h, m0, inv_keep, dh)
+    dense1_b = dz1.sum(axis=0)
+    np.matmul(dz1, params.dense1_W, out=dh)
+    _bptt(params, cache, _drop(dh, m0, inv_keep, dh))
+    del dh
 
     # The hidden state each step started from, after any reset, built
-    # in place of cache.h one step at a time (no full-size copy).
-    h_prev = cache.h
-    for t in range(T - 1, 0, -1):
-        h_prev[t] = h_prev[t - 1]
-    h_prev[0] = cache.h0
-    h_prev *= live
+    # block by block over cache.c, which the BPTT loop no longer needs.
+    h_prev = cache.c
+    for t in range(T):
+        lo, block = first[t], h_prev[off[t]:off[t + 1]]
+        block[...] = cache.h[off[t] - len(block):off[t]] if t else cache.h0[lo:]
+        live = ~cache.resets[t, lo:, None]
+        if not live.all():
+            block *= live
 
-    dz4 = cache.gates.reshape(TB, 4 * hidden)
-    grads.lstm_W[:, :D] += dz4.T @ cache.X.reshape(TB, D)
-    grads.lstm_W[:, D:] += dz4.T @ h_prev.reshape(TB, hidden)
-    grads.lstm_b += dz4.sum(axis=0)
-
+    dz4 = cache.gates
+    lstm_W = np.empty_like(params.lstm_W)
+    np.matmul(dz4.T, cache.X, out=lstm_W[:, :D])
+    np.matmul(dz4.T, h_prev, out=lstm_W[:, D:])
+    grads = ModelParams(lstm_W, dz4.sum(axis=0), dense1_W, dense1_b,
+                        dense2_W, dense2_b, out_W, out_b)
     if not grads.all_finite():
         raise NumericalFault("non-finite gradient")
     return grads, loss_num, w_sum

@@ -8,8 +8,12 @@ Session level zeroes the recurrent state at every session start and
 weights each end-of-session step by its own session's length.
 
 Padding is recorded only as per-lane ``lengths``, and a TBPTT window is a
-slice of its batch with the lengths clipped to it, so ``forward_batch``
-steps only real lane-steps and ``backward_batch`` counts only those.
+slice of its batch with the lengths clipped to it (0 for a student who has
+already ended).  ``forward_batch`` steps only the window's real lane-steps
+and caches them as packed rows, so a window's training memory and its
+head and weight-gradient work follow its real lane-steps, not its padded
+``T * B``.  ``backward_batch`` consumes that cache, and the next window's
+is built only after it is released.
 """
 
 from __future__ import annotations

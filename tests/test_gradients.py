@@ -139,6 +139,35 @@ class TestGradients:
                         backward_batch(params, full, labels, real_weights)[0].arrays()):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
+    def test_packed_window_with_live_units(self):
+        # At H=4 the dense widths are 2 and 1, and test_packed_window's
+        # network leaves one gate-gradient row non-zero.  At H=16, with a
+        # non-zero initial state, every recurrent weight gets a gradient,
+        # so a pre-step state read from another lane's row shows.
+        rng = np.random.default_rng(109)
+        params = random_params(rng, hidden=16)
+        T, B = 9, 4
+        X = rng.uniform(-1, 1, (T, B, 13))
+        labels = rng.integers(0, 2, (T, B)).astype(float)
+        weights = rng.uniform(0.5, 3.0, (T, B))
+        resets = np.zeros((T, B), dtype=bool)
+        resets[4, 2:] = True
+        resets[6, 0] = True  # a padded step
+        h0, c0 = rng.uniform(-1, 1, (2, B, 16))
+        lengths = np.array([2, 5, 9, 9])
+
+        def grads(lens, w):
+            out = forward_batch(params, X, resets, h0, c0, dropout_p=0.4,
+                                rng=np.random.default_rng(7), want_cache=True,
+                                lengths=lens)
+            return backward_batch(params, out.cache, labels, w)[0]
+
+        packed = grads(lengths, weights)
+        full = grads(None, np.where(np.arange(T)[:, None] < lengths, weights, 0.0))
+        assert (packed.lstm_W != 0.0).all()
+        for a, b in zip(packed.arrays(), full.arrays()):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+
     def test_through_resets_and_dropout(self):
         rng = np.random.default_rng(7)
         params = random_params(rng)

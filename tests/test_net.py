@@ -156,6 +156,14 @@ class TestLstmStep:
         np.testing.assert_allclose(state.c, expected_c, rtol=1e-12)
 
 
+def packed_row(lengths, t, lane):
+    """The cache row of lane ``lane`` at step ``t``: the count of real
+    lane-steps before it, taken step by step and lane by lane."""
+    real = np.arange(max(lengths))[:, None] < np.asarray(lengths)
+    assert real[t, lane]
+    return int(real.ravel()[:t * len(lengths) + lane].sum())
+
+
 class TestForwardBatch:
     def _inputs(self, T=7, B=3, hidden=3):
         rng = np.random.default_rng(8)
@@ -178,8 +186,9 @@ class TestForwardBatch:
                 if resets[t, lane]:
                     h, c = zeros, zeros
                 h, c = scalar_lstm_oracle(p, [X[t, lane].tolist()], h, c)
-                np.testing.assert_allclose(out.cache.h[t, lane], h, rtol=1e-12)
-                np.testing.assert_allclose(out.cache.c[t, lane], c, rtol=1e-12)
+                row = packed_row([T] * B, t, lane)
+                np.testing.assert_allclose(out.cache.h[row], h, rtol=1e-12)
+                np.testing.assert_allclose(out.cache.c[row], c, rtol=1e-12)
             np.testing.assert_allclose(out.h[lane], h, rtol=1e-12)
             np.testing.assert_allclose(out.c[lane], c, rtol=1e-12)
 
@@ -252,6 +261,30 @@ class TestPackedLanes:
         assert (out.probs[padded] == 0.5).all()
         assert (out.probs[~padded] != 0.5).all()
 
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.4])
+    def test_cached_and_plain_runs_agree_bit_for_bit(self, dropout_p):
+        # Two ended lanes, a reset in the middle of the live lane 1 and one
+        # on a padded step of lane 0.
+        p, X, resets, h0, c0 = self._inputs()
+        lengths = [0, 3, 5]
+        runs = [forward_batch(p, X, resets, h0, c0, dropout_p=dropout_p,
+                              rng=np.random.default_rng(4), want_cache=want_cache,
+                              lengths=lengths)
+                for want_cache in (False, True)]
+        for name in ("probs", "h", "c"):
+            assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+    def test_zero_length_lanes_keep_their_initial_state(self):
+        # Later TBPTT windows hold lanes whose student has already ended.
+        p, X, resets, h0, c0 = self._inputs()
+        out = forward_batch(p, X, resets, h0, c0, dropout_p=0.4,
+                            rng=np.random.default_rng(5), want_cache=True,
+                            lengths=[0, 0, 5])
+        assert out.h[:2].tobytes() == h0[:2].tobytes()
+        assert out.c[:2].tobytes() == c0[:2].tobytes()
+        assert (out.probs[:, :2] == 0.5).all()
+        assert out.cache.h.shape[0] == 5
+
     @pytest.mark.parametrize("lanes, lengths", [
         (2, [5, 2]), (3, [2, 5, 4]),     # decreasing
         (3, [0, 2, 6]), (3, [-1, 2, 5]),  # outside [0, T]
@@ -293,13 +326,15 @@ class TestInferenceMemory:
         assert growth < 0.5 * 350 * B * hidden * 8
 
 
-def training_window(T, B, hidden, dropout_p=0.4, seed=0):
-    """Params, a packed window with labels and weights, and its cache."""
+def training_window(T, B, hidden, dropout_p=0.4, seed=0, lengths=None):
+    """Params, a packed window with labels and weights, and its cache.
+    The lanes' lengths default to an even spread over [1, T]."""
     rng = np.random.default_rng(seed)
     p = random_params(rng, hidden=hidden)
     X = rng.uniform(-1, 1, (T, B, p.input_dim))
     resets = rng.random((T, B)) < 0.05
-    lengths = np.linspace(1, T, B).astype(int)
+    if lengths is None:
+        lengths = np.linspace(1, T, B).astype(int)
     labels = rng.integers(0, 2, (T, B)).astype(float)
     weights = rng.uniform(0.5, 3.0, (T, B))
     zeros = np.zeros((B, hidden))
@@ -325,6 +360,32 @@ class TestTrainingMemory:
             tracemalloc.stop()
         assert peak - base <= 3 * T * B * hidden * 8
 
+    def test_cache_and_backward_follow_real_lane_steps(self):
+        # Seven one-step lanes beside one of T steps: 107 real lane-steps
+        # in a window of 800.  Every cache array holds one row per real
+        # lane-step, and backward's peak beyond the cache stays within
+        # three (n, H) buffers of those rows (the gradients included).
+        T, hidden = 100, 32
+        lengths = [1] * 7 + [T]
+        n = sum(lengths)
+        p, cache, labels, weights = training_window(T, len(lengths), hidden,
+                                                    lengths=lengths)
+        widths = {"X": p.input_dim, "gates": 4 * hidden, "c": hidden, "h": hidden,
+                  "a1": p.dense1_size, "a2": p.dense2_size,
+                  "m0": hidden, "m1": p.dense1_size, "m2": p.dense2_size}
+        for name, width in widths.items():
+            a = getattr(cache, name)
+            assert a.nbytes <= n * width * a.itemsize, name
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            backward_batch(p, cache, labels, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3 * n * hidden * 8
+
     def test_masks_are_bool(self):
         _, cache, _, _ = training_window(6, 3, 4)
         assert all(m.dtype == bool for m in (cache.m0, cache.m1, cache.m2))
@@ -341,7 +402,8 @@ class TestDropout:
     def test_probs_equal_a_float_mask_head_oracle(self):
         # The masks are drawn from the same seeded generator as
         # (r < keep) / keep; the bool masks and 1/keep must give the same
-        # bits.  The oracles take each step's hidden states from the cache.
+        # bits.  The oracles take each step's hidden states from the
+        # cache's packed rows.
         rng = np.random.default_rng(9)
         p = random_params(rng, hidden=6)
         lengths = [3, 8, 8, 8]
@@ -357,7 +419,8 @@ class TestDropout:
                  for n in (p.hidden_size, p.dense1_size, p.dense2_size)]
         first = np.searchsorted(lengths, np.arange(T), side="right")
         for t, lo in enumerate(first):
-            rows = out.cache.h[t, lo:]
+            start = packed_row(lengths, t, lo)
+            rows = out.cache.h[start:start + B - lo]
             np.testing.assert_array_equal(
                 out.probs[t, lo:],
                 numpy_head_oracle(p, rows, [m[t, lo:] for m in masks]))
