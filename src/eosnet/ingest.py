@@ -13,6 +13,7 @@ UTC seconds.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -66,7 +67,11 @@ class StudentLog:
 
 
 def parse_line(line: str, line_no: int = 0) -> RawAction:
-    """Parse one record; raises :class:`LogParseError` on any defect."""
+    """Parse one record; raises :class:`LogParseError` on any defect.
+
+    The id fields are interned, so the actions of one student, lesson or
+    topic share one string object each.
+    """
     parts = line.rstrip("\n").split(",")
     if len(parts) != 7:
         raise LogParseError(line_no, f"expected 7 fields, got {len(parts)}")
@@ -90,11 +95,11 @@ def parse_line(line: str, line_no: int = 0) -> RawAction:
         raise LogParseError(line_no, f"bad homework flag {homework_s!r}")
     try:
         return RawAction(
-            student_id=student_id,
+            student_id=sys.intern(student_id),
             timestamp=timestamp,
             kind=kind,
-            lesson_id=lesson_id,
-            topic_id=topic_id,
+            lesson_id=sys.intern(lesson_id),
+            topic_id=sys.intern(topic_id),
             correct=correct,
             homework=homework_s == "1",
         )

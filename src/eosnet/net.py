@@ -34,27 +34,32 @@ loss needs.  At inference (``want_cache=False``) the loop therefore holds
 only ``O(B*(D+5H))`` of step buffers plus the logits, whatever the
 history length.
 
-With ``want_cache=True`` the loop writes each step's gates, cell and
-hidden states and dense activations straight into the cache that
-backpropagation reads, in the packed-row layout of cuDNN-style RNN
-kernels (Appleyard, Kocisky & Blunsom 2016): the arrays are ``(n, width)``
-for the window's n real lane-steps, and step t owns the contiguous rows
-``offsets[t]:offsets[t+1]``, one per live lane.  Because the live lanes
-only shrink, the state a live lane starts step t from is in the tail of
-step t-1's rows, so no padded lane-step is stored and nothing is copied
-into the cache.  Each GEMM keeps the row count it has at inference, so
-a cached pass gives the same bits as a plain one.  The dropout masks are
-still drawn for every ``(t, b)`` entry, so the random stream does not
-depend on the lengths, and then cut to the real rows.  They are bool,
-and a kept unit is scaled as ``(a * m) * inv_keep``, the same bits as a
-float mask ``m / keep``.
+With ``want_cache=True`` the loop writes each step's gates, cell states
+and dense activations straight into the cache that backpropagation reads,
+in the packed-row layout of cuDNN-style RNN kernels (Appleyard, Kocisky &
+Blunsom 2016): the arrays are ``(n, width)`` for the window's n real
+lane-steps, and step t owns the contiguous rows ``offsets[t]:offsets[t+1]``,
+one per live lane.  Because the live lanes only shrink, the cell state a
+live lane starts step t from is in the tail of step t-1's rows, so no
+padded lane-step is stored and nothing is copied into the cache.  The
+hidden state stays in the step buffer, as at inference, and is not
+cached: backward recomputes it bit for bit as ``tanh(c) * o``, trading one
+``tanh`` pass for an ``(n, H)`` array (Gruslys et al. 2016, Memory-Efficient
+Backpropagation Through Time).  Each GEMM keeps the row count it has at
+inference, so a cached pass gives the same bits as a plain one.  The
+dropout masks are still drawn for every ``(t, b)`` entry, so the random
+stream does not depend on the lengths, in blocks of steps that are cut to
+the real rows.  They are bool, and a kept unit is scaled as ``(a * m) *
+inv_keep``, the same bits as a float mask ``m / keep``.
 
 The cache is single-use.  :func:`backward_batch` runs the loss, the head,
 the BPTT loop and the weight-gradient GEMMs on the packed rows, overwrites
-the cache in place (gate gradients over the gates, the pre-step hidden
-states over ``c``) and marks it spent.  Beyond the cache and the gradients
-it allocates one ``(n, H)`` buffer and ``O(B*H)`` of step buffers; a
-second call on the same cache is a ValueError.  Both kernels check their
+the cache in place and marks it spent.  It releases each dense activation
+and dropout mask at its last use, recomputes the hidden states, and the
+BPTT loop writes the gate gradients over the gates and each row's
+pre-step hidden state over ``c``.  Beyond the cache and the gradients it
+allocates one ``(n, H)`` buffer and ``O(B*H)`` of step buffers; a second
+call on the same cache is a ValueError.  Both kernels check their
 outputs for non-finite values themselves and run with numpy's overflow
 and invalid warnings off.
 """
@@ -88,6 +93,9 @@ CHECKPOINT_MAGIC = b"EOS1"
 # of each layer group (weights + bias = 2, repeated four times)
 _LAYER_MARKERS = (2, 2, 2, 2)
 _HEADER_STRUCT = struct.Struct("<8I")
+
+# steps of uniform draws held at once while drawing a dropout mask
+_MASK_STEPS = 16
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -207,10 +215,13 @@ class _ForwardCache:
     Every array holds only the lane-steps the forward pass ran, as packed
     rows: step t owns rows ``offsets[t]:offsets[t + 1]``, one per live lane
     ``[first_live[t]:]`` in lane order, so a lane's previous state is in
-    the tail of step t-1's rows.  The dropout masks are bool (``None``
-    without dropout); a unit is kept as ``(a * m) * inv_keep``.
-    ``backward_batch`` overwrites ``gates``, ``c``, ``a1`` and ``a2`` in
-    place and marks the cache ``spent``.
+    the tail of step t-1's rows.  It stores only what backward cannot
+    recompute exactly: the hidden states are not stored, since ``tanh(c) *
+    o`` with ``o`` the output gate gives their bits again.  The dropout
+    masks are bool (``None`` without dropout); a unit is kept as ``(a * m)
+    * inv_keep``.  ``backward_batch`` overwrites ``gates``, ``c``, ``a1``
+    and ``a2`` in place, drops ``a1``, ``a2`` and the masks (sets them to
+    ``None``) once used, and marks the cache ``spent``.
     """
 
     X: np.ndarray        # (n, D) input rows
@@ -219,15 +230,14 @@ class _ForwardCache:
     offsets: list        # step t owns rows [offsets[t]:offsets[t + 1]]
     gates: np.ndarray    # (n, 4H) post-activation, blocks i|f|g|o
     c: np.ndarray        # (n, H)
-    h: np.ndarray        # (n, H)
     h0: np.ndarray       # (B, H)
     c0: np.ndarray       # (B, H)
     m0: Optional[np.ndarray]  # (n, H) bool
     m1: Optional[np.ndarray]  # (n, H1) bool
     m2: Optional[np.ndarray]  # (n, H2) bool
     inv_keep: float      # 1 / (1 - dropout_p)
-    a1: np.ndarray       # (n, H1) post-ReLU
-    a2: np.ndarray       # (n, H2) post-ReLU
+    a1: Optional[np.ndarray]  # (n, H1) post-ReLU
+    a2: Optional[np.ndarray]  # (n, H2) post-ReLU
     probs: np.ndarray    # (T, B)
     spent: bool = False
 
@@ -274,6 +284,35 @@ def _drop(a: np.ndarray, mask: Optional[np.ndarray], inv_keep: float,
     return out
 
 
+def _draw_mask(rng: np.random.Generator, real: np.ndarray, width: int,
+               keep: float) -> np.ndarray:
+    """A bool dropout mask for the packed rows that ``real`` marks.
+
+    A uniform is drawn for every ``(t, b)`` entry, padding included, so
+    the stream does not depend on the lengths.  The draws come
+    ``_MASK_STEPS`` steps at a time, each block cut to its real rows; the
+    stream fills the blocks in order, so the mask equals one ``(T, B,
+    width)`` draw cut to the rows, without its float64 transient.
+    """
+    T, B = real.shape
+    mask = np.empty((int(real.sum()), width), dtype=bool)
+    row = 0
+    for start in range(0, T, _MASK_STEPS):
+        block = real[start:start + _MASK_STEPS]
+        rows = mask[row:row + int(block.sum())]
+        rows[...] = (rng.random((len(block), B, width)) < keep)[block]
+        row += len(rows)
+    return mask
+
+
+def _zero_resets(block: np.ndarray, resets: np.ndarray) -> None:
+    """Zero the rows of ``block`` whose lane resets (``resets`` is bool,
+    one entry per row)."""
+    live = ~resets[:, None]
+    if not live.all():
+        block *= live
+
+
 @_quiet_overflow
 def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
                   h0: np.ndarray, c0: np.ndarray, dropout_p: float = 0.0,
@@ -304,11 +343,7 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     if train:
         keep = 1.0 - dropout_p
         inv_keep = 1.0 / keep
-        # Drawn for every (t, b) entry, so the stream does not depend on
-        # the lengths, then cut to the packed rows.
-        m0 = (rng.random((T, B, hidden)) < keep)[real]
-        m1 = (rng.random((T, B, h1)) < keep)[real]
-        m2 = (rng.random((T, B, h2)) < keep)[real]
+        m0, m1, m2 = (_draw_mask(rng, real, width, keep) for width in (hidden, h1, h2))
         hd, a1d, a2d = np.empty((B, hidden)), np.empty((B, h1)), np.empty((B, h2))
     else:
         m0 = m1 = m2 = None
@@ -327,17 +362,16 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
 
     h0 = np.asarray(h0, dtype=np.float64)
     c0 = np.asarray(c0, dtype=np.float64)
+    # h lives in the step buffer, updated in place
     xh = np.empty((B, D + hidden))
+    xh[:, D:] = h0
     ig = np.empty((B, hidden))
     logits = np.zeros((T, B))
     if want_cache:
         n = off[-1]
-        gates = np.empty((n, 4 * hidden))
-        cs, hs = np.empty((n, hidden)), np.empty((n, hidden))
+        gates, cs = np.empty((n, 4 * hidden)), np.empty((n, hidden))
         a1s, a2s = np.empty((n, h1)), np.empty((n, h2))
     else:
-        # the state lives in step buffers, updated in place
-        xh[:, D:] = h0
         c = c0.copy()
         z = np.empty((B, 4 * hidden))
         a1, a2 = np.empty((B, h1)), np.empty((B, h2))
@@ -345,21 +379,19 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     for t in range(T):
         if first[t] != lo:
             lo = first[t]
-            xh_l, ig_l = xh[lo:], ig[lo:]
+            xh_l, ig_l, h_l = xh[lo:], ig[lo:], xh[lo:, D:]
             if not want_cache:
-                z_l, c_l, h_l = z[lo:], c[lo:], xh_l[:, D:]
+                z_l, c_l = z[lo:], c[lo:]
                 a1_l, a2_l = a1[lo:], a2[lo:]
             if train:
                 hd_l, a1d_l, a2d_l = hd[lo:], a1d[lo:], a2d[lo:]
         rows = slice(off[t], off[t + 1])
         if want_cache:
             # Step t writes straight into its own rows; the live lanes'
-            # previous state is the tail of step t-1's rows.
-            z_l, c_l, h_l = gates[rows], cs[rows], hs[rows]
+            # previous cell state is the tail of step t-1's rows.
+            z_l, c_l = gates[rows], cs[rows]
             a1_l, a2_l = a1s[rows], a2s[rows]
-            prev = slice(off[t] - len(c_l), off[t])
-            xh_l[:, D:] = hs[prev] if t else h0[lo:]
-            c_prev = cs[prev] if t else c0[lo:]
+            c_prev = cs[off[t] - len(c_l):off[t]] if t else c0[lo:]
         else:
             c_prev = c_l
         xh_l[:, :D] = X[t, lo:]
@@ -398,19 +430,20 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     if not np.isfinite(probs).all():
         bad = np.argwhere(~np.isfinite(probs))
         raise NumericalFault("non-finite activation", step=int(bad[0][0]))
+    h = xh[:, D:].copy()
     if not want_cache:
-        return BatchForward(probs=probs, h=xh[:, D:].copy(), c=c, cache=None)
+        return BatchForward(probs=probs, h=h, c=c, cache=None)
 
-    # A lane's final state is its row at its last real step (the row at
-    # off[length] - (B - lane)), or its initial state if it ran none.
+    # A lane's final cell state is its row at its last real step (the row
+    # at off[length] - (B - lane)), or its initial state if it ran none.
     steps = np.full(B, T) if lengths is None else np.asarray(lengths)
     ran = steps > 0
     last = (np.asarray(off)[steps] - B + np.arange(B))[ran]
-    h, c = h0.copy(), c0.copy()
-    h[ran], c[ran] = hs[last], cs[last]
+    c = c0.copy()
+    c[ran] = cs[last]
     cache = _ForwardCache(
         X=X[real], resets=resets, first_live=first, offsets=off, gates=gates,
-        c=cs, h=hs, h0=h0, c0=c0, m0=m0, m1=m1, m2=m2, inv_keep=inv_keep,
+        c=cs, h0=h0, c0=c0, m0=m0, m1=m1, m2=m2, inv_keep=inv_keep,
         a1=a1s, a2=a2s, probs=probs,
     )
     return BatchForward(probs=probs, h=h, c=c, cache=cache)
@@ -419,10 +452,17 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
 def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray) -> None:
     """Backpropagation through time over the cache's packed rows, given the
     head's gradient ``dh`` with respect to each row's hidden state (used up
-    as the loop's scratch).  Each step's gate gradients replace its gates
-    once it has read them, so ``cache.gates`` ends up holding the gradient
-    of the loss with respect to every gate pre-activation."""
-    B = cache.resets.shape[1]
+    as the loop's scratch).
+
+    Each step's gate gradients replace its gates once it has read them, so
+    ``cache.gates`` ends up holding the gradient of the loss with respect
+    to every gate pre-activation.  Step t also writes the hidden state
+    ``tanh(c_t) * o_t`` of the lanes live at t+1, zeroed where they reset,
+    over step t+1's ``c`` rows, which nothing reads any more; step 0's rows
+    get ``h0``.  ``cache.c`` thus ends up holding the hidden state each row
+    started from, with the forward pass's ops and so its bits.
+    """
+    T, B = cache.resets.shape
     hidden = params.hidden_size
     first, off = cache.first_live, cache.offsets
     Wh = params.lstm_W[:, params.input_dim:]
@@ -430,11 +470,15 @@ def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray) -> None:
     # are still zero at its last real step.
     dh_carry, dc_carry = np.zeros((B, hidden)), np.zeros((B, hidden))
     tc_buf, u_buf = np.empty((B, hidden)), np.empty((B, hidden))
-    for t in range(len(first) - 1, -1, -1):
+    for t in range(T - 1, -1, -1):
         lo, rows = first[t], slice(off[t], off[t + 1])
         d = cache.gates[rows]
         i, f, g, o = (d[:, k * hidden:(k + 1) * hidden] for k in range(4))
         tc = np.tanh(cache.c[rows], out=tc_buf[lo:])
+        if t + 1 < T:
+            nxt, block = first[t + 1], cache.c[off[t + 1]:off[t + 2]]
+            np.multiply(tc[nxt - lo:], o[nxt - lo:], out=block)
+            _zero_resets(block, cache.resets[t + 1, nxt:])
         u, dc = u_buf[lo:], dc_carry[lo:]
         dh_t = dh[rows]
         dh_t += dh_carry[lo:]
@@ -474,6 +518,9 @@ def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray) -> None:
         if reset:
             dc *= live
             dh_carry[lo:] *= live
+    block = cache.c[:off[1]]
+    block[...] = cache.h0[first[0]:]
+    _zero_resets(block, cache.resets[0, first[0]:])
 
 
 @_quiet_overflow
@@ -490,21 +537,25 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     GEMMs all run on the cache's packed rows, so no work or memory goes to
     padding.
 
-    The cache is consumed: the dense-head gradients overwrite ``a1`` and
-    ``a2``, the gate gradients ``gates`` and the pre-step hidden states
-    ``c``, so a second call on the same cache is a ValueError.  Beyond the
-    cache and the gradients this allocates one ``(n, H)`` buffer for the
-    n real rows, freed before the LSTM weight gradient is, bool ReLU masks
-    and ``(B, H)`` step buffers.
+    The cache is consumed, so a second call on the same cache is a
+    ValueError.  The head gradients overwrite ``a2`` and then ``a1``; each
+    leaves the cache with its masks at its last use, ``a2``, ``m1`` and
+    ``m2`` before the one ``(n, H)`` buffer is allocated and ``a1`` and
+    ``m0`` before the BPTT loop.  The buffer holds the hidden states,
+    recomputed as ``tanh(c) * o`` with the forward pass's ops (so with its
+    bits), then the head's ``dh``, and is freed before the LSTM weight
+    gradient is allocated.  The BPTT loop leaves the gate gradients in
+    ``gates`` and the pre-step hidden states in ``c``.  Beyond the cache
+    and the gradients this allocates that buffer, bool ReLU masks and
+    ``(B, H)`` step buffers.
     """
     if cache.spent:
         raise ValueError("this forward cache was already consumed by backward_batch")
     cache.spent = True
-    T, B = cache.resets.shape
-    D = params.input_dim
-    first, off = cache.first_live, cache.offsets
+    B = cache.resets.shape[1]
+    D, hidden = params.input_dim, params.hidden_size
 
-    real = _real_steps(first, B)
+    real = _real_steps(cache.first_live, B)
     w = weights[real]
     w_sum = float(w.sum())
     if w_sum == 0.0:
@@ -529,26 +580,21 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
 
     dz1 = _drop(np.matmul(dz2, params.dense2_W, out=a1), m1, inv_keep, a1)
     dz1 *= on1
-    del on1, on2
-    # the one (n, H) buffer: the dropped-out h, then dh from the head
-    dh = np.empty(cache.h.shape)
-    dense1_W = dz1.T @ _drop(cache.h, m0, inv_keep, dh)
+    cache.a2 = cache.m1 = cache.m2 = None
+    del on1, on2, dz2, a2, m1, m2
+    # the one (n, H) buffer: h, dropped out, then dh from the head
+    dh = np.tanh(cache.c)
+    dh *= cache.gates[:, 3 * hidden:]
+    dense1_W = dz1.T @ _drop(dh, m0, inv_keep, dh)
     dense1_b = dz1.sum(axis=0)
     np.matmul(dz1, params.dense1_W, out=dh)
-    _bptt(params, cache, _drop(dh, m0, inv_keep, dh))
+    _drop(dh, m0, inv_keep, dh)
+    cache.a1 = cache.m0 = None
+    del dz1, a1, m0
+    _bptt(params, cache, dh)
     del dh
 
-    # The hidden state each step started from, after any reset, built
-    # block by block over cache.c, which the BPTT loop no longer needs.
-    h_prev = cache.c
-    for t in range(T):
-        lo, block = first[t], h_prev[off[t]:off[t + 1]]
-        block[...] = cache.h[off[t] - len(block):off[t]] if t else cache.h0[lo:]
-        live = ~cache.resets[t, lo:, None]
-        if not live.all():
-            block *= live
-
-    dz4 = cache.gates
+    dz4, h_prev = cache.gates, cache.c
     lstm_W = np.empty_like(params.lstm_W)
     np.matmul(dz4.T, cache.X, out=lstm_W[:, :D])
     np.matmul(dz4.T, h_prev, out=lstm_W[:, D:])

@@ -348,6 +348,8 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
                     if den > 0.0:
                         params, opt = rmsprop_update(params, grads, opt,
                                                      lr=config.learning_rate)
+                    # and so do its gradients, spent by the update
+                    del grads
                 loss_num += num
                 loss_den += den
         train_loss = loss_num / loss_den if loss_den else 0.0

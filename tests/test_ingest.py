@@ -54,6 +54,15 @@ class TestParseLine:
         with pytest.raises(LogParseError, match="7 fields"):
             parse_line("s1,1600000000,material,L3,T1,0")
 
+    def test_ids_share_one_string_per_value(self):
+        # ids are parsed once: every action of a student, lesson or topic
+        # holds the same string object
+        first = parse_line("student-7,10,material,lesson-3,topic-1,,0")
+        again = parse_line("student-7,20,fillout,lesson-3,topic-1,1,0")
+        assert first.student_id is again.student_id
+        assert first.lesson_id is again.lesson_id
+        assert first.topic_id is again.topic_id
+
     def test_error_carries_line_number(self):
         with pytest.raises(LogParseError) as info:
             parse_line("bad", 42)

@@ -1,5 +1,6 @@
 """Network core: LSTM step, forward contracts, loss, RMSprop, checkpoints."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -164,6 +165,13 @@ def packed_row(lengths, t, lane):
     return int(real.ravel()[:t * len(lengths) + lane].sum())
 
 
+def cached_h(cache):
+    """Each cache row's hidden state ``tanh(c) * o``, recomputed from the
+    cell state and output gate that the cache keeps instead of it."""
+    hidden = cache.c.shape[1]
+    return np.tanh(cache.c) * cache.gates[:, 3 * hidden:]
+
+
 class TestForwardBatch:
     def _inputs(self, T=7, B=3, hidden=3):
         rng = np.random.default_rng(8)
@@ -178,6 +186,7 @@ class TestForwardBatch:
     def test_matches_scalar_oracle(self):
         p, X, resets, h0, c0 = self._inputs()
         out = forward_batch(p, X, resets, h0, c0, want_cache=True)
+        hs = cached_h(out.cache)
         T, B, _ = X.shape
         zeros = [0.0] * p.hidden_size
         for lane in range(B):
@@ -187,7 +196,7 @@ class TestForwardBatch:
                     h, c = zeros, zeros
                 h, c = scalar_lstm_oracle(p, [X[t, lane].tolist()], h, c)
                 row = packed_row([T] * B, t, lane)
-                np.testing.assert_allclose(out.cache.h[row], h, rtol=1e-12)
+                np.testing.assert_allclose(hs[row], h, rtol=1e-12)
                 np.testing.assert_allclose(out.cache.c[row], c, rtol=1e-12)
             np.testing.assert_allclose(out.h[lane], h, rtol=1e-12)
             np.testing.assert_allclose(out.c[lane], c, rtol=1e-12)
@@ -283,7 +292,32 @@ class TestPackedLanes:
         assert out.h[:2].tobytes() == h0[:2].tobytes()
         assert out.c[:2].tobytes() == c0[:2].tobytes()
         assert (out.probs[:, :2] == 0.5).all()
-        assert out.cache.h.shape[0] == 5
+        assert cached_h(out.cache).shape[0] == 5
+
+    def test_reset_at_the_first_step_cuts_off_the_initial_state(self):
+        # Backward writes each row's pre-step hidden state itself, step 0's
+        # from h0: a lane that resets there must get the gradients of a
+        # lane that starts from zeros.
+        rng = np.random.default_rng(13)
+        p = random_params(rng, hidden=16)
+        T, B = 6, 4
+        X = rng.uniform(-1, 1, (T, B, p.input_dim))
+        labels = rng.integers(0, 2, (T, B)).astype(float)
+        weights = rng.uniform(0.5, 3.0, (T, B))
+        resets = np.zeros((T, B), dtype=bool)
+        resets[0, [1, 3]] = True
+        h0, c0 = rng.uniform(-1, 1, (2, B, 16))
+
+        def grads(h0, c0):
+            out = forward_batch(p, X, resets, h0, c0, dropout_p=0.4,
+                                rng=np.random.default_rng(3), want_cache=True,
+                                lengths=[2, 4, 6, 6])
+            return backward_batch(p, out.cache, labels, weights)[0]
+
+        cut_h0, cut_c0 = h0.copy(), c0.copy()
+        cut_h0[[1, 3]] = cut_c0[[1, 3]] = 0.0
+        for a, b in zip(grads(h0, c0).arrays(), grads(cut_h0, cut_c0).arrays()):
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("lanes, lengths", [
         (2, [5, 2]), (3, [2, 5, 4]),     # decreasing
@@ -326,9 +360,9 @@ class TestInferenceMemory:
         assert growth < 0.5 * 350 * B * hidden * 8
 
 
-def training_window(T, B, hidden, dropout_p=0.4, seed=0, lengths=None):
-    """Params, a packed window with labels and weights, and its cache.
-    The lanes' lengths default to an even spread over [1, T]."""
+def window_inputs(T, B, hidden, seed=0, lengths=None):
+    """Params and a packed window: inputs, resets, lengths, labels and
+    weights.  The lanes' lengths default to an even spread over [1, T]."""
     rng = np.random.default_rng(seed)
     p = random_params(rng, hidden=hidden)
     X = rng.uniform(-1, 1, (T, B, p.input_dim))
@@ -337,10 +371,20 @@ def training_window(T, B, hidden, dropout_p=0.4, seed=0, lengths=None):
         lengths = np.linspace(1, T, B).astype(int)
     labels = rng.integers(0, 2, (T, B)).astype(float)
     weights = rng.uniform(0.5, 3.0, (T, B))
-    zeros = np.zeros((B, hidden))
-    out = forward_batch(p, X, resets, zeros, zeros, dropout_p=dropout_p,
-                        rng=np.random.default_rng(seed + 1), want_cache=True,
-                        lengths=lengths)
+    return p, X, resets, lengths, labels, weights
+
+
+def cached_forward(p, X, resets, lengths, dropout_p=0.4, seed=0):
+    zeros = np.zeros((X.shape[1], p.hidden_size))
+    return forward_batch(p, X, resets, zeros, zeros, dropout_p=dropout_p,
+                         rng=np.random.default_rng(seed + 1), want_cache=True,
+                         lengths=lengths)
+
+
+def training_window(T, B, hidden, dropout_p=0.4, seed=0, lengths=None):
+    """Params, a packed window with labels and weights, and its cache."""
+    p, X, resets, lengths, labels, weights = window_inputs(T, B, hidden, seed, lengths)
+    out = cached_forward(p, X, resets, lengths, dropout_p, seed)
     return p, out.cache, labels, weights
 
 
@@ -370,7 +414,7 @@ class TestTrainingMemory:
         n = sum(lengths)
         p, cache, labels, weights = training_window(T, len(lengths), hidden,
                                                     lengths=lengths)
-        widths = {"X": p.input_dim, "gates": 4 * hidden, "c": hidden, "h": hidden,
+        widths = {"X": p.input_dim, "gates": 4 * hidden, "c": hidden,
                   "a1": p.dense1_size, "a2": p.dense2_size,
                   "m0": hidden, "m1": p.dense1_size, "m2": p.dense2_size}
         for name, width in widths.items():
@@ -386,6 +430,62 @@ class TestTrainingMemory:
             tracemalloc.stop()
         assert peak - base <= 3 * n * hidden * 8
 
+    def test_cache_holds_only_what_backward_cannot_recompute(self):
+        # The cache holds the window's inputs, gates, cell states and dense
+        # activations (8 bytes a unit) and the masks (1 byte), one row per
+        # real lane-step, plus the (T, B) probabilities and resets and the
+        # (B, H) initial state; no hidden states.  From before the forward
+        # pass to the end of backward, the traced peak stays within that,
+        # one (n, H) float64 buffer and one set of gradients: the head's
+        # arrays and masks are gone before backward's buffer, and no
+        # dropout draw is held for the whole window.
+        T, hidden = 100, 32
+        lengths = [1] * 7 + [T]
+        B, n = len(lengths), sum(lengths)
+        p, X, resets, lengths, labels, weights = window_inputs(T, B, hidden,
+                                                               lengths=lengths)
+        D, h1, h2 = p.input_dim, p.dense1_size, p.dense2_size
+        bound = (n * (D + 5 * hidden + h1 + h2) * 8 + n * (hidden + h1 + h2)
+                 + T * B * (8 + 1) + 2 * B * hidden * 8)
+        gradient_set = sum(a.nbytes for a in p.arrays())
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            cache = cached_forward(p, X, resets, lengths).cache
+            held = sum(a.nbytes for a in (getattr(cache, f.name)
+                                          for f in dataclasses.fields(cache))
+                       if isinstance(a, np.ndarray))
+            backward_batch(p, cache, labels, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= bound
+        assert peak - base <= bound + n * hidden * 8 + gradient_set
+
+    def test_backward_drops_the_head_before_its_buffer(self):
+        # With the cache traced from its allocation, its frees count: a2
+        # and the masks m1, m2 go before backward's (n, H) buffer exists,
+        # so its peak above entry stays within that buffer and one set of
+        # gradients (holding them too reaches 304.7 KB here).  a1 and m0
+        # go before the BPTT loop.
+        T, B, hidden = 100, 8, 32
+        p, X, resets, lengths, labels, weights = window_inputs(T, B, hidden,
+                                                               lengths=[T] * B)
+        n = T * B
+        gradient_set = sum(a.nbytes for a in p.arrays())
+        tracemalloc.start()
+        try:
+            cache = cached_forward(p, X, resets, lengths).cache
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            backward_batch(p, cache, labels, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= n * hidden * 8 + gradient_set
+        assert cache.a1 is cache.a2 is cache.m0 is cache.m1 is cache.m2 is None
+
     def test_masks_are_bool(self):
         _, cache, _, _ = training_window(6, 3, 4)
         assert all(m.dtype == bool for m in (cache.m0, cache.m1, cache.m2))
@@ -399,6 +499,22 @@ class TestTrainingMemory:
 
 
 class TestDropout:
+    def test_block_drawn_masks_equal_one_draw_cut_to_the_real_rows(self):
+        # T=37 spans three blocks of draws, the last one short; two lanes
+        # never run and one ends inside the second block.
+        lengths = [0, 0, 5, 20, 37, 37]
+        T, B, keep = max(lengths), len(lengths), 0.6
+        p, X, resets, lengths, _, _ = window_inputs(T, B, 5, lengths=lengths)
+        cache = cached_forward(p, X, resets, lengths, dropout_p=1.0 - keep,
+                               seed=30).cache
+        draw = np.random.default_rng(31)
+        real = np.arange(T)[:, None] < np.array(lengths)
+        for mask, width in ((cache.m0, p.hidden_size), (cache.m1, p.dense1_size),
+                            (cache.m2, p.dense2_size)):
+            expected = (draw.random((T, B, width)) < keep)[real]
+            assert mask.dtype == bool
+            np.testing.assert_array_equal(mask, expected)
+
     def test_probs_equal_a_float_mask_head_oracle(self):
         # The masks are drawn from the same seeded generator as
         # (r < keep) / keep; the bool masks and 1/keep must give the same
@@ -418,9 +534,10 @@ class TestDropout:
         masks = [(draw.random((T, B, n)) < keep) / keep
                  for n in (p.hidden_size, p.dense1_size, p.dense2_size)]
         first = np.searchsorted(lengths, np.arange(T), side="right")
+        hs = cached_h(out.cache)
         for t, lo in enumerate(first):
             start = packed_row(lengths, t, lo)
-            rows = out.cache.h[start:start + B - lo]
+            rows = hs[start:start + B - lo]
             np.testing.assert_array_equal(
                 out.probs[t, lo:],
                 numpy_head_oracle(p, rows, [m[t, lo:] for m in masks]))
