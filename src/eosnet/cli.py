@@ -21,6 +21,10 @@ which no flag changes; ``sessionize --data --out [--lenient]`` appends
 the 0-based ordinal of its session within its student, and 1 on the last
 record of each session, else 0.
 
+``featurize`` cells and ``evaluate --dump-scores`` probabilities are the
+shortest round-trip ``repr`` of each float64, so they parse back to the
+same bits.
+
 ``evaluate`` writes ``report.csv``, rows ``metric,stratum,value``: the AUC
 of each stratum that holds both classes (a stratum without both is
 omitted), then ``mean_prob,eos``; and ``trajectory.csv``, rows
@@ -318,9 +322,9 @@ def cmd_featurize(args) -> int:
     rows = [header]
     for sid in sorted(labeled):
         seq = labeled[sid]
-        frames = featurize(seq, utc_offset_minutes=args.utc_offset_minutes)
-        for action, frame, yval in zip(seq.actions, frames, seq.labels):
-            cells = ",".join(repr(float(v)) for v in frame)
+        frames = featurize(seq, utc_offset_minutes=args.utc_offset_minutes).tolist()
+        for action, frame, yval in zip(seq.actions, frames, seq.labels.tolist()):
+            cells = ",".join(map(repr, frame))
             prefix = ""
             if args.with_keys:
                 prefix = f"{sid},{action.timestamp},"
@@ -405,8 +409,8 @@ def cmd_evaluate(args) -> int:
         rows = ["student_id,timestamp,prob,label"]
         for sid in ids:
             seq = labeled[sid]
-            for action, prob, yval in zip(seq.actions, probs[sid], seq.labels):
-                rows.append(f"{sid},{action.timestamp},{float(prob)!r},{yval}")
+            for action, prob, yval in zip(seq.actions, probs[sid].tolist(), seq.labels.tolist()):
+                rows.append(f"{sid},{action.timestamp},{prob!r},{yval}")
         atomic_write_text(args.dump_scores, "\n".join(rows) + "\n")
         outputs.append(args.dump_scores)
 

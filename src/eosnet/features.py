@@ -1,12 +1,14 @@
 """Per-action feature encoding.
 
-Every action becomes a 13-dimensional float vector with the layout below;
+Every action becomes a frame of 13 floats with the layout below;
 ``FEATURE_NAMES`` holds the column names in this order.
 :class:`StreamFeaturizer` encodes one student's actions one at a time,
-causally, as live scoring needs; ``featurize`` pushes every action of a
-labelled sequence through it, so batch and live encodings are one code
-path.  Session starts (column 12, and the session gap of column 4) come
-from ``sessions.starts_session``, the same rule that segments sessions.
+causally, as live scoring needs, each frame a list of 13 Python floats;
+``featurize`` pushes every action of a labelled sequence through it and
+stacks the frames once into an (n, 13) array, so batch and live scoring
+share one encoder.  Session starts (column 12, and the session gap of
+column 4) come from ``sessions.starts_session``, the same rule that
+segments sessions.
 
 Layout (column indices):
 
@@ -76,18 +78,14 @@ _STATE_TYPES = {
 }
 
 
-def time_of_day_bucket(timestamp: int, utc_offset_minutes: int) -> np.ndarray:
-    """One-hot over the three local-time buckets [8,12), [12,15), [15,8)."""
+def time_of_day_column(timestamp: int, utc_offset_minutes: int) -> int:
+    """Column of the local-time bucket: [8,12) 0, [12,15) 1, [15,8) 2."""
     local = (timestamp + 60 * utc_offset_minutes) % 86400
-    hour = local / 3600.0
-    out = np.zeros(3)
-    if 8.0 <= hour < 12.0:
-        out[TOD_8_12] = 1.0
-    elif 12.0 <= hour < 15.0:
-        out[TOD_12_15] = 1.0
-    else:
-        out[TOD_15_8] = 1.0
-    return out
+    if 8 * 3600 <= local < 12 * 3600:
+        return TOD_8_12
+    if 12 * 3600 <= local < 15 * 3600:
+        return TOD_12_15
+    return TOD_15_8
 
 
 def transform_gap(delta_seconds: int, cap_seconds: int) -> float:
@@ -102,7 +100,7 @@ def transform_gap(delta_seconds: int, cap_seconds: int) -> float:
 class StreamFeaturizer:
     """Causal per-student featurizer.
 
-    Feeds one action at a time and returns its feature vector; an action
+    Feeds one action at a time and returns its frame; an action
     starts a session where ``starts_session`` says so.  The student's
     history (``to_dict``) is serializable so scoring can be resumed
     across process invocations; the UTC offset is not part of it.
@@ -115,7 +113,8 @@ class StreamFeaturizer:
         self.last_topic: Optional[str] = None
         self.session_gap_value = 1.0  # column 4, constant within a session
 
-    def push(self, action: RawAction) -> np.ndarray:
+    def push(self, action: RawAction) -> list[float]:
+        """Encode one action; returns its frame as a list of 13 floats."""
         first_ever = self.last_timestamp is None
         if not first_ever and action.timestamp < self.last_timestamp:
             raise ValueError(
@@ -123,8 +122,8 @@ class StreamFeaturizer:
             )
         session_start = starts_session(self.last_timestamp, action.timestamp)
 
-        frame = np.zeros(FEATURE_DIM)
-        frame[0:3] = time_of_day_bucket(action.timestamp, self.utc_offset_minutes)
+        frame = [0.0] * FEATURE_DIM
+        frame[time_of_day_column(action.timestamp, self.utc_offset_minutes)] = 1.0
         if first_ever:
             frame[TIME_SINCE_ACTION] = 1.0
         else:
@@ -135,7 +134,7 @@ class StreamFeaturizer:
             self.session_gap_value = transform_gap(
                 action.timestamp - self.last_timestamp, SESSION_GAP_CAP_SECONDS
             )
-        frame[TIME_SINCE_SESSION] = self.session_gap_value
+        frame[TIME_SINCE_SESSION] = float(self.session_gap_value)
         frame[_KIND_COLUMN[action.kind]] = 1.0
         if not first_ever:
             frame[LESSON_CHANGED] = float(action.lesson_id != self.last_lesson)
@@ -173,7 +172,5 @@ def featurize(seq: LabeledSequence,
               utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES) -> np.ndarray:
     """Encode every action of a labelled sequence; returns (n, 13)."""
     featurizer = StreamFeaturizer(utc_offset_minutes=utc_offset_minutes)
-    frames = np.zeros((seq.n_actions, FEATURE_DIM))
-    for row, action in enumerate(seq.actions):
-        frames[row] = featurizer.push(action)
-    return frames
+    frames = [featurizer.push(action) for action in seq.actions]
+    return np.array(frames, dtype=np.float64).reshape(len(frames), FEATURE_DIM)

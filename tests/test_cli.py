@@ -15,9 +15,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eosnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _load_labeled, main
+from eosnet.features import featurize
 from eosnet.ingest import HEADER
 from eosnet.net import forward_batch, init_params, load_checkpoint, save_checkpoint
-from eosnet.training import Level, TrainConfig, prepare_sequence, split_students
+from eosnet.training import (
+    Level,
+    TrainConfig,
+    prepare_sequence,
+    score_sequences,
+    split_students,
+)
 
 LEVELS = ["student", "session"]
 
@@ -188,6 +195,23 @@ class TestFeaturize:
         assert len(rows) == len(data.read_text().splitlines()) - 1
         assert all(row.count(",") == header.count(",") for row in rows)
 
+    def test_cells_are_reprs_of_featurize(self, corpus, tmp_path):
+        """Each cell is the round-trip repr of its float64, not a rounding."""
+        data, _ = corpus
+        out = tmp_path / "features.csv"
+        assert main(["featurize", "--data", str(data), "--out", str(out),
+                     "--with-keys", "--quiet"]) == EXIT_OK
+        rows = iter(out.read_text().splitlines()[1:])
+        labeled = _load_labeled(str(data))
+        for sid in sorted(labeled):
+            seq = labeled[sid]
+            for action, frame, yval in zip(seq.actions, featurize(seq), seq.labels):
+                cells = next(rows).split(",")
+                assert cells[:2] == [sid, str(action.timestamp)]
+                assert cells[2:-1] == [repr(float(v)) for v in frame]
+                assert cells[-1] == str(int(yval))
+        assert next(rows, None) is None
+
 
 class TestSessionize:
     @pytest.fixture
@@ -298,6 +322,22 @@ class TestEvaluate:
             prob = row.split(",")[2]
             assert not prob.startswith("np.")
             assert 0.0 < float(prob) < 1.0
+
+    def test_dump_scores_cells_are_reprs_of_score_sequences(self, corpus, tmp_path):
+        data, ckpt = corpus
+        dump = tmp_path / "scores.csv"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "eval"), "--split-part", "all",
+                     "--dump-scores", str(dump), "--quiet"]) == EXIT_OK
+        labeled = _load_labeled(str(data))
+        ids = sorted(labeled)
+        probs = score_sequences(load_checkpoint(str(ckpt)),
+                                [prepare_sequence(labeled[sid], Level.STUDENT) for sid in ids])
+        expected = [(sid, repr(float(p)), str(int(y)))
+                    for sid in ids for p, y in zip(probs[sid], labeled[sid].labels)]
+        cells = [row.split(",") for row in dump.read_text().splitlines()[1:]]
+        assert [(c[0], c[2], c[3]) for c in cells] == expected
+        assert {c[3] for c in cells} <= {"0", "1"}
 
     def test_split_seed_scores_the_test_part(self, corpus, tmp_path):
         data, ckpt = corpus

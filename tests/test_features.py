@@ -1,4 +1,4 @@
-"""Feature encoding: buckets, gap transform, full featurization."""
+"""Feature encoding: time-of-day columns, gap transform, full featurization."""
 
 import math
 
@@ -10,7 +10,7 @@ from eosnet import features as F
 from eosnet.features import (
     StreamFeaturizer,
     featurize,
-    time_of_day_bucket,
+    time_of_day_column,
     transform_gap,
 )
 from eosnet.ingest import ActionKind, RawAction, StudentLog
@@ -24,24 +24,33 @@ def ts_at_local_hour(hour, utc_offset_minutes=60, day=20_000):
 
 class TestTimeOfDay:
     def test_morning(self):
-        assert time_of_day_bucket(ts_at_local_hour(9), 60).tolist() == [1, 0, 0]
+        assert time_of_day_column(ts_at_local_hour(9), 60) == F.TOD_8_12
 
     def test_noon_boundary_belongs_to_afternoon(self):
-        assert time_of_day_bucket(ts_at_local_hour(12), 60).tolist() == [0, 1, 0]
+        assert time_of_day_column(ts_at_local_hour(12), 60) == F.TOD_12_15
 
     def test_night_wraps_midnight(self):
-        assert time_of_day_bucket(ts_at_local_hour(3), 60).tolist() == [0, 0, 1]
+        assert time_of_day_column(ts_at_local_hour(3), 60) == F.TOD_15_8
 
     def test_15_boundary(self):
-        assert time_of_day_bucket(ts_at_local_hour(15), 60).tolist() == [0, 0, 1]
+        assert time_of_day_column(ts_at_local_hour(15), 60) == F.TOD_15_8
 
     def test_8_boundary(self):
-        assert time_of_day_bucket(ts_at_local_hour(8), 60).tolist() == [1, 0, 0]
+        assert time_of_day_column(ts_at_local_hour(8), 60) == F.TOD_8_12
+
+    def test_last_second_before_each_boundary(self):
+        columns = [time_of_day_column(ts_at_local_hour(h) - 1, 60) for h in (8, 12, 15)]
+        assert columns == [F.TOD_15_8, F.TOD_8_12, F.TOD_12_15]
 
     @given(st.integers(min_value=0, max_value=2_000_000_000),
            st.integers(min_value=-720, max_value=840))
     def test_always_one_hot(self, ts, offset):
-        assert time_of_day_bucket(ts, offset).sum() == 1.0
+        frame = StreamFeaturizer(offset).push(RawAction("s", ts, M, "L1", "T1", None, False))
+        hour = (ts + 60 * offset) % 86400 / 3600.0
+        expected = [float(8.0 <= hour < 12.0), float(12.0 <= hour < 15.0),
+                    float(hour < 8.0 or hour >= 15.0)]
+        assert frame[0:3] == expected
+        assert sum(frame[0:3]) == 1.0
 
 
 class TestTransformGap:
@@ -165,7 +174,7 @@ def random_logs(draw):
             "s", ts, kind,
             draw(st.sampled_from(["L1", "L2"])),
             draw(st.sampled_from(["T1", "T2"])),
-            draw(st.booleans()) if kind.is_question else None,
+            draw(st.booleans()) if kind is not ActionKind.MATERIAL else None,
             draw(st.booleans()),
         ))
     return StudentLog("s", actions)

@@ -23,6 +23,24 @@ def make_action(student="s1", ts=1_600_000_000, kind=ActionKind.MATERIAL,
                      homework=homework)
 
 
+class TestRawAction:
+    def test_negative_timestamp(self):
+        with pytest.raises(ValueError, match="negative timestamp -5"):
+            make_action(ts=-5)
+
+    def test_question_without_correct(self):
+        with pytest.raises(ValueError, match="question action without a correct flag"):
+            make_action(kind=ActionKind.MULTIPLE_CHOICE_QUESTION, correct=None)
+
+    def test_material_with_correct(self):
+        with pytest.raises(ValueError, match="material action with a correct flag"):
+            make_action(kind=ActionKind.MATERIAL, correct=False)
+
+    def test_not_hashable(self):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(make_action())
+
+
 class TestParseLine:
     def test_fillout_line(self):
         action = parse_line("s1,1600000000,fillout,L3,T1,1,1")
@@ -35,11 +53,11 @@ class TestParseLine:
         assert action.correct is None
 
     def test_material_with_correct_is_error(self):
-        with pytest.raises(LogParseError):
+        with pytest.raises(LogParseError, match="material action with a correct flag"):
             parse_line("s1,1600000000,material,L3,T1,1,0")
 
     def test_question_without_correct_is_error(self):
-        with pytest.raises(LogParseError):
+        with pytest.raises(LogParseError, match="question action without a correct flag"):
             parse_line("s1,1600000000,multichoice,L3,T1,,0")
 
     def test_unknown_kind(self):
@@ -106,7 +124,7 @@ def actions(draw):
         kind=kind,
         lesson_id=draw(st.sampled_from(["L1", "L2", "L9"])),
         topic_id=draw(st.sampled_from(["T1", "T2"])),
-        correct=draw(st.booleans()) if kind.is_question else None,
+        correct=draw(st.booleans()) if kind is not ActionKind.MATERIAL else None,
         homework=draw(st.booleans()),
     )
 

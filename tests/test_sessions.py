@@ -56,7 +56,7 @@ class TestSegment:
             + [ActionKind.MATERIAL]
         actions = [
             RawAction("s", i * 60, k, f"L{i // 2}", "T1",
-                      True if k.is_question else None, False)
+                      True if k is not ActionKind.MATERIAL else None, False)
             for i, k in enumerate(kinds)
         ]
         seq = label(StudentLog("s", actions))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eosnet.cli import EXIT_OK, main
-from eosnet.ingest import format_action
+from eosnet.ingest import ActionKind, format_action
 from eosnet.sessions import HomeworkClass, homework_class, segment
 from eosnet.synthgen import GenConfig, _draw_profile, generate, summarize
 
@@ -91,7 +91,7 @@ class TestStructure:
             previous = None
             for action in log.actions:
                 assert action.timestamp >= 0
-                if action.kind.is_question:
+                if action.kind is not ActionKind.MATERIAL:
                     assert action.correct is not None
                 else:
                     assert action.correct is None
