@@ -29,7 +29,11 @@ same bits.
 of each stratum that holds both classes (a stratum without both is
 omitted), then ``mean_prob,eos``; and ``trajectory.csv``, rows
 ``chunk,mean_prob`` for the 5% chunks 1..20.  Those last two average over
-the sessions of length >= 20 and are omitted when there is none.
+the sessions of length >= 20 and are omitted when there is none; a file
+without rows is its header line alone.
+
+Outputs are checked before any work: ``--out`` directories are made, and
+each file output must name a file in an existing directory (else exit 2).
 
 ``--threads`` takes an integer >= 1; anything else is a usage error.
 
@@ -269,24 +273,47 @@ def _load_model(path):
     return params
 
 
+def _prepared(labeled, ids, level, utc_offset_minutes):
+    """The ``TrainSequence`` of each student of ``ids``, in that order."""
+    from eosnet.training import prepare_sequence
+
+    return [prepare_sequence(labeled[sid], level, utc_offset_minutes) for sid in ids]
+
+
+def _check_outputs(*paths) -> None:
+    """Before any work, fail unless each file output given names a file
+    (not a directory) in a directory that exists."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise DataValidationError(f"cannot write {path}: not a file in an existing directory")
+
+
+def _emit(path, lines) -> None:
+    """Write each of ``lines`` plus a newline atomically to ``path``, or to
+    stdout when ``path`` is None or empty."""
+    from eosnet.fileio import atomic_write_text
+
+    text = "\n".join([*lines, ""])
+    if not path:
+        sys.stdout.write(text)
+    else:
+        atomic_write_text(path, text)
+
+
 # ---------------------------------------------------------------------------
 # handlers
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    from eosnet.fileio import atomic_write_text
     from eosnet.ingest import HEADER, format_action
     from eosnet.synthgen import GenConfig, generate, summarize
 
     t0 = time.perf_counter()
     cfg = _config_from_flags(GenConfig, args)
-    logs = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
+    logs = generate(cfg)
     actions_path = os.path.join(args.out, "actions.csv")
-    rows = [HEADER]
-    for student in logs:
-        rows.extend(format_action(a) for a in student.actions)
-    atomic_write_text(actions_path, "\n".join(rows) + "\n")
+    _emit(actions_path, [HEADER, *(format_action(a) for s in logs for a in s.actions)])
 
     summary = summarize(logs)
     log.info("generated %d students, %d sessions, %d actions",
@@ -298,23 +325,23 @@ def cmd_generate(args) -> int:
 def cmd_sessionize(args) -> int:
     import numpy as np
 
-    from eosnet.fileio import atomic_write_text
     from eosnet.ingest import HEADER, format_action
 
+    _check_outputs(args.out)
     labeled = _load_labeled(args.data, strict=not args.lenient)
     rows = [HEADER + ",session_index,label"]
     for seq in labeled.values():
         session_index = (np.cumsum(seq.labels) - seq.labels).tolist()
         for action, index, yval in zip(seq.actions, session_index, seq.labels.tolist()):
             rows.append(f"{format_action(action)},{index},{yval}")
-    atomic_write_text(args.out, "\n".join(rows) + "\n")
+    _emit(args.out, rows)
     return EXIT_OK
 
 
 def cmd_featurize(args) -> int:
     from eosnet.features import FEATURE_NAMES, featurize
-    from eosnet.fileio import atomic_write_text
 
+    _check_outputs(args.out)
     labeled = _load_labeled(args.data)
     header = ",".join(FEATURE_NAMES) + ",label"
     if args.with_keys:
@@ -329,24 +356,22 @@ def cmd_featurize(args) -> int:
             if args.with_keys:
                 prefix = f"{sid},{action.timestamp},"
             rows.append(f"{prefix}{cells},{yval}")
-    atomic_write_text(args.out, "\n".join(rows) + "\n")
+    _emit(args.out, rows)
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    from eosnet.fileio import atomic_write_text
     from eosnet.net import save_checkpoint
-    from eosnet.training import TrainConfig, prepare_sequence, split_students, train
+    from eosnet.training import TrainConfig, split_students, train
 
     t0 = time.perf_counter()
     config = _config_from_flags(TrainConfig, args)
+    os.makedirs(args.out, exist_ok=True)
 
     labeled = _load_labeled(args.data)
     split = split_students(labeled.keys(), config.seed)
-    train_seqs = [prepare_sequence(labeled[sid], config.level,
-                                   args.utc_offset_minutes) for sid in split.train]
-    val_seqs = [prepare_sequence(labeled[sid], config.level,
-                                 args.utc_offset_minutes) for sid in split.validation]
+    train_seqs = _prepared(labeled, split.train, config.level, args.utc_offset_minutes)
+    val_seqs = _prepared(labeled, split.validation, config.level, args.utc_offset_minutes)
     log.info("training %s-level model on %d students (%d validation)",
              config.level.value, len(train_seqs), len(val_seqs))
 
@@ -356,13 +381,11 @@ def cmd_train(args) -> int:
 
     result = train(config, train_seqs, val_seqs, progress=progress)
 
-    os.makedirs(args.out, exist_ok=True)
     ckpt_path = os.path.join(args.out, "model.ckpt")
     save_checkpoint(result.params, ckpt_path)
     history_path = os.path.join(args.out, "history.csv")
-    rows = ["epoch,train_loss,val_auc"]
-    rows.extend(f"{s.epoch},{s.train_loss!r},{s.val_auc!r}" for s in result.history)
-    atomic_write_text(history_path, "\n".join(rows) + "\n")
+    _emit(history_path, ["epoch,train_loss,val_auc", *(
+        f"{s.epoch},{s.train_loss!r},{s.val_auc!r}" for s in result.history)])
     log.info("best epoch %d (val_auc %.5f)", result.best_epoch, result.best_val_auc)
 
     _write_manifest(args, config, [args.data], [ckpt_path, history_path], t0,
@@ -373,8 +396,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from eosnet.evaluation import compute_report, scored_sessions
-    from eosnet.fileio import atomic_write_text
-    from eosnet.training import Level, prepare_sequence, score_sequences, split_students
+    from eosnet.training import Level, score_sequences, split_students
 
     if args.split_part == "all" and args.split_seed is not None:
         raise UsageError("--split-seed selects nothing with --split-part all")
@@ -382,41 +404,40 @@ def cmd_evaluate(args) -> int:
         raise UsageError(f"--split-part {args.split_part} needs --split-seed")
 
     t0 = time.perf_counter()
+    os.makedirs(args.out, exist_ok=True)  # first: --dump-scores may name a file in it
+    _check_outputs(args.dump_scores)
     params = _load_model(args.checkpoint)
     labeled = _load_labeled(args.data)
     if args.split_part == "all":
         ids = sorted(labeled)
     else:
         ids = getattr(split_students(labeled.keys(), args.split_seed), args.split_part)
-    level = Level(args.level)
-    sequences = [prepare_sequence(labeled[sid], level, args.utc_offset_minutes)
-                 for sid in ids]
-    probs = score_sequences(params, sequences)
+    probs = score_sequences(params, _prepared(labeled, ids, Level(args.level),
+                                              args.utc_offset_minutes))
 
     scored = scored_sessions([labeled[sid] for sid in ids], probs)
-    report = compute_report(scored)
+    rows, chunk_means = compute_report(scored)
 
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.csv")
-    atomic_write_text(report_path,
-                      "metric,stratum,value\n" + "\n".join(report.metric_lines()) + "\n")
+    _emit(report_path, ["metric,stratum,value",
+                        *(f"{metric},{stratum},{value!r}" for metric, stratum, value in rows)])
     trajectory_path = os.path.join(args.out, "trajectory.csv")
-    atomic_write_text(trajectory_path,
-                      "chunk,mean_prob\n" + "\n".join(report.trajectory_rows()) + "\n")
+    means = [] if chunk_means is None else chunk_means.tolist()
+    _emit(trajectory_path, ["chunk,mean_prob",
+                            *(f"{chunk},{mean!r}" for chunk, mean in enumerate(means, 1))])
     outputs = [report_path, trajectory_path]
 
     if args.dump_scores:
-        rows = ["student_id,timestamp,prob,label"]
+        dump = ["student_id,timestamp,prob,label"]
         for sid in ids:
             seq = labeled[sid]
             for action, prob, yval in zip(seq.actions, probs[sid].tolist(), seq.labels.tolist()):
-                rows.append(f"{sid},{action.timestamp},{prob!r},{yval}")
-        atomic_write_text(args.dump_scores, "\n".join(rows) + "\n")
+                dump.append(f"{sid},{action.timestamp},{prob!r},{yval}")
+        _emit(args.dump_scores, dump)
         outputs.append(args.dump_scores)
 
-    if report.global_auc is not None:
-        log.info("global AUC %.5f over %d sessions", report.global_auc,
-                 int(scored.labels.sum()))
+    if rows and rows[0][:2] == ("auc", "global"):
+        log.info("global AUC %.5f over %d sessions", rows[0][2], int(scored.labels.sum()))
     _write_manifest(args, None, [args.checkpoint, args.data], outputs, t0)
     return EXIT_OK
 
@@ -479,13 +500,13 @@ def _load_score_state(path, level, utc_offset_minutes, hidden_size):
                 f"(expected {SCORE_STATE_VERSION})")
         if saved["level"] != level:
             raise DataValidationError(
-                f"state was saved for level {saved['level']!r}, not {level!r}")
+                f"{path}: state was saved for level {saved['level']!r}, not {level!r}")
         offset = saved["utc_offset_minutes"]
         if isinstance(offset, bool) or not isinstance(offset, int):
             raise ValueError(f"utc_offset_minutes has the wrong type: {offset!r}")
         if offset != utc_offset_minutes:
             raise DataValidationError(
-                f"state was saved for --utc-offset-minutes {offset}, "
+                f"{path}: state was saved for --utc-offset-minutes {offset}, "
                 f"not {utc_offset_minutes}")
         students = saved["students"]
         if not isinstance(students, dict):
@@ -515,10 +536,10 @@ def cmd_score(args) -> int:
     import numpy as np
 
     from eosnet.features import SESSION_START, StreamFeaturizer
-    from eosnet.fileio import atomic_write_text
     from eosnet.ingest import read_actions
     from eosnet.net import LstmState, infer_step
 
+    _check_outputs(args.out, args.state_out)
     params = _load_model(args.checkpoint)
     session_level = args.level == "session"
 
@@ -555,11 +576,7 @@ def cmd_score(args) -> int:
         if lines is not sys.stdin:
             lines.close()
 
-    if args.out:
-        atomic_write_text(args.out, "\n".join(out_rows) + "\n" if out_rows else "")
-    else:
-        for row in out_rows:
-            print(row)
+    _emit(args.out, out_rows)
 
     if args.state_out:
         ids = sorted(states)
@@ -576,22 +593,17 @@ def cmd_score(args) -> int:
             "h": _encode_matrix(h),
             "c": _encode_matrix(c),
         }
-        atomic_write_text(args.state_out, json.dumps(payload) + "\n")
+        _emit(args.state_out, [json.dumps(payload)])
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    from eosnet.fileio import atomic_write_text
     from eosnet.ingest import group_by_student, parse_log_file
     from eosnet.synthgen import summarize
 
+    _check_outputs(args.out)
     actions = parse_log_file(args.data)
-    summary = summarize(group_by_student(actions))
-    text = "\n".join(summary.lines()) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.out, summarize(group_by_student(actions)).lines())
     return EXIT_OK
 
 
@@ -607,29 +619,21 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as exc:  # --help
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         _configure(args)
         return _HANDLERS[args.command](args)
+    except SystemExit as exc:  # --help
+        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LogParseError, DataValidationError, CheckpointError) as exc:
+    except (LogParseError, DataValidationError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalFault as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -9,11 +9,15 @@ the stratum's sessions (or students) into one score/label set.
 The per-action end-of-session ``labels`` are the one record of session
 boundaries here too: a stratum is a mask over sessions, expanded over
 their actions, and no per-session copy of probabilities is kept.
+
+``compute_report`` gives the report as ``(metric, stratum, value)`` rows,
+each appended as it is computed, so their order is stated once.  A stratum
+that does not hold both classes has no row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -86,53 +90,6 @@ def scored_sessions(seqs: Sequence[LabeledSequence],
     )
 
 
-@dataclass(slots=True)
-class EvalReport:
-    """Every evaluation output: global and stratified AUCs, trajectory."""
-
-    global_auc: Optional[float] = None
-    homework_auc: dict = field(default_factory=dict)   # HomeworkClass -> float
-    length_auc: dict = field(default_factory=dict)     # "1-5" ... "91-max" -> float
-    div5_auc: tuple = (None, None)                     # (divisible, not divisible)
-    usage_auc: dict = field(default_factory=dict)      # session-count bucket -> float
-    trajectory: Optional[np.ndarray] = None            # (20,) chunk means
-    eos_mean_prob: Optional[float] = None
-
-    def metric_lines(self) -> list[str]:
-        """Flatten to ``metric,stratum,value`` rows (absent strata omitted)."""
-        rows: list[str] = []
-
-        def put(metric, stratum, value):
-            if value is not None:
-                rows.append(f"{metric},{stratum},{value!r}")
-
-        put("auc", "global", self.global_auc)
-        for cls in HomeworkClass:
-            put("auc", f"homework_{cls.value}", self.homework_auc.get(cls))
-        for key in BUCKET_LABELS:
-            put("auc", f"length_{key}", self.length_auc.get(key))
-        put("auc", "div5", self.div5_auc[0])
-        put("auc", "nondiv5", self.div5_auc[1])
-        for key in BUCKET_LABELS:
-            put("auc", f"usage_{key}", self.usage_auc.get(key))
-        put("mean_prob", "eos", self.eos_mean_prob)
-        return rows
-
-    def trajectory_rows(self) -> list[str]:
-        """Plot-data rows ``chunk,mean_prob`` for chunks 1..20."""
-        if self.trajectory is None:
-            return []
-        return [f"{i + 1},{float(v)!r}" for i, v in enumerate(self.trajectory)]
-
-
-def _stratum_aucs(pooled, session_keys: list, keys) -> dict:
-    """``pooled`` AUC of the sessions whose key is each of ``keys``, in
-    that order, omitting keys without an AUC."""
-    session_keys = np.array(session_keys, dtype=object)
-    aucs = {key: pooled(session_keys == key) for key in keys}
-    return {key: value for key, value in aucs.items() if value is not None}
-
-
 def trajectory(scored: ScoredActions) -> Optional[tuple[np.ndarray, float]]:
     """Mean probability per 5% chunk over sessions of length >= 20, plus
     the mean probability at their true end-of-session actions.
@@ -161,34 +118,45 @@ def trajectory(scored: ScoredActions) -> Optional[tuple[np.ndarray, float]]:
     return sums / counts, eos_sum / eos_count
 
 
-def compute_report(scored: ScoredActions) -> EvalReport:
-    """Assemble the full report from the scored actions.
+def compute_report(scored: ScoredActions) -> tuple[list, Optional[np.ndarray]]:
+    """``(rows, chunk_means)``: the ``(metric, stratum, value)`` rows of
+    ``report.csv`` in order, and the ``trajectory`` chunk means.
 
-    Each stratum is a mask over sessions, expanded over their actions;
-    its AUC pools those actions in their original order.
+    The rows are the ``auc`` of ``global``, ``homework_<class>`` in
+    ``HomeworkClass`` order, ``length_<bucket>``, ``div5``, ``nondiv5`` and
+    ``usage_<bucket>`` (the student's session count), omitting each stratum
+    without both classes; then ``mean_prob,eos``.  That row is absent and
+    ``chunk_means`` is None when no session is long enough for the
+    trajectory.  A stratum's AUC pools its actions in their original order.
     """
     lengths = session_lengths(scored.labels)
     session_of = np.cumsum(scored.labels) - scored.labels  # per action
+    rows: list = []
 
-    def pooled(session_mask) -> Optional[float]:
+    def put(stratum: str, session_mask) -> None:
         mask = session_mask[session_of]
-        return auc(scored.probs[mask], scored.labels[mask]) if mask.any() else None
+        value = auc(scored.probs[mask], scored.labels[mask]) if mask.any() else None
+        if value is not None:
+            rows.append(("auc", stratum, value))
 
-    report = EvalReport()
-    report.global_auc = pooled(np.ones(lengths.shape[0], dtype=bool))
+    def put_each(prefix: str, session_keys: list, keys) -> None:
+        session_keys = np.array(session_keys, dtype=object)
+        for key in keys:
+            put(f"{prefix}_{key}", session_keys == key)
 
+    put("global", np.ones(lengths.shape[0], dtype=bool))
     homework = np.bincount(session_of[scored.homework], minlength=lengths.shape[0])
-    report.homework_auc = _stratum_aucs(
-        pooled, list(map(homework_class, homework.tolist(), lengths.tolist())), HomeworkClass)
-    report.length_auc = _stratum_aucs(
-        pooled, list(map(bucket_key, lengths.tolist())), BUCKET_LABELS)
-    report.div5_auc = (pooled(lengths % 5 == 0), pooled(lengths % 5 != 0))
+    put_each("homework", [homework_class(n, length).value for n, length
+                          in zip(homework.tolist(), lengths.tolist())],
+             [cls.value for cls in HomeworkClass])
+    put_each("length", list(map(bucket_key, lengths.tolist())), BUCKET_LABELS)
+    put("div5", lengths % 5 == 0)
+    put("nondiv5", lengths % 5 != 0)
     session_students = scored.students[np.flatnonzero(scored.labels)]
     usage = np.bincount(session_students)[session_students]  # the student's sessions
-    report.usage_auc = _stratum_aucs(
-        pooled, list(map(bucket_key, usage.tolist())), BUCKET_LABELS)
+    put_each("usage", list(map(bucket_key, usage.tolist())), BUCKET_LABELS)
 
-    traj = trajectory(scored)
-    if traj is not None:
-        report.trajectory, report.eos_mean_prob = traj
-    return report
+    chunk_means, eos_mean = trajectory(scored) or (None, None)
+    if chunk_means is not None:
+        rows.append(("mean_prob", "eos", eos_mean))
+    return rows, chunk_means

@@ -374,6 +374,6 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
     return TrainResult(
         params=best_params,
         history=history,
-        best_epoch=stopper.best_epoch if stopper.best_epoch is not None else 0,
-        best_val_auc=stopper.best_score if stopper.best_score is not None else float("nan"),
+        best_epoch=stopper.best_epoch,
+        best_val_auc=stopper.best_score,
     )

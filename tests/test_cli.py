@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from eosnet import cli, ingest, synthgen
 from eosnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _load_labeled, main
 from eosnet.features import featurize
 from eosnet.ingest import HEADER
@@ -349,6 +350,18 @@ class TestEvaluate:
         test = split_students(_load_labeled(str(data)).keys(), 0).test
         assert test and sorted(scored) == sorted(test)
 
+    def test_header_only_log_writes_header_only_files(self, corpus, tmp_path):
+        _, ckpt = corpus
+        log = tmp_path / "header.csv"
+        log.write_text(HEADER + "\n")
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(log),
+                     "--out", str(out), "--dump-scores", str(out / "scores.csv"),
+                     "--quiet"]) == EXIT_OK
+        assert (out / "report.csv").read_text() == "metric,stratum,value\n"
+        assert (out / "trajectory.csv").read_text() == "chunk,mean_prob\n"
+        assert (out / "scores.csv").read_text() == "student_id,timestamp,prob,label\n"
+
     def test_manifest_records_every_flag(self, corpus, tmp_path):
         data, ckpt = corpus
         out = tmp_path / "eval"
@@ -465,6 +478,48 @@ class TestNotUtf8Log:
         assert_one_error_line(capsys, "<stdin>: not UTF-8 text")
 
 
+def forbid(*_args, **_kwargs):
+    raise AssertionError("the run read its input before checking its outputs")
+
+
+class TestOutputsCheckedFirst:
+    """An output that cannot be written ends the run with one error line
+    that names it, before any input is read or any file is written."""
+
+    @pytest.fixture(autouse=True)
+    def _no_work(self, monkeypatch):
+        for owner, name in ((cli, "_load_labeled"), (cli, "_load_model"),
+                            (ingest, "parse_log_file"), (synthgen, "generate")):
+            monkeypatch.setattr(owner, name, forbid)
+
+    @pytest.mark.parametrize("command, flag", [
+        ("sessionize", "--out"), ("featurize", "--out"), ("report", "--out"),
+        ("score", "--out"), ("score", "--state-out"), ("evaluate", "--dump-scores")])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_file(self, corpus, tmp_path, capsys, command, flag, where):
+        data, ckpt = corpus
+        target = str(tmp_path / "missing_dir" / "x.csv" if where == "missing_dir"
+                     else tmp_path)
+        inputs = {"evaluate": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
+                  "score": ["--checkpoint", str(ckpt)]}.get(command, [])
+        assert main([command, "--data", str(data), *inputs, flag, target]) == EXIT_DATA
+        assert_one_error_line(capsys, f"cannot write {target}: ")
+        assert [path for path in tmp_path.rglob("*") if not path.is_dir()] == []
+
+    @pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
+    def test_out_is_a_file(self, corpus, tmp_path, capsys, command):
+        data, ckpt = corpus
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        argv = {"generate": ["generate", "--out", str(out)],
+                "train": ["train", "--data", str(data), "--out", str(out)],
+                "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                             "--out", str(out)]}[command]
+        assert main(argv) == EXIT_DATA
+        assert_one_error_line(capsys, str(out))
+        assert out.read_text() == "kept\n" and list(tmp_path.iterdir()) == [out]
+
+
 def decode_matrix(saved, key):
     """A writable copy of the (N, H) float64 matrix a v3 state stores under key."""
     raw = base64.b64decode(saved[key])
@@ -555,7 +610,15 @@ class TestScoreStateIn:
         assert self._score(self.second, self.tmp / "second.csv",
                            "--utc-offset-minutes", "0",
                            "--state-in", str(state)) == EXIT_DATA
-        assert_one_error_line(capsys, "--utc-offset-minutes 60, not 0")
+        assert_one_error_line(
+            capsys, f"{state}: state was saved for --utc-offset-minutes 60, not 0")
+
+    def test_level_differs_from_saved(self, capsys):
+        state = self._save_state("--level", "student")
+        assert self._score(self.second, self.tmp / "second.csv", "--level", "session",
+                           "--state-in", str(state)) == EXIT_DATA
+        assert_one_error_line(
+            capsys, f"{state}: state was saved for level 'student', not 'session'")
 
     @pytest.mark.parametrize("value", ["60", True, None])
     def test_bad_saved_offset(self, capsys, value):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from eosnet.evaluation import (
     BUCKET_LABELS,
-    EvalReport,
     ScoredActions,
     auc,
     bucket_key,
@@ -123,45 +122,51 @@ def scored(*sessions):
     )
 
 
+def report_values(*sessions):
+    """The report rows of hand-built sessions as ``{(metric, stratum): value}``."""
+    rows, _ = compute_report(scored(*sessions))
+    return {(metric, stratum): value for metric, stratum, value in rows}
+
+
 class TestStratifiedReport:
     def test_degenerate_single_length_stratum(self):
-        report = compute_report(scored(session("a", [0.1, 0.2, 0.1, 0.3, 0.8]),
-                                       session("a", [0.2, 0.1, 0.4, 0.2, 0.9]),
-                                       session("b", [0.3, 0.3, 0.1, 0.2, 0.7])))
-        assert list(report.length_auc) == ["1-5"]
-        assert report.div5_auc[0] == pytest.approx(report.global_auc)
-        assert report.div5_auc[1] is None
+        values = report_values(session("a", [0.1, 0.2, 0.1, 0.3, 0.8]),
+                               session("a", [0.2, 0.1, 0.4, 0.2, 0.9]),
+                               session("b", [0.3, 0.3, 0.1, 0.2, 0.7]))
+        assert [s for _, s in values if s.startswith("length_")] == ["length_1-5"]
+        assert values["auc", "div5"] == pytest.approx(values["auc", "global"])
+        assert ("auc", "nondiv5") not in values
 
     def test_strata_match_pairwise_oracle(self):
         hw = session("a", [0.2, 0.9], HomeworkClass.ONLY)
         free = session("b", [0.5, 0.4, 0.6], HomeworkClass.NONE)
-        report = compute_report(scored(hw, free))
-        assert report.homework_auc[HomeworkClass.ONLY] == pytest.approx(
+        values = report_values(hw, free)
+        assert values["auc", "homework_only"] == pytest.approx(
             brute_force_auc([0.2, 0.9], [0, 1]))
-        assert report.homework_auc[HomeworkClass.NONE] == pytest.approx(
+        assert values["auc", "homework_none"] == pytest.approx(
             brute_force_auc([0.5, 0.4, 0.6], [0, 0, 1]))
-        assert report.global_auc == pytest.approx(
+        assert values["auc", "global"] == pytest.approx(
             brute_force_auc([0.2, 0.9, 0.5, 0.4, 0.6], [0, 1, 0, 0, 1]))
-        assert HomeworkClass.PARTLY not in report.homework_auc
+        assert ("auc", "homework_partly") not in values
 
     def test_usage_bucket_for_seven_sessions(self):
         sessions = [session("a", [0.4, 0.6]) for _ in range(7)]
         sessions.append(session("b", [0.5, 0.5]))
-        report = compute_report(scored(*sessions))
-        assert "6-10" in report.usage_auc
-        assert report.usage_auc["6-10"] == pytest.approx(
+        values = report_values(*sessions)
+        assert ("auc", "usage_6-10") in values
+        assert values["auc", "usage_6-10"] == pytest.approx(
             auc([0.4, 0.6] * 7, [0, 1] * 7))
-        assert report.usage_auc["1-5"] == 0.5
+        assert values["auc", "usage_1-5"] == 0.5
 
-    def test_metric_lines_schema(self):
-        report = compute_report(scored(
+    def test_rows_schema(self):
+        rows, chunk_means = compute_report(scored(
             session("a", [0.1] * 5 + [0.9] * 5, HomeworkClass.ONLY),
             session("a", [0.2, 0.8], HomeworkClass.PARTLY)))
-        lines = report.metric_lines()
-        names = {line.split(",")[0] + "," + line.split(",")[1] for line in lines}
-        assert "auc,global" in names
-        assert "auc,homework_only" in names
-        assert all(line.count(",") == 2 for line in lines)
+        names = {(metric, stratum) for metric, stratum, _ in rows}
+        assert ("auc", "global") in names
+        assert ("auc", "homework_only") in names
+        assert all(len(row) == 3 and isinstance(row[2], float) for row in rows)
+        assert chunk_means is None and ("mean_prob", "eos") not in names
 
 
 class TestTrajectory:
@@ -199,7 +204,7 @@ class TestTrajectory:
 
 
 def report_oracle(students):
-    """The report pooled from per-session lists.
+    """The report rows and chunk means pooled from per-session lists.
 
     ``students`` maps each student id to its sessions in time order, each
     a ``(probs, homework_flags)`` pair of lists; every stratum concatenates
@@ -216,29 +221,33 @@ def report_oracle(students):
                   for j in range(len(probs))]
         return auc(np.array(scores), np.array(labels, dtype=np.int8))
 
-    def buckets(count_of):
+    rows = []
+
+    def put(stratum, members):
+        value = pooled(members)
+        if value is not None:
+            rows.append(("auc", stratum, value))
+
+    def buckets(prefix, count_of):
         groups = {key: [] for key in BUCKET_LABELS}
         for member in sessions:
             groups[bucket_key(count_of(member))].append(member)
-        aucs = {key: pooled(members) for key, members in groups.items()}
-        return {key: value for key, value in aucs.items() if value is not None}
+        for key, members in groups.items():
+            put(f"{prefix}_{key}", members)
 
     def homework(flags):
         if all(flags):
             return HomeworkClass.ONLY
         return HomeworkClass.PARTLY if any(flags) else HomeworkClass.NONE
 
-    report = EvalReport()
-    report.global_auc = pooled(sessions)
+    put("global", sessions)
     for cls in HomeworkClass:
-        value = pooled([m for m in sessions if homework(m[2]) is cls])
-        if value is not None:
-            report.homework_auc[cls] = value
-    report.length_auc = buckets(lambda m: len(m[1]))
-    report.div5_auc = (pooled([m for m in sessions if len(m[1]) % 5 == 0]),
-                       pooled([m for m in sessions if len(m[1]) % 5 != 0]))
+        put(f"homework_{cls.value}", [m for m in sessions if homework(m[2]) is cls])
+    buckets("length", lambda m: len(m[1]))
+    put("div5", [m for m in sessions if len(m[1]) % 5 == 0])
+    put("nondiv5", [m for m in sessions if len(m[1]) % 5 != 0])
     counts = Counter(sid for sid, _, _ in sessions)
-    report.usage_auc = buckets(lambda m: counts[m[0]])
+    buckets("usage", lambda m: counts[m[0]])
 
     sums, hits, eos = np.zeros(20), np.zeros(20), []
     for _, probs, _ in sessions:
@@ -247,12 +256,13 @@ def report_oracle(students):
             np.add.at(sums, chunks, probs)
             np.add.at(hits, chunks, 1)
             eos.append(probs[-1])
-    if eos:
-        total = 0.0
-        for p in eos:
-            total += p
-        report.trajectory, report.eos_mean_prob = sums / hits, total / len(eos)
-    return report
+    if not eos:
+        return rows, None
+    total = 0.0
+    for p in eos:
+        total += p
+    rows.append(("mean_prob", "eos", total / len(eos)))
+    return rows, sums / hits
 
 
 # Per student: sessions of (length, homework mix) with mix 0 none, 1 all, 2 random.
@@ -286,10 +296,13 @@ class TestReportOracle:
             seqs.append(label(StudentLog(sid, actions)))
             probs[sid] = np.array([p for values, _ in own for p in values])
             students[sid] = own
-        got = compute_report(scored_sessions(seqs, probs))
-        expected = report_oracle(students)
-        assert got.metric_lines() == expected.metric_lines()
-        assert got.trajectory_rows() == expected.trajectory_rows()
+        rows, chunk_means = compute_report(scored_sessions(seqs, probs))
+        expected_rows, expected_means = report_oracle(students)
+        assert rows == expected_rows
+        if expected_means is None:
+            assert chunk_means is None
+        else:
+            assert chunk_means.tolist() == expected_means.tolist()
 
 
 def student_fixture(rng, student="s", n_sessions=3):
