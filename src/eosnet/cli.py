@@ -41,6 +41,10 @@ each file output must name a file in an existing directory (else exit 2).
 ``score``) takes an integer in [-720, 840], the offsets of real time
 zones; anything else is a usage error.
 
+``score`` reads its input in one pass.  It keeps the LSTM state of its
+k-th student (those of ``--state-in`` first) in row k of two (N, H)
+matrices, and holds its rows until the input ends.
+
 ``score --state-out`` writes the JSON state that ``--state-in`` resumes:
 ``version`` (3), ``level`` and ``utc_offset_minutes``; ``students``, a
 mapping of student id to featurizer history (``last_timestamp``,
@@ -452,7 +456,8 @@ def _encode_matrix(matrix) -> str:
 
 
 def _decode_matrix(path, saved, key, n_students, hidden_size):
-    """The (n_students, hidden_size) float64 matrix stored under ``key``."""
+    """A writable copy of the (n_students, hidden_size) float64 matrix
+    stored under ``key``."""
     import numpy as np
 
     text = saved[key]
@@ -468,12 +473,13 @@ def _decode_matrix(path, saved, key, n_students, hidden_size):
         raise DataValidationError(
             f"{path}: {key} has {len(raw)} bytes, not {n_students} rows x "
             f"{hidden_size} x 8 = {expected}; the checkpoint's hidden size is {hidden_size}")
-    return np.frombuffer(raw, dtype=_STATE_DTYPE).reshape(n_students, hidden_size)
+    return np.frombuffer(raw, dtype=_STATE_DTYPE).reshape(n_students, hidden_size).copy()
 
 
 def _load_score_state(path, level, utc_offset_minutes, hidden_size):
-    """Read a ``score --state-out`` file into per-student (featurizer,
-    LSTM state) pairs; any defect in it is a DataValidationError.
+    """Read a ``score --state-out`` file into ``(featurizers, h, c)``, a
+    featurizer per student and the (N, H) state matrices in the file's
+    order; any defect in it is a DataValidationError.
 
     ``h`` and ``c`` are checked as whole matrices: each must be a base64
     string (strict alphabet and padding) that decodes to exactly
@@ -486,7 +492,6 @@ def _load_score_state(path, level, utc_offset_minutes, hidden_size):
     import numpy as np
 
     from eosnet.features import StreamFeaturizer
-    from eosnet.net import LstmState
 
     try:
         with open(path, encoding="utf-8") as handle:
@@ -518,18 +523,14 @@ def _load_score_state(path, level, utc_offset_minutes, hidden_size):
         if not finite.all():
             sid = ids[int(np.argmin(finite))]
             raise DataValidationError(f"{path}: state of {sid} has non-finite h or c")
-        states = {
-            sid: (StreamFeaturizer.from_dict(students[sid], offset),
-                  LstmState(h=h[k], c=c[k]))
-            for k, sid in enumerate(ids)
-        }
+        featurizers = {sid: StreamFeaturizer.from_dict(students[sid], offset) for sid in ids}
     except DataValidationError:
         raise
     except KeyError as exc:
         raise DataValidationError(f"{path}: scoring state lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: malformed scoring state: {exc}") from None
-    return states
+    return featurizers, h, c
 
 
 def cmd_score(args) -> int:
@@ -537,16 +538,19 @@ def cmd_score(args) -> int:
 
     from eosnet.features import SESSION_START, StreamFeaturizer
     from eosnet.ingest import read_actions
-    from eosnet.net import LstmState, infer_step
+    from eosnet.net import infer_step
 
     _check_outputs(args.out, args.state_out)
     params = _load_model(args.checkpoint)
     session_level = args.level == "session"
 
-    states: dict[str, tuple[StreamFeaturizer, LstmState]] = {}
+    # row k of h and c is the k-th student's state; spare rows are zero
+    featurizers: dict[str, StreamFeaturizer] = {}
+    h = c = np.zeros((0, params.hidden_size))
     if args.state_in:
-        states = _load_score_state(args.state_in, args.level,
-                                   args.utc_offset_minutes, params.hidden_size)
+        featurizers, h, c = _load_score_state(args.state_in, args.level,
+                                              args.utc_offset_minutes, params.hidden_size)
+    rows = {sid: k for k, sid in enumerate(featurizers)}
 
     if args.data == "-":
         sys.stdin.reconfigure(encoding="utf-8", errors="strict")  # whatever the locale
@@ -556,22 +560,20 @@ def cmd_score(args) -> int:
     out_rows = []
     try:
         for line_no, action in read_actions(lines):
-            if action.student_id not in states:
-                states[action.student_id] = (
-                    StreamFeaturizer(utc_offset_minutes=args.utc_offset_minutes),
-                    LstmState.zeros(params.hidden_size),
-                )
-            featurizer, state = states[action.student_id]
+            sid = action.student_id
+            k = rows.get(sid)
+            if k is None:
+                k = rows[sid] = len(rows)
+                featurizers[sid] = StreamFeaturizer(utc_offset_minutes=args.utc_offset_minutes)
+                if k == len(h):
+                    h, c = (np.pad(m, ((0, max(k, 1)), (0, 0))) for m in (h, c))
             try:
-                frame = featurizer.push(action)
+                frame = featurizers[sid].push(action)
             except ValueError as exc:
-                raise DataValidationError(
-                    f"line {line_no}: {action.student_id}: {exc}") from None
-            if session_level and frame[SESSION_START]:
-                state = LstmState.zeros(params.hidden_size)
-            prob, state = infer_step(params, frame, state)
-            states[action.student_id] = (featurizer, state)
-            out_rows.append(f"{action.student_id},{action.timestamp},{prob!r}")
+                raise DataValidationError(f"line {line_no}: {sid}: {exc}") from None
+            reset = session_level and bool(frame[SESSION_START])
+            prob, h[k], c[k] = infer_step(params, frame, h[k], c[k], reset)
+            out_rows.append(f"{sid},{action.timestamp},{prob!r}")
     finally:
         if lines is not sys.stdin:
             lines.close()
@@ -579,19 +581,15 @@ def cmd_score(args) -> int:
     _emit(args.out, out_rows)
 
     if args.state_out:
-        ids = sorted(states)
-        h = np.empty((len(ids), params.hidden_size))
-        c = np.empty_like(h)
-        for k, sid in enumerate(ids):
-            state = states[sid][1]
-            h[k], c[k] = state.h, state.c
+        ids = sorted(featurizers)
+        order = [rows[sid] for sid in ids]
         payload = {
             "version": SCORE_STATE_VERSION,
             "level": args.level,
             "utc_offset_minutes": args.utc_offset_minutes,
-            "students": {sid: states[sid][0].to_dict() for sid in ids},
-            "h": _encode_matrix(h),
-            "c": _encode_matrix(c),
+            "students": {sid: featurizers[sid].to_dict() for sid in ids},
+            "h": _encode_matrix(h[order]),
+            "c": _encode_matrix(c[order]),
         }
         _emit(args.state_out, [json.dumps(payload)])
     return EXIT_OK

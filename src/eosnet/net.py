@@ -5,7 +5,8 @@ All math is 64-bit.  The batched code path is time-major ``(T, B, dim)``
 and is the single implementation; there are no per-sequence wrappers, so
 callers pass whole batches to :func:`forward_batch` and
 :func:`backward_batch`.  The streaming ``infer_step`` (and ``lstm_step``)
-are T=1, B=1 wrappers over it.  Gate blocks inside ``lstm_W``/``lstm_b``
+are T=1, B=1 wrappers over it that take one student's state as two
+length-H vectors ``h`` and ``c``.  Gate blocks inside ``lstm_W``/``lstm_b``
 are stacked in the order input, forget, candidate, output, and the LSTM
 input is the concatenation ``[x; h]`` (feature columns first).
 
@@ -159,18 +160,6 @@ class ModelParams:
 
     def all_finite(self) -> bool:
         return all(np.isfinite(a).all() for a in self.arrays())
-
-
-@dataclass(slots=True)
-class LstmState:
-    """Recurrent state: hidden and cell vectors, length H."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, hidden_size: int) -> "LstmState":
-        return cls(h=np.zeros(hidden_size), c=np.zeros(hidden_size))
 
 
 def fan_in_sizes(hidden_size: int) -> tuple[int, int]:
@@ -609,23 +598,27 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
 # the streaming wrappers
 # ---------------------------------------------------------------------------
 
-def infer_step(params: ModelParams, frame, state: LstmState) -> tuple[float, LstmState]:
+def infer_step(params: ModelParams, frame, h: np.ndarray, c: np.ndarray,
+               reset: bool = False) -> tuple[float, np.ndarray, np.ndarray]:
     """Inference for a single action: one LSTM step plus the dense head.
 
-    Runs ``forward_batch`` with one step and one lane, so it matches a
-    whole-sequence inference pass step for step; used by the streaming
-    scorer where actions arrive one at a time.
+    ``h`` and ``c`` are the state before the action (only read); ``reset``
+    zeroes it first, as ``forward_batch``'s ``resets`` does.  Returns
+    ``(prob, h, c)``.  One step and one lane of ``forward_batch``, so it
+    matches a whole-sequence inference pass step for step.
     """
     X = np.asarray(frame, dtype=np.float64).reshape(1, 1, -1)
-    out = forward_batch(params, X, np.zeros((1, 1), dtype=bool),
-                        state.h[None, :], state.c[None, :])
-    return float(out.probs[0, 0]), LstmState(h=out.h[0], c=out.c[0])
+    out = forward_batch(params, X, np.full((1, 1), reset, dtype=bool),
+                        h[None, :], c[None, :])
+    return float(out.probs[0, 0]), out.h[0], out.c[0]
 
 
-def lstm_step(params: ModelParams, x, state: LstmState) -> LstmState:
-    """One LSTM step; pure function of its inputs (``infer_step`` without
-    the probability)."""
-    return infer_step(params, x, state)[1]
+def lstm_step(params: ModelParams, x, h: np.ndarray,
+              c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM step from ``(h, c)``, returning the new ``(h, c)``.  It has
+    no production caller and stays only because ``perfbench/tracer.py``
+    ``TARGETS`` resolves it (ROADMAP items 1-2)."""
+    return infer_step(params, x, h, c)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +669,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Inverse of :func:`save_checkpoint`; bit-identical round trip."""
+    """Inverse of :func:`save_checkpoint`; bit-identical round trip.
+    A NaN or infinite weight is a CheckpointError naming its field."""
     with open(path, "rb") as handle:
         blob = handle.read()
     if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
@@ -701,9 +695,11 @@ def load_checkpoint(path) -> ModelParams:
         )
     arrays = []
     offset = 0
-    for shape in shapes:
+    for field, shape in zip(ModelParams.FIELDS, shapes):
         count = int(np.prod(shape))
         arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: non-finite value in {field}")
         arrays.append(arr.astype(np.float64).reshape(shape))
         offset += count * 8
     return ModelParams(*arrays)

@@ -448,6 +448,19 @@ class TestScore:
                      "--out", str(tmp_path / "out.csv"), "--quiet"]) == EXIT_DATA
         assert_one_error_line(capsys, "line 3")
 
+    def test_first_bad_line_is_reported_first(self, corpus, tmp_path, capsys):
+        """An out-of-order timestamp on line 3 is reported, not the
+        malformed record on line 6: the input is read in one pass."""
+        data, ckpt = corpus
+        header, first, second, *rest = data.read_text().splitlines()[:5]
+        path = tmp_path / "two-faults.csv"
+        path.write_text("\n".join([header, second, first, *rest,
+                                   "s1,notatime,material,L,T,,0"]) + "\n")
+        assert main(["score", "--checkpoint", str(ckpt), "--data", str(path),
+                     "--out", str(tmp_path / "out.csv"), "--quiet"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 3" in err and "line 6" not in err
+
 
 NOT_UTF8 = f"{HEADER}\ns1,1,material,L,T,,0\n".encode() + b"\xff\xfe,2,material,L,T,,0\n"
 
@@ -476,6 +489,19 @@ class TestNotUtf8Log:
         assert main(["score", "--checkpoint", str(ckpt), "--data", "-",
                      "--quiet"]) == EXIT_DATA
         assert_one_error_line(capsys, "<stdin>: not UTF-8 text")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "score"])
+def test_non_finite_checkpoint_is_a_data_error(corpus, tmp_path, capsys, command):
+    data, _ = corpus
+    params = init_params(0, hidden_size=8)
+    params.lstm_W[3, 5] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_checkpoint(params, ckpt)
+    paths = {"a.csv": str(data), "m.ckpt": str(ckpt), "out": str(tmp_path / "out")}
+    argv = [paths.get(arg, arg) for arg in REQUIRED[command]]
+    assert main([command, *argv, "--quiet"]) == EXIT_DATA
+    assert_one_error_line(capsys, f"{ckpt}: non-finite value in lstm_W")
 
 
 def forbid(*_args, **_kwargs):
@@ -568,6 +594,28 @@ class TestScoreStateIn:
         resumed = ((self.tmp / "first.csv").read_text()
                    + (self.tmp / "second.csv").read_text())
         assert resumed == (self.tmp / "all.csv").read_text()
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_resumed_run_without_a_new_student_equals_one_pass(self, level):
+        """The log in time order, cut where its last student first appears:
+        the second part only updates rows loaded from the state."""
+        header, *records = self.data.read_text().splitlines(keepends=True)
+        records.sort(key=lambda record: int(record.split(",")[1]))
+        ids = [record.split(",")[0] for record in records]
+        cut = max(ids.index(sid) for sid in set(ids)) + 1
+        assert len(set(ids[cut:])) > 1
+        parts = {"first.csv": header + "".join(records[:cut]),
+                 "second.csv": "".join(records[cut:]),
+                 "whole.csv": header + "".join(records)}
+        for name, text in parts.items():
+            (self.tmp / name).write_text(text)
+        state = str(self.tmp / "state.json")
+        for name, flags in (("first", ["--state-out", state]),
+                            ("second", ["--state-in", state]), ("whole", [])):
+            assert self._score(self.tmp / f"{name}.csv", self.tmp / f"{name}.out",
+                               "--level", level, *flags) == EXIT_OK
+        resumed = (self.tmp / "first.out").read_text() + (self.tmp / "second.out").read_text()
+        assert resumed == (self.tmp / "whole.out").read_text()
 
     def test_state_holds_offset_once_and_only_history_per_student(self):
         saved = json.loads(self._save_state("--utc-offset-minutes", "0").read_text())

@@ -10,7 +10,6 @@ from test_gradients import loss_weighted_bce
 
 from eosnet.errors import CheckpointError
 from eosnet.net import (
-    LstmState,
     ModelParams,
     OptState,
     backward_batch,
@@ -133,28 +132,27 @@ def numpy_head_oracle(params, h, masks):
 class TestLstmStep:
     def test_zero_params_zero_state(self):
         p = init_params(0, hidden_size=4).zeros_like()
-        state = lstm_step(p, np.zeros(13), LstmState.zeros(4))
-        assert (state.h == 0.0).all()
-        assert (state.c == 0.0).all()
+        h, c = lstm_step(p, np.zeros(13), np.zeros(4), np.zeros(4))
+        assert (h == 0.0).all()
+        assert (c == 0.0).all()
 
     def test_saturated_forget_gate_preserves_cell(self):
         p = init_params(0, hidden_size=4).zeros_like()
         p.lstm_b[4:8] = 50.0  # forget block
-        start = LstmState(h=np.zeros(4), c=np.array([1.0, -2.0, 0.5, 3.0]))
-        state = lstm_step(p, np.zeros(13), start)
-        np.testing.assert_allclose(state.c, start.c, rtol=1e-15)
+        c0 = np.array([1.0, -2.0, 0.5, 3.0])
+        _, c = lstm_step(p, np.zeros(13), np.zeros(4), c0)
+        np.testing.assert_allclose(c, c0, rtol=1e-15)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(5)
         p = random_params(rng, input_dim=3, hidden=2)
         xs = rng.uniform(-1, 1, (6, 3))
-        state = LstmState(h=rng.uniform(-1, 1, 2), c=rng.uniform(-1, 1, 2))
-        expected_h, expected_c = scalar_lstm_oracle(p, xs.tolist(),
-                                                    state.h.tolist(), state.c.tolist())
+        h, c = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+        expected_h, expected_c = scalar_lstm_oracle(p, xs.tolist(), h.tolist(), c.tolist())
         for x in xs:
-            state = lstm_step(p, x, state)
-        np.testing.assert_allclose(state.h, expected_h, rtol=1e-12)
-        np.testing.assert_allclose(state.c, expected_c, rtol=1e-12)
+            h, c = lstm_step(p, x, h, c)
+        np.testing.assert_allclose(h, expected_h, rtol=1e-12)
+        np.testing.assert_allclose(c, expected_c, rtol=1e-12)
 
 
 def packed_row(lengths, t, lane):
@@ -611,13 +609,15 @@ class TestForward:
         rng = np.random.default_rng(6)
         p = random_params(rng, hidden=6)
         frames = rng.uniform(-1, 1, (15, 13))
-        probs = run_lane(p, frames)
-        state = LstmState.zeros(6)
-        streamed = []
-        for frame in frames:
-            prob, state = infer_step(p, frame, state)
-            streamed.append(prob)
-        np.testing.assert_allclose(streamed, probs, rtol=1e-12)
+        for reset_at in ((), (0, 4, 5, 11)):
+            resets = np.isin(np.arange(15), reset_at)
+            probs = run_lane(p, frames, resets)
+            h, c = np.zeros(6), np.zeros(6)
+            streamed = []
+            for frame, reset in zip(frames, resets):
+                prob, h, c = infer_step(p, frame, h, c, reset)
+                streamed.append(prob)
+            np.testing.assert_allclose(streamed, probs, rtol=1e-12)
 
 
 class TestLoss:
@@ -745,6 +745,16 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="markers"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, value):
+        p = init_params(0, hidden_size=4)
+        p.dense1_b[1] = value
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(p, path)
+        with pytest.raises(CheckpointError) as raised:
+            load_checkpoint(path)
+        assert str(raised.value) == f"{path}: non-finite value in dense1_b"
 
     def test_small_model_dims_preserved(self, tmp_path):
         p = init_params(1, hidden_size=4)
