@@ -35,7 +35,12 @@ without rows is its header line alone.
 Outputs are checked before any work: ``--out`` directories are made, and
 each file output must name a file in an existing directory (else exit 2).
 
-``--threads`` takes an integer >= 1; anything else is a usage error.
+``--threads`` takes an integer >= 1; anything else is a usage error.  It
+sets the BLAS threads per GEMM, and batch scoring (``evaluate`` and the
+validation pass of ``train``) runs as many batches at once as fill the
+remaining usable CPUs (``training.scoring_workers``); unpinned, BLAS takes
+every CPU and the batches run in turn.  The outputs do not depend on how
+many batches run at once.
 
 ``--utc-offset-minutes`` (``featurize``, ``train``, ``evaluate``,
 ``score``) takes an integer in [-720, 840], the offsets of real time
@@ -132,7 +137,8 @@ def _patience(text):
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--threads", type=_threads, default=None,
-                        help="BLAS thread count (set before numerics load)")
+                        help="BLAS threads per GEMM (set before numerics load); "
+                             "batch scoring fills the remaining usable CPUs")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     # Config-field flags default to SUPPRESS: an absent flag leaves no

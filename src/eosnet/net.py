@@ -63,6 +63,9 @@ allocates one ``(n, H)`` buffer and ``O(B*H)`` of step buffers; a second
 call on the same cache is a ValueError.  Both kernels check their
 outputs for non-finite values themselves and run with numpy's overflow
 and invalid warnings off.
+
+:func:`forward_batch` keeps no state between calls, so independent batches
+may run concurrently.
 """
 
 from __future__ import annotations

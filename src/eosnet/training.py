@@ -14,16 +14,25 @@ and caches them as packed rows, so a window's training memory and its
 head and weight-gradient work follow its real lane-steps, not its padded
 ``T * B``.  ``backward_batch`` consumes that cache, and the next window's
 is built only after it is released.
+
+Batch scoring (``evaluate`` and the validation pass of ``train``) runs its
+independent batches on a thread pool, longest batch first.  The worker
+count is worked out, not configured: the usable CPUs over the BLAS
+threads per GEMM (:func:`scoring_workers`), so 1 unless the BLAS thread
+count is pinned.  Each batch is the same ``forward_batch`` call at any
+worker count, so the output does not depend on it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -230,26 +239,80 @@ def make_batches(sequences: Sequence[TrainSequence], batch_size: int,
             for g in rng.permutation(len(groups))]
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def scoring_workers(n_batches: int, usable_cpus: int, environ: Mapping[str, str]) -> int:
+    """How many batches :func:`score_sequences` runs at once.
+
+    ``min(n_batches, usable_cpus // blas_threads)``, at least 1, where
+    ``blas_threads`` is the largest value set among the BLAS thread
+    variables in ``environ`` (those ``--threads`` writes).  With none set,
+    or one that is not a positive integer, BLAS is taken to use every
+    CPU, which gives 1 worker: the pool then never competes with a
+    multi-threaded GEMM for the same cores.
+    """
+    values = [environ[var] for var in _BLAS_THREAD_VARS if var in environ]
+    if values and all(v.isascii() and v.isdigit() and int(v) >= 1 for v in values):
+        blas_threads = max(map(int, values))
+    else:
+        blas_threads = usable_cpus
+    return max(1, min(n_batches, usable_cpus // blas_threads))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # platforms without CPU affinity
+
+
+def _score_group(params: ModelParams, group: Sequence[TrainSequence]) -> list[np.ndarray]:
+    """Each lane's probabilities, copied out of one ``forward_batch``."""
+    batch = _build_batch(group)
+    h = c = np.zeros((len(group), params.hidden_size))
+    probs = forward_batch(params, batch.X, batch.resets, h, c,
+                          lengths=batch.lengths).probs
+    return [probs[:len(seq), lane].copy() for lane, seq in enumerate(group)]
+
+
 def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
                     batch_size: int = 64) -> dict[str, np.ndarray]:
     """Inference-mode probabilities for many students, batched.
 
-    Deterministic: students are processed in (length, id) order, so each
-    batch's lanes come in the non-decreasing length order that lets one
+    Students are processed in (length, id) order, so each batch's lanes
+    come in the non-decreasing length order that lets one
     ``forward_batch`` call step only the live lanes; padding is never run.
+
+    The batches share no state, so they run on a thread pool of
+    :func:`scoring_workers` threads (the usable CPUs, from the process's
+    CPU affinity, over the BLAS threads per GEMM), the longest batch
+    submitted first so that no long batch starts last; with one worker
+    they run in turn in the calling thread.  numpy releases the
+    interpreter lock in the GEMMs and ufuncs.  Each batch is still one
+    ``forward_batch`` call with the same rows, so every probability has
+    the same bits at any worker count.  Results are collected in input
+    order, so the first fault in that order is the one raised, as in a
+    serial run.  A call that fails or is interrupted cancels the batches
+    not yet started, and returns only after its workers have stopped.
     """
     order = sorted(range(len(sequences)),
                    key=lambda i: (len(sequences[i]), sequences[i].student_id))
-    out: dict[str, np.ndarray] = {}
-    for start in range(0, len(order), batch_size):
-        group = [sequences[i] for i in order[start:start + batch_size]]
-        batch = _build_batch(group)
-        h = c = np.zeros((len(group), params.hidden_size))
-        result = forward_batch(params, batch.X, batch.resets, h, c,
-                               lengths=batch.lengths)
-        for lane, seq in enumerate(group):
-            out[seq.student_id] = result.probs[:len(seq), lane].copy()
-    return out
+    groups = [[sequences[i] for i in order[start:start + batch_size]]
+              for start in range(0, len(order), batch_size)]
+    workers = scoring_workers(len(groups), _usable_cpus(), os.environ)
+    if workers == 1:
+        results = [_score_group(params, group) for group in groups]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(_score_group, params, group)
+                       for group in reversed(groups)][::-1]
+            try:
+                results = [future.result() for future in futures]
+            finally:
+                for future in futures:
+                    future.cancel()
+    return {seq.student_id: probs for group, lane_probs in zip(groups, results)
+            for seq, probs in zip(group, lane_probs)}
 
 
 class EarlyStopper:

@@ -3,6 +3,7 @@ generated corpus with an H=8 checkpoint."""
 
 import ast
 import base64
+import contextlib
 import dataclasses
 import io
 import json
@@ -779,3 +780,80 @@ class TestScoreStateIn:
 
         path = self._rewrite(corrupt)
         self._assert_data_error(capsys, path, f"malformed scoring state: {key}")
+
+
+@st.composite
+def mutated(draw, blob):
+    """``blob`` with one byte flipped, deleted or inserted, or cut short."""
+    kind = draw(st.sampled_from(["flip", "delete", "insert", "truncate"]))
+    at = draw(st.integers(0, len(blob) - (kind in ("flip", "delete"))))
+    if kind == "flip":
+        return blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
+    if kind == "delete":
+        return blob[:at] + blob[at + 1:]
+    if kind == "insert":
+        return blob[:at] + bytes([draw(st.integers(0, 255))]) + blob[at:]
+    return blob[:at]
+
+
+class TestFuzz:
+    """Byte mutations of a tiny log, an H=8 checkpoint and a v3 score
+    state never end in a traceback: every command exits 0, or 2 with one
+    stderr line."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, corpus, tmp_path_factory):
+        """The log's first 3 records of each student scored into a state,
+        and their next 3 records as the tiny log that resumes it."""
+        data, ckpt = corpus
+        header, *records = data.read_text().splitlines(keepends=True)
+        by_student = {}
+        for record in records:
+            by_student.setdefault(record.split(",")[0], []).append(record)
+        root = tmp_path_factory.mktemp("fuzz")
+        prefix, log, state = root / "prefix.csv", root / "log.csv", root / "state.json"
+        prefix.write_text(header + "".join(r for rs in by_student.values() for r in rs[:3]))
+        log.write_text(header + "".join(r for rs in by_student.values() for r in rs[3:6]))
+        assert main(["score", "--checkpoint", str(ckpt), "--data", str(prefix),
+                     "--out", str(root / "prefix-out.csv"), "--state-out", str(state),
+                     "--quiet"]) == EXIT_OK
+        return {"log": log, "checkpoint": ckpt, "state": state}
+
+    @staticmethod
+    def readers(target, paths, out):
+        """The argument lists of every command that reads ``target``."""
+        log, ckpt, state = paths["log"], paths["checkpoint"], paths["state"]
+        score = ["score", "--checkpoint", ckpt, "--data", log, "--out", f"{out}/s.csv"]
+        by_input = {"state": [[*score, "--state-in", state]]}
+        by_input["checkpoint"] = [
+            ["evaluate", "--checkpoint", ckpt, "--data", log, "--out", f"{out}/e",
+             "--dump-scores", f"{out}/e/dump.csv"],
+            score, *by_input["state"]]
+        by_input["log"] = [
+            ["sessionize", "--data", log, "--out", f"{out}/sessions.csv"],
+            ["featurize", "--data", log, "--out", f"{out}/features.csv"],
+            ["report", "--data", log, "--out", f"{out}/report.txt"],
+            *by_input["checkpoint"]]
+        return by_input[target]
+
+    @pytest.mark.parametrize("target", ["log", "checkpoint", "state"])
+    def test_one_mutated_input(self, inputs, target):
+        blob = inputs[target].read_bytes()
+
+        @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+        @given(mutated(blob))
+        def run(mutant):
+            with tempfile.TemporaryDirectory() as tmp:
+                paths = {name: str(path) for name, path in inputs.items()}
+                paths[target] = f"{tmp}/{inputs[target].name}"
+                Path(paths[target]).write_bytes(mutant)
+                for argv in self.readers(target, paths, tmp):
+                    err = io.StringIO()
+                    with contextlib.redirect_stderr(err):
+                        code = main([*argv, "--quiet"])
+                    assert code in (EXIT_OK, EXIT_DATA), (argv[0], err.getvalue())
+                    if code != EXIT_OK:
+                        assert err.getvalue().count("\n") == 1, err.getvalue()
+                        assert err.getvalue().startswith("error: ")
+
+        run()

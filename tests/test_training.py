@@ -1,10 +1,14 @@
 """Re-weighting, splits, batching, and the training loop."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eosnet.errors import DataValidationError
+from eosnet import training
+from eosnet.errors import DataValidationError, NumericalFault
 from eosnet.ingest import ActionKind, RawAction, StudentLog
 from eosnet.net import (
     ModelParams,
@@ -21,6 +25,7 @@ from eosnet.training import (
     make_batches,
     prepare_sequence,
     score_sequences,
+    scoring_workers,
     session_weights,
     split_students,
     student_weights,
@@ -224,6 +229,111 @@ class TestBatchedLossMatchesUnbatched:
         for seq in seqs:
             probs = lane_probs(params, seq)
             np.testing.assert_allclose(scored[seq.student_id], probs, rtol=1e-12)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class TestScoringWorkers:
+    def test_nothing_set_gives_one(self):
+        assert scoring_workers(16, 2, {}) == 1
+        assert scoring_workers(16, 64, {"NUMEXPR_NUM_THREADS": "1"}) == 1
+
+    def test_one_blas_thread_fills_the_cpus(self):
+        assert scoring_workers(16, 2, dict.fromkeys(BLAS_VARS, "1")) == 2
+        assert scoring_workers(16, 8, {"OMP_NUM_THREADS": "2"}) == 4
+
+    def test_blas_threads_on_every_cpu_give_one(self):
+        assert scoring_workers(16, 2, dict.fromkeys(BLAS_VARS, "2")) == 1
+        assert scoring_workers(16, 2, {"MKL_NUM_THREADS": "8"}) == 1
+
+    def test_largest_value_set_counts(self):
+        env = {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "2"}
+        assert scoring_workers(16, 4, env) == 2
+
+    def test_no_more_workers_than_batches(self):
+        env = dict.fromkeys(BLAS_VARS, "1")
+        assert scoring_workers(1, 2, env) == 1
+        assert scoring_workers(3, 8, env) == 3
+        assert scoring_workers(0, 2, env) == 1
+
+    @pytest.mark.parametrize("value", ["", "0", "x", "4,2", " 1", "-1", "\u0661"])
+    def test_value_not_a_positive_integer_gives_one(self, value):
+        env = dict.fromkeys(BLAS_VARS, "1")
+        for var in BLAS_VARS:
+            assert scoring_workers(16, 2, {**env, var: value}) == 1
+
+    def test_score_sequences_reads_affinity_and_environment(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        for var in BLAS_VARS:
+            monkeypatch.setenv(var, "1")
+        seen = []
+
+        def spy(n_batches, usable_cpus, environ):
+            seen.append((n_batches, usable_cpus, dict(environ)))
+            return 1
+
+        monkeypatch.setattr(training, "scoring_workers", spy)
+        rng = np.random.default_rng(7)
+        params = init_params(0, hidden_size=4)
+        seqs = [toy_sequence(rng, f"s{i}", 5) for i in range(9)]
+        score_sequences(params, seqs, batch_size=2)
+        [(n_batches, usable_cpus, environ)] = seen
+        assert (n_batches, usable_cpus) == (5, 3)
+        assert all(environ[var] == "1" for var in BLAS_VARS)
+
+
+class TestScoringPool:
+    """``score_sequences`` at 1 worker (in turn) and at 3 (on a pool)."""
+
+    N_STUDENTS, BATCH = 40, 8  # 5 batches
+
+    @pytest.fixture
+    def params(self):
+        rng = np.random.default_rng(8)
+        return ModelParams(*(rng.normal(0, 0.3, size=a.shape)
+                             for a in init_params(0, hidden_size=8).arrays()))
+
+    def _sequences(self, level):
+        labeled = make_toy_students(self.N_STUDENTS, np.random.default_rng(4))
+        return [prepare_sequence(seq, level) for seq in labeled]
+
+    def _score(self, monkeypatch, workers, params, seqs):
+        monkeypatch.setattr(training, "scoring_workers", lambda *args: workers)
+        return score_sequences(params, seqs, batch_size=self.BATCH)
+
+    @pytest.mark.parametrize("level", list(Level))
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch, params, level):
+        seqs = self._sequences(level)
+        serial = self._score(monkeypatch, 1, params, seqs)
+        pooled = self._score(monkeypatch, 3, params, seqs)
+        assert list(pooled) == list(serial)
+        for sid, probs in serial.items():
+            np.testing.assert_array_equal(pooled[sid], probs)
+            assert pooled[sid].flags.owndata
+
+    def _in_batch(self, seqs, k):
+        """The last student, in scoring order, of batch k."""
+        ordered = sorted(seqs, key=lambda s: (len(s), s.student_id))
+        return ordered[(k + 1) * self.BATCH - 1]
+
+    @pytest.mark.parametrize("level", list(Level))
+    def test_first_fault_in_input_order_is_raised(self, monkeypatch, params, level):
+        seqs = self._sequences(level)
+        # batch 2 goes non-finite at step 3; batch 4, the longest and so
+        # the first to start, at step 1
+        self._in_batch(seqs, 2).features[3] = np.nan
+        self._in_batch(seqs, 4).features[1] = np.nan
+        faults = []
+        for workers in (1, 3):
+            before = threading.active_count()
+            with pytest.raises(NumericalFault) as caught:
+                self._score(monkeypatch, workers, params, seqs)
+            assert threading.active_count() == before
+            faults.append(caught.value)
+        serial, pooled = faults
+        assert serial.context == {"step": 3}
+        assert (str(pooled), pooled.context) == (str(serial), serial.context)
 
 
 class TestEarlyStopper:
