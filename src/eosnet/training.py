@@ -239,25 +239,29 @@ def make_batches(sequences: Sequence[TrainSequence], batch_size: int,
             for g in rng.permutation(len(groups))]
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+# The variables each BLAS reads for its thread count, in its own order.
+_BLAS_THREAD_VARS = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+                     ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
 
 
 def scoring_workers(n_batches: int, usable_cpus: int, environ: Mapping[str, str]) -> int:
     """How many batches :func:`score_sequences` runs at once.
 
-    ``min(n_batches, usable_cpus // blas_threads)``, at least 1, where
-    ``blas_threads`` is the largest value set among the BLAS thread
-    variables in ``environ`` (those ``--threads`` writes).  With none set,
-    or one that is not a positive integer, BLAS is taken to use every
-    CPU, which gives 1 worker: the pool then never competes with a
-    multi-threaded GEMM for the same cores.
+    ``min(n_batches, usable_cpus // blas_threads)``, at least 1.  Each of
+    OpenBLAS and MKL takes its thread count from the first variable of
+    its own list that ``environ`` sets; ``blas_threads`` is the larger of
+    the two counts, since the rule does not ask which BLAS numpy loaded.
+    Where a list sets none, or its first set value is not a positive
+    integer, that BLAS is taken to use every CPU, which gives 1 worker:
+    the pool then never competes with a multi-threaded GEMM for the same
+    cores.  ``--threads`` sets the first variable of both lists.
     """
-    values = [environ[var] for var in _BLAS_THREAD_VARS if var in environ]
-    if values and all(v.isascii() and v.isdigit() and int(v) >= 1 for v in values):
-        blas_threads = max(map(int, values))
-    else:
-        blas_threads = usable_cpus
-    return max(1, min(n_batches, usable_cpus // blas_threads))
+    counts = []
+    for names in _BLAS_THREAD_VARS:
+        value = next((environ[name] for name in names if name in environ), "")
+        pinned = value.isascii() and value.isdigit() and int(value) >= 1
+        counts.append(int(value) if pinned else usable_cpus)
+    return max(1, min(n_batches, usable_cpus // max(counts)))
 
 
 def _usable_cpus() -> int:
@@ -286,8 +290,7 @@ def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
     The batches share no state, so they run on a thread pool of
     :func:`scoring_workers` threads (the usable CPUs, from the process's
     CPU affinity, over the BLAS threads per GEMM), the longest batch
-    submitted first so that no long batch starts last; with one worker
-    they run in turn in the calling thread.  numpy releases the
+    submitted first so that no long batch starts last.  numpy releases the
     interpreter lock in the GEMMs and ufuncs.  Each batch is still one
     ``forward_batch`` call with the same rows, so every probability has
     the same bits at any worker count.  Results are collected in input
@@ -300,17 +303,14 @@ def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
     groups = [[sequences[i] for i in order[start:start + batch_size]]
               for start in range(0, len(order), batch_size)]
     workers = scoring_workers(len(groups), _usable_cpus(), os.environ)
-    if workers == 1:
-        results = [_score_group(params, group) for group in groups]
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(_score_group, params, group)
-                       for group in reversed(groups)][::-1]
-            try:
-                results = [future.result() for future in futures]
-            finally:
-                for future in futures:
-                    future.cancel()
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(_score_group, params, group)
+                   for group in reversed(groups)][::-1]
+        try:
+            results = [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
     return {seq.student_id: probs for group, lane_probs in zip(groups, results)
             for seq, probs in zip(group, lane_probs)}
 

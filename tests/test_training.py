@@ -257,11 +257,25 @@ class TestScoringWorkers:
         assert scoring_workers(3, 8, env) == 3
         assert scoring_workers(0, 2, env) == 1
 
+    def test_each_blas_reads_its_own_variables_first(self):
+        # numpy's OpenBLAS ignores MKL_NUM_THREADS, and MKL ignores
+        # OPENBLAS_NUM_THREADS: either alone leaves the other unpinned
+        assert scoring_workers(16, 2, {"MKL_NUM_THREADS": "1"}) == 1
+        assert scoring_workers(16, 2, {"OPENBLAS_NUM_THREADS": "1"}) == 1
+        both = {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        assert scoring_workers(16, 2, both) == 2
+        assert scoring_workers(16, 2, {**both, "OMP_NUM_THREADS": "2"}) == 2
+        assert scoring_workers(16, 2, {"GOTO_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}) == 2
+        assert scoring_workers(16, 2, {"OPENBLAS_NUM_THREADS": "2",
+                                       "MKL_NUM_THREADS": "1",
+                                       "OMP_NUM_THREADS": "1"}) == 1
+
     @pytest.mark.parametrize("value", ["", "0", "x", "4,2", " 1", "-1", "\u0661"])
     def test_value_not_a_positive_integer_gives_one(self, value):
         env = dict.fromkeys(BLAS_VARS, "1")
-        for var in BLAS_VARS:
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             assert scoring_workers(16, 2, {**env, var: value}) == 1
+        assert scoring_workers(16, 2, {"OMP_NUM_THREADS": value}) == 1
 
     def test_score_sequences_reads_affinity_and_environment(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -284,7 +298,7 @@ class TestScoringWorkers:
 
 
 class TestScoringPool:
-    """``score_sequences`` at 1 worker (in turn) and at 3 (on a pool)."""
+    """``score_sequences`` at 1 worker and at 3."""
 
     N_STUDENTS, BATCH = 40, 8  # 5 batches
 
@@ -305,12 +319,12 @@ class TestScoringPool:
     @pytest.mark.parametrize("level", list(Level))
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch, params, level):
         seqs = self._sequences(level)
-        serial = self._score(monkeypatch, 1, params, seqs)
-        pooled = self._score(monkeypatch, 3, params, seqs)
-        assert list(pooled) == list(serial)
-        for sid, probs in serial.items():
-            np.testing.assert_array_equal(pooled[sid], probs)
-            assert pooled[sid].flags.owndata
+        one = self._score(monkeypatch, 1, params, seqs)
+        three = self._score(monkeypatch, 3, params, seqs)
+        assert list(three) == list(one)
+        for sid, probs in one.items():
+            np.testing.assert_array_equal(three[sid], probs)
+            assert three[sid].flags.owndata
 
     def _in_batch(self, seqs, k):
         """The last student, in scoring order, of batch k."""
@@ -331,9 +345,9 @@ class TestScoringPool:
                 self._score(monkeypatch, workers, params, seqs)
             assert threading.active_count() == before
             faults.append(caught.value)
-        serial, pooled = faults
-        assert serial.context == {"step": 3}
-        assert (str(pooled), pooled.context) == (str(serial), serial.context)
+        one, three = faults
+        assert one.context == {"step": 3}
+        assert (str(three), three.context) == (str(one), one.context)
 
 
 class TestEarlyStopper:
