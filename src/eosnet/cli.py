@@ -13,6 +13,10 @@ Exit codes: 0 success, 1 usage, 2 data validation, 3 numerical fault.
 ``--out``; its ``config`` holds the ``repr`` of every parsed flag, given or
 not, and of every field of the ``GenConfig``/``TrainConfig`` built (an enum
 field as the ``repr`` of its value), so every entry is a Python literal.
+The ``train`` and ``evaluate`` manifests also record the parallel setting
+(see ``--threads``): ``workers``, the count ``training.gemm_workers``
+chose, and ``blas_threads``, the BLAS threads per GEMM it read (null when
+unpinned).
 ``generate`` writes only ``actions.csv`` and ``manifest.json``.
 
 Sessions follow the one 15-minute rule of ``sessions.starts_session``,
@@ -36,11 +40,13 @@ Outputs are checked before any work: ``--out`` directories are made, and
 each file output must name a file in an existing directory (else exit 2).
 
 ``--threads`` takes an integer >= 1; anything else is a usage error.  It
-sets the BLAS threads per GEMM, and batch scoring (``evaluate`` and the
-validation pass of ``train``) runs as many batches at once as fill the
-remaining usable CPUs (``training.scoring_workers``); unpinned, BLAS takes
-every CPU and the batches run in turn.  The outputs do not depend on how
-many batches run at once.
+sets the BLAS threads per GEMM, and one rule (``training.gemm_workers``)
+fills the remaining usable CPUs: batch scoring (``evaluate`` and the
+validation pass of ``train``) runs that many batches at once, and training
+splits its large LSTM GEMMs by output column across that many threads.
+Unpinned, BLAS takes every CPU, batches run in turn and no GEMM is split.
+The outputs do not depend on the worker count, but those of ``train`` and
+``evaluate`` can depend on the BLAS thread count itself.
 
 ``--utc-offset-minutes`` (``featurize``, ``train``, ``evaluate``,
 ``score``) takes an integer in [-720, 840], the offsets of real time
@@ -138,7 +144,8 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--threads", type=_threads, default=None,
                         help="BLAS threads per GEMM (set before numerics load); "
-                             "batch scoring fills the remaining usable CPUs")
+                             "batch scoring and training's GEMM split fill the "
+                             "remaining usable CPUs")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     # Config-field flags default to SUPPRESS: an absent flag leaves no
@@ -239,11 +246,13 @@ def _config_from_flags(cls, args):
         raise UsageError(str(exc)) from None
 
 
-def _write_manifest(args, config, inputs, outputs, t0, **timings) -> None:
+def _write_manifest(args, config, inputs, outputs, t0, parallel=False,
+                    **timings) -> None:
     """Write ``args.out``/manifest.json; ``config`` is a ``GenConfig``,
     a ``TrainConfig`` or None, and ``timings`` gains the seconds since ``t0``.
     Each config entry is a Python literal: an ``Enum`` is recorded by the
-    ``repr`` of its value."""
+    ``repr`` of its value.  ``parallel`` adds ``workers`` and
+    ``blas_threads``, the worker rule's choice and its input."""
     from eosnet.fileio import write_manifest
 
     def literal(value):
@@ -255,8 +264,14 @@ def _write_manifest(args, config, inputs, outputs, t0, **timings) -> None:
         entries.update((f.name, literal(getattr(config, f.name)))
                        for f in dataclasses.fields(config))
     timings["seconds"] = time.perf_counter() - t0
+    fields = {}
+    if parallel:
+        from eosnet.training import blas_threads, gemm_workers, usable_cpus
+
+        fields = {"workers": gemm_workers(usable_cpus(), os.environ),
+                  "blas_threads": blas_threads(os.environ)}
     write_manifest(os.path.join(args.out, "manifest.json"), args.command,
-                   entries, inputs, outputs, timings)
+                   entries, inputs, outputs, timings, **fields)
 
 
 def _load_labeled(path, strict=True):
@@ -399,7 +414,7 @@ def cmd_train(args) -> int:
     log.info("best epoch %d (val_auc %.5f)", result.best_epoch, result.best_val_auc)
 
     _write_manifest(args, config, [args.data], [ckpt_path, history_path], t0,
-                    epoch_seconds=[s.seconds for s in result.history],
+                    parallel=True, epoch_seconds=[s.seconds for s in result.history],
                     best_epoch=result.best_epoch)
     return EXIT_OK
 
@@ -448,7 +463,8 @@ def cmd_evaluate(args) -> int:
 
     if rows and rows[0][:2] == ("auc", "global"):
         log.info("global AUC %.5f over %d sessions", rows[0][2], int(scored.labels.sum()))
-    _write_manifest(args, None, [args.checkpoint, args.data], outputs, t0)
+    _write_manifest(args, None, [args.checkpoint, args.data], outputs, t0,
+                    parallel=True)
     return EXIT_OK
 
 

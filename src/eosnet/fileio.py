@@ -41,8 +41,9 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(path, command: str, config: dict,
-                   inputs: list, outputs: list, timings: dict) -> None:
-    """Write a JSON run manifest next to the run's artifacts."""
+                   inputs: list, outputs: list, timings: dict, **fields) -> None:
+    """Write a JSON run manifest next to the run's artifacts; ``fields``
+    are further top-level entries."""
     import eosnet
     import numpy
 
@@ -57,5 +58,6 @@ def write_manifest(path, command: str, config: dict,
             "numpy": numpy.__version__,
         },
         "timings": timings,
+        **fields,
     }
     atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -66,11 +66,33 @@ and invalid warnings off.
 
 :func:`forward_batch` keeps no state between calls, so independent batches
 may run concurrently.
+
+Given a thread pool (``pool=``, which training passes when BLAS is pinned
+and CPUs are left over), the three large LSTM GEMMs are split by output
+column: the forward step's ``[x; h] @ W.T``, the BPTT step's ``d @ Wh``,
+and the recurrent weight gradient ``dz.T @ h_prev``.  The calling thread
+computes the first contiguous block of columns and the pool's threads the
+others, so a split runs on ``workers + 1`` threads; the call returns only
+once every block is written, also when one raises.  The gate ops after the
+forward GEMM stay on the calling thread: split as well, they took longer
+on two threads than whole on one.  The bits do not change, because every
+output element is still one dot product over the same K order in the same
+BLAS micro-kernel: each block but the last starts and ends on a multiple
+of ``_SPLIT_ALIGN`` columns, so the column tiles are those of the whole
+GEMM, and a GEMM is split only when every block has more than
+``_SPLIT_MIN_MACS`` (10^6) multiply-adds.  OpenBLAS hands a GEMM of at
+most 10^6 multiply-adds to its small-matrix kernel, whose sums differ from
+the large kernel's in the last place; below that size the ~50 us handoff
+would also cost more than the split saves.  ``tests/test_net.py`` checks
+the bits at every row count of the three shapes.  Without a pool each GEMM
+is one ``np.matmul``, as in evaluation and scoring, which already fill the
+CPUs with whole batches.
 """
 
 from __future__ import annotations
 
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -100,6 +122,12 @@ _HEADER_STRUCT = struct.Struct("<8I")
 
 # steps of uniform draws held at once while drawing a dropout mask
 _MASK_STEPS = 16
+
+# A split GEMM's column blocks start on multiples of this many columns, and
+# each block needs more than this many multiply-adds (see the module
+# docstring).
+_SPLIT_ALIGN = 16
+_SPLIT_MIN_MACS = 1_000_000
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -305,11 +333,57 @@ def _zero_resets(block: np.ndarray, resets: np.ndarray) -> None:
         block *= live
 
 
+def _column_bounds(pool: Optional[ThreadPoolExecutor], rows: int, depth: int,
+                   width: int) -> list:
+    """Column bounds of the blocks a ``(rows, depth) @ (depth, width)`` GEMM
+    is split into under ``pool``: at most one block per pool thread plus
+    one for the calling thread, each but the last ``_SPLIT_ALIGN``-aligned,
+    and the last, the smallest, above ``_SPLIT_MIN_MACS`` multiply-adds.
+    ``[0, width]`` (no split) without a pool or when no split clears it."""
+    # ThreadPoolExecutor keeps its size only in _max_workers
+    most = 1 if pool is None else pool._max_workers + 1
+    for parts in range(most, 1, -1):
+        step = -(-width // (parts * _SPLIT_ALIGN)) * _SPLIT_ALIGN
+        bounds = [*range(0, width, step), width]
+        if rows * depth * (width - bounds[-2]) > _SPLIT_MIN_MACS:
+            return bounds
+    return [0, width]
+
+
+@_quiet_overflow
+def _matmul_block(a: np.ndarray, b: np.ndarray, out: np.ndarray, cols: slice) -> None:
+    # a pool thread starts with numpy's default error state, not the caller's
+    np.matmul(a, b[:, cols], out=out[:, cols])
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+            pool: Optional[ThreadPoolExecutor]) -> None:
+    """``np.matmul(a, b, out=out)``, split into the column blocks of
+    :func:`_column_bounds` under ``pool``: the first on this thread, the
+    others on the pool.  Returns once every block is done, so no pool
+    thread still writes when an exception unwinds; a pool thread's
+    exception is raised here."""
+    bounds = _column_bounds(pool, *a.shape, b.shape[1])
+    if len(bounds) == 2:
+        np.matmul(a, b, out=out)
+        return
+    futures = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            futures.append(pool.submit(_matmul_block, a, b, out, slice(lo, hi)))
+        _matmul_block(a, b, out, slice(0, bounds[1]))
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 @_quiet_overflow
 def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
                   h0: np.ndarray, c0: np.ndarray, dropout_p: float = 0.0,
                   rng: Optional[np.random.Generator] = None,
-                  want_cache: bool = False, lengths=None) -> BatchForward:
+                  want_cache: bool = False, lengths=None,
+                  pool: Optional[ThreadPoolExecutor] = None) -> BatchForward:
     """Run the full pipeline over a time-major batch.
 
     ``resets[t, b]`` zeroes lane b's state before step t.  ``lengths[b]``
@@ -318,7 +392,8 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     Without ``lengths`` every lane runs all T steps.  Dropout (inverted,
     scale 1/(1-p)) is applied to the LSTM output and both dense outputs
     only when an RNG is supplied and p > 0; inference mode applies no
-    masks and no scaling.
+    masks and no scaling.  ``pool`` splits each step's gate GEMM by output
+    column, with the same bits (see the module docstring).
     """
     T, B, D = X.shape
     hidden = params.hidden_size
@@ -391,7 +466,7 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
         if not live.all():
             xh_l[:, D:] *= live[:, None]
             c_prev = np.multiply(c_prev, live[:, None], out=c_l)
-        np.matmul(xh_l, W_T, out=z_l)
+        _matmul(xh_l, W_T, z_l, pool)
         z_l *= scale
         z_l += bias
         np.tanh(z_l, out=z_l)
@@ -441,10 +516,11 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     return BatchForward(probs=probs, h=h, c=c, cache=cache)
 
 
-def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray) -> None:
+def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray,
+          pool: Optional[ThreadPoolExecutor]) -> None:
     """Backpropagation through time over the cache's packed rows, given the
     head's gradient ``dh`` with respect to each row's hidden state (used up
-    as the loop's scratch).
+    as the loop's scratch).  ``pool`` splits each step's ``d @ Wh``.
 
     Each step's gate gradients replace its gates once it has read them, so
     ``cache.gates`` ends up holding the gradient of the loss with respect
@@ -506,7 +582,7 @@ def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray) -> None:
         u *= f
         dc *= f
         np.multiply(tc, u, out=f)
-        np.matmul(d, Wh, out=dh_carry[lo:])
+        _matmul(d, Wh, dh_carry[lo:], pool)
         if reset:
             dc *= live
             dh_carry[lo:] *= live
@@ -517,7 +593,8 @@ def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray) -> None:
 
 @_quiet_overflow
 def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray,
-                   weights: np.ndarray) -> tuple[ModelParams, float, float]:
+                   weights: np.ndarray, pool: Optional[ThreadPoolExecutor] = None,
+                   ) -> tuple[ModelParams, float, float]:
     """Exact gradient of the weight-normalized BCE over the cached window.
 
     Returns ``(grads, loss_numerator, weight_sum)`` where the window loss
@@ -539,7 +616,8 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     gradient is allocated.  The BPTT loop leaves the gate gradients in
     ``gates`` and the pre-step hidden states in ``c``.  Beyond the cache
     and the gradients this allocates that buffer, bool ReLU masks and
-    ``(B, H)`` step buffers.
+    ``(B, H)`` step buffers.  ``pool`` splits the BPTT loop's GEMM and the
+    recurrent weight gradient by output column, with the same bits.
     """
     if cache.spent:
         raise ValueError("this forward cache was already consumed by backward_batch")
@@ -583,13 +661,13 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     _drop(dh, m0, inv_keep, dh)
     cache.a1 = cache.m0 = None
     del dz1, a1, m0
-    _bptt(params, cache, dh)
+    _bptt(params, cache, dh, pool)
     del dh
 
     dz4, h_prev = cache.gates, cache.c
     lstm_W = np.empty_like(params.lstm_W)
     np.matmul(dz4.T, cache.X, out=lstm_W[:, :D])
-    np.matmul(dz4.T, h_prev, out=lstm_W[:, D:])
+    _matmul(dz4.T, h_prev, lstm_W[:, D:], pool)
     grads = ModelParams(lstm_W, dz4.sum(axis=0), dense1_W, dense1_b,
                         dense2_W, dense2_b, out_W, out_b)
     if not grads.all_finite():

@@ -15,12 +15,15 @@ head and weight-gradient work follow its real lane-steps, not its padded
 ``T * B``.  ``backward_batch`` consumes that cache, and the next window's
 is built only after it is released.
 
-Batch scoring (``evaluate`` and the validation pass of ``train``) runs its
-independent batches on a thread pool, longest batch first.  The worker
-count is worked out, not configured: the usable CPUs over the BLAS
-threads per GEMM (:func:`scoring_workers`), so 1 unless the BLAS thread
-count is pinned.  Each batch is the same ``forward_batch`` call at any
-worker count, so the output does not depend on it.
+One rule sizes all parallel work, worked out, not configured: the usable
+CPUs over the BLAS threads per GEMM (:func:`gemm_workers`), so 1 unless
+the BLAS thread count is pinned.  Batch scoring (``evaluate`` and the
+validation pass of ``train``) runs that many of its independent batches at
+once on a thread pool, longest batch first.  Training has one window at a
+time, so it splits each window's large LSTM GEMMs by output column across
+that many threads instead (``net``'s ``pool=``).  Either way every output
+element is computed as in a serial run, so the output does not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -244,27 +247,39 @@ _BLAS_THREAD_VARS = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREA
                      ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
 
 
-def scoring_workers(n_batches: int, usable_cpus: int, environ: Mapping[str, str]) -> int:
-    """How many batches :func:`score_sequences` runs at once.
+def blas_threads(environ: Mapping[str, str]) -> Optional[int]:
+    """The BLAS threads per GEMM that ``environ`` pins, or None.
 
-    ``min(n_batches, usable_cpus // blas_threads)``, at least 1.  Each of
-    OpenBLAS and MKL takes its thread count from the first variable of
-    its own list that ``environ`` sets; ``blas_threads`` is the larger of
-    the two counts, since the rule does not ask which BLAS numpy loaded.
-    Where a list sets none, or its first set value is not a positive
-    integer, that BLAS is taken to use every CPU, which gives 1 worker:
-    the pool then never competes with a multi-threaded GEMM for the same
-    cores.  ``--threads`` sets the first variable of both lists.
+    Each of OpenBLAS and MKL takes its thread count from the first variable
+    of its own list that ``environ`` sets; the result is the larger of the
+    two counts, since the rule does not ask which BLAS numpy loaded.  Where
+    a list sets none, or its first set value is not a positive integer,
+    that BLAS uses every CPU, and the result is None.  ``--threads`` sets
+    the first variable of both lists.
     """
     counts = []
     for names in _BLAS_THREAD_VARS:
         value = next((environ[name] for name in names if name in environ), "")
-        pinned = value.isascii() and value.isdigit() and int(value) >= 1
-        counts.append(int(value) if pinned else usable_cpus)
-    return max(1, min(n_batches, usable_cpus // max(counts)))
+        if not (value.isascii() and value.isdigit() and int(value) >= 1):
+            return None
+        counts.append(int(value))
+    return max(counts)
 
 
-def _usable_cpus() -> int:
+def gemm_workers(usable_cpus: int, environ: Mapping[str, str]) -> int:
+    """How many threads run GEMMs at once: ``usable_cpus //
+    blas_threads(environ)``, at least 1, and 1 when BLAS is unpinned, so
+    that no thread competes with a multi-threaded GEMM for the same cores.
+
+    :func:`score_sequences` runs that many batches at once (no more than
+    it has), and :func:`train` splits a window's large GEMMs across that
+    many threads.
+    """
+    threads = blas_threads(environ)
+    return 1 if threads is None else max(1, usable_cpus // threads)
+
+
+def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1  # platforms without CPU affinity
@@ -288,8 +303,9 @@ def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
     ``forward_batch`` call step only the live lanes; padding is never run.
 
     The batches share no state, so they run on a thread pool of
-    :func:`scoring_workers` threads (the usable CPUs, from the process's
-    CPU affinity, over the BLAS threads per GEMM), the longest batch
+    :func:`gemm_workers` threads (the usable CPUs, from the process's
+    CPU affinity, over the BLAS threads per GEMM; no more than there are
+    batches), the longest batch
     submitted first so that no long batch starts last.  numpy releases the
     interpreter lock in the GEMMs and ufuncs.  Each batch is still one
     ``forward_batch`` call with the same rows, so every probability has
@@ -302,7 +318,7 @@ def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
                    key=lambda i: (len(sequences[i]), sequences[i].student_id))
     groups = [[sequences[i] for i in order[start:start + batch_size]]
               for start in range(0, len(order), batch_size)]
-    workers = scoring_workers(len(groups), _usable_cpus(), os.environ)
+    workers = max(1, min(len(groups), gemm_workers(usable_cpus(), os.environ)))
     with ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(_score_group, params, group)
                    for group in reversed(groups)][::-1]
@@ -388,51 +404,57 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
 
     val_labels = np.concatenate([s.labels for s in val_seqs])
 
-    for epoch in range(1, config.max_epochs + 1):
-        t0 = time.perf_counter()
-        batches = make_batches(train_seqs, config.batch_size, config.seed, epoch)
-        loss_num = loss_den = 0.0
-        for b_idx, batch in enumerate(batches):
-            h = c = np.zeros((len(batch.student_ids), params.hidden_size))
-            for w_idx, window in enumerate(batch.windows(config.tbptt_window)):
-                rng = np.random.default_rng(
-                    [_DROPOUT_NS, config.seed, epoch, b_idx, w_idx])
-                with _diverged(epoch=epoch, batch=b_idx, window=w_idx):
-                    result = forward_batch(params, window.X, window.resets, h, c,
-                                           dropout_p=config.dropout_p, rng=rng,
-                                           want_cache=True, lengths=window.lengths)
-                    h, c = result.h, result.c
-                    grads, num, den = backward_batch(params, result.cache,
-                                                     window.labels, window.weights)
-                    # the spent cache goes before the next window's is built
-                    del result
-                    if not math.isfinite(num):
-                        raise NumericalFault("non-finite loss")
-                    if den > 0.0:
-                        params, opt = rmsprop_update(params, grads, opt,
-                                                     lr=config.learning_rate)
-                    # and so do its gradients, spent by the update
-                    del grads
-                loss_num += num
-                loss_den += den
-        train_loss = loss_num / loss_den if loss_den else 0.0
+    # Training has one window at a time, so the CPUs the BLAS threads leave
+    # idle each take a block of output columns of its large GEMMs.
+    workers = gemm_workers(usable_cpus(), os.environ)
+    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+        for epoch in range(1, config.max_epochs + 1):
+            t0 = time.perf_counter()
+            batches = make_batches(train_seqs, config.batch_size, config.seed, epoch)
+            loss_num = loss_den = 0.0
+            for b_idx, batch in enumerate(batches):
+                h = c = np.zeros((len(batch.student_ids), params.hidden_size))
+                for w_idx, window in enumerate(batch.windows(config.tbptt_window)):
+                    rng = np.random.default_rng(
+                        [_DROPOUT_NS, config.seed, epoch, b_idx, w_idx])
+                    with _diverged(epoch=epoch, batch=b_idx, window=w_idx):
+                        result = forward_batch(params, window.X, window.resets, h, c,
+                                               dropout_p=config.dropout_p, rng=rng,
+                                               want_cache=True, lengths=window.lengths,
+                                               pool=pool)
+                        h, c = result.h, result.c
+                        grads, num, den = backward_batch(params, result.cache,
+                                                         window.labels, window.weights,
+                                                         pool=pool)
+                        # the spent cache goes before the next window's is built
+                        del result
+                        if not math.isfinite(num):
+                            raise NumericalFault("non-finite loss")
+                        if den > 0.0:
+                            params, opt = rmsprop_update(params, grads, opt,
+                                                         lr=config.learning_rate)
+                        # and so do its gradients, spent by the update
+                        del grads
+                    loss_num += num
+                    loss_den += den
+            train_loss = loss_num / loss_den if loss_den else 0.0
 
-        with _diverged(epoch=epoch):
-            scored = score_sequences(params, val_seqs, config.batch_size)
-        val_scores = np.concatenate([scored[s.student_id] for s in val_seqs])
-        val_auc = auc(val_scores, val_labels)
-        val_auc = float("nan") if val_auc is None else val_auc
+            with _diverged(epoch=epoch):
+                scored = score_sequences(params, val_seqs, config.batch_size)
+            val_scores = np.concatenate([scored[s.student_id] for s in val_seqs])
+            val_auc = auc(val_scores, val_labels)
+            val_auc = float("nan") if val_auc is None else val_auc
 
-        seconds = time.perf_counter() - t0
-        history.append(EpochStats(epoch, train_loss, val_auc, seconds))
-        if progress is not None:
-            progress(history[-1])
+            seconds = time.perf_counter() - t0
+            history.append(EpochStats(epoch, train_loss, val_auc, seconds))
+            if progress is not None:
+                progress(history[-1])
 
-        stop = stopper.update(val_auc, epoch)
-        if stopper.best_epoch == epoch:
-            best_params = params.copy()
-        if stop:
-            break
+            stop = stopper.update(val_auc, epoch)
+            if stopper.best_epoch == epoch:
+                best_params = params.copy()
+            if stop:
+                break
 
     return TrainResult(
         params=best_params,

@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -286,6 +287,27 @@ class TestTrain:
         assert manifest["config"]["patience"] == "None"
         assert "seeds" not in manifest
         assert_literals(manifest["config"])
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_manifests_record_the_parallel_setting(self, corpus, tmp_path,
+                                                   monkeypatch, pinned):
+        data, ckpt = corpus
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+            if pinned and var != "GOTO_NUM_THREADS":
+                monkeypatch.setenv(var, "1")
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m"),
+                     "--max-epochs", "1", "--patience", "none", "--quiet"]) == EXIT_OK
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "e"), "--quiet"]) == EXIT_OK
+        # 3 usable CPUs over 1 BLAS thread each; unpinned, BLAS takes them all
+        expected = {"workers": 3, "blas_threads": 1} if pinned else \
+            {"workers": 1, "blas_threads": None}
+        for run in ("m", "e"):
+            manifest = json.loads((tmp_path / run / "manifest.json").read_text())
+            assert {key: manifest[key] for key in expected} == expected
 
     def test_diverging_run_ends_in_one_error_line(self, corpus, tmp_path, capsys):
         # At 1e300 the first update sends the weights to ~1e300, so

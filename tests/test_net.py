@@ -2,12 +2,15 @@
 
 import dataclasses
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from test_gradients import loss_weighted_bce
 
+from eosnet import net
 from eosnet.errors import CheckpointError
 from eosnet.net import (
     ModelParams,
@@ -618,6 +621,79 @@ class TestForward:
                 prob, h, c = infer_step(p, frame, h, c, reset)
                 streamed.append(prob)
             np.testing.assert_allclose(streamed, probs, rtol=1e-12)
+
+
+class TestColumnSplit:
+    """Training's GEMMs split by output column keep their bits on this host."""
+
+    H, D = 400, 13
+    CAUSE = ("this BLAS picks its GEMM kernel by the column count, so a column "
+             "split does not give the whole GEMM's bits")
+
+    @classmethod
+    def operands(cls, shape, m, W):
+        """The operand layouts of each split GEMM in ``net``, at row count m."""
+        rng = np.random.default_rng(m)
+        H, D = cls.H, cls.D
+        if shape == "forward":      # [x; h] @ W.T into the step's gate rows
+            return rng.normal(size=(m, D + H)), W.T, np.empty((m, 4 * H))
+        if shape == "bptt":         # d @ Wh into the step's dh carry
+            return rng.normal(size=(m, 4 * H)), W[:, D:], np.empty((m, H))
+        # dz.T @ h_prev into the recurrent block of the weight gradient
+        out = np.empty((4 * H, D + H))[:, D:]
+        return rng.normal(size=(m, 4 * H)).T, rng.normal(size=(m, H)), out
+
+    @pytest.mark.parametrize("shape", ["forward", "bptt", "weight_gradient"])
+    def test_split_equals_whole_gemm(self, shape):
+        W = init_params(0).lstm_W
+        split = 0
+        for workers in (1, 2):
+            with ThreadPoolExecutor(workers) as pool:
+                for m in range(1, 65):
+                    a, b, out = self.operands(shape, m, W)
+                    if len(net._column_bounds(pool, *a.shape, b.shape[1])) == 2:
+                        continue
+                    split += 1
+                    net._matmul(a, b, out, pool)
+                    assert np.array_equal(out, a @ b), \
+                        f"{shape} split at M={m} over {workers + 1} threads: {self.CAUSE}"
+        assert split > 100
+
+    def test_floor_refuses_small_blocks(self):
+        with ThreadPoolExecutor(1) as pool:
+            # (M, 1600) @ (1600, 400): below M=4 a block has < 10^6 multiply-adds
+            for m in (1, 2, 3):
+                assert net._column_bounds(pool, m, 4 * self.H, self.H) == [0, self.H]
+            bounds = net._column_bounds(pool, 4, 4 * self.H, self.H)
+            assert bounds == [0, 208, self.H]
+            assert net._column_bounds(None, 64, 4 * self.H, self.H) == [0, self.H]
+
+    def _failing_split(self, monkeypatch, failing_block):
+        """Run a split GEMM on 3 threads whose block ``failing_block``
+        raises; return the blocks the others had finished when it raised."""
+        done = []
+
+        def block(a, b, out, cols):
+            if cols.start == failing_block:
+                raise ValueError(f"block at column {cols.start}")
+            threading.Event().wait(0.05)
+            done.append(cols.start)
+
+        monkeypatch.setattr(net, "_matmul_block", block)
+        a, b, out = np.zeros((64, 1600)), np.zeros((1600, 400)), np.zeros((64, 400))
+        with ThreadPoolExecutor(2) as pool:
+            assert net._column_bounds(pool, 64, 1600, 400) == [0, 144, 288, 400]
+            with pytest.raises(ValueError, match=f"block at column {failing_block}"):
+                net._matmul(a, b, out, pool)
+            # read before the pool's shutdown waits for its threads
+            return sorted(done)
+
+    def test_waits_for_every_block_before_raising(self, monkeypatch):
+        # this thread's block fails; both pool blocks ran to the end first
+        assert self._failing_split(monkeypatch, 0) == [144, 288]
+
+    def test_raises_a_pool_threads_error(self, monkeypatch):
+        assert self._failing_split(monkeypatch, 288) == [0, 144]
 
 
 class TestLoss:

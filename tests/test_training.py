@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eosnet import training
+from eosnet import net, training
 from eosnet.errors import DataValidationError, NumericalFault
 from eosnet.ingest import ActionKind, RawAction, StudentLog
 from eosnet.net import (
@@ -24,8 +24,9 @@ from eosnet.training import (
     TrainSequence,
     make_batches,
     prepare_sequence,
+    blas_threads,
+    gemm_workers,
     score_sequences,
-    scoring_workers,
     session_weights,
     split_students,
     student_weights,
@@ -236,46 +237,63 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 class TestScoringWorkers:
     def test_nothing_set_gives_one(self):
-        assert scoring_workers(16, 2, {}) == 1
-        assert scoring_workers(16, 64, {"NUMEXPR_NUM_THREADS": "1"}) == 1
+        assert gemm_workers(2, {}) == 1
+        assert gemm_workers(64, {"NUMEXPR_NUM_THREADS": "1"}) == 1
+        assert blas_threads({}) is None
 
     def test_one_blas_thread_fills_the_cpus(self):
-        assert scoring_workers(16, 2, dict.fromkeys(BLAS_VARS, "1")) == 2
-        assert scoring_workers(16, 8, {"OMP_NUM_THREADS": "2"}) == 4
+        assert gemm_workers(2, dict.fromkeys(BLAS_VARS, "1")) == 2
+        assert gemm_workers(8, {"OMP_NUM_THREADS": "2"}) == 4
 
     def test_blas_threads_on_every_cpu_give_one(self):
-        assert scoring_workers(16, 2, dict.fromkeys(BLAS_VARS, "2")) == 1
-        assert scoring_workers(16, 2, {"MKL_NUM_THREADS": "8"}) == 1
+        assert gemm_workers(2, dict.fromkeys(BLAS_VARS, "2")) == 1
+        assert gemm_workers(2, {"MKL_NUM_THREADS": "8"}) == 1
 
     def test_largest_value_set_counts(self):
         env = {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "2"}
-        assert scoring_workers(16, 4, env) == 2
+        assert gemm_workers(4, env) == 2
+        assert blas_threads(env) == 2
 
-    def test_no_more_workers_than_batches(self):
-        env = dict.fromkeys(BLAS_VARS, "1")
-        assert scoring_workers(1, 2, env) == 1
-        assert scoring_workers(3, 8, env) == 3
-        assert scoring_workers(0, 2, env) == 1
+    def test_no_more_workers_than_batches(self, monkeypatch):
+        for var in BLAS_VARS:
+            monkeypatch.setenv(var, "1")
+        sizes = []
+
+        class Spy(training.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(training, "ThreadPoolExecutor", Spy)
+        params = init_params(0, hidden_size=4)
+        rng = np.random.default_rng(9)
+        for n_students, cpus in ((2, 2), (6, 8), (0, 2)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            seqs = [toy_sequence(rng, f"s{i}", 5) for i in range(n_students)]
+            score_sequences(params, seqs, batch_size=2)
+        # 1 batch on 2 CPUs, 3 batches on 8, and no batch at all
+        assert sizes == [1, 3, 1]
 
     def test_each_blas_reads_its_own_variables_first(self):
         # numpy's OpenBLAS ignores MKL_NUM_THREADS, and MKL ignores
         # OPENBLAS_NUM_THREADS: either alone leaves the other unpinned
-        assert scoring_workers(16, 2, {"MKL_NUM_THREADS": "1"}) == 1
-        assert scoring_workers(16, 2, {"OPENBLAS_NUM_THREADS": "1"}) == 1
+        assert gemm_workers(2, {"MKL_NUM_THREADS": "1"}) == 1
+        assert gemm_workers(2, {"OPENBLAS_NUM_THREADS": "1"}) == 1
         both = {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        assert scoring_workers(16, 2, both) == 2
-        assert scoring_workers(16, 2, {**both, "OMP_NUM_THREADS": "2"}) == 2
-        assert scoring_workers(16, 2, {"GOTO_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}) == 2
-        assert scoring_workers(16, 2, {"OPENBLAS_NUM_THREADS": "2",
-                                       "MKL_NUM_THREADS": "1",
-                                       "OMP_NUM_THREADS": "1"}) == 1
+        assert gemm_workers(2, both) == 2
+        assert gemm_workers(2, {**both, "OMP_NUM_THREADS": "2"}) == 2
+        assert gemm_workers(2, {"GOTO_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}) == 2
+        assert gemm_workers(2, {"OPENBLAS_NUM_THREADS": "2",
+                                "MKL_NUM_THREADS": "1",
+                                "OMP_NUM_THREADS": "1"}) == 1
 
     @pytest.mark.parametrize("value", ["", "0", "x", "4,2", " 1", "-1", "\u0661"])
     def test_value_not_a_positive_integer_gives_one(self, value):
         env = dict.fromkeys(BLAS_VARS, "1")
         for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            assert scoring_workers(16, 2, {**env, var: value}) == 1
-        assert scoring_workers(16, 2, {"OMP_NUM_THREADS": value}) == 1
+            assert gemm_workers(2, {**env, var: value}) == 1
+            assert blas_threads({**env, var: value}) is None
+        assert gemm_workers(2, {"OMP_NUM_THREADS": value}) == 1
 
     def test_score_sequences_reads_affinity_and_environment(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -283,17 +301,17 @@ class TestScoringWorkers:
             monkeypatch.setenv(var, "1")
         seen = []
 
-        def spy(n_batches, usable_cpus, environ):
-            seen.append((n_batches, usable_cpus, dict(environ)))
+        def spy(usable_cpus, environ):
+            seen.append((usable_cpus, dict(environ)))
             return 1
 
-        monkeypatch.setattr(training, "scoring_workers", spy)
+        monkeypatch.setattr(training, "gemm_workers", spy)
         rng = np.random.default_rng(7)
         params = init_params(0, hidden_size=4)
         seqs = [toy_sequence(rng, f"s{i}", 5) for i in range(9)]
         score_sequences(params, seqs, batch_size=2)
-        [(n_batches, usable_cpus, environ)] = seen
-        assert (n_batches, usable_cpus) == (5, 3)
+        [(usable_cpus, environ)] = seen
+        assert usable_cpus == 3
         assert all(environ[var] == "1" for var in BLAS_VARS)
 
 
@@ -313,7 +331,7 @@ class TestScoringPool:
         return [prepare_sequence(seq, level) for seq in labeled]
 
     def _score(self, monkeypatch, workers, params, seqs):
-        monkeypatch.setattr(training, "scoring_workers", lambda *args: workers)
+        monkeypatch.setattr(training, "gemm_workers", lambda *args: workers)
         return score_sequences(params, seqs, batch_size=self.BATCH)
 
     @pytest.mark.parametrize("level", list(Level))
@@ -457,6 +475,59 @@ class TestTrainLoop:
         config = TrainConfig(max_epochs=1, seed=0)
         with pytest.raises(DataValidationError):
             train(config, [], seqs[:2])
+
+
+class TestTrainingSplit:
+    """``train`` at H=400 with its GEMMs split over 3 threads and over 1."""
+
+    N_STUDENTS = 36  # 32 train, in batches of 16 lanes; 4 validation
+    CONFIG = dict(max_epochs=2, patience=None, batch_size=16, tbptt_window=8,
+                  dropout_p=0.4, seed=3)
+
+    def _sequences(self, level):
+        labeled = make_toy_students(self.N_STUDENTS, np.random.default_rng(6))
+        return [prepare_sequence(seq, level) for seq in labeled]
+
+    def _train(self, monkeypatch, workers, level, seqs):
+        monkeypatch.setattr(training, "gemm_workers", lambda *args: workers)
+        blocks = []
+        matmul_block = net._matmul_block
+
+        def counted(a, b, out, cols):
+            blocks.append(cols)
+            matmul_block(a, b, out, cols)
+
+        monkeypatch.setattr(net, "_matmul_block", counted)
+        config = TrainConfig(level=level, **self.CONFIG)
+        result = train(config, seqs[:-4], seqs[-4:])
+        return result, len(blocks)
+
+    @pytest.mark.parametrize("level", list(Level))
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch, level):
+        seqs = self._sequences(level)
+        # every history is longer than the TBPTT window
+        assert min(len(seq) for seq in seqs) > self.CONFIG["tbptt_window"]
+        one, one_blocks = self._train(monkeypatch, 1, level, seqs)
+        three, three_blocks = self._train(monkeypatch, 3, level, seqs)
+        assert one.params.hidden_size == 400
+        assert one_blocks == 0 and three_blocks > 0
+        for a, b in zip(one.params.arrays(), three.params.arrays()):
+            np.testing.assert_array_equal(b, a)
+        assert three.history and [(s.epoch, s.train_loss, s.val_auc) for s in three.history] \
+            == [(s.epoch, s.train_loss, s.val_auc) for s in one.history]
+
+    def test_fault_matches_a_serial_run(self, monkeypatch):
+        seqs = self._sequences(Level.STUDENT)
+        seqs[5].features[7, 2] = np.nan
+        faults = []
+        for workers in (1, 3):
+            before = threading.active_count()
+            with pytest.raises(NumericalFault, match="training diverged") as caught:
+                self._train(monkeypatch, workers, Level.STUDENT, seqs)
+            assert threading.active_count() == before
+            fault = caught.value
+            faults.append((str(fault), fault.context, str(fault.__cause__)))
+        assert faults[0] == faults[1]
 
 
 class TestTrainConfigValidation:
