@@ -14,9 +14,9 @@ Exit codes: 0 success, 1 usage, 2 data validation, 3 numerical fault.
 not, and of every field of the ``GenConfig``/``TrainConfig`` built (an enum
 field as the ``repr`` of its value), so every entry is a Python literal.
 The ``train`` and ``evaluate`` manifests also record the parallel setting
-(see ``--threads``): ``workers``, the count ``training.gemm_workers``
-chose, and ``blas_threads``, the BLAS threads per GEMM it read (null when
-unpinned).
+(see ``--threads``): ``workers``, the size of the command's thread pool,
+and ``blas_threads``, the BLAS threads per GEMM it was sized from (null
+when unpinned).
 ``generate`` writes only ``actions.csv`` and ``manifest.json``.
 
 Sessions follow the one 15-minute rule of ``sessions.starts_session``,
@@ -40,10 +40,12 @@ Outputs are checked before any work: ``--out`` directories are made, and
 each file output must name a file in an existing directory (else exit 2).
 
 ``--threads`` takes an integer >= 1; anything else is a usage error.  It
-sets the BLAS threads per GEMM, and one rule (``training.gemm_workers``)
-fills the remaining usable CPUs: batch scoring (``evaluate`` and the
-validation pass of ``train``) runs that many batches at once, and training
-splits its large LSTM GEMMs by output column across that many threads.
+sets the BLAS threads per GEMM, and one rule (:func:`gemm_workers`) fills
+the remaining usable CPUs: ``train`` and ``evaluate`` each work out that
+count once and run all their parallel work on one thread pool of that
+size.  Batch scoring (``evaluate`` and the validation pass of ``train``)
+runs that many batches at once, and training splits its large LSTM GEMMs
+by output column into that many blocks, the calling thread's included.
 Unpinned, BLAS takes every CPU, batches run in turn and no GEMM is split.
 The outputs do not depend on the worker count, but those of ``train`` and
 ``evaluate`` can depend on the BLAS thread count itself.
@@ -80,6 +82,7 @@ import os
 import sys
 import time
 from enum import Enum
+from typing import Mapping, Optional
 
 from eosnet.errors import (
     CheckpointError,
@@ -144,8 +147,9 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--threads", type=_threads, default=None,
                         help="BLAS threads per GEMM (set before numerics load); "
-                             "batch scoring and training's GEMM split fill the "
-                             "remaining usable CPUs")
+                             "train and evaluate fill the remaining usable CPUs "
+                             "with one thread pool for batch scoring and "
+                             "training's GEMM split")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     # Config-field flags default to SUPPRESS: an absent flag leaves no
@@ -223,6 +227,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The variables each BLAS reads for its thread count, in its own order.
+_BLAS_THREAD_VARS = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+                     ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
+
+
 def _configure(args) -> None:
     logging.basicConfig(stream=sys.stderr, format="%(message)s",
                         level=logging.WARNING if args.quiet else logging.INFO)
@@ -230,9 +239,44 @@ def _configure(args) -> None:
         if "numpy" in sys.modules:
             log.debug("numpy already imported; --threads has no effect")
         else:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-                os.environ[var] = str(args.threads)
+            for names in _BLAS_THREAD_VARS:
+                os.environ.update(dict.fromkeys(names, str(args.threads)))
+
+
+def blas_threads(environ: Mapping[str, str]) -> Optional[int]:
+    """The BLAS threads per GEMM that ``environ`` pins, or None.
+
+    Each of OpenBLAS and MKL takes its thread count from the first variable
+    of its own list that ``environ`` sets; the result is the larger of the
+    two counts, since the rule does not ask which BLAS numpy loaded.  Where
+    a list sets none, or its first set value is not a positive integer,
+    that BLAS uses every CPU, and the result is None.  ``--threads`` sets
+    every variable of both lists.
+    """
+    counts = []
+    for names in _BLAS_THREAD_VARS:
+        value = next((environ[name] for name in names if name in environ), "")
+        if not (value.isascii() and value.isdigit() and int(value) >= 1):
+            return None
+        counts.append(int(value))
+    return max(counts)
+
+
+def gemm_workers(usable_cpus: int, environ: Mapping[str, str]) -> int:
+    """How many threads run GEMMs at once: ``usable_cpus //
+    blas_threads(environ)``, at least 1, and 1 when BLAS is unpinned, so
+    that no thread competes with a multi-threaded GEMM for the same cores.
+
+    ``train`` and ``evaluate`` size their one thread pool by it.
+    """
+    threads = blas_threads(environ)
+    return 1 if threads is None else max(1, usable_cpus // threads)
+
+
+def usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # platforms without CPU affinity
 
 
 def _config_from_flags(cls, args):
@@ -246,13 +290,13 @@ def _config_from_flags(cls, args):
         raise UsageError(str(exc)) from None
 
 
-def _write_manifest(args, config, inputs, outputs, t0, parallel=False,
+def _write_manifest(args, config, inputs, outputs, t0, workers=None,
                     **timings) -> None:
     """Write ``args.out``/manifest.json; ``config`` is a ``GenConfig``,
     a ``TrainConfig`` or None, and ``timings`` gains the seconds since ``t0``.
     Each config entry is a Python literal: an ``Enum`` is recorded by the
-    ``repr`` of its value.  ``parallel`` adds ``workers`` and
-    ``blas_threads``, the worker rule's choice and its input."""
+    ``repr`` of its value.  ``workers``, the size of the command's thread
+    pool, is recorded with ``blas_threads``, the worker rule's input."""
     from eosnet.fileio import write_manifest
 
     def literal(value):
@@ -265,11 +309,8 @@ def _write_manifest(args, config, inputs, outputs, t0, parallel=False,
                        for f in dataclasses.fields(config))
     timings["seconds"] = time.perf_counter() - t0
     fields = {}
-    if parallel:
-        from eosnet.training import blas_threads, gemm_workers, usable_cpus
-
-        fields = {"workers": gemm_workers(usable_cpus(), os.environ),
-                  "blas_threads": blas_threads(os.environ)}
+    if workers is not None:
+        fields = {"workers": workers, "blas_threads": blas_threads(os.environ)}
     write_manifest(os.path.join(args.out, "manifest.json"), args.command,
                    entries, inputs, outputs, timings, **fields)
 
@@ -386,6 +427,8 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     from eosnet.net import save_checkpoint
     from eosnet.training import TrainConfig, split_students, train
 
@@ -404,7 +447,9 @@ def cmd_train(args) -> int:
         log.info("epoch %d: train_loss %.5f val_auc %.5f (%.1fs)",
                  stats.epoch, stats.train_loss, stats.val_auc, stats.seconds)
 
-    result = train(config, train_seqs, val_seqs, progress=progress)
+    workers = gemm_workers(usable_cpus(), os.environ)
+    with ThreadPoolExecutor(workers) as pool:
+        result = train(config, train_seqs, val_seqs, pool, progress=progress)
 
     ckpt_path = os.path.join(args.out, "model.ckpt")
     save_checkpoint(result.params, ckpt_path)
@@ -414,12 +459,14 @@ def cmd_train(args) -> int:
     log.info("best epoch %d (val_auc %.5f)", result.best_epoch, result.best_val_auc)
 
     _write_manifest(args, config, [args.data], [ckpt_path, history_path], t0,
-                    parallel=True, epoch_seconds=[s.seconds for s in result.history],
+                    workers, epoch_seconds=[s.seconds for s in result.history],
                     best_epoch=result.best_epoch)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     from eosnet.evaluation import compute_report, scored_sessions
     from eosnet.training import Level, score_sequences, split_students
 
@@ -437,8 +484,10 @@ def cmd_evaluate(args) -> int:
         ids = sorted(labeled)
     else:
         ids = getattr(split_students(labeled.keys(), args.split_seed), args.split_part)
-    probs = score_sequences(params, _prepared(labeled, ids, Level(args.level),
-                                              args.utc_offset_minutes))
+    prepared = _prepared(labeled, ids, Level(args.level), args.utc_offset_minutes)
+    workers = gemm_workers(usable_cpus(), os.environ)
+    with ThreadPoolExecutor(workers) as pool:
+        probs = score_sequences(params, prepared, pool)
 
     scored = scored_sessions([labeled[sid] for sid in ids], probs)
     rows, chunk_means = compute_report(scored)
@@ -463,8 +512,7 @@ def cmd_evaluate(args) -> int:
 
     if rows and rows[0][:2] == ("auc", "global"):
         log.info("global AUC %.5f over %d sessions", rows[0][2], int(scored.labels.sum()))
-    _write_manifest(args, None, [args.checkpoint, args.data], outputs, t0,
-                    parallel=True)
+    _write_manifest(args, None, [args.checkpoint, args.data], outputs, t0, workers)
     return EXIT_OK
 
 

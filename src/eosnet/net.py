@@ -67,13 +67,13 @@ and invalid warnings off.
 :func:`forward_batch` keeps no state between calls, so independent batches
 may run concurrently.
 
-Given a thread pool (``pool=``, which training passes when BLAS is pinned
-and CPUs are left over), the three large LSTM GEMMs are split by output
-column: the forward step's ``[x; h] @ W.T``, the BPTT step's ``d @ Wh``,
-and the recurrent weight gradient ``dz.T @ h_prev``.  The calling thread
-computes the first contiguous block of columns and the pool's threads the
-others, so a split runs on ``workers + 1`` threads; the call returns only
-once every block is written, also when one raises.  The gate ops after the
+Given a thread pool (``pool=``, which training passes), the three large
+LSTM GEMMs are split by output column: the forward step's ``[x; h] @
+W.T``, the BPTT step's ``d @ Wh``, and the recurrent weight gradient
+``dz.T @ h_prev``.  A GEMM is cut into at most as many contiguous column
+blocks as the pool has threads; the calling thread computes the first
+and the pool's threads the others, and the call returns only once every
+block is written, also when one raises.  The gate ops after the
 forward GEMM stay on the calling thread: split as well, they took longer
 on two threads than whole on one.  The bits do not change, because every
 output element is still one dot product over the same K order in the same
@@ -336,12 +336,12 @@ def _zero_resets(block: np.ndarray, resets: np.ndarray) -> None:
 def _column_bounds(pool: Optional[ThreadPoolExecutor], rows: int, depth: int,
                    width: int) -> list:
     """Column bounds of the blocks a ``(rows, depth) @ (depth, width)`` GEMM
-    is split into under ``pool``: at most one block per pool thread plus
-    one for the calling thread, each but the last ``_SPLIT_ALIGN``-aligned,
+    is split into under ``pool``: at most one block per pool thread, the
+    calling thread's included, each but the last ``_SPLIT_ALIGN``-aligned,
     and the last, the smallest, above ``_SPLIT_MIN_MACS`` multiply-adds.
     ``[0, width]`` (no split) without a pool or when no split clears it."""
     # ThreadPoolExecutor keeps its size only in _max_workers
-    most = 1 if pool is None else pool._max_workers + 1
+    most = 1 if pool is None else pool._max_workers
     for parts in range(most, 1, -1):
         step = -(-width // (parts * _SPLIT_ALIGN)) * _SPLIT_ALIGN
         bounds = [*range(0, width, step), width]
@@ -364,9 +364,6 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     thread still writes when an exception unwinds; a pool thread's
     exception is raised here."""
     bounds = _column_bounds(pool, *a.shape, b.shape[1])
-    if len(bounds) == 2:
-        np.matmul(a, b, out=out)
-        return
     futures = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):

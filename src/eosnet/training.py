@@ -15,27 +15,25 @@ head and weight-gradient work follow its real lane-steps, not its padded
 ``T * B``.  ``backward_batch`` consumes that cache, and the next window's
 is built only after it is released.
 
-One rule sizes all parallel work, worked out, not configured: the usable
-CPUs over the BLAS threads per GEMM (:func:`gemm_workers`), so 1 unless
-the BLAS thread count is pinned.  Batch scoring (``evaluate`` and the
-validation pass of ``train``) runs that many of its independent batches at
-once on a thread pool, longest batch first.  Training has one window at a
+The caller passes the thread pool that all parallel work runs on; the
+CLI sizes it by one rule (``cli.gemm_workers``).  Batch scoring
+(``evaluate`` and the validation pass of ``train``) runs its independent
+batches on the pool, longest batch first.  Training has one window at a
 time, so it splits each window's large LSTM GEMMs by output column across
-that many threads instead (``net``'s ``pool=``).  Either way every output
-element is computed as in a serial run, so the output does not depend on
-the worker count.
+the pool instead (``net``'s ``pool=``).  Either way every output element
+is computed as in a serial run, so the output does not depend on the pool
+size.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -242,49 +240,6 @@ def make_batches(sequences: Sequence[TrainSequence], batch_size: int,
             for g in rng.permutation(len(groups))]
 
 
-# The variables each BLAS reads for its thread count, in its own order.
-_BLAS_THREAD_VARS = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-                     ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
-
-
-def blas_threads(environ: Mapping[str, str]) -> Optional[int]:
-    """The BLAS threads per GEMM that ``environ`` pins, or None.
-
-    Each of OpenBLAS and MKL takes its thread count from the first variable
-    of its own list that ``environ`` sets; the result is the larger of the
-    two counts, since the rule does not ask which BLAS numpy loaded.  Where
-    a list sets none, or its first set value is not a positive integer,
-    that BLAS uses every CPU, and the result is None.  ``--threads`` sets
-    the first variable of both lists.
-    """
-    counts = []
-    for names in _BLAS_THREAD_VARS:
-        value = next((environ[name] for name in names if name in environ), "")
-        if not (value.isascii() and value.isdigit() and int(value) >= 1):
-            return None
-        counts.append(int(value))
-    return max(counts)
-
-
-def gemm_workers(usable_cpus: int, environ: Mapping[str, str]) -> int:
-    """How many threads run GEMMs at once: ``usable_cpus //
-    blas_threads(environ)``, at least 1, and 1 when BLAS is unpinned, so
-    that no thread competes with a multi-threaded GEMM for the same cores.
-
-    :func:`score_sequences` runs that many batches at once (no more than
-    it has), and :func:`train` splits a window's large GEMMs across that
-    many threads.
-    """
-    threads = blas_threads(environ)
-    return 1 if threads is None else max(1, usable_cpus // threads)
-
-
-def usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # platforms without CPU affinity
-
-
 def _score_group(params: ModelParams, group: Sequence[TrainSequence]) -> list[np.ndarray]:
     """Each lane's probabilities, copied out of one ``forward_batch``."""
     batch = _build_batch(group)
@@ -295,38 +250,33 @@ def _score_group(params: ModelParams, group: Sequence[TrainSequence]) -> list[np
 
 
 def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
-                    batch_size: int = 64) -> dict[str, np.ndarray]:
+                    pool: ThreadPoolExecutor, batch_size: int = 64) -> dict[str, np.ndarray]:
     """Inference-mode probabilities for many students, batched.
 
     Students are processed in (length, id) order, so each batch's lanes
     come in the non-decreasing length order that lets one
     ``forward_batch`` call step only the live lanes; padding is never run.
 
-    The batches share no state, so they run on a thread pool of
-    :func:`gemm_workers` threads (the usable CPUs, from the process's
-    CPU affinity, over the BLAS threads per GEMM; no more than there are
-    batches), the longest batch
-    submitted first so that no long batch starts last.  numpy releases the
-    interpreter lock in the GEMMs and ufuncs.  Each batch is still one
-    ``forward_batch`` call with the same rows, so every probability has
-    the same bits at any worker count.  Results are collected in input
-    order, so the first fault in that order is the one raised, as in a
-    serial run.  A call that fails or is interrupted cancels the batches
-    not yet started, and returns only after its workers have stopped.
+    The batches share no state, so they all go to ``pool`` at once, the
+    longest batch submitted first so that no long batch starts last.
+    numpy releases the interpreter lock in the GEMMs and ufuncs.  Each
+    batch is still one ``forward_batch`` call with the same rows, so every
+    probability has the same bits at any pool size.  Results are collected
+    in input order, so the first fault in that order is the one raised, as
+    in a serial run.  A call that fails or is interrupted cancels its
+    batches not yet started, and returns only once those already started
+    have finished, so the caller's pool is left with none of its work.
     """
     order = sorted(range(len(sequences)),
                    key=lambda i: (len(sequences[i]), sequences[i].student_id))
     groups = [[sequences[i] for i in order[start:start + batch_size]]
               for start in range(0, len(order), batch_size)]
-    workers = max(1, min(len(groups), gemm_workers(usable_cpus(), os.environ)))
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(_score_group, params, group)
-                   for group in reversed(groups)][::-1]
-        try:
-            results = [future.result() for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()
+    futures = [pool.submit(_score_group, params, group)
+               for group in reversed(groups)][::-1]
+    try:
+        results = [future.result() for future in futures]
+    finally:
+        wait([future for future in futures if not future.cancel()])
     return {seq.student_id: probs for group, lane_probs in zip(groups, results)
             for seq, probs in zip(group, lane_probs)}
 
@@ -384,7 +334,7 @@ def _diverged(**context):
 
 
 def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
-          val_seqs: Sequence[TrainSequence],
+          val_seqs: Sequence[TrainSequence], pool: ThreadPoolExecutor,
           progress=None) -> TrainResult:
     """Run the full training loop and return the best-validation model.
 
@@ -392,7 +342,8 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
     batch's windows while gradients do not.  Epoch loss is the
     weight-normalized BCE over all real steps.  After each epoch the pooled
     validation AUC decides early stopping (patience epochs without
-    improvement).
+    improvement).  ``pool`` splits each window's large LSTM GEMMs and runs
+    the validation batches.
     """
     if not train_seqs or not val_seqs:
         raise DataValidationError("train and validation sets must be non-empty")
@@ -404,57 +355,53 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
 
     val_labels = np.concatenate([s.labels for s in val_seqs])
 
-    # Training has one window at a time, so the CPUs the BLAS threads leave
-    # idle each take a block of output columns of its large GEMMs.
-    workers = gemm_workers(usable_cpus(), os.environ)
-    with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
-        for epoch in range(1, config.max_epochs + 1):
-            t0 = time.perf_counter()
-            batches = make_batches(train_seqs, config.batch_size, config.seed, epoch)
-            loss_num = loss_den = 0.0
-            for b_idx, batch in enumerate(batches):
-                h = c = np.zeros((len(batch.student_ids), params.hidden_size))
-                for w_idx, window in enumerate(batch.windows(config.tbptt_window)):
-                    rng = np.random.default_rng(
-                        [_DROPOUT_NS, config.seed, epoch, b_idx, w_idx])
-                    with _diverged(epoch=epoch, batch=b_idx, window=w_idx):
-                        result = forward_batch(params, window.X, window.resets, h, c,
-                                               dropout_p=config.dropout_p, rng=rng,
-                                               want_cache=True, lengths=window.lengths,
-                                               pool=pool)
-                        h, c = result.h, result.c
-                        grads, num, den = backward_batch(params, result.cache,
-                                                         window.labels, window.weights,
-                                                         pool=pool)
-                        # the spent cache goes before the next window's is built
-                        del result
-                        if not math.isfinite(num):
-                            raise NumericalFault("non-finite loss")
-                        if den > 0.0:
-                            params, opt = rmsprop_update(params, grads, opt,
-                                                         lr=config.learning_rate)
-                        # and so do its gradients, spent by the update
-                        del grads
-                    loss_num += num
-                    loss_den += den
-            train_loss = loss_num / loss_den if loss_den else 0.0
+    for epoch in range(1, config.max_epochs + 1):
+        t0 = time.perf_counter()
+        batches = make_batches(train_seqs, config.batch_size, config.seed, epoch)
+        loss_num = loss_den = 0.0
+        for b_idx, batch in enumerate(batches):
+            h = c = np.zeros((len(batch.student_ids), params.hidden_size))
+            for w_idx, window in enumerate(batch.windows(config.tbptt_window)):
+                rng = np.random.default_rng(
+                    [_DROPOUT_NS, config.seed, epoch, b_idx, w_idx])
+                with _diverged(epoch=epoch, batch=b_idx, window=w_idx):
+                    result = forward_batch(params, window.X, window.resets, h, c,
+                                           dropout_p=config.dropout_p, rng=rng,
+                                           want_cache=True, lengths=window.lengths,
+                                           pool=pool)
+                    h, c = result.h, result.c
+                    grads, num, den = backward_batch(params, result.cache,
+                                                     window.labels, window.weights,
+                                                     pool=pool)
+                    # the spent cache goes before the next window's is built
+                    del result
+                    if not math.isfinite(num):
+                        raise NumericalFault("non-finite loss")
+                    if den > 0.0:
+                        params, opt = rmsprop_update(params, grads, opt,
+                                                     lr=config.learning_rate)
+                    # and so do its gradients, spent by the update
+                    del grads
+                loss_num += num
+                loss_den += den
+        train_loss = loss_num / loss_den if loss_den else 0.0
 
-            with _diverged(epoch=epoch):
-                scored = score_sequences(params, val_seqs, config.batch_size)
-            val_scores = np.concatenate([scored[s.student_id] for s in val_seqs])
-            val_auc = auc(val_scores, val_labels)
-            val_auc = float("nan") if val_auc is None else val_auc
+        with _diverged(epoch=epoch):
+            scored = score_sequences(params, val_seqs, pool, config.batch_size)
+        val_scores = np.concatenate([scored[s.student_id] for s in val_seqs])
+        val_auc = auc(val_scores, val_labels)
+        val_auc = float("nan") if val_auc is None else val_auc
 
-            seconds = time.perf_counter() - t0
-            history.append(EpochStats(epoch, train_loss, val_auc, seconds))
-            if progress is not None:
-                progress(history[-1])
+        seconds = time.perf_counter() - t0
+        history.append(EpochStats(epoch, train_loss, val_auc, seconds))
+        if progress is not None:
+            progress(history[-1])
 
-            stop = stopper.update(val_auc, epoch)
-            if stopper.best_epoch == epoch:
-                best_params = params.copy()
-            if stop:
-                break
+        stop = stopper.update(val_auc, epoch)
+        if stopper.best_epoch == epoch:
+            best_params = params.copy()
+        if stop:
+            break
 
     return TrainResult(
         params=best_params,

@@ -10,6 +10,7 @@ import json
 import os
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -355,8 +356,10 @@ class TestEvaluate:
                      "--dump-scores", str(dump), "--quiet"]) == EXIT_OK
         labeled = _load_labeled(str(data))
         ids = sorted(labeled)
-        probs = score_sequences(load_checkpoint(str(ckpt)),
-                                [prepare_sequence(labeled[sid], Level.STUDENT) for sid in ids])
+        with ThreadPoolExecutor(1) as pool:
+            probs = score_sequences(load_checkpoint(str(ckpt)),
+                                    [prepare_sequence(labeled[sid], Level.STUDENT)
+                                     for sid in ids], pool)
         expected = [(sid, repr(float(p)), str(int(y)))
                     for sid in ids for p, y in zip(probs[sid], labeled[sid].labels)]
         cells = [row.split(",") for row in dump.read_text().splitlines()[1:]]

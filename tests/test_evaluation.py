@@ -1,6 +1,7 @@
 """AUC computation, stratified reports, trajectory, and scoring."""
 
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -326,7 +327,8 @@ def lane_probs(params, features, resets):
 
 def score(params, seq, level):
     """Inference probabilities of one student's full history at ``level``."""
-    return score_sequences(params, [prepare_sequence(seq, level)])[seq.student_id]
+    with ThreadPoolExecutor(1) as pool:
+        return score_sequences(params, [prepare_sequence(seq, level)], pool)[seq.student_id]
 
 
 class TestScore:
@@ -382,7 +384,8 @@ class TestScore:
                 for i in range(6)]
         for level in (Level.STUDENT, Level.SESSION):
             prepared = [prepare_sequence(s, level) for s in seqs]
-            batched = score_sequences(params, prepared, batch_size=3)
+            with ThreadPoolExecutor(2) as pool:
+                batched = score_sequences(params, prepared, pool, batch_size=3)
             for seq in seqs:
                 direct = score(params, seq, level)
                 np.testing.assert_allclose(batched[seq.student_id], direct,

@@ -647,7 +647,7 @@ class TestColumnSplit:
     def test_split_equals_whole_gemm(self, shape):
         W = init_params(0).lstm_W
         split = 0
-        for workers in (1, 2):
+        for workers in (2, 3):
             with ThreadPoolExecutor(workers) as pool:
                 for m in range(1, 65):
                     a, b, out = self.operands(shape, m, W)
@@ -656,11 +656,11 @@ class TestColumnSplit:
                     split += 1
                     net._matmul(a, b, out, pool)
                     assert np.array_equal(out, a @ b), \
-                        f"{shape} split at M={m} over {workers + 1} threads: {self.CAUSE}"
+                        f"{shape} split at M={m} over {workers} threads: {self.CAUSE}"
         assert split > 100
 
     def test_floor_refuses_small_blocks(self):
-        with ThreadPoolExecutor(1) as pool:
+        with ThreadPoolExecutor(2) as pool:
             # (M, 1600) @ (1600, 400): below M=4 a block has < 10^6 multiply-adds
             for m in (1, 2, 3):
                 assert net._column_bounds(pool, m, 4 * self.H, self.H) == [0, self.H]
@@ -681,7 +681,7 @@ class TestColumnSplit:
 
         monkeypatch.setattr(net, "_matmul_block", block)
         a, b, out = np.zeros((64, 1600)), np.zeros((1600, 400)), np.zeros((64, 400))
-        with ThreadPoolExecutor(2) as pool:
+        with ThreadPoolExecutor(3) as pool:
             assert net._column_bounds(pool, 64, 1600, 400) == [0, 144, 288, 400]
             with pytest.raises(ValueError, match=f"block at column {failing_block}"):
                 net._matmul(a, b, out, pool)

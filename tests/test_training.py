@@ -2,12 +2,14 @@
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from eosnet import net, training
+from eosnet import cli, net, training
+from eosnet.cli import blas_threads, gemm_workers
 from eosnet.errors import DataValidationError, NumericalFault
 from eosnet.ingest import ActionKind, RawAction, StudentLog
 from eosnet.net import (
@@ -24,14 +26,18 @@ from eosnet.training import (
     TrainSequence,
     make_batches,
     prepare_sequence,
-    blas_threads,
-    gemm_workers,
     score_sequences,
     session_weights,
     split_students,
     student_weights,
     train,
 )
+
+
+@pytest.fixture
+def pool():
+    with ThreadPoolExecutor(2) as pool:
+        yield pool
 
 
 def lane_probs(params, seq):
@@ -220,13 +226,13 @@ class TestBatchedLossMatchesUnbatched:
             total_den += float(seq.weights.sum())
         assert batched_loss == pytest.approx(total_num / total_den, rel=1e-12)
 
-    def test_score_sequences_matches_single_forward(self):
+    def test_score_sequences_matches_single_forward(self, pool):
         rng = np.random.default_rng(6)
         params = ModelParams(*(rng.normal(0, 0.3, size=a.shape)
                                for a in init_params(0, hidden_size=8).arrays()))
         seqs = [toy_sequence(rng, f"s{i}", int(rng.integers(3, 60)))
                 for i in range(9)]
-        scored = score_sequences(params, seqs, batch_size=4)
+        scored = score_sequences(params, seqs, pool, batch_size=4)
         for seq in seqs:
             probs = lane_probs(params, seq)
             np.testing.assert_allclose(scored[seq.student_id], probs, rtol=1e-12)
@@ -254,25 +260,18 @@ class TestScoringWorkers:
         assert gemm_workers(4, env) == 2
         assert blas_threads(env) == 2
 
-    def test_no_more_workers_than_batches(self, monkeypatch):
-        for var in BLAS_VARS:
-            monkeypatch.setenv(var, "1")
-        sizes = []
-
-        class Spy(training.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(training, "ThreadPoolExecutor", Spy)
+    def test_no_more_workers_than_batches(self):
+        # a pool starts a thread only for a batch that finds none idle
         params = init_params(0, hidden_size=4)
         rng = np.random.default_rng(9)
-        for n_students, cpus in ((2, 2), (6, 8), (0, 2)):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        started = []
+        for n_students, size in ((2, 2), (6, 8), (0, 2)):
             seqs = [toy_sequence(rng, f"s{i}", 5) for i in range(n_students)]
-            score_sequences(params, seqs, batch_size=2)
-        # 1 batch on 2 CPUs, 3 batches on 8, and no batch at all
-        assert sizes == [1, 3, 1]
+            with ThreadPoolExecutor(size) as pool:
+                score_sequences(params, seqs, pool, batch_size=2)
+                started.append(len(pool._threads))
+        # 1 batch on 2 threads, 3 batches on 8, and no batch at all
+        assert started[0] == 1 and 1 <= started[1] <= 3 and started[2] == 0
 
     def test_each_blas_reads_its_own_variables_first(self):
         # numpy's OpenBLAS ignores MKL_NUM_THREADS, and MKL ignores
@@ -295,7 +294,9 @@ class TestScoringWorkers:
             assert blas_threads({**env, var: value}) is None
         assert gemm_workers(2, {"OMP_NUM_THREADS": value}) == 1
 
-    def test_score_sequences_reads_affinity_and_environment(self, monkeypatch):
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_commands_read_affinity_and_environment_once(self, monkeypatch, tmp_path,
+                                                         command):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         for var in BLAS_VARS:
             monkeypatch.setenv(var, "1")
@@ -303,20 +304,27 @@ class TestScoringWorkers:
 
         def spy(usable_cpus, environ):
             seen.append((usable_cpus, dict(environ)))
-            return 1
+            return 2
 
-        monkeypatch.setattr(training, "gemm_workers", spy)
-        rng = np.random.default_rng(7)
-        params = init_params(0, hidden_size=4)
-        seqs = [toy_sequence(rng, f"s{i}", 5) for i in range(9)]
-        score_sequences(params, seqs, batch_size=2)
+        monkeypatch.setattr(cli, "gemm_workers", spy)
+        assert cli.main(["generate", "--out", str(tmp_path), "--n-students", "12",
+                         "--seed", "3", "--quiet"]) == cli.EXIT_OK
+        data = tmp_path / "actions.csv"
+        if command == "train":
+            args = ["train", "--max-epochs", "3", "--patience", "none"]
+        else:
+            ckpt = tmp_path / "model.ckpt"
+            net.save_checkpoint(init_params(0, hidden_size=4), ckpt)
+            args = ["evaluate", "--checkpoint", str(ckpt)]
+        assert cli.main([*args, "--data", str(data), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == cli.EXIT_OK
         [(usable_cpus, environ)] = seen
         assert usable_cpus == 3
         assert all(environ[var] == "1" for var in BLAS_VARS)
 
 
 class TestScoringPool:
-    """``score_sequences`` at 1 worker and at 3."""
+    """``score_sequences`` on a pool of 1 thread and of 3."""
 
     N_STUDENTS, BATCH = 40, 8  # 5 batches
 
@@ -330,15 +338,15 @@ class TestScoringPool:
         labeled = make_toy_students(self.N_STUDENTS, np.random.default_rng(4))
         return [prepare_sequence(seq, level) for seq in labeled]
 
-    def _score(self, monkeypatch, workers, params, seqs):
-        monkeypatch.setattr(training, "gemm_workers", lambda *args: workers)
-        return score_sequences(params, seqs, batch_size=self.BATCH)
+    def _score(self, workers, params, seqs):
+        with ThreadPoolExecutor(workers) as pool:
+            return score_sequences(params, seqs, pool, batch_size=self.BATCH)
 
     @pytest.mark.parametrize("level", list(Level))
-    def test_any_worker_count_gives_the_same_bits(self, monkeypatch, params, level):
+    def test_any_worker_count_gives_the_same_bits(self, params, level):
         seqs = self._sequences(level)
-        one = self._score(monkeypatch, 1, params, seqs)
-        three = self._score(monkeypatch, 3, params, seqs)
+        one = self._score(1, params, seqs)
+        three = self._score(3, params, seqs)
         assert list(three) == list(one)
         for sid, probs in one.items():
             np.testing.assert_array_equal(three[sid], probs)
@@ -350,7 +358,7 @@ class TestScoringPool:
         return ordered[(k + 1) * self.BATCH - 1]
 
     @pytest.mark.parametrize("level", list(Level))
-    def test_first_fault_in_input_order_is_raised(self, monkeypatch, params, level):
+    def test_first_fault_in_input_order_is_raised(self, params, level):
         seqs = self._sequences(level)
         # batch 2 goes non-finite at step 3; batch 4, the longest and so
         # the first to start, at step 1
@@ -360,12 +368,49 @@ class TestScoringPool:
         for workers in (1, 3):
             before = threading.active_count()
             with pytest.raises(NumericalFault) as caught:
-                self._score(monkeypatch, workers, params, seqs)
+                self._score(workers, params, seqs)
             assert threading.active_count() == before
             faults.append(caught.value)
         one, three = faults
         assert one.context == {"step": 3}
         assert (str(three), three.context) == (str(one), one.context)
+
+
+    def test_a_shared_pool_is_left_idle_and_scores_again(self, monkeypatch, params):
+        seqs = self._sequences(Level.STUDENT)
+        expected = self._score(1, params, seqs)
+        # batch 0 goes non-finite at step 3, batch 4 (the first to start)
+        # at step 1, and batch 1 is still running when batch 0 raises
+        faulty = [self._in_batch(seqs, 0), self._in_batch(seqs, 4)]
+        saved = [seq.features.copy() for seq in faulty]
+        faulty[0].features[3] = np.nan
+        faulty[1].features[1] = np.nan
+        slow = self._in_batch(seqs, 1)
+        score_group, running = training._score_group, []
+
+        def batch(params, group):
+            running.append(group)
+            try:
+                probs = score_group(params, group)
+                if slow in group:
+                    threading.Event().wait(0.5)
+                return probs
+            finally:
+                running.remove(group)
+
+        monkeypatch.setattr(training, "_score_group", batch)
+        with ThreadPoolExecutor(3) as pool:
+            with pytest.raises(NumericalFault) as caught:
+                score_sequences(params, seqs, pool, batch_size=self.BATCH)
+            assert caught.value.context == {"step": 3}
+            assert not running
+            monkeypatch.undo()
+            for seq, features in zip(faulty, saved):
+                seq.features[...] = features
+            again = score_sequences(params, seqs, pool, batch_size=self.BATCH)
+        assert list(again) == list(expected)
+        for sid, probs in expected.items():
+            np.testing.assert_array_equal(again[sid], probs)
 
 
 class TestEarlyStopper:
@@ -422,27 +467,27 @@ class TestTrainLoop:
         rng = np.random.default_rng(seed)
         return [prepare_sequence(seq, level) for seq in make_toy_students(n, rng)]
 
-    def test_deterministic_end_to_end(self):
+    def test_deterministic_end_to_end(self, pool):
         seqs = self._sequences(Level.STUDENT)
         config = TrainConfig(max_epochs=2, patience=None, batch_size=4,
                              tbptt_window=16, seed=11)
-        a = train(config, seqs[:9], seqs[9:])
-        b = train(config, seqs[:9], seqs[9:])
+        a = train(config, seqs[:9], seqs[9:], pool)
+        b = train(config, seqs[:9], seqs[9:], pool)
         assert [(s.epoch, s.train_loss, s.val_auc) for s in a.history] == \
                [(s.epoch, s.train_loss, s.val_auc) for s in b.history]
         assert all((x == y).all() for x, y in zip(a.params.arrays(), b.params.arrays()))
 
-    def test_returns_best_epoch_params(self):
+    def test_returns_best_epoch_params(self, pool):
         seqs = self._sequences(Level.SESSION)
         config = TrainConfig(max_epochs=3, patience=None, batch_size=4,
                              tbptt_window=32, seed=5, level=Level.SESSION)
-        result = train(config, seqs[:9], seqs[9:])
+        result = train(config, seqs[:9], seqs[9:], pool)
         assert len(result.history) == 3
         best = max(result.history, key=lambda s: s.val_auc)
         assert result.best_epoch == best.epoch
         assert result.best_val_auc == pytest.approx(best.val_auc)
 
-    def test_nan_first_auc_returns_best_epoch_params(self, monkeypatch):
+    def test_nan_first_auc_returns_best_epoch_params(self, monkeypatch, pool):
         # The validation AUC does not feed back into training, so the
         # epoch-4 weights are the same whatever AUCs are reported.
         seqs = self._sequences(Level.STUDENT)
@@ -452,7 +497,7 @@ class TestTrainLoop:
         def run(aucs):
             reported = iter(aucs)
             monkeypatch.setattr("eosnet.training.auc", lambda *args: next(reported))
-            return train(config, seqs[:9], seqs[9:])
+            return train(config, seqs[:9], seqs[9:], pool)
 
         nan_first = run([None, 0.6, 0.7, 0.8])
         rising = run([0.5, 0.6, 0.7, 0.8])
@@ -470,15 +515,16 @@ class TestTrainLoop:
                 prepare_sequence(seq, Level.SESSION).resets, starts)
             assert not prepare_sequence(seq, Level.STUDENT).resets.any()
 
-    def test_empty_sets_rejected(self):
+    def test_empty_sets_rejected(self, pool):
         seqs = self._sequences(Level.STUDENT)
         config = TrainConfig(max_epochs=1, seed=0)
         with pytest.raises(DataValidationError):
-            train(config, [], seqs[:2])
+            train(config, [], seqs[:2], pool)
 
 
 class TestTrainingSplit:
-    """``train`` at H=400 with its GEMMs split over 3 threads and over 1."""
+    """``train`` at H=400 with its GEMMs split over a pool of 3 threads and
+    of 1."""
 
     N_STUDENTS = 36  # 32 train, in batches of 16 lanes; 4 validation
     CONFIG = dict(max_epochs=2, patience=None, batch_size=16, tbptt_window=8,
@@ -488,33 +534,48 @@ class TestTrainingSplit:
         labeled = make_toy_students(self.N_STUDENTS, np.random.default_rng(6))
         return [prepare_sequence(seq, level) for seq in labeled]
 
-    def _train(self, monkeypatch, workers, level, seqs):
-        monkeypatch.setattr(training, "gemm_workers", lambda *args: workers)
-        blocks = []
-        matmul_block = net._matmul_block
+    def _train(self, monkeypatch, workers, level, seqs, **config):
+        """Train on a pool of ``workers`` threads; return the result and the
+        names of the threads that ran each GEMM block handed to the pool
+        and each validation batch."""
+        threads = {"blocks": [], "batches": []}
+        matmul_block, score_group = net._matmul_block, training._score_group
 
-        def counted(a, b, out, cols):
-            blocks.append(cols)
+        def block(a, b, out, cols):
+            if cols.start > 0:
+                threads["blocks"].append(threading.current_thread().name)
             matmul_block(a, b, out, cols)
 
-        monkeypatch.setattr(net, "_matmul_block", counted)
-        config = TrainConfig(level=level, **self.CONFIG)
-        result = train(config, seqs[:-4], seqs[-4:])
-        return result, len(blocks)
+        def batch(params, group):
+            threads["batches"].append(threading.current_thread().name)
+            return score_group(params, group)
+
+        config = TrainConfig(level=level, **{**self.CONFIG, **config})
+        with monkeypatch.context() as patch, ThreadPoolExecutor(workers) as pool:
+            patch.setattr(net, "_matmul_block", block)
+            patch.setattr(training, "_score_group", batch)
+            result = train(config, seqs[:-4], seqs[-4:], pool)
+        return result, threads
 
     @pytest.mark.parametrize("level", list(Level))
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch, level):
         seqs = self._sequences(level)
         # every history is longer than the TBPTT window
         assert min(len(seq) for seq in seqs) > self.CONFIG["tbptt_window"]
-        one, one_blocks = self._train(monkeypatch, 1, level, seqs)
-        three, three_blocks = self._train(monkeypatch, 3, level, seqs)
+        one, one_threads = self._train(monkeypatch, 1, level, seqs)
+        three, three_threads = self._train(monkeypatch, 3, level, seqs)
         assert one.params.hidden_size == 400
-        assert one_blocks == 0 and three_blocks > 0
+        assert not one_threads["blocks"] and three_threads["blocks"]
         for a, b in zip(one.params.arrays(), three.params.arrays()):
             np.testing.assert_array_equal(b, a)
         assert three.history and [(s.epoch, s.train_loss, s.val_auc) for s in three.history] \
             == [(s.epoch, s.train_loss, s.val_auc) for s in one.history]
+
+    def test_splits_and_validation_share_the_pool(self, monkeypatch):
+        seqs = self._sequences(Level.STUDENT)
+        _, threads = self._train(monkeypatch, 2, Level.STUDENT, seqs, max_epochs=3)
+        assert threads["blocks"] and len(threads["batches"]) == 3
+        assert len(set(threads["blocks"] + threads["batches"])) <= 2
 
     def test_fault_matches_a_serial_run(self, monkeypatch):
         seqs = self._sequences(Level.STUDENT)
