@@ -36,8 +36,10 @@ omitted), then ``mean_prob,eos``; and ``trajectory.csv``, rows
 the sessions of length >= 20 and are omitted when there is none; a file
 without rows is its header line alone.
 
-Outputs are checked before any work: ``--out`` directories are made, and
-each file output must name a file in an existing directory (else exit 2).
+Outputs are checked before any work: ``--out`` directories are made, each
+file output must name a file in an existing directory, and no two outputs
+of a run may be one file, ``evaluate``'s files in ``--out`` included (else
+exit 2).  ``score --state-in`` may name its ``--state-out``.
 
 ``--threads`` takes an integer >= 1; anything else is a usage error.  It
 sets the BLAS threads per GEMM, and one rule (:func:`gemm_workers`) fills
@@ -348,10 +350,14 @@ def _prepared(labeled, ids, level, utc_offset_minutes):
 
 def _check_outputs(*paths) -> None:
     """Before any work, fail unless each file output given names a file
-    (not a directory) in a directory that exists."""
-    for path in filter(None, paths):
+    (not a directory) in a directory that exists, and a file that no other
+    output of the run names (after resolving symlinks)."""
+    paths = list(filter(None, paths))
+    for k, path in enumerate(paths):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir):
             raise DataValidationError(f"cannot write {path}: not a file in an existing directory")
+        if os.path.realpath(path) in map(os.path.realpath, paths[:k]):
+            raise DataValidationError(f"cannot write {path}: another output of the run names it")
 
 
 def _emit(path, lines) -> None:
@@ -477,7 +483,9 @@ def cmd_evaluate(args) -> int:
 
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)  # first: --dump-scores may name a file in it
-    _check_outputs(args.dump_scores)
+    report_path, trajectory_path, manifest_path = (
+        os.path.join(args.out, name) for name in ("report.csv", "trajectory.csv", "manifest.json"))
+    _check_outputs(report_path, trajectory_path, manifest_path, args.dump_scores)
     params = _load_model(args.checkpoint)
     labeled = _load_labeled(args.data)
     if args.split_part == "all":
@@ -492,10 +500,8 @@ def cmd_evaluate(args) -> int:
     scored = scored_sessions([labeled[sid] for sid in ids], probs)
     rows, chunk_means = compute_report(scored)
 
-    report_path = os.path.join(args.out, "report.csv")
     _emit(report_path, ["metric,stratum,value",
                         *(f"{metric},{stratum},{value!r}" for metric, stratum, value in rows)])
-    trajectory_path = os.path.join(args.out, "trajectory.csv")
     means = [] if chunk_means is None else chunk_means.tolist()
     _emit(trajectory_path, ["chunk,mean_prob",
                             *(f"{chunk},{mean!r}" for chunk, mean in enumerate(means, 1))])

@@ -6,9 +6,9 @@ that a uniformly random positive outranks a uniformly random negative,
 with ties counted one half.  All stratified scores pool the actions of
 the stratum's sessions (or students) into one score/label set.
 
-The per-action end-of-session ``labels`` are the one record of session
-boundaries here too: a stratum is a mask over sessions, expanded over
-their actions, and no per-session copy of probabilities is kept.
+Every per-session fact (length, homework class, usage) is read from
+``sessions.session_table``: a stratum is a mask over sessions, expanded
+over their actions, and no per-session copy of probabilities is kept.
 
 ``compute_report`` gives the report as ``(metric, stratum, value)`` rows,
 each appended as it is computed, so their order is stated once.  A stratum
@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from eosnet.sessions import HomeworkClass, LabeledSequence, homework_class, session_lengths
+from eosnet.sessions import HomeworkClass, LabeledSequence, session_table
 
 N_TRAJECTORY_CHUNKS = 20
 MIN_TRAJECTORY_LENGTH = 20
@@ -32,14 +32,14 @@ LENGTH_BUCKETS: tuple[tuple[int, Optional[int]], ...] = (
     (51, 60), (61, 70), (71, 80), (81, 90), (91, None),
 )
 BUCKET_LABELS = tuple(f"{lo}-{'max' if hi is None else hi}" for lo, hi in LENGTH_BUCKETS)
+_BUCKET_LOWS = np.array([lo for lo, _ in LENGTH_BUCKETS])
 
 
-def bucket_key(count: int) -> str:
-    """Map a positive count onto its interval label, e.g. 7 -> '6-10'."""
-    for (lo, hi), key in zip(LENGTH_BUCKETS, BUCKET_LABELS):
-        if lo <= count and (hi is None or count <= hi):
-            return key
-    raise ValueError(f"count must be positive, got {count}")
+def bucket_keys(counts: np.ndarray) -> np.ndarray:
+    """Map each positive count onto its interval label, e.g. 7 -> '6-10'."""
+    if counts.size and counts.min() < 1:
+        raise ValueError(f"counts must be positive, got {counts.min()}")
+    return np.array(BUCKET_LABELS)[np.searchsorted(_BUCKET_LOWS, counts, side="right") - 1]
 
 
 def auc(scores, labels) -> Optional[float]:
@@ -96,26 +96,21 @@ def trajectory(scored: ScoredActions) -> Optional[tuple[np.ndarray, float]]:
 
     Action j (0-based) of a length-L session lands in chunk
     floor(20*j/L), which distributes remainders evenly and gives exactly
-    one action per chunk at L = 20.
+    one action per chunk at L = 20.  Both means add in action order.
     """
-    sums = np.zeros(N_TRAJECTORY_CHUNKS)
-    counts = np.zeros(N_TRAJECTORY_CHUNKS)
-    eos_sum = 0.0
-    eos_count = 0
-    end = 0
-    for length in session_lengths(scored.labels).tolist():
-        start, end = end, end + length
-        if length < MIN_TRAJECTORY_LENGTH:
-            continue
-        probs = scored.probs[start:end]
-        chunks = (N_TRAJECTORY_CHUNKS * np.arange(length)) // length
-        np.add.at(sums, chunks, probs)
-        np.add.at(counts, chunks, 1)
-        eos_sum += float(probs[-1])
-        eos_count += 1
-    if eos_count == 0:
+    session_of, lengths, _, _ = session_table(scored.labels, scored.homework,
+                                              scored.students)
+    length = lengths[session_of]  # per action
+    long = length >= MIN_TRAJECTORY_LENGTH
+    if not long.any():
         return None
-    return sums / counts, eos_sum / eos_count
+    position = np.arange(length.shape[0]) - (np.cumsum(lengths) - lengths)[session_of]
+    # every long session fills all the chunks, so each count is positive
+    chunks = (N_TRAJECTORY_CHUNKS * position[long]) // length[long]
+    sums = np.bincount(chunks, weights=scored.probs[long])
+    eos = scored.probs[long & (scored.labels == 1)]
+    # np.cumsum adds one by one, in session order; .sum() would add pairwise
+    return sums / np.bincount(chunks), float(np.cumsum(eos)[-1]) / eos.shape[0]
 
 
 def compute_report(scored: ScoredActions) -> tuple[list, Optional[np.ndarray]]:
@@ -129,8 +124,8 @@ def compute_report(scored: ScoredActions) -> tuple[list, Optional[np.ndarray]]:
     ``chunk_means`` is None when no session is long enough for the
     trajectory.  A stratum's AUC pools its actions in their original order.
     """
-    lengths = session_lengths(scored.labels)
-    session_of = np.cumsum(scored.labels) - scored.labels  # per action
+    session_of, lengths, classes, usage = session_table(
+        scored.labels, scored.homework, scored.students)
     rows: list = []
 
     def put(stratum: str, session_mask) -> None:
@@ -139,22 +134,16 @@ def compute_report(scored: ScoredActions) -> tuple[list, Optional[np.ndarray]]:
         if value is not None:
             rows.append(("auc", stratum, value))
 
-    def put_each(prefix: str, session_keys: list, keys) -> None:
-        session_keys = np.array(session_keys, dtype=object)
+    def put_each(prefix: str, session_keys: np.ndarray, keys) -> None:
         for key in keys:
             put(f"{prefix}_{key}", session_keys == key)
 
     put("global", np.ones(lengths.shape[0], dtype=bool))
-    homework = np.bincount(session_of[scored.homework], minlength=lengths.shape[0])
-    put_each("homework", [homework_class(n, length).value for n, length
-                          in zip(homework.tolist(), lengths.tolist())],
-             [cls.value for cls in HomeworkClass])
-    put_each("length", list(map(bucket_key, lengths.tolist())), BUCKET_LABELS)
+    put_each("homework", classes, [cls.value for cls in HomeworkClass])
+    put_each("length", bucket_keys(lengths), BUCKET_LABELS)
     put("div5", lengths % 5 == 0)
     put("nondiv5", lengths % 5 != 0)
-    session_students = scored.students[np.flatnonzero(scored.labels)]
-    usage = np.bincount(session_students)[session_students]  # the student's sessions
-    put_each("usage", list(map(bucket_key, usage.tolist())), BUCKET_LABELS)
+    put_each("usage", bucket_keys(usage), BUCKET_LABELS)
 
     chunk_means, eos_mean = trajectory(scored) or (None, None)
     if chunk_means is not None:

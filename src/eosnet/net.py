@@ -431,33 +431,20 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     xh[:, D:] = h0
     ig = np.empty((B, hidden))
     logits = np.zeros((T, B))
-    if want_cache:
-        n = off[-1]
-        gates, cs = np.empty((n, 4 * hidden)), np.empty((n, hidden))
-        a1s, a2s = np.empty((n, h1)), np.empty((n, h2))
-    else:
-        c = c0.copy()
-        z = np.empty((B, 4 * hidden))
-        a1, a2 = np.empty((B, h1)), np.empty((B, h2))
-    lo = None
+    # With a cache, step t writes straight into its own packed rows, and the
+    # live lanes' previous cell state is the tail of step t-1's rows.
+    # Without one, every step reuses the live lanes' rows [lo:B] in place.
+    n = off[-1] if want_cache else B
+    gates, cs = np.empty((n, 4 * hidden)), np.empty((n, hidden))
+    a1s, a2s = np.empty((n, h1)), np.empty((n, h2))
+    if not want_cache:
+        cs[...] = c0
     for t in range(T):
-        if first[t] != lo:
-            lo = first[t]
-            xh_l, ig_l, h_l = xh[lo:], ig[lo:], xh[lo:, D:]
-            if not want_cache:
-                z_l, c_l = z[lo:], c[lo:]
-                a1_l, a2_l = a1[lo:], a2[lo:]
-            if train:
-                hd_l, a1d_l, a2d_l = hd[lo:], a1d[lo:], a2d[lo:]
-        rows = slice(off[t], off[t + 1])
-        if want_cache:
-            # Step t writes straight into its own rows; the live lanes'
-            # previous cell state is the tail of step t-1's rows.
-            z_l, c_l = gates[rows], cs[rows]
-            a1_l, a2_l = a1s[rows], a2s[rows]
-            c_prev = cs[off[t] - len(c_l):off[t]] if t else c0[lo:]
-        else:
-            c_prev = c_l
+        lo, packed = first[t], slice(off[t], off[t + 1])
+        rows = packed if want_cache else slice(lo, B)
+        z_l, c_l, a1_l, a2_l = gates[rows], cs[rows], a1s[rows], a2s[rows]
+        xh_l, ig_l, h_l = xh[lo:], ig[lo:], xh[lo:, D:]
+        c_prev = (cs[off[t] - len(c_l):off[t]] if t else c0[lo:]) if want_cache else c_l
         xh_l[:, :D] = X[t, lo:]
         live = ~resets[t, lo:]
         if not live.all():
@@ -477,15 +464,15 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
         h_l *= o
 
         # the dense head on the same live lanes
-        top = _drop(h_l, m0[rows], inv_keep, hd_l) if train else h_l
+        top = _drop(h_l, m0[packed], inv_keep, hd[lo:]) if train else h_l
         np.matmul(top, W1_T, out=a1_l)
         a1_l += b1
         np.maximum(a1_l, 0.0, out=a1_l)
-        top = _drop(a1_l, m1[rows], inv_keep, a1d_l) if train else a1_l
+        top = _drop(a1_l, m1[packed], inv_keep, a1d[lo:]) if train else a1_l
         np.matmul(top, W2_T, out=a2_l)
         a2_l += b2
         np.maximum(a2_l, 0.0, out=a2_l)
-        top = _drop(a2_l, m2[rows], inv_keep, a2d_l) if train else a2_l
+        top = _drop(a2_l, m2[packed], inv_keep, a2d[lo:]) if train else a2_l
         logit = logits[t, lo:]
         np.matmul(top, w_out, out=logit)
         logit += b_out
@@ -496,7 +483,7 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
         raise NumericalFault("non-finite activation", step=int(bad[0][0]))
     h = xh[:, D:].copy()
     if not want_cache:
-        return BatchForward(probs=probs, h=h, c=c, cache=None)
+        return BatchForward(probs=probs, h=h, c=cs, cache=None)
 
     # A lane's final cell state is its row at its last real step (the row
     # at off[length] - (B - lane)), or its initial state if it ran none.

@@ -9,8 +9,8 @@ and ``features.StreamFeaturizer.push`` both decide session starts with
 it.  The last action of every session carries label 1, all others 0.
 
 These per-action ``labels`` are the one record of where a student's
-sessions end: session lengths and ordinals are derived from them, and no
-per-session copy of the actions is kept.
+sessions end.  ``session_table`` is the one derivation of the per-session
+facts that ``evaluation`` and ``synthgen.summarize`` read from them.
 """
 
 from __future__ import annotations
@@ -82,11 +82,17 @@ def label(log: StudentLog) -> LabeledSequence:
     return LabeledSequence(log.student_id, log.actions, labels)
 
 
-def homework_class(homework_actions: int, length: int) -> HomeworkClass:
-    """The class of a session of ``length`` actions, ``homework_actions``
-    of them homework: Only if all are, None if none is, Partly otherwise."""
-    if homework_actions == length:
-        return HomeworkClass.ONLY
-    if homework_actions == 0:
-        return HomeworkClass.NONE
-    return HomeworkClass.PARTLY
+def session_table(labels: np.ndarray, homework: np.ndarray,
+                  students: np.ndarray) -> tuple[np.ndarray, ...]:
+    """From per-action labels, homework flags (bool) and student ordinals,
+    in student then time order: each action's session ordinal, and each
+    session's length, ``HomeworkClass`` value (Only if all its actions are
+    homework, None if none is, else Partly) and student's session count."""
+    session_of = np.cumsum(labels) - labels
+    lengths = session_lengths(labels)
+    n_homework = np.bincount(session_of[homework], minlength=lengths.shape[0])
+    classes = np.where(n_homework == lengths, HomeworkClass.ONLY.value,
+                       np.where(n_homework == 0, HomeworkClass.NONE.value,
+                                HomeworkClass.PARTLY.value))
+    session_students = students[labels == 1]
+    return session_of, lengths, classes, np.bincount(session_students)[session_students]

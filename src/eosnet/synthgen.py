@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import accumulate
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from eosnet.ingest import ActionKind, RawAction, StudentLog
-from eosnet.sessions import SESSION_GAP_SECONDS, HomeworkClass, homework_class, segment
+from eosnet.sessions import SESSION_GAP_SECONDS, HomeworkClass, segment, session_table
 
 _PURE, _PARTLY, _FREE = 0, 1, 2
 
@@ -288,46 +287,43 @@ def generate(cfg: GenConfig) -> list[StudentLog]:
 
 @dataclass(slots=True)
 class LogSummary:
-    n_students: int = 0
-    n_sessions: int = 0
-    n_actions: int = 0
-    homework_fractions: dict = field(default_factory=dict)  # HomeworkClass -> float
-    session_length_hist: Counter = field(default_factory=Counter)
-    sessions_per_student_hist: Counter = field(default_factory=Counter)
+    n_students: int
+    n_sessions: int
+    n_actions: int
+    homework_fractions: dict  # HomeworkClass -> float, 0.0 without sessions
+    session_length_hist: Counter
+    sessions_per_student_hist: Counter
 
     def lines(self) -> list[str]:
-        rows = [
+        return [
             f"n_students,{self.n_students}",
             f"n_sessions,{self.n_sessions}",
             f"n_actions,{self.n_actions}",
+            *(f"fraction_homework_{cls.value},{self.homework_fractions[cls]!r}"
+              for cls in HomeworkClass),
+            *(f"hist_session_length,{length},{self.session_length_hist[length]}"
+              for length in sorted(self.session_length_hist)),
+            *(f"hist_sessions_per_student,{count},{self.sessions_per_student_hist[count]}"
+              for count in sorted(self.sessions_per_student_hist)),
         ]
-        for cls in HomeworkClass:
-            rows.append(f"fraction_homework_{cls.value},"
-                        f"{self.homework_fractions.get(cls, 0.0)!r}")
-        for length in sorted(self.session_length_hist):
-            rows.append(f"hist_session_length,{length},"
-                        f"{self.session_length_hist[length]}")
-        for count in sorted(self.sessions_per_student_hist):
-            rows.append(f"hist_sessions_per_student,{count},"
-                        f"{self.sessions_per_student_hist[count]}")
-        return rows
 
 
 def summarize(logs: list[StudentLog]) -> LogSummary:
-    """Corpus statistics computed through the real segmentation path."""
-    summary = LogSummary(n_students=len(logs))
-    class_counts = Counter()
+    """Corpus statistics through the real segmentation path: each log is
+    segmented once, and every per-session fact is ``session_table``'s."""
+    lengths, homework = [], []
     for log in logs:
-        lengths = segment(log)
-        summary.n_sessions += len(lengths)
-        summary.n_actions += len(log.actions)
-        summary.sessions_per_student_hist[len(lengths)] += 1
-        summary.session_length_hist.update(lengths)
-        for end, length in zip(accumulate(lengths), lengths):
-            homework = sum(a.homework for a in log.actions[end - length:end])
-            class_counts[homework_class(homework, length)] += 1
-    if summary.n_sessions:
-        summary.homework_fractions = {
-            cls: class_counts[cls] / summary.n_sessions for cls in HomeworkClass
-        }
-    return summary
+        lengths += segment(log)
+        homework += [action.homework for action in log.actions]
+    labels = np.zeros(len(homework), dtype=np.int8)
+    labels[np.cumsum(lengths, dtype=np.intp) - 1] = 1
+    students = np.repeat(np.arange(len(logs)), [len(log.actions) for log in logs])
+    _, lengths, classes, usage = session_table(labels, np.array(homework, dtype=bool), students)
+    per_student = np.zeros(len(logs), dtype=np.intp)  # 0 for a log without actions
+    per_student[students[labels == 1]] = usage
+    return LogSummary(
+        n_students=len(logs), n_sessions=len(lengths), n_actions=len(homework),
+        homework_fractions={cls: int(np.count_nonzero(classes == cls.value)) / max(len(lengths), 1)
+                            for cls in HomeworkClass},
+        session_length_hist=Counter(lengths.tolist()),
+        sessions_per_student_hist=Counter(per_student.tolist()))

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eosnet import cli, ingest, synthgen
+from eosnet import cli, fileio, ingest, synthgen
 from eosnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _load_labeled, main
 from eosnet.features import featurize
 from eosnet.ingest import HEADER
@@ -347,6 +347,16 @@ class TestEvaluate:
             prob = row.split(",")[2]
             assert not prob.startswith("np.")
             assert 0.0 < float(prob) < 1.0
+        # the corpus holds a session of at least 20 actions, so both files
+        # have the trajectory's values and the check is not vacuous
+        report = (tmp_path / "eval" / "report.csv").read_text().splitlines()
+        trajectory = (tmp_path / "eval" / "trajectory.csv").read_text().splitlines()
+        assert report[0] == "metric,stratum,value" and trajectory[0] == "chunk,mean_prob"
+        assert any(row.startswith("mean_prob,eos,") for row in report)
+        assert len(trajectory) == 21
+        for row in report[1:] + trajectory[1:]:
+            cell = row.split(",")[-1]
+            assert repr(float(cell)) == cell
 
     def test_dump_scores_cells_are_reprs_of_score_sequences(self, corpus, tmp_path):
         data, ckpt = corpus
@@ -531,7 +541,7 @@ def test_non_finite_checkpoint_is_a_data_error(corpus, tmp_path, capsys, command
 
 
 def forbid(*_args, **_kwargs):
-    raise AssertionError("the run read its input before checking its outputs")
+    raise AssertionError("the run read or wrote a file before checking its outputs")
 
 
 class TestOutputsCheckedFirst:
@@ -541,7 +551,9 @@ class TestOutputsCheckedFirst:
     @pytest.fixture(autouse=True)
     def _no_work(self, monkeypatch):
         for owner, name in ((cli, "_load_labeled"), (cli, "_load_model"),
-                            (ingest, "parse_log_file"), (synthgen, "generate")):
+                            (ingest, "parse_log_file"), (synthgen, "generate"),
+                            (fileio, "atomic_write_text"), (fileio, "atomic_write_bytes"),
+                            (fileio, "write_manifest")):
             monkeypatch.setattr(owner, name, forbid)
 
     @pytest.mark.parametrize("command, flag", [
@@ -556,6 +568,30 @@ class TestOutputsCheckedFirst:
                   "score": ["--checkpoint", str(ckpt)]}.get(command, [])
         assert main([command, "--data", str(data), *inputs, flag, target]) == EXIT_DATA
         assert_one_error_line(capsys, f"cannot write {target}: ")
+        assert [path for path in tmp_path.rglob("*") if not path.is_dir()] == []
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("score", ["--out", "{tmp}/s.txt", "--state-out", "{tmp}/s.txt"], "{tmp}/s.txt"),
+        ("score", ["--out", "{tmp}/s.txt", "--state-out", "{tmp}/./s.txt"], "{tmp}/./s.txt"),
+        ("score", ["--out", "{tmp}/link/s.txt", "--state-out", "{tmp}/real/s.txt"],
+         "{tmp}/real/s.txt"),
+        ("evaluate", ["--out", "{tmp}/ev", "--dump-scores", "{tmp}/ev/report.csv"],
+         "{tmp}/ev/report.csv"),
+        ("evaluate", ["--out", "{tmp}/ev", "--dump-scores", "{tmp}/ev/trajectory.csv"],
+         "{tmp}/ev/trajectory.csv"),
+        ("evaluate", ["--out", "{tmp}/ev", "--dump-scores", "{tmp}/ev/manifest.json"],
+         "{tmp}/ev/manifest.json"),
+        ("evaluate", ["--out", "{tmp}/real", "--dump-scores", "{tmp}/link/report.csv"],
+         "{tmp}/link/report.csv"),
+    ])
+    def test_two_outputs_name_one_file(self, corpus, tmp_path, capsys, command, flags, named):
+        data, ckpt = corpus
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "real", target_is_directory=True)
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        assert main([command, "--checkpoint", str(ckpt), "--data", str(data),
+                     *flags]) == EXIT_DATA
+        assert_one_error_line(capsys, f"cannot write {named.format(tmp=tmp_path)}: ")
         assert [path for path in tmp_path.rglob("*") if not path.is_dir()] == []
 
     @pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
@@ -620,6 +656,16 @@ class TestScoreStateIn:
         resumed = ((self.tmp / "first.csv").read_text()
                    + (self.tmp / "second.csv").read_text())
         assert resumed == (self.tmp / "all.csv").read_text()
+
+    def test_state_in_may_be_state_out(self):
+        """Resuming a state and saving over it is one run's input and output,
+        not two outputs, so it is allowed."""
+        state = self._save_state()
+        assert self._score(self.second, self.tmp / "second.csv", "--state-in", str(state),
+                           "--state-out", str(state)) == EXIT_OK
+        whole = self.tmp / "whole.json"
+        assert self._score(self.data, self.tmp / "all.csv", "--state-out", str(whole)) == EXIT_OK
+        assert state.read_bytes() == whole.read_bytes()
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_resumed_run_without_a_new_student_equals_one_pass(self, level):

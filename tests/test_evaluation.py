@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from eosnet.evaluation import (
     BUCKET_LABELS,
+    LENGTH_BUCKETS,
     ScoredActions,
     auc,
-    bucket_key,
+    bucket_keys,
     compute_report,
     scored_sessions,
     trajectory,
@@ -95,7 +96,17 @@ class TestBucketKey:
         (500, "91-max"),
     ])
     def test_mapping(self, count, key):
-        assert bucket_key(count) == key
+        assert bucket_keys(np.array([count])).tolist() == [key]
+        assert bucket_keys(np.array([count, 1])).tolist() == [key, "1-5"]
+
+    def test_matches_scalar_oracle(self):
+        counts = np.arange(1, 501)
+        assert bucket_keys(counts).tolist() == [bucket_key(n) for n in counts.tolist()]
+
+    def test_rejects_non_positive(self):
+        with pytest.raises(ValueError):
+            bucket_keys(np.array([3, 0]))
+        assert bucket_keys(np.zeros(0, dtype=int)).tolist() == []
 
 
 def session(student, probs, homework=HomeworkClass.NONE):
@@ -202,6 +213,14 @@ class TestTrajectory:
         sizes = np.bincount(chunks, minlength=20)
         assert sizes.sum() == 23
         assert set(sizes.tolist()) <= {1, 2}
+
+
+def bucket_key(count):
+    """The scalar bucket mapping of the report oracle, e.g. 7 -> '6-10'."""
+    for (lo, hi), key in zip(LENGTH_BUCKETS, BUCKET_LABELS):
+        if lo <= count and (hi is None or count <= hi):
+            return key
+    raise ValueError(f"count must be positive, got {count}")
 
 
 def report_oracle(students):

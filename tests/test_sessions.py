@@ -1,11 +1,12 @@
-"""Session segmentation, labelling, and homework classification."""
+"""Session segmentation, labelling, and the session table."""
 
+import numpy as np
 from hypothesis import given, strategies as st
 
 from eosnet import features as F
 from eosnet.features import StreamFeaturizer
 from eosnet.ingest import ActionKind, RawAction, StudentLog
-from eosnet.sessions import HomeworkClass, homework_class, label, segment
+from eosnet.sessions import HomeworkClass, label, segment, session_table
 
 
 def log_from_gaps(gaps, homework=None):
@@ -123,7 +124,15 @@ class TestLabel:
 
 class TestHomeworkClass:
     def _classify(self, flags):
-        return homework_class(sum(flags), len(flags))
+        """The class ``session_table`` gives one session of these flags."""
+        labels = np.zeros(len(flags), dtype=np.int8)
+        labels[-1] = 1
+        session_of, lengths, classes, usage = session_table(
+            labels, np.array(flags), np.zeros(len(flags), dtype=int))
+        assert session_of.tolist() == [0] * len(flags)
+        assert lengths.tolist() == [len(flags)] and usage.tolist() == [1]
+        (value,) = classes.tolist()
+        return HomeworkClass(value)
 
     def test_only(self):
         assert self._classify([True, True]) is HomeworkClass.ONLY
@@ -133,3 +142,26 @@ class TestHomeworkClass:
 
     def test_none(self):
         assert self._classify([False, False]) is HomeworkClass.NONE
+
+
+class TestSessionTable:
+    @given(st.lists(st.lists(st.lists(st.booleans(), min_size=1, max_size=6),
+                             min_size=1, max_size=4), max_size=5))
+    def test_matches_per_session_oracle(self, students):
+        """``students`` holds each student's sessions, each a list of
+        per-action homework flags."""
+        sessions = [(k, flags) for k, own in enumerate(students) for flags in own]
+        labels = np.array([int(j == len(flags) - 1) for _, flags in sessions
+                           for j in range(len(flags))], dtype=np.int8)
+        homework = np.array([f for _, flags in sessions for f in flags], dtype=bool)
+        ordinals = np.array([k for k, flags in sessions for _ in flags], dtype=int)
+        session_of, lengths, classes, usage = session_table(labels, homework, ordinals)
+
+        assert session_of.tolist() == [i for i, (_, flags) in enumerate(sessions)
+                                       for _ in flags]
+        assert lengths.tolist() == [len(flags) for _, flags in sessions]
+        expected = [HomeworkClass.ONLY if all(flags) else
+                    HomeworkClass.PARTLY if any(flags) else HomeworkClass.NONE
+                    for _, flags in sessions]
+        assert classes.tolist() == [cls.value for cls in expected]
+        assert usage.tolist() == [len(students[k]) for k, _ in sessions]

@@ -8,7 +8,7 @@ import pytest
 
 from eosnet.cli import EXIT_OK, main
 from eosnet.ingest import ActionKind, format_action
-from eosnet.sessions import HomeworkClass, homework_class, segment
+from eosnet.sessions import HomeworkClass, segment
 from eosnet.synthgen import GenConfig, _draw_profile, generate, summarize
 
 
@@ -62,8 +62,7 @@ class TestStructure:
         for log in logs:
             for session in sessions_of(log):
                 assert len(session) % 5 == 0
-                homework = sum(a.homework for a in session)
-                assert homework_class(homework, len(session)) is HomeworkClass.ONLY
+                assert all(a.homework for a in session)
 
     def test_sessionizer_recovers_generated_boundaries(self):
         logs = generate(small_config())
@@ -166,9 +165,16 @@ class TestSummarize:
         assert summary.n_students == 0
         assert summary.n_sessions == 0
         assert summary.n_actions == 0
+        assert summary.lines() == [
+            "n_students,0", "n_sessions,0", "n_actions,0", "fraction_homework_only,0.0",
+            "fraction_homework_partly,0.0", "fraction_homework_none,0.0"]
 
     def test_lines_schema(self):
         summary = summarize(generate(small_config(n_students=5)))
         lines = summary.lines()
         assert lines[0].startswith("n_students,")
         assert any(line.startswith("hist_session_length,") for line in lines)
+        fractions = [line.split(",")[1] for line in lines
+                     if line.startswith("fraction_homework_")]
+        assert len(fractions) == 3
+        assert all(repr(float(cell)) == cell for cell in fractions)
