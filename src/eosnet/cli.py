@@ -46,11 +46,12 @@ sets the BLAS threads per GEMM, and one rule (:func:`gemm_workers`) fills
 the remaining usable CPUs: ``train`` and ``evaluate`` each work out that
 count once and run all their parallel work on one thread pool of that
 size.  Batch scoring (``evaluate`` and the validation pass of ``train``)
-runs that many batches at once, and training splits its large LSTM GEMMs
-by output column into that many blocks, the calling thread's included.
-Unpinned, BLAS takes every CPU, batches run in turn and no GEMM is split.
-The outputs do not depend on the worker count, but those of ``train`` and
-``evaluate`` can depend on the BLAS thread count itself.
+runs that many batches at once.  Training cuts each TBPTT window into
+lane groups of at most 32 lanes and runs that many groups at once, so at
+most ceil(batch_size / 32) CPUs work on one window.  Unpinned, BLAS takes
+every CPU and batches and groups run in turn.  The outputs do not depend
+on the worker count, but those of ``train`` and ``evaluate`` can depend
+on the BLAS thread count itself.
 
 ``--utc-offset-minutes`` (``featurize``, ``train``, ``evaluate``,
 ``score``) takes an integer in [-720, 840], the offsets of real time
@@ -151,7 +152,7 @@ def _build_parser() -> _Parser:
                         help="BLAS threads per GEMM (set before numerics load); "
                              "train and evaluate fill the remaining usable CPUs "
                              "with one thread pool for batch scoring and "
-                             "training's GEMM split")
+                             "training's lane groups")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     # Config-field flags default to SUPPRESS: an absent flag leaves no
@@ -269,7 +270,9 @@ def gemm_workers(usable_cpus: int, environ: Mapping[str, str]) -> int:
     blas_threads(environ)``, at least 1, and 1 when BLAS is unpinned, so
     that no thread competes with a multi-threaded GEMM for the same cores.
 
-    ``train`` and ``evaluate`` size their one thread pool by it.
+    ``train`` and ``evaluate`` size their one thread pool by it; its
+    threads run scoring batches and training's lane groups, each a whole
+    ``forward_batch`` (and, in training, ``backward_batch``) call.
     """
     threads = blas_threads(environ)
     return 1 if threads is None else max(1, usable_cpus // threads)

@@ -90,16 +90,16 @@ def scored_sessions(seqs: Sequence[LabeledSequence],
     )
 
 
-def trajectory(scored: ScoredActions) -> Optional[tuple[np.ndarray, float]]:
+def trajectory(scored: ScoredActions, session_of: np.ndarray,
+               lengths: np.ndarray) -> Optional[tuple[np.ndarray, float]]:
     """Mean probability per 5% chunk over sessions of length >= 20, plus
-    the mean probability at their true end-of-session actions.
+    the mean probability at their true end-of-session actions, given the
+    ``session_of`` and ``lengths`` of ``scored``'s ``session_table``.
 
     Action j (0-based) of a length-L session lands in chunk
     floor(20*j/L), which distributes remainders evenly and gives exactly
     one action per chunk at L = 20.  Both means add in action order.
     """
-    session_of, lengths, _, _ = session_table(scored.labels, scored.homework,
-                                              scored.students)
     length = lengths[session_of]  # per action
     long = length >= MIN_TRAJECTORY_LENGTH
     if not long.any():
@@ -145,7 +145,7 @@ def compute_report(scored: ScoredActions) -> tuple[list, Optional[np.ndarray]]:
     put("nondiv5", lengths % 5 != 0)
     put_each("usage", bucket_keys(usage), BUCKET_LABELS)
 
-    chunk_means, eos_mean = trajectory(scored) or (None, None)
+    chunk_means, eos_mean = trajectory(scored, session_of, lengths) or (None, None)
     if chunk_means is not None:
         rows.append(("mean_prob", "eos", eos_mean))
     return rows, chunk_means

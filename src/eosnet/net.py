@@ -65,34 +65,17 @@ outputs for non-finite values themselves and run with numpy's overflow
 and invalid warnings off.
 
 :func:`forward_batch` keeps no state between calls, so independent batches
-may run concurrently.
-
-Given a thread pool (``pool=``, which training passes), the three large
-LSTM GEMMs are split by output column: the forward step's ``[x; h] @
-W.T``, the BPTT step's ``d @ Wh``, and the recurrent weight gradient
-``dz.T @ h_prev``.  A GEMM is cut into at most as many contiguous column
-blocks as the pool has threads; the calling thread computes the first
-and the pool's threads the others, and the call returns only once every
-block is written, also when one raises.  The gate ops after the
-forward GEMM stay on the calling thread: split as well, they took longer
-on two threads than whole on one.  The bits do not change, because every
-output element is still one dot product over the same K order in the same
-BLAS micro-kernel: each block but the last starts and ends on a multiple
-of ``_SPLIT_ALIGN`` columns, so the column tiles are those of the whole
-GEMM, and a GEMM is split only when every block has more than
-``_SPLIT_MIN_MACS`` (10^6) multiply-adds.  OpenBLAS hands a GEMM of at
-most 10^6 multiply-adds to its small-matrix kernel, whose sums differ from
-the large kernel's in the last place; below that size the ~50 us handoff
-would also cost more than the split saves.  ``tests/test_net.py`` checks
-the bits at every row count of the three shapes.  Without a pool each GEMM
-is one ``np.matmul``, as in evaluation and scoring, which already fill the
-CPUs with whole batches.
+may run concurrently.  Lanes are independent until their weight gradients
+are summed, so a batch can also run as groups of its lanes: ``lanes``
+runs one group, and its dropout masks are those the whole batch would
+draw for its lanes.  Given the whole batch's weight sum,
+:func:`backward_batch` gives each group its share of the whole batch's
+gradients and loss.  Each kernel is single-threaded apart from BLAS.
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -122,12 +105,6 @@ _HEADER_STRUCT = struct.Struct("<8I")
 
 # steps of uniform draws held at once while drawing a dropout mask
 _MASK_STEPS = 16
-
-# A split GEMM's column blocks start on multiples of this many columns, and
-# each block needs more than this many multiply-adds (see the module
-# docstring).
-_SPLIT_ALIGN = 16
-_SPLIT_MIN_MACS = 1_000_000
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -245,6 +222,7 @@ class _ForwardCache:
     """
 
     X: np.ndarray        # (n, D) input rows
+    lanes: slice         # the batch's lanes that ran, B of them
     resets: np.ndarray   # (T, B) bool
     first_live: list     # step t ran lanes [first_live[t]:]
     offsets: list        # step t owns rows [offsets[t]:offsets[t + 1]]
@@ -305,22 +283,25 @@ def _drop(a: np.ndarray, mask: Optional[np.ndarray], inv_keep: float,
 
 
 def _draw_mask(rng: np.random.Generator, real: np.ndarray, width: int,
-               keep: float) -> np.ndarray:
-    """A bool dropout mask for the packed rows that ``real`` marks.
+               keep: float, grid: int, lanes: slice) -> np.ndarray:
+    """A bool dropout mask for the packed rows that ``real`` marks, which
+    are those of columns ``lanes`` of a ``(T, grid)`` batch.
 
-    A uniform is drawn for every ``(t, b)`` entry, padding included, so
-    the stream does not depend on the lengths.  The draws come
-    ``_MASK_STEPS`` steps at a time, each block cut to its real rows; the
-    stream fills the blocks in order, so the mask equals one ``(T, B,
-    width)`` draw cut to the rows, without its float64 transient.
+    A uniform is drawn for every ``(t, b)`` entry of the whole grid,
+    padding and other lanes included, so the stream depends neither on
+    the lengths nor on the lanes run.  The draws come ``_MASK_STEPS`` steps
+    at a time, each block cut to its lanes and real rows; the stream fills
+    the blocks in order, so the mask equals one ``(T, grid, width)`` draw
+    cut to the rows, without its float64 transient.
     """
-    T, B = real.shape
+    T = real.shape[0]
     mask = np.empty((int(real.sum()), width), dtype=bool)
     row = 0
     for start in range(0, T, _MASK_STEPS):
         block = real[start:start + _MASK_STEPS]
         rows = mask[row:row + int(block.sum())]
-        rows[...] = (rng.random((len(block), B, width)) < keep)[block]
+        draws = rng.random((len(block), grid, width))[:, lanes]
+        rows[...] = (draws < keep)[block]
         row += len(rows)
     return mask
 
@@ -333,54 +314,12 @@ def _zero_resets(block: np.ndarray, resets: np.ndarray) -> None:
         block *= live
 
 
-def _column_bounds(pool: Optional[ThreadPoolExecutor], rows: int, depth: int,
-                   width: int) -> list:
-    """Column bounds of the blocks a ``(rows, depth) @ (depth, width)`` GEMM
-    is split into under ``pool``: at most one block per pool thread, the
-    calling thread's included, each but the last ``_SPLIT_ALIGN``-aligned,
-    and the last, the smallest, above ``_SPLIT_MIN_MACS`` multiply-adds.
-    ``[0, width]`` (no split) without a pool or when no split clears it."""
-    # ThreadPoolExecutor keeps its size only in _max_workers
-    most = 1 if pool is None else pool._max_workers
-    for parts in range(most, 1, -1):
-        step = -(-width // (parts * _SPLIT_ALIGN)) * _SPLIT_ALIGN
-        bounds = [*range(0, width, step), width]
-        if rows * depth * (width - bounds[-2]) > _SPLIT_MIN_MACS:
-            return bounds
-    return [0, width]
-
-
-@_quiet_overflow
-def _matmul_block(a: np.ndarray, b: np.ndarray, out: np.ndarray, cols: slice) -> None:
-    # a pool thread starts with numpy's default error state, not the caller's
-    np.matmul(a, b[:, cols], out=out[:, cols])
-
-
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-            pool: Optional[ThreadPoolExecutor]) -> None:
-    """``np.matmul(a, b, out=out)``, split into the column blocks of
-    :func:`_column_bounds` under ``pool``: the first on this thread, the
-    others on the pool.  Returns once every block is done, so no pool
-    thread still writes when an exception unwinds; a pool thread's
-    exception is raised here."""
-    bounds = _column_bounds(pool, *a.shape, b.shape[1])
-    futures = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            futures.append(pool.submit(_matmul_block, a, b, out, slice(lo, hi)))
-        _matmul_block(a, b, out, slice(0, bounds[1]))
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
-
-
 @_quiet_overflow
 def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
                   h0: np.ndarray, c0: np.ndarray, dropout_p: float = 0.0,
                   rng: Optional[np.random.Generator] = None,
                   want_cache: bool = False, lengths=None,
-                  pool: Optional[ThreadPoolExecutor] = None) -> BatchForward:
+                  lanes: slice = slice(None)) -> BatchForward:
     """Run the full pipeline over a time-major batch.
 
     ``resets[t, b]`` zeroes lane b's state before step t.  ``lengths[b]``
@@ -389,9 +328,17 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     Without ``lengths`` every lane runs all T steps.  Dropout (inverted,
     scale 1/(1-p)) is applied to the LSTM output and both dense outputs
     only when an RNG is supplied and p > 0; inference mode applies no
-    masks and no scaling.  ``pool`` splits each step's gate GEMM by output
-    column, with the same bits (see the module docstring).
+    masks and no scaling.
+
+    ``lanes`` runs only those lanes of the batch: it cuts ``X``,
+    ``resets`` and ``lengths``, while ``h0``, ``c0`` and the outputs are
+    the states of the lanes run.  Their dropout masks are drawn over the
+    whole batch, so they are the masks a run of the whole batch gives them.
     """
+    grid = X.shape[1]
+    X, resets = X[:, lanes], resets[:, lanes]
+    if lengths is not None:
+        lengths = np.asarray(lengths)[lanes]
     T, B, D = X.shape
     hidden = params.hidden_size
     if D != params.input_dim:
@@ -407,7 +354,8 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     if train:
         keep = 1.0 - dropout_p
         inv_keep = 1.0 / keep
-        m0, m1, m2 = (_draw_mask(rng, real, width, keep) for width in (hidden, h1, h2))
+        m0, m1, m2 = (_draw_mask(rng, real, width, keep, grid, lanes)
+                      for width in (hidden, h1, h2))
         hd, a1d, a2d = np.empty((B, hidden)), np.empty((B, h1)), np.empty((B, h2))
     else:
         m0 = m1 = m2 = None
@@ -450,7 +398,7 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
         if not live.all():
             xh_l[:, D:] *= live[:, None]
             c_prev = np.multiply(c_prev, live[:, None], out=c_l)
-        _matmul(xh_l, W_T, z_l, pool)
+        np.matmul(xh_l, W_T, out=z_l)
         z_l *= scale
         z_l += bias
         np.tanh(z_l, out=z_l)
@@ -493,18 +441,17 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     c = c0.copy()
     c[ran] = cs[last]
     cache = _ForwardCache(
-        X=X[real], resets=resets, first_live=first, offsets=off, gates=gates,
-        c=cs, h0=h0, c0=c0, m0=m0, m1=m1, m2=m2, inv_keep=inv_keep,
+        X=X[real], lanes=lanes, resets=resets, first_live=first, offsets=off,
+        gates=gates, c=cs, h0=h0, c0=c0, m0=m0, m1=m1, m2=m2, inv_keep=inv_keep,
         a1=a1s, a2=a2s, probs=probs,
     )
     return BatchForward(probs=probs, h=h, c=c, cache=cache)
 
 
-def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray,
-          pool: Optional[ThreadPoolExecutor]) -> None:
+def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray) -> None:
     """Backpropagation through time over the cache's packed rows, given the
     head's gradient ``dh`` with respect to each row's hidden state (used up
-    as the loop's scratch).  ``pool`` splits each step's ``d @ Wh``.
+    as the loop's scratch).
 
     Each step's gate gradients replace its gates once it has read them, so
     ``cache.gates`` ends up holding the gradient of the loss with respect
@@ -566,7 +513,7 @@ def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray,
         u *= f
         dc *= f
         np.multiply(tc, u, out=f)
-        _matmul(d, Wh, dh_carry[lo:], pool)
+        np.matmul(d, Wh, out=dh_carry[lo:])
         if reset:
             dc *= live
             dh_carry[lo:] *= live
@@ -577,14 +524,17 @@ def _bptt(params: ModelParams, cache: _ForwardCache, dh: np.ndarray,
 
 @_quiet_overflow
 def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray,
-                   weights: np.ndarray, pool: Optional[ThreadPoolExecutor] = None,
+                   weights: np.ndarray, weight_sum: Optional[float] = None,
                    ) -> tuple[ModelParams, float, float]:
     """Exact gradient of the weight-normalized BCE over the cached window.
 
     Returns ``(grads, loss_numerator, weight_sum)`` where the window loss
     is ``loss_numerator / weight_sum``.  ``labels`` and ``weights`` are
-    ``(T, B)``; only the lane-steps the forward pass ran count, and their
-    values at padded steps are ignored.  Gradients stop at the window
+    those of the whole batch, ``(T, B)``; only the lane-steps the forward
+    pass ran count, and their values at padded steps are ignored.  The
+    weight sum is theirs unless ``weight_sum`` is given: with the whole
+    batch's, the gradients and loss numerators of its lane groups add up
+    to the whole batch's, up to rounding.  Gradients stop at the window
     boundary (the initial state is treated as a constant) and at every
     reset.  The loss, the dense head, the BPTT loop and the weight-gradient
     GEMMs all run on the cache's packed rows, so no work or memory goes to
@@ -600,8 +550,7 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     gradient is allocated.  The BPTT loop leaves the gate gradients in
     ``gates`` and the pre-step hidden states in ``c``.  Beyond the cache
     and the gradients this allocates that buffer, bool ReLU masks and
-    ``(B, H)`` step buffers.  ``pool`` splits the BPTT loop's GEMM and the
-    recurrent weight gradient by output column, with the same bits.
+    ``(B, H)`` step buffers.
     """
     if cache.spent:
         raise ValueError("this forward cache was already consumed by backward_batch")
@@ -610,11 +559,11 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     D, hidden = params.input_dim, params.hidden_size
 
     real = _real_steps(cache.first_live, B)
-    w = weights[real]
-    w_sum = float(w.sum())
+    w = weights[:, cache.lanes][real]
+    w_sum = float(w.sum()) if weight_sum is None else weight_sum
     if w_sum == 0.0:
         return params.zeros_like(), 0.0, w_sum
-    p, y = cache.probs[real], labels[real]
+    p, y = cache.probs[real], labels[:, cache.lanes][real]
     loss_num = float((w * -(y * np.log(p) + (1 - y) * np.log1p(-p))).sum())
 
     # Output head and dense stack over all rows at once.  Once its ReLU
@@ -645,13 +594,13 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     _drop(dh, m0, inv_keep, dh)
     cache.a1 = cache.m0 = None
     del dz1, a1, m0
-    _bptt(params, cache, dh, pool)
+    _bptt(params, cache, dh)
     del dh
 
     dz4, h_prev = cache.gates, cache.c
     lstm_W = np.empty_like(params.lstm_W)
     np.matmul(dz4.T, cache.X, out=lstm_W[:, :D])
-    _matmul(dz4.T, h_prev, lstm_W[:, D:], pool)
+    np.matmul(dz4.T, h_prev, out=lstm_W[:, D:])
     grads = ModelParams(lstm_W, dz4.sum(axis=0), dense1_W, dense1_b,
                         dense2_W, dense2_b, out_W, out_b)
     if not grads.all_finite():

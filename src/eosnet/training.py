@@ -19,16 +19,21 @@ The caller passes the thread pool that all parallel work runs on; the
 CLI sizes it by one rule (``cli.gemm_workers``).  Batch scoring
 (``evaluate`` and the validation pass of ``train``) runs its independent
 batches on the pool, longest batch first.  Training has one window at a
-time, so it splits each window's large LSTM GEMMs by output column across
-the pool instead (``net``'s ``pool=``).  Either way every output element
-is computed as in a serial run, so the output does not depend on the pool
-size.
+time, and a window's lanes are independent until their gradients are
+summed, so it cuts each window into lane groups of at most
+``LANE_GROUP`` lanes and runs each group's forward and backward pass as
+one pool task (``net``'s ``lanes=``).  The groups keep the window's
+dropout masks and its weight sum, and their gradients are summed in
+group order, so a window of at most ``LANE_GROUP`` lanes gives the bits
+of an unsplit one and wider windows differ only in rounding.  Neither
+path's output depends on the pool size.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from functools import reduce
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -53,6 +58,11 @@ from eosnet.sessions import LabeledSequence
 _SPLIT_NS = 0x53504C54
 _BATCH_NS = 0xB47C4E5
 _DROPOUT_NS = 0xD709
+
+# The most lanes of a window that one training task runs.  Fixed, so that
+# the sums of a window's gradients, and so the outputs, do not depend on
+# the pool size.
+LANE_GROUP = 32
 
 
 class Level(Enum):
@@ -249,6 +259,17 @@ def _score_group(params: ModelParams, group: Sequence[TrainSequence]) -> list[np
     return [probs[:len(seq), lane].copy() for lane, seq in enumerate(group)]
 
 
+def _in_order(futures: list) -> list:
+    """The futures' results in order, so the first fault in that order is
+    raised, as in a serial run.  On a fault or an interrupt this cancels
+    those not yet started, and returns only once those already started
+    have finished, so the caller's pool is left with none of its work."""
+    try:
+        return [future.result() for future in futures]
+    finally:
+        wait([future for future in futures if not future.cancel()])
+
+
 def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
                     pool: ThreadPoolExecutor, batch_size: int = 64) -> dict[str, np.ndarray]:
     """Inference-mode probabilities for many students, batched.
@@ -262,21 +283,14 @@ def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
     numpy releases the interpreter lock in the GEMMs and ufuncs.  Each
     batch is still one ``forward_batch`` call with the same rows, so every
     probability has the same bits at any pool size.  Results are collected
-    in input order, so the first fault in that order is the one raised, as
-    in a serial run.  A call that fails or is interrupted cancels its
-    batches not yet started, and returns only once those already started
-    have finished, so the caller's pool is left with none of its work.
+    in input order (see :func:`_in_order`).
     """
     order = sorted(range(len(sequences)),
                    key=lambda i: (len(sequences[i]), sequences[i].student_id))
     groups = [[sequences[i] for i in order[start:start + batch_size]]
               for start in range(0, len(order), batch_size)]
-    futures = [pool.submit(_score_group, params, group)
-               for group in reversed(groups)][::-1]
-    try:
-        results = [future.result() for future in futures]
-    finally:
-        wait([future for future in futures if not future.cancel()])
+    results = _in_order([pool.submit(_score_group, params, group)
+                         for group in reversed(groups)][::-1])
     return {seq.student_id: probs for group, lane_probs in zip(groups, results)
             for seq, probs in zip(group, lane_probs)}
 
@@ -324,6 +338,34 @@ class TrainResult:
     best_val_auc: float
 
 
+def _lane_groups(n_lanes: int) -> list[slice]:
+    """A window's lane groups: lanes ``g::n`` for the fewest groups n of at
+    most ``LANE_GROUP`` lanes.  Each keeps the non-decreasing lengths
+    order, and the groups' lengths are alike."""
+    n = -(-n_lanes // LANE_GROUP)
+    return [slice(g, None, n) for g in range(n)]
+
+
+def _weight_sum(window: Batch) -> float:
+    """The sum of a window's weights over its real lane-steps, in the order
+    ``backward_batch`` adds them."""
+    real = np.arange(window.X.shape[0])[:, None] < window.lengths
+    return float(window.weights[real].sum())
+
+
+def _train_group(params: ModelParams, window: Batch, lanes: slice, state: tuple,
+                 dropout_p: float, key: list, weight_sum: float) -> tuple:
+    """Lane group ``lanes``'s forward and backward pass over a window, from
+    its ``(h, c)`` ``state``, with the window's dropout stream ``key``: its
+    next state, its gradients and its loss numerator."""
+    result = forward_batch(params, window.X, window.resets, *state,
+                           dropout_p=dropout_p, rng=np.random.default_rng(key),
+                           want_cache=True, lengths=window.lengths, lanes=lanes)
+    grads, num, _ = backward_batch(params, result.cache, window.labels,
+                                   window.weights, weight_sum)
+    return (result.h, result.c), grads, num
+
+
 @contextmanager
 def _diverged(**context):
     """Re-raise a numerical fault as ``training diverged`` with ``context``."""
@@ -342,8 +384,8 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
     batch's windows while gradients do not.  Epoch loss is the
     weight-normalized BCE over all real steps.  After each epoch the pooled
     validation AUC decides early stopping (patience epochs without
-    improvement).  ``pool`` splits each window's large LSTM GEMMs and runs
-    the validation batches.
+    improvement).  ``pool`` runs each window's lane groups and the
+    validation batches.
     """
     if not train_seqs or not val_seqs:
         raise DataValidationError("train and validation sets must be non-empty")
@@ -360,27 +402,29 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
         batches = make_batches(train_seqs, config.batch_size, config.seed, epoch)
         loss_num = loss_den = 0.0
         for b_idx, batch in enumerate(batches):
-            h = c = np.zeros((len(batch.student_ids), params.hidden_size))
+            groups = _lane_groups(len(batch.student_ids))
+            zeros = np.zeros((len(batch.student_ids), params.hidden_size))
+            states = [(zeros[lanes], zeros[lanes]) for lanes in groups]
             for w_idx, window in enumerate(batch.windows(config.tbptt_window)):
-                rng = np.random.default_rng(
-                    [_DROPOUT_NS, config.seed, epoch, b_idx, w_idx])
+                key = [_DROPOUT_NS, config.seed, epoch, b_idx, w_idx]
+                den = _weight_sum(window)
                 with _diverged(epoch=epoch, batch=b_idx, window=w_idx):
-                    result = forward_batch(params, window.X, window.resets, h, c,
-                                           dropout_p=config.dropout_p, rng=rng,
-                                           want_cache=True, lengths=window.lengths,
-                                           pool=pool)
-                    h, c = result.h, result.c
-                    grads, num, den = backward_batch(params, result.cache,
-                                                     window.labels, window.weights,
-                                                     pool=pool)
-                    # the spent cache goes before the next window's is built
-                    del result
+                    # each group's cache is spent inside its task, so all are
+                    # gone before the next window's are built
+                    states, grads, nums = zip(*_in_order([
+                        pool.submit(_train_group, params, window, lanes, state,
+                                    config.dropout_p, key, den)
+                        for lanes, state in zip(groups, states)]))
+                    # summed in group order; one group's are kept as they are
+                    grads = ModelParams(*(reduce(np.add, arrays) for arrays
+                                          in zip(*(g.arrays() for g in grads))))
+                    num = sum(nums)
                     if not math.isfinite(num):
                         raise NumericalFault("non-finite loss")
                     if den > 0.0:
                         params, opt = rmsprop_update(params, grads, opt,
                                                      lr=config.learning_rate)
-                    # and so do its gradients, spent by the update
+                    # the gradients are spent by the update
                     del grads
                 loss_num += num
                 loss_den += den

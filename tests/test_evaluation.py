@@ -19,7 +19,7 @@ from eosnet.evaluation import (
 )
 from eosnet.ingest import ActionKind, RawAction, StudentLog
 from eosnet.net import ModelParams, forward_batch, init_params
-from eosnet.sessions import HomeworkClass, label
+from eosnet.sessions import HomeworkClass, label, session_table
 from eosnet.training import Level, prepare_sequence, score_sequences
 
 
@@ -181,28 +181,35 @@ class TestStratifiedReport:
         assert chunk_means is None and ("mean_prob", "eos") not in names
 
 
+def traj(actions):
+    """``trajectory`` of scored actions, given their session table."""
+    session_of, lengths, _, _ = session_table(actions.labels, actions.homework,
+                                              actions.students)
+    return trajectory(actions, session_of, lengths)
+
+
 class TestTrajectory:
     def test_length_20_one_action_per_chunk(self):
         probs = np.linspace(0.1, 0.9, 20)
-        result = trajectory(scored(session("a", probs)))
+        result = traj(scored(session("a", probs)))
         chunks, eos_mean = result
         np.testing.assert_allclose(chunks, probs)
         assert eos_mean == pytest.approx(probs[-1])
 
     def test_length_100_five_actions_per_chunk(self):
         probs = np.arange(100, dtype=float)
-        chunks, _ = trajectory(scored(session("a", probs)))
+        chunks, _ = traj(scored(session("a", probs)))
         expected = probs.reshape(20, 5).mean(axis=1)
         np.testing.assert_allclose(chunks, expected)
 
     def test_constant_probabilities(self):
-        chunks, eos_mean = trajectory(scored(session("a", [0.3] * 25)))
+        chunks, eos_mean = traj(scored(session("a", [0.3] * 25)))
         np.testing.assert_allclose(chunks, 0.3)
         assert eos_mean == pytest.approx(0.3)
 
     def test_short_sessions_excluded(self):
-        assert trajectory(scored(session("a", [0.5] * 19))) is None
-        result = trajectory(scored(session("a", [0.5] * 19),
+        assert traj(scored(session("a", [0.5] * 19))) is None
+        result = traj(scored(session("a", [0.5] * 19),
                                    session("a", [0.2] * 20)))
         chunks, _ = result
         np.testing.assert_allclose(chunks, 0.2)

@@ -2,15 +2,12 @@
 
 import dataclasses
 import math
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from test_gradients import loss_weighted_bce
 
-from eosnet import net
 from eosnet.errors import CheckpointError
 from eosnet.net import (
     ModelParams,
@@ -25,6 +22,7 @@ from eosnet.net import (
     save_checkpoint,
     sigmoid,
 )
+from eosnet.training import LANE_GROUP, Batch, _lane_groups, _train_group, _weight_sum
 
 
 def random_params(rng, input_dim=13, hidden=4, scale=0.4):
@@ -623,77 +621,93 @@ class TestForward:
             np.testing.assert_allclose(streamed, probs, rtol=1e-12)
 
 
-class TestColumnSplit:
-    """Training's GEMMs split by output column keep their bits on this host."""
+class TestLaneGroups:
+    """A window run as lane groups (``lanes=``, the whole window's weight
+    sum) adds up to the window run whole, at H=400 with dropout on."""
 
-    H, D = 400, 13
-    CAUSE = ("this BLAS picks its GEMM kernel by the column count, so a column "
-             "split does not give the whole GEMM's bits")
+    T, D = 24, 13
+    # fixed before the first run: groups change only the rounding
+    RTOL = 1e-9
 
-    @classmethod
-    def operands(cls, shape, m, W):
-        """The operand layouts of each split GEMM in ``net``, at row count m."""
-        rng = np.random.default_rng(m)
-        H, D = cls.H, cls.D
-        if shape == "forward":      # [x; h] @ W.T into the step's gate rows
-            return rng.normal(size=(m, D + H)), W.T, np.empty((m, 4 * H))
-        if shape == "bptt":         # d @ Wh into the step's dh carry
-            return rng.normal(size=(m, 4 * H)), W[:, D:], np.empty((m, H))
-        # dz.T @ h_prev into the recurrent block of the weight gradient
-        out = np.empty((4 * H, D + H))[:, D:]
-        return rng.normal(size=(m, 4 * H)).T, rng.normal(size=(m, H)), out
+    def _window(self, level, lanes, seed=0):
+        """A training window of ``lanes`` lanes that carries in a state."""
+        rng = np.random.default_rng(seed)
+        lengths = np.sort(rng.integers(0, self.T + 1, lanes))
+        lengths[-1] = self.T
+        resets = (rng.random((self.T, lanes)) < 0.1) if level == "session" \
+            else np.zeros((self.T, lanes), dtype=bool)
+        return Batch(
+            student_ids=[f"s{k}" for k in range(lanes)], lengths=lengths,
+            X=rng.uniform(-1, 1, (self.T, lanes, self.D)), resets=resets,
+            labels=(rng.random((self.T, lanes)) < 0.2).astype(float),
+            weights=rng.uniform(1.0, 8.0, (self.T, lanes)),
+        ), rng.uniform(-1, 1, (2, lanes, init_params(0).hidden_size))
 
-    @pytest.mark.parametrize("shape", ["forward", "bptt", "weight_gradient"])
-    def test_split_equals_whole_gemm(self, shape):
-        W = init_params(0).lstm_W
-        split = 0
-        for workers in (2, 3):
-            with ThreadPoolExecutor(workers) as pool:
-                for m in range(1, 65):
-                    a, b, out = self.operands(shape, m, W)
-                    if len(net._column_bounds(pool, *a.shape, b.shape[1])) == 2:
-                        continue
-                    split += 1
-                    net._matmul(a, b, out, pool)
-                    assert np.array_equal(out, a @ b), \
-                        f"{shape} split at M={m} over {workers} threads: {self.CAUSE}"
-        assert split > 100
+    def _forward(self, params, window, h0, c0, lanes=slice(None)):
+        return forward_batch(params, window.X, window.resets, h0, c0, dropout_p=0.4,
+                             rng=np.random.default_rng(7), want_cache=True,
+                             lengths=window.lengths, lanes=lanes)
 
-    def test_floor_refuses_small_blocks(self):
-        with ThreadPoolExecutor(2) as pool:
-            # (M, 1600) @ (1600, 400): below M=4 a block has < 10^6 multiply-adds
-            for m in (1, 2, 3):
-                assert net._column_bounds(pool, m, 4 * self.H, self.H) == [0, self.H]
-            bounds = net._column_bounds(pool, 4, 4 * self.H, self.H)
-            assert bounds == [0, 208, self.H]
-            assert net._column_bounds(None, 64, 4 * self.H, self.H) == [0, self.H]
+    def _close(self, got, expected):
+        assert np.linalg.norm(got - expected) <= self.RTOL * np.linalg.norm(expected)
 
-    def _failing_split(self, monkeypatch, failing_block):
-        """Run a split GEMM on 3 threads whose block ``failing_block``
-        raises; return the blocks the others had finished when it raised."""
-        done = []
+    @pytest.mark.parametrize("level", ["student", "session"])
+    def test_group_sums_equal_the_whole_window(self, level):
+        params = init_params(0)
+        window, (h0, c0) = self._window(level, 72)
+        whole = self._forward(params, window, h0, c0)
+        grads, num, w_sum = backward_batch(params, whole.cache, window.labels,
+                                           window.weights)
+        groups = _lane_groups(72)
+        assert len(groups) == 3
+        total, total_num = params.zeros_like(), 0.0
+        for lanes in groups:
+            part = self._forward(params, window, h0[lanes], c0[lanes], lanes)
+            for got, expected in ((part.probs, whole.probs[:, lanes]),
+                                  (part.h, whole.h[lanes]), (part.c, whole.c[lanes])):
+                self._close(got, expected)
+            part_grads, part_num, part_w_sum = backward_batch(
+                params, part.cache, window.labels, window.weights, w_sum)
+            assert part_w_sum == w_sum
+            for acc, grad in zip(total.arrays(), part_grads.arrays()):
+                acc += grad
+            total_num += part_num
+        for got, expected in zip(total.arrays(), grads.arrays()):
+            self._close(got, expected)
+        assert total_num == pytest.approx(num, rel=self.RTOL)
 
-        def block(a, b, out, cols):
-            if cols.start == failing_block:
-                raise ValueError(f"block at column {cols.start}")
-            threading.Event().wait(0.05)
-            done.append(cols.start)
+    @pytest.mark.parametrize("level", ["student", "session"])
+    def test_group_masks_are_the_window_masks_at_its_lanes(self, level):
+        params = init_params(0)
+        window, (h0, c0) = self._window(level, 72, seed=1)
+        whole = self._forward(params, window, h0, c0).cache
+        # each packed row's lane, in (t, b) order
+        row_lane = np.nonzero(np.arange(self.T)[:, None] < window.lengths)[1]
+        for g, lanes in enumerate(_lane_groups(72)):
+            part = self._forward(params, window, h0[lanes], c0[lanes], lanes).cache
+            for name in ("m0", "m1", "m2"):
+                np.testing.assert_array_equal(
+                    getattr(part, name), getattr(whole, name)[row_lane % 3 == g])
 
-        monkeypatch.setattr(net, "_matmul_block", block)
-        a, b, out = np.zeros((64, 1600)), np.zeros((1600, 400)), np.zeros((64, 400))
-        with ThreadPoolExecutor(3) as pool:
-            assert net._column_bounds(pool, 64, 1600, 400) == [0, 144, 288, 400]
-            with pytest.raises(ValueError, match=f"block at column {failing_block}"):
-                net._matmul(a, b, out, pool)
-            # read before the pool's shutdown waits for its threads
-            return sorted(done)
-
-    def test_waits_for_every_block_before_raising(self, monkeypatch):
-        # this thread's block fails; both pool blocks ran to the end first
-        assert self._failing_split(monkeypatch, 0) == [144, 288]
-
-    def test_raises_a_pool_threads_error(self, monkeypatch):
-        assert self._failing_split(monkeypatch, 288) == [0, 144]
+    @pytest.mark.parametrize("level", ["student", "session"])
+    @pytest.mark.parametrize("lanes", [1, 17, LANE_GROUP])
+    def test_a_window_of_one_group_keeps_the_unsplit_bits(self, level, lanes):
+        params = init_params(0)
+        window, (h0, c0) = self._window(level, lanes, seed=2)
+        [group] = _lane_groups(lanes)
+        key = [5, 6]
+        (h, c), grads, num = _train_group(params, window, group, (h0, c0), 0.4, key,
+                                          _weight_sum(window))
+        whole = forward_batch(params, window.X, window.resets, h0, c0, dropout_p=0.4,
+                              rng=np.random.default_rng(key), want_cache=True,
+                              lengths=window.lengths)
+        expected, expected_num, _ = backward_batch(params, whole.cache, window.labels,
+                                                   window.weights)
+        np.testing.assert_array_equal(h, whole.h)
+        np.testing.assert_array_equal(c, whole.c)
+        for got, want in zip(grads.arrays(), expected.arrays()):
+            np.testing.assert_array_equal(got, want)
+        assert num == expected_num
 
 
 class TestLoss:

@@ -523,11 +523,11 @@ class TestTrainLoop:
 
 
 class TestTrainingSplit:
-    """``train`` at H=400 with its GEMMs split over a pool of 3 threads and
-    of 1."""
+    """``train`` at H=400 with its windows cut into lane groups, on a pool
+    of 3 threads and of 1."""
 
-    N_STUDENTS = 36  # 32 train, in batches of 16 lanes; 4 validation
-    CONFIG = dict(max_epochs=2, patience=None, batch_size=16, tbptt_window=8,
+    N_STUDENTS = 84  # 80 train, in batches of 72 lanes (3 groups) and 8; 4 validation
+    CONFIG = dict(max_epochs=2, patience=None, batch_size=72, tbptt_window=8,
                   dropout_p=0.4, seed=3)
 
     def _sequences(self, level):
@@ -536,15 +536,14 @@ class TestTrainingSplit:
 
     def _train(self, monkeypatch, workers, level, seqs, **config):
         """Train on a pool of ``workers`` threads; return the result and the
-        names of the threads that ran each GEMM block handed to the pool
-        and each validation batch."""
-        threads = {"blocks": [], "batches": []}
-        matmul_block, score_group = net._matmul_block, training._score_group
+        names of the threads that ran each lane group and each validation
+        batch."""
+        threads = {"groups": [], "batches": []}
+        train_group, score_group = training._train_group, training._score_group
 
-        def block(a, b, out, cols):
-            if cols.start > 0:
-                threads["blocks"].append(threading.current_thread().name)
-            matmul_block(a, b, out, cols)
+        def group(*args):
+            threads["groups"].append(threading.current_thread().name)
+            return train_group(*args)
 
         def batch(params, group):
             threads["batches"].append(threading.current_thread().name)
@@ -552,7 +551,7 @@ class TestTrainingSplit:
 
         config = TrainConfig(level=level, **{**self.CONFIG, **config})
         with monkeypatch.context() as patch, ThreadPoolExecutor(workers) as pool:
-            patch.setattr(net, "_matmul_block", block)
+            patch.setattr(training, "_train_group", group)
             patch.setattr(training, "_score_group", batch)
             result = train(config, seqs[:-4], seqs[-4:], pool)
         return result, threads
@@ -565,7 +564,15 @@ class TestTrainingSplit:
         one, one_threads = self._train(monkeypatch, 1, level, seqs)
         three, three_threads = self._train(monkeypatch, 3, level, seqs)
         assert one.params.hidden_size == 400
-        assert not one_threads["blocks"] and three_threads["blocks"]
+        assert len(set(one_threads["groups"])) == 1
+        # 3 groups in each window of the 72-lane batch, 1 in the 8-lane one
+        batches = [batch for epoch in (1, 2)
+                   for batch in make_batches(seqs[:-4], 72, 3, epoch)]
+        assert sorted(len(batch.student_ids) for batch in batches) == [8, 8, 72, 72]
+        tasks = sum(-(-batch.X.shape[0] // 8) * -(-len(batch.student_ids) // 32)
+                    for batch in batches)
+        assert len(one_threads["groups"]) == len(three_threads["groups"]) == tasks
+        assert len(set(three_threads["groups"])) > 1
         for a, b in zip(one.params.arrays(), three.params.arrays()):
             np.testing.assert_array_equal(b, a)
         assert three.history and [(s.epoch, s.train_loss, s.val_auc) for s in three.history] \
@@ -574,12 +581,21 @@ class TestTrainingSplit:
     def test_splits_and_validation_share_the_pool(self, monkeypatch):
         seqs = self._sequences(Level.STUDENT)
         _, threads = self._train(monkeypatch, 2, Level.STUDENT, seqs, max_epochs=3)
-        assert threads["blocks"] and len(threads["batches"]) == 3
-        assert len(set(threads["blocks"] + threads["batches"])) <= 2
+        assert threads["groups"] and len(threads["batches"]) == 3
+        assert len(set(threads["groups"] + threads["batches"])) <= 2
 
     def test_fault_matches_a_serial_run(self, monkeypatch):
         seqs = self._sequences(Level.STUDENT)
-        seqs[5].features[7, 2] = np.nan
+        config = TrainConfig(**self.CONFIG)
+        batches = make_batches(seqs[:-4], config.batch_size, config.seed, epoch=1)
+        b_idx = next(k for k, batch in enumerate(batches)
+                     if len(batch.student_ids) == 72)
+        lanes = batches[b_idx].student_ids
+        by_id = {seq.student_id: seq for seq in seqs}
+        # group 0 goes non-finite at step 7 of the first window, group 2
+        # (lanes 2::3), whose task may finish first, at step 1
+        by_id[lanes[0]].features[7, 2] = np.nan
+        by_id[lanes[2]].features[1, 2] = np.nan
         faults = []
         for workers in (1, 3):
             before = threading.active_count()
@@ -589,6 +605,8 @@ class TestTrainingSplit:
             fault = caught.value
             faults.append((str(fault), fault.context, str(fault.__cause__)))
         assert faults[0] == faults[1]
+        assert faults[0][1:] == ({"epoch": 1, "batch": b_idx, "window": 0},
+                                 "non-finite activation (step=7)")
 
 
 class TestTrainConfigValidation:
