@@ -217,6 +217,28 @@ class TestFeaturize:
         assert next(rows, None) is None
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
+class TestGoldenBytes:
+    """``tests/data/actions.csv`` is ``generate --seed 1 --n-students 12``;
+    beside it are the bytes that ``featurize`` and ``sessionize`` wrote for
+    it before their encoding was vectorized."""
+
+    @pytest.mark.parametrize("command, flags, golden", [
+        ("featurize", [], "features.csv"),
+        ("featurize", ["--with-keys"], "features_with_keys.csv"),
+        ("featurize", ["--utc-offset-minutes", "-720"], "features_utc-720.csv"),
+        ("featurize", ["--utc-offset-minutes", "840"], "features_utc840.csv"),
+        ("sessionize", [], "sessions.csv"),
+    ])
+    def test_output_is_byte_identical(self, tmp_path, command, flags, golden):
+        out = tmp_path / golden
+        assert main([command, "--data", str(GOLDEN / "actions.csv"), "--out", str(out),
+                     "--quiet", *flags]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 class TestSessionize:
     @pytest.fixture
     def with_bad_line(self, corpus, tmp_path):
