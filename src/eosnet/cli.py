@@ -19,7 +19,7 @@ and ``blas_threads``, the BLAS threads per GEMM it was sized from (null
 when unpinned).
 ``generate`` writes only ``actions.csv`` and ``manifest.json``.
 
-Sessions follow the one 15-minute rule of ``sessions.starts_session``,
+Sessions follow the one 15-minute rule of ``sessions.session_starts``,
 which no flag changes; ``sessionize --data --out [--lenient]`` appends
 ``session_index,label`` to each record (``--lenient`` skips malformed ones):
 the 0-based ordinal of its session within its student, and 1 on the last
@@ -345,10 +345,26 @@ def _load_model(path):
 
 
 def _prepared(labeled, ids, level, utc_offset_minutes):
-    """The ``TrainSequence`` of each student of ``ids``, in that order."""
-    from eosnet.training import prepare_sequence
+    """The ``TrainSequence`` of each student of ``ids``, in that order,
+    from one call of the feature encoder."""
+    from eosnet.training import prepare_sequences
 
-    return [prepare_sequence(labeled[sid], level, utc_offset_minutes) for sid in ids]
+    return prepare_sequences([labeled[sid] for sid in ids], level, utc_offset_minutes)
+
+
+def _float_cells(values) -> list[str]:
+    """The ``repr`` of each float64 of ``values``, a column of one output.
+
+    A column holds few distinct values (two in a flag column, at most 901
+    plus one per session in a gap column), so each distinct bit pattern is
+    formatted once and its text picked per row by index.  Bit patterns,
+    not values, are the keys, so 0.0 and -0.0 keep their own texts.
+    """
+    import numpy as np
+
+    patterns, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+    return texts[index].tolist()
 
 
 def _check_outputs(*paths) -> None:
@@ -414,24 +430,22 @@ def cmd_sessionize(args) -> int:
 
 
 def cmd_featurize(args) -> int:
-    from eosnet.features import FEATURE_NAMES, featurize
+    from eosnet.features import FEATURE_NAMES, featurize_logs
 
     _check_outputs(args.out)
     labeled = _load_labeled(args.data)
+    seqs = [labeled[sid] for sid in sorted(labeled)]
+    frames = featurize_logs(seqs, args.utc_offset_minutes)
+    # The rows are built column by column: each column's cells come from
+    # its own table of texts (_float_cells), and each row joins its cells.
+    columns = [_float_cells(frames[:, j]) for j in range(len(FEATURE_NAMES))]
+    columns.append([str(yval) for seq in seqs for yval in seq.labels.tolist()])
     header = ",".join(FEATURE_NAMES) + ",label"
     if args.with_keys:
         header = "student_id,timestamp," + header
-    rows = [header]
-    for sid in sorted(labeled):
-        seq = labeled[sid]
-        frames = featurize(seq, utc_offset_minutes=args.utc_offset_minutes).tolist()
-        for action, frame, yval in zip(seq.actions, frames, seq.labels.tolist()):
-            cells = ",".join(map(repr, frame))
-            prefix = ""
-            if args.with_keys:
-                prefix = f"{sid},{action.timestamp},"
-            rows.append(f"{prefix}{cells},{yval}")
-    _emit(args.out, rows)
+        columns[:0] = ([seq.student_id for seq in seqs for _ in seq.actions],
+                       [str(action.timestamp) for seq in seqs for action in seq.actions])
+    _emit(args.out, [header, *map(",".join, zip(*columns))])
     return EXIT_OK
 
 
@@ -447,8 +461,9 @@ def cmd_train(args) -> int:
 
     labeled = _load_labeled(args.data)
     split = split_students(labeled.keys(), config.seed)
-    train_seqs = _prepared(labeled, split.train, config.level, args.utc_offset_minutes)
-    val_seqs = _prepared(labeled, split.validation, config.level, args.utc_offset_minutes)
+    prepared = _prepared(labeled, [*split.train, *split.validation], config.level,
+                         args.utc_offset_minutes)
+    train_seqs, val_seqs = prepared[:len(split.train)], prepared[len(split.train):]
     log.info("training %s-level model on %d students (%d validation)",
              config.level.value, len(train_seqs), len(val_seqs))
 
@@ -556,9 +571,9 @@ def _decode_matrix(path, saved, key, n_students, hidden_size):
 
 
 def _load_score_state(path, level, utc_offset_minutes, hidden_size):
-    """Read a ``score --state-out`` file into ``(featurizers, h, c)``, a
-    featurizer per student and the (N, H) state matrices in the file's
-    order; any defect in it is a DataValidationError.
+    """Read a ``score --state-out`` file into ``(histories, h, c)``, a
+    featurizer history per student and the (N, H) state matrices in the
+    file's order; any defect in it is a DataValidationError.
 
     ``h`` and ``c`` are checked as whole matrices: each must be a base64
     string (strict alphabet and padding) that decodes to exactly
@@ -602,71 +617,103 @@ def _load_score_state(path, level, utc_offset_minutes, hidden_size):
         if not finite.all():
             sid = ids[int(np.argmin(finite))]
             raise DataValidationError(f"{path}: state of {sid} has non-finite h or c")
-        featurizers = {sid: StreamFeaturizer.from_dict(students[sid], offset) for sid in ids}
+        histories = {sid: StreamFeaturizer.from_dict(students[sid], offset).to_dict()
+                     for sid in ids}
     except DataValidationError:
         raise
     except KeyError as exc:
         raise DataValidationError(f"{path}: scoring state lacks key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataValidationError(f"{path}: malformed scoring state: {exc}") from None
-    return featurizers, h, c
+    return histories, h, c
 
 
 def cmd_score(args) -> int:
     import numpy as np
 
-    from eosnet.features import SESSION_START, StreamFeaturizer
+    from eosnet.features import (
+        FRESH_HISTORY,
+        SESSION_START,
+        ActionColumns,
+        encode_block,
+        late_actions,
+    )
     from eosnet.ingest import read_actions
     from eosnet.net import infer_step
 
     _check_outputs(args.out, args.state_out)
     params = _load_model(args.checkpoint)
-    session_level = args.level == "session"
 
-    # row k of h and c is the k-th student's state; spare rows are zero
-    featurizers: dict[str, StreamFeaturizer] = {}
+    # row k of h and c is the k-th student's state
+    histories: dict[str, dict] = {}
     h = c = np.zeros((0, params.hidden_size))
     if args.state_in:
-        featurizers, h, c = _load_score_state(args.state_in, args.level,
-                                              args.utc_offset_minutes, params.hidden_size)
-    rows = {sid: k for k, sid in enumerate(featurizers)}
+        histories, h, c = _load_score_state(args.state_in, args.level,
+                                            args.utc_offset_minutes, params.hidden_size)
+    rows = {sid: k for k, sid in enumerate(histories)}
 
     if args.data == "-":
         sys.stdin.reconfigure(encoding="utf-8", errors="strict")  # whatever the locale
         lines = sys.stdin
     else:
         lines = open(args.data, encoding="utf-8")
-    out_rows = []
+    # The first fault in line order is raised after the records before it
+    # are scored, so a numerical fault among them comes first.
+    line_nos, actions, fault = [], [], None
     try:
         for line_no, action in read_actions(lines):
-            sid = action.student_id
-            k = rows.get(sid)
-            if k is None:
-                k = rows[sid] = len(rows)
-                featurizers[sid] = StreamFeaturizer(utc_offset_minutes=args.utc_offset_minutes)
-                if k == len(h):
-                    h, c = (np.pad(m, ((0, max(k, 1)), (0, 0))) for m in (h, c))
-            try:
-                frame = featurizers[sid].push(action)
-            except ValueError as exc:
-                raise DataValidationError(f"line {line_no}: {sid}: {exc}") from None
-            reset = session_level and bool(frame[SESSION_START])
-            prob, h[k], c[k] = infer_step(params, frame, h[k], c[k], reset)
-            out_rows.append(f"{sid},{action.timestamp},{prob!r}")
+            line_nos.append(line_no)
+            actions.append(action)
+    except (LogParseError, DataValidationError) as exc:
+        fault = exc
     finally:
         if lines is not sys.stdin:
             lines.close()
+    student_rows = [rows.setdefault(action.student_id, len(rows)) for action in actions]
+    ids = list(rows)
+
+    def block(n):
+        """The first ``n`` records as one encoder block, students in row
+        order: the records' indices in block order, the block's columns
+        and its students' histories before it."""
+        ks = np.array(student_rows[:n], dtype=np.intp)
+        order = np.argsort(ks, kind="stable")
+        ks = ks[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = ks[1:] != ks[:-1]
+        students = [ids[k] for k in ks[first].tolist()]
+        return (order, ActionColumns.of([actions[i] for i in order.tolist()], first),
+                students, [histories.get(sid, FRESH_HISTORY) for sid in students])
+
+    order, columns, students, before = block(len(actions))
+    late, errors = late_actions(columns, before)
+    if late.size:
+        j = int(np.argmin(order[late]))
+        at = int(order[late[j]])
+        fault = DataValidationError(f"line {line_nos[at]}: {actions[at].student_id}: {errors[j]}")
+        order, columns, students, before = block(at)
+    frames, after = encode_block(columns, before, args.utc_offset_minutes)
+    histories.update(zip(students, after))
+
+    h, c = (np.pad(m, ((0, len(rows) - len(m)), (0, 0))) for m in (h, c))
+    out_rows = []
+    for action, k, frame in zip(actions, student_rows, frames[np.argsort(order)]):
+        reset = args.level == "session" and frame[SESSION_START] == 1.0
+        prob, h[k], c[k] = infer_step(params, frame, h[k], c[k], reset)
+        out_rows.append(f"{action.student_id},{action.timestamp},{prob!r}")
+    if fault is not None:
+        raise fault
 
     _emit(args.out, out_rows)
 
     if args.state_out:
-        ids = sorted(featurizers)
+        ids = sorted(histories)
         order = [rows[sid] for sid in ids]
         payload = {
             "version": SCORE_STATE_VERSION,
             "level": args.level,
             "utc_offset_minutes": args.utc_offset_minutes,
-            "students": {sid: featurizers[sid].to_dict() for sid in ids},
+            "students": {sid: histories[sid] for sid in ids},
             "h": _encode_matrix(h[order]),
             "c": _encode_matrix(c[order]),
         }

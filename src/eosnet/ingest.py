@@ -8,7 +8,8 @@ header::
 with ``action_kind`` one of ``fillout``/``multichoice``/``material``,
 ``correct`` in ``{"", "0", "1"}`` (empty exactly when the action is a
 material view), ``homework`` in ``{"0", "1"}``, and ``timestamp`` integer
-UTC seconds.
+UTC seconds in [0, 2**62), so that sums and differences of timestamps
+are exact in int64.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Iterable, Iterator, Optional
 from eosnet.errors import DataValidationError, LogParseError
 
 HEADER = "student_id,timestamp,action_kind,lesson_id,topic_id,correct,homework"
+TIMESTAMP_LIMIT = 2**62
 
 
 class ActionKind(Enum):
@@ -49,6 +51,8 @@ class RawAction:
     def __post_init__(self):
         if self.timestamp < 0:
             raise ValueError(f"negative timestamp {self.timestamp}")
+        if self.timestamp >= TIMESTAMP_LIMIT:
+            raise ValueError(f"timestamp {self.timestamp} is not below 2**62")
         if self.kind is _MATERIAL:
             if self.correct is not None:
                 raise ValueError("material action with a correct flag")

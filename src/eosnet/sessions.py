@@ -1,12 +1,13 @@
 """Gap-based session segmentation and end-of-session labelling.
 
 A session is a maximal run of one student's actions where no inter-action
-gap exceeds ``SESSION_GAP_SECONDS`` (15 minutes).  ``starts_session`` is
-the one statement of that rule: an action starts a session when it is the
-student's first or follows the previous one by strictly more than 900 s,
-so two actions exactly 900 s apart stay in the same session.  ``segment``
-and ``features.StreamFeaturizer.push`` both decide session starts with
-it.  The last action of every session carries label 1, all others 0.
+gap exceeds ``SESSION_GAP_SECONDS`` (15 minutes).  ``session_starts`` is
+the one statement of that rule, a vector predicate over a block of
+actions: an action starts a session when it is its student's first or
+follows the previous one by strictly more than 900 s, so two actions
+exactly 900 s apart stay in the same session.  ``segment`` and
+``features.encode_block`` both decide session starts with it.  The last
+action of every session carries label 1, all others 0.
 
 These per-action ``labels`` are the one record of where a student's
 sessions end.  ``session_table`` is the one derivation of the per-session
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from operator import attrgetter
 
 import numpy as np
 
@@ -26,10 +27,15 @@ from eosnet.ingest import StudentLog
 SESSION_GAP_SECONDS = 900
 
 
-def starts_session(previous_timestamp: Optional[int], timestamp: int) -> bool:
-    """Whether an action at ``timestamp`` starts a new session, given the
-    timestamp of the student's previous action (None if there is none)."""
-    return previous_timestamp is None or timestamp - previous_timestamp > SESSION_GAP_SECONDS
+def session_starts(first, gaps: np.ndarray) -> np.ndarray:
+    """Whether each action starts a session, given whether it is its
+    student's first (``first``, a bool array or one bool for all) and the
+    seconds since the student's previous action (``gaps``, read only
+    where ``first`` is unset)."""
+    return first | (gaps > SESSION_GAP_SECONDS)
+
+
+_timestamp = attrgetter("timestamp")
 
 
 @dataclass(slots=True)
@@ -64,15 +70,13 @@ class HomeworkClass(Enum):
 
 def segment(log: StudentLog) -> list[int]:
     """The lengths of a chronological student log's sessions, in order:
-    a session starts at every action that ``starts_session``."""
-    lengths: list[int] = []
-    previous: Optional[int] = None
-    for action in log.actions:
-        if starts_session(previous, action.timestamp):
-            lengths.append(0)
-        lengths[-1] += 1
-        previous = action.timestamp
-    return lengths
+    a session starts at its first action and at every later one that
+    ``session_starts`` marks."""
+    n = len(log.actions)
+    timestamps = np.fromiter(map(_timestamp, log.actions), np.int64, n)
+    later = np.flatnonzero(session_starts(False, timestamps[1:] - timestamps[:-1])) + 1
+    bounds = [0, *later.tolist(), n] if n else []
+    return [end - start for start, end in zip(bounds, bounds[1:])]
 
 
 def label(log: StudentLog) -> LabeledSequence:

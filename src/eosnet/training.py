@@ -44,7 +44,7 @@ import numpy as np
 
 from eosnet.errors import DataValidationError, NumericalFault
 from eosnet.evaluation import auc
-from eosnet.features import DEFAULT_UTC_OFFSET_MINUTES, SESSION_START, featurize
+from eosnet.features import DEFAULT_UTC_OFFSET_MINUTES, SESSION_START, featurize_logs
 from eosnet.net import (
     ModelParams,
     OptState,
@@ -160,27 +160,39 @@ class TrainSequence:
         return self.labels.shape[0]
 
 
-def prepare_sequence(seq: LabeledSequence, level: Level,
-                     utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES) -> TrainSequence:
-    """Featurize one student and attach level-appropriate weights/resets.
+def prepare_sequences(seqs: Sequence[LabeledSequence], level: Level,
+                      utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES
+                      ) -> list[TrainSequence]:
+    """Featurize students in one encoder call and attach level-appropriate
+    weights/resets; each ``features`` is a view of the block's frames.
 
     Session level resets the state wherever the session-start feature is
     set, so training, batch scoring and streaming share one boundary rule.
     """
-    features = featurize(seq, utc_offset_minutes=utc_offset_minutes)
-    if level is Level.SESSION:
-        resets = features[:, SESSION_START] == 1.0
-        weights = session_weights(seq)
-    else:
-        resets = np.zeros(seq.n_actions, dtype=bool)
-        weights = student_weights(seq)
-    return TrainSequence(
-        student_id=seq.student_id,
-        features=features,
-        labels=seq.labels.astype(np.float64),
-        weights=weights,
-        resets=resets,
-    )
+    frames = featurize_logs(seqs, utc_offset_minutes)
+    bounds = np.cumsum([seq.n_actions for seq in seqs])[:-1]
+    prepared = []
+    for seq, features in zip(seqs, np.split(frames, bounds)):
+        if level is Level.SESSION:
+            resets = features[:, SESSION_START] == 1.0
+            weights = session_weights(seq)
+        else:
+            resets = np.zeros(seq.n_actions, dtype=bool)
+            weights = student_weights(seq)
+        prepared.append(TrainSequence(
+            student_id=seq.student_id,
+            features=features,
+            labels=seq.labels.astype(np.float64),
+            weights=weights,
+            resets=resets,
+        ))
+    return prepared
+
+
+def prepare_sequence(seq: LabeledSequence, level: Level,
+                     utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES) -> TrainSequence:
+    """The one-student case of :func:`prepare_sequences`."""
+    return prepare_sequences([seq], level, utc_offset_minutes)[0]
 
 
 @dataclass(slots=True)

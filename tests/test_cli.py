@@ -199,6 +199,17 @@ class TestFeaturize:
         assert len(rows) == len(data.read_text().splitlines()) - 1
         assert all(row.count(",") == header.count(",") for row in rows)
 
+    @pytest.mark.parametrize("text", ["", ingest.HEADER + "\n"], ids=["empty", "header-only"])
+    @pytest.mark.parametrize("with_keys", [False, True])
+    def test_no_records_is_the_header_line_alone(self, tmp_path, text, with_keys):
+        data, out = tmp_path / "empty.csv", tmp_path / "features.csv"
+        data.write_text(text)
+        extra = ["--with-keys"] if with_keys else []
+        assert main(["featurize", "--data", str(data), "--out", str(out),
+                     "--quiet", *extra]) == EXIT_OK
+        prefix = "student_id,timestamp," if with_keys else ""
+        assert out.read_text() == prefix + self.HEADER + "\n"
+
     def test_cells_are_reprs_of_featurize(self, corpus, tmp_path):
         """Each cell is the round-trip repr of its float64, not a rounding."""
         data, _ = corpus
@@ -519,6 +530,42 @@ class TestScore:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "line 3" in err and "line 6" not in err
 
+    def test_malformed_line_before_an_out_of_order_one_is_reported(
+            self, corpus, tmp_path, capsys):
+        data, ckpt = corpus
+        header, first, second, *rest = data.read_text().splitlines()[:5]
+        path = tmp_path / "two-faults.csv"
+        path.write_text("\n".join([header, first, "s1,notatime,material,L,T,,0",
+                                   *rest, second, first]) + "\n")
+        assert main(["score", "--checkpoint", str(ckpt), "--data", str(path),
+                     "--out", str(tmp_path / "out.csv"), "--quiet"]) == EXIT_DATA
+        assert_one_error_line(capsys, "line 3: bad timestamp 'notatime'")
+
+    def test_first_out_of_order_line_of_any_student_is_reported(
+            self, corpus, tmp_path, capsys):
+        """Student a's fault on line 6 comes after student b's on line 5,
+        though a's actions come first when grouped by student."""
+        _, ckpt = corpus
+        path = tmp_path / "late.csv"
+        path.write_text("\n".join([HEADER, "a,100,material,L,T,,0", "b,100,material,L,T,,0",
+                                   "a,200,material,L,T,,0", "b,50,material,L,T,,0",
+                                   "a,150,material,L,T,,0"]) + "\n")
+        assert main(["score", "--checkpoint", str(ckpt), "--data", str(path),
+                     "--out", str(tmp_path / "out.csv"), "--quiet"]) == EXIT_DATA
+        assert_one_error_line(capsys, "line 5: b: out-of-order timestamp 50 after 100")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("text", ["", HEADER + "\n"], ids=["empty", "header-only"])
+    def test_no_records_writes_no_rows_and_an_empty_state(self, corpus, tmp_path, text):
+        _, ckpt = corpus
+        data, out, state = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "state.json"
+        data.write_text(text)
+        assert main(["score", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out), "--state-out", str(state), "--quiet"]) == EXIT_OK
+        assert out.read_text() == ""
+        saved = json.loads(state.read_text())
+        assert saved["students"] == {} and saved["h"] == saved["c"] == ""
+
 
 NOT_UTF8 = f"{HEADER}\ns1,1,material,L,T,,0\n".encode() + b"\xff\xfe,2,material,L,T,,0\n"
 
@@ -733,6 +780,31 @@ class TestScoreStateIn:
         assert (self.tmp / "none.csv").read_text() == ""
         assert again.read_bytes() == state.read_bytes()
 
+    def test_int_session_gap_value_passes_through(self):
+        """A history's int ``session_gap_value`` is saved as it was read
+        until a session start replaces it: for a student without records
+        and for one whose records start no session."""
+        state = self.tmp / "int.json"
+        state.write_text(json.dumps({
+            "version": 3, "level": "student", "utc_offset_minutes": 60,
+            "students": {sid: {"last_timestamp": 1000, "last_lesson": "L",
+                               "last_topic": "T", "session_gap_value": value}
+                         for sid, value in (("a", 0), ("b", 1), ("c", 1))},
+            "h": encode_matrix(np.zeros((3, 8))), "c": encode_matrix(np.zeros((3, 8)))}))
+        log = self.tmp / "log.csv"
+        log.write_text("\n".join([HEADER, "a,1010,material,L,T,,0", "a,1020,material,L,T,,0",
+                                  "c,9000,material,L,T,,0"]) + "\n")
+        out = self.tmp / "state-out.json"
+        assert self._score(log, self.tmp / "rows.csv", "--state-in", str(state),
+                           "--state-out", str(out)) == EXIT_OK
+        students = json.loads(out.read_text())["students"]
+        assert [students[sid]["session_gap_value"] for sid in "abc"] == [
+            0, 1, pytest.approx(np.log1p(8000) / np.log1p(30 * 86400), abs=1e-15)]
+        assert '"session_gap_value": 0}' in out.read_text()
+        assert '"session_gap_value": 1}' in out.read_text()
+        assert students["a"]["last_timestamp"] == 1020
+        assert isinstance(students["c"]["session_gap_value"], float)
+
     @pytest.mark.parametrize("level", LEVELS)
     def test_saved_rows_equal_forward_batch_bit_for_bit(self, level):
         saved = json.loads(self._save_state("--level", level).read_text())
@@ -860,6 +932,8 @@ class TestScoreStateIn:
         ("last_timestamp", "abc"),
         ("last_timestamp", True),
         ("last_timestamp", 1.5),
+        ("last_timestamp", -1),
+        ("last_timestamp", 2**62),
         ("last_lesson", 7),
         ("last_topic", ["T1"]),
         ("session_gap_value", 1.5),

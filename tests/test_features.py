@@ -1,20 +1,66 @@
-"""Feature encoding: time-of-day columns, gap transform, full featurization."""
+"""Feature encoding: time-of-day columns, gap transform, full featurization,
+and the block encoder against a per-action scalar oracle."""
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eosnet import features as F
 from eosnet.features import (
+    FRESH_HISTORY,
+    ActionColumns,
     StreamFeaturizer,
+    encode_block,
     featurize,
+    featurize_logs,
+    late_actions,
     time_of_day_column,
     transform_gap,
 )
 from eosnet.ingest import ActionKind, RawAction, StudentLog
 from eosnet.sessions import label
+
+
+def encode_one_block(logs, histories, utc_offset_minutes=60):
+    """Encode the actions of ``logs`` (one per student, in order) as one
+    block from ``histories``; returns the frames and the new histories."""
+    first = np.zeros(sum(len(log) for log in logs), dtype=bool)
+    first[np.cumsum([0, *map(len, logs)])[:-1]] = True
+    columns = ActionColumns.of([a for log in logs for a in log], first)
+    return encode_block(columns, histories, utc_offset_minutes)
+
+
+def oracle_push(history, action, utc_offset_minutes):
+    """The per-action encoder, one Python statement per column: encode one
+    action from a ``to_dict`` history, updating it in place."""
+    last = history["last_timestamp"]
+    first_ever = last is None
+    if not first_ever and action.timestamp < last:
+        raise ValueError(f"out-of-order timestamp {action.timestamp} after {last}")
+    session_start = first_ever or action.timestamp - last > 900
+
+    frame = [0.0] * 13
+    local = (action.timestamp + 60 * utc_offset_minutes) % 86400
+    frame[0 if 8 * 3600 <= local < 12 * 3600 else 1 if 12 * 3600 <= local < 15 * 3600
+          else 2] = 1.0
+    frame[3] = 1.0 if first_ever else transform_gap(action.timestamp - last, 900)
+    if session_start and not first_ever:
+        history["session_gap_value"] = transform_gap(action.timestamp - last, 30 * 86400)
+    frame[4] = float(history["session_gap_value"])
+    frame[{ActionKind.FILL_OUT_QUESTION: 5, ActionKind.MULTIPLE_CHOICE_QUESTION: 6,
+           ActionKind.MATERIAL: 7}[action.kind]] = 1.0
+    if not first_ever:
+        frame[8] = float(action.lesson_id != history["last_lesson"])
+        frame[9] = float(action.topic_id != history["last_topic"])
+    frame[10] = float(action.correct is True)
+    frame[11] = float(action.homework)
+    frame[12] = float(session_start)
+    history.update(last_timestamp=action.timestamp, last_lesson=action.lesson_id,
+                   last_topic=action.topic_id)
+    return frame
 
 
 def ts_at_local_hour(hour, utc_offset_minutes=60, day=20_000):
@@ -45,12 +91,14 @@ class TestTimeOfDay:
     @given(st.integers(min_value=0, max_value=2_000_000_000),
            st.integers(min_value=-720, max_value=840))
     def test_always_one_hot(self, ts, offset):
-        frame = StreamFeaturizer(offset).push(RawAction("s", ts, M, "L1", "T1", None, False))
+        frames, _ = encode_one_block([[RawAction("s", ts, M, "L1", "T1", None, False)]],
+                                     [FRESH_HISTORY], offset)
         hour = (ts + 60 * offset) % 86400 / 3600.0
         expected = [float(8.0 <= hour < 12.0), float(12.0 <= hour < 15.0),
                     float(hour < 8.0 or hour >= 15.0)]
-        assert frame[0:3] == expected
-        assert sum(frame[0:3]) == 1.0
+        assert frames[0, 0:3].tolist() == expected
+        assert frames[0, 0:3].sum() == 1.0
+        assert time_of_day_column(ts, offset) == expected.index(1.0)
 
 
 class TestTransformGap:
@@ -215,11 +263,17 @@ class TestFeatureProperties:
 
     @given(random_logs())
     def test_stream_featurizer_matches_batch(self, log):
-        seq = label(log)
-        frames = featurize(seq)
+        """One action per block, the history carried, gives the frames of
+        one block; ``push`` is that one-action call."""
+        frames = featurize(label(log))
+        history, rows = FRESH_HISTORY, []
+        for action in log.actions:
+            frame, (history,) = encode_one_block([[action]], [history])
+            rows.append(frame)
+        np.testing.assert_array_equal(np.concatenate(rows), frames)
         stream = StreamFeaturizer()
-        rows = [stream.push(a) for a in log.actions]
-        np.testing.assert_array_equal(np.stack(rows), frames)
+        np.testing.assert_array_equal(np.array([stream.push(a) for a in log.actions]), frames)
+        assert stream.to_dict() == history
 
     def test_stream_state_round_trip(self):
         base = ts_at_local_hour(10)
@@ -231,15 +285,131 @@ class TestFeatureProperties:
             (base + 5060, M, "L2", "T2", None, False),
         ]
         actions = [RawAction("s", *spec) for spec in specs]
-        stream = StreamFeaturizer()
-        for action in actions[:3]:
-            stream.push(action)
-        resumed = StreamFeaturizer.from_dict(stream.to_dict(), stream.utc_offset_minutes)
-        for action in actions[3:]:
-            np.testing.assert_array_equal(stream.push(action), resumed.push(action))
+        whole, _ = encode_one_block([actions], [FRESH_HISTORY])
+        _, (history,) = encode_one_block([actions[:3]], [FRESH_HISTORY])
+        resumed = StreamFeaturizer.from_dict(json.loads(json.dumps(history)), 60).to_dict()
+        rest, _ = encode_one_block([actions[3:]], [resumed])
+        assert rest.tobytes() == whole[3:].tobytes()
 
     def test_out_of_order_rejected(self):
+        early, late = (RawAction("s", ts, M, "L1", "T1", None, False) for ts in (50, 100))
+        with pytest.raises(ValueError, match="out-of-order timestamp 50 after 100"):
+            encode_one_block([[late, early]], [FRESH_HISTORY])
+        _, (history,) = encode_one_block([[late]], [FRESH_HISTORY])
+        with pytest.raises(ValueError, match="out-of-order timestamp 50 after 100"):
+            encode_one_block([[early]], [history])
         stream = StreamFeaturizer()
-        stream.push(RawAction("s", 100, M, "L1", "T1", None, False))
+        stream.push(late)
         with pytest.raises(ValueError, match="out-of-order"):
-            stream.push(RawAction("s", 50, M, "L1", "T1", None, False))
+            stream.push(early)
+
+
+# gaps at and around each cap and the session rule, and ordinary ones
+GAPS = st.one_of(st.sampled_from([0, 1, 899, 900, 901, 30 * 86400 - 1, 30 * 86400,
+                                  30 * 86400 + 1, 10**9]),
+                 st.integers(min_value=0, max_value=5000))
+IDS = st.sampled_from([None, "L1", "L2"])
+
+
+@st.composite
+def carried_histories(draw):
+    """A fresh history or any history ``from_dict`` accepts, an int
+    ``session_gap_value`` included."""
+    if draw(st.booleans()):
+        return dict(FRESH_HISTORY)
+    return {"last_timestamp": draw(st.one_of(st.none(), st.integers(0, 2 * 10**9))),
+            "last_lesson": draw(IDS), "last_topic": draw(IDS),
+            "session_gap_value": draw(st.one_of(
+                st.sampled_from([0, 1]), st.floats(min_value=0.0, max_value=1.0)))}
+
+
+@st.composite
+def student_blocks(draw):
+    """0-4 students, each with a carried history and 1-12 later actions."""
+    logs, histories = [], []
+    for k in range(draw(st.integers(0, 4))):
+        history = draw(carried_histories())
+        ts = history["last_timestamp"]
+        ts = draw(st.integers(0, 2 * 10**9)) if ts is None else ts + draw(GAPS)
+        log = []
+        for i in range(draw(st.integers(1, 12))):
+            if i:
+                ts += draw(GAPS)
+            kind = draw(st.sampled_from(list(ActionKind)))
+            log.append(RawAction(f"s{k}", ts, kind, draw(st.sampled_from(["L1", "L2"])),
+                                 draw(st.sampled_from(["T1", "T2"])),
+                                 None if kind is M else draw(st.booleans()),
+                                 draw(st.booleans())))
+        logs.append(log)
+        histories.append(history)
+    return logs, histories
+
+
+OFFSETS = st.sampled_from([-720, 0, 60, 840])
+
+
+def typed(histories):
+    return [{key: (type(value), value) for key, value in h.items()} for h in histories]
+
+
+class TestBlockEncoder:
+    @given(student_blocks(), OFFSETS)
+    def test_equals_scalar_oracle_bit_for_bit(self, block, offset):
+        logs, histories = block
+        frames, after = encode_one_block(logs, histories, offset)
+        expected, expected_after = [], []
+        for log, history in zip(logs, histories):
+            history = dict(history)
+            expected += [oracle_push(history, action, offset) for action in log]
+            expected_after.append(history)
+        assert frames.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+        assert frames.shape == (len(expected), F.FEATURE_DIM)
+        assert typed(after) == typed(expected_after)
+
+    @given(student_blocks(), st.lists(st.integers(0, 48), max_size=6), OFFSETS)
+    @example(([], []), [], 60)
+    def test_blocks_cut_anywhere_equal_one_block(self, block, cuts, offset):
+        """The block cut at any points, each student's history carried
+        between pieces through ``to_dict``, JSON and ``from_dict``."""
+        logs, histories = block
+        whole, whole_after = encode_one_block(logs, histories, offset)
+        flat = [(k, action) for k, log in enumerate(logs) for action in log]
+        bounds = sorted({0, len(flat), *(min(c, len(flat)) for c in cuts)})
+        carried, pieces = list(histories), []
+        for start, end in zip(bounds, bounds[1:]):
+            students = sorted({k for k, _ in flat[start:end]})
+            piece_logs = [[a for k, a in flat[start:end] if k == student]
+                          for student in students]
+            resumed = [StreamFeaturizer.from_dict(json.loads(json.dumps(carried[k])),
+                                                  offset).to_dict() for k in students]
+            frames, after = encode_one_block(piece_logs, resumed, offset)
+            pieces.append(frames)
+            for k, history in zip(students, after):
+                carried[k] = history
+        joined = np.concatenate([np.zeros((0, F.FEATURE_DIM)), *pieces])
+        assert joined.tobytes() == whole.tobytes()
+        assert typed(carried) == typed(whole_after)
+
+    def test_empty_block(self):
+        frames, after = encode_one_block([], [])
+        assert frames.shape == (0, F.FEATURE_DIM) and after == []
+        assert featurize_logs([]).shape == (0, F.FEATURE_DIM)
+
+    def test_late_actions_names_each_in_block_order(self):
+        actions = [RawAction("a", ts, M, "L1", "T1", None, False) for ts in (10, 5, 7, 3)]
+        first = np.array([True, False, False, False])
+        late, errors = late_actions(ActionColumns.of(actions, first), [FRESH_HISTORY])
+        assert late.tolist() == [1, 3]
+        assert errors == ["out-of-order timestamp 5 after 10", "out-of-order timestamp 3 after 7"]
+
+    def test_gap_column_is_transform_gap_of_every_gap_to_the_cap(self):
+        """Column 3 is ``transform_gap`` bit for bit for each gap from 0 to
+        901 s; ``np.log1p`` in its place would differ in the last bit of
+        some of them."""
+        ts, log = 0, [RawAction("s", 0, M, "L1", "T1", None, False)]
+        for gap in range(902):
+            ts += gap
+            log.append(RawAction("s", ts, M, "L1", "T1", None, False))
+        frames, _ = encode_one_block([log], [FRESH_HISTORY])
+        assert frames[1:, F.TIME_SINCE_ACTION].tolist() == [
+            transform_gap(gap, 900) for gap in range(902)]

@@ -28,6 +28,12 @@ class TestRawAction:
         with pytest.raises(ValueError, match="negative timestamp -5"):
             make_action(ts=-5)
 
+    def test_timestamp_below_2_to_62(self):
+        """Timestamps stay exact in int64, their sums and differences too."""
+        make_action(ts=2**62 - 1)
+        with pytest.raises(ValueError, match=r"not below 2\*\*62"):
+            make_action(ts=2**62)
+
     def test_question_without_correct(self):
         with pytest.raises(ValueError, match="question action without a correct flag"):
             make_action(kind=ActionKind.MULTIPLE_CHOICE_QUESTION, correct=None)
@@ -67,6 +73,10 @@ class TestParseLine:
     def test_negative_timestamp(self):
         with pytest.raises(LogParseError):
             parse_line("s1,-5,material,L3,T1,,0")
+
+    def test_huge_timestamp(self):
+        with pytest.raises(LogParseError):
+            parse_line(f"s1,{10**30},material,L3,T1,,0")
 
     def test_field_count(self):
         with pytest.raises(LogParseError, match="7 fields"):

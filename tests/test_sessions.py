@@ -4,9 +4,9 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from eosnet import features as F
-from eosnet.features import StreamFeaturizer
+from eosnet.features import featurize
 from eosnet.ingest import ActionKind, RawAction, StudentLog
-from eosnet.sessions import HomeworkClass, label, segment, session_table
+from eosnet.sessions import HomeworkClass, label, segment, session_starts, session_table
 
 
 def log_from_gaps(gaps, homework=None):
@@ -33,22 +33,31 @@ def scan_oracle(gaps, threshold=900):
     return lengths
 
 
-def pushed_session_starts(log):
-    """The SESSION_START column that StreamFeaturizer.push writes."""
-    featurizer = StreamFeaturizer()
-    return [featurizer.push(a)[F.SESSION_START] for a in log.actions]
+def encoded_session_starts(log):
+    """The SESSION_START column that the feature encoder writes."""
+    return featurize(label(log))[:, F.SESSION_START].tolist()
+
+
+class TestSessionStarts:
+    def test_rule(self):
+        first = np.array([True, True, False, False, False])
+        gaps = np.array([0, 5000, 899, 900, 901])
+        assert session_starts(first, gaps).tolist() == [True, True, False, False, True]
+
+    def test_one_flag_for_all(self):
+        assert session_starts(False, np.array([900, 901])).tolist() == [False, True]
 
 
 class TestSegment:
     def test_gap_exactly_900_stays_in_session(self):
         log = log_from_gaps([900])
         assert segment(log) == [2]
-        assert pushed_session_starts(log) == [1.0, 0.0]
+        assert encoded_session_starts(log) == [1.0, 0.0]
 
     def test_gap_901_splits(self):
         log = log_from_gaps([901])
         assert segment(log) == [1, 1]
-        assert pushed_session_starts(log) == [1.0, 1.0]
+        assert encoded_session_starts(log) == [1.0, 1.0]
 
     def test_seven_action_sequence_one_session(self):
         # M M M Q Q Q M with all gaps below the threshold: a single
