@@ -5,9 +5,9 @@ gap exceeds ``SESSION_GAP_SECONDS`` (15 minutes).  ``session_starts`` is
 the one statement of that rule, a vector predicate over a block of
 actions: an action starts a session when it is its student's first or
 follows the previous one by strictly more than 900 s, so two actions
-exactly 900 s apart stay in the same session.  ``segment`` and
-``features.encode_block`` both decide session starts with it.  The last
-action of every session carries label 1, all others 0.
+exactly 900 s apart stay in the same session.  ``label`` (and so
+``segment``) and ``features.encode_block`` both decide session starts with
+it.  The last action of every session carries label 1, all others 0.
 
 These per-action ``labels`` are the one record of where a student's
 sessions end.  ``session_table`` is the one derivation of the per-session
@@ -68,22 +68,19 @@ class HomeworkClass(Enum):
     NONE = "none"
 
 
-def segment(log: StudentLog) -> list[int]:
-    """The lengths of a chronological student log's sessions, in order:
-    a session starts at its first action and at every later one that
-    ``session_starts`` marks."""
-    n = len(log.actions)
-    timestamps = np.fromiter(map(_timestamp, log.actions), np.int64, n)
-    later = np.flatnonzero(session_starts(False, timestamps[1:] - timestamps[:-1])) + 1
-    bounds = [0, *later.tolist(), n] if n else []
-    return [end - start for start, end in zip(bounds, bounds[1:])]
-
-
 def label(log: StudentLog) -> LabeledSequence:
-    """Segment ``log`` and label 1 at each session's last action."""
-    labels = np.zeros(len(log.actions), dtype=np.int8)
-    labels[np.cumsum(segment(log), dtype=np.intp) - 1] = 1
+    """Label a chronological student log: 1 at its last action and at each
+    action whose successor ``session_starts`` marks, else 0."""
+    timestamps = np.fromiter(map(_timestamp, log.actions), np.int64, len(log.actions))
+    labels = np.ones(timestamps.shape[0], dtype=np.int8)
+    labels[:-1] = session_starts(False, timestamps[1:] - timestamps[:-1])
     return LabeledSequence(log.student_id, log.actions, labels)
+
+
+def segment(log: StudentLog) -> list[int]:
+    """The lengths of a chronological student log's sessions, in order."""
+    ends = np.flatnonzero(label(log).labels).tolist()
+    return [end - start for start, end in zip([-1, *ends], ends)]
 
 
 def session_table(labels: np.ndarray, homework: np.ndarray,
