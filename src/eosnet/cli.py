@@ -57,9 +57,12 @@ on the BLAS thread count itself.
 ``score``) takes an integer in [-720, 840], the offsets of real time
 zones; anything else is a usage error.
 
-``score`` reads its input in one pass.  It keeps the LSTM state of its
-k-th student (those of ``--state-in`` first) in row k of two (N, H)
-matrices, and holds its rows until the input ends.
+``score`` reads its input in one pass, encodes its records as one block
+of the feature encoder, and then scores them in input order.  It keeps the
+LSTM state of its k-th student (those of ``--state-in`` first) in row k of
+two (N, H) matrices, and writes nothing when a record is at fault: it
+reports the first fault in line order, whether out-of-order, malformed or
+numerical.
 
 ``score --state-out`` writes the JSON state that ``--state-in`` resumes:
 ``version`` (3), ``level`` and ``utc_offset_minutes``; ``students``, a

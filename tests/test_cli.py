@@ -932,13 +932,13 @@ class TestScoreStateIn:
         ("last_timestamp", "abc"),
         ("last_timestamp", True),
         ("last_timestamp", 1.5),
-        ("last_timestamp", -1),
-        ("last_timestamp", 2**62),
         ("last_lesson", 7),
         ("last_topic", ["T1"]),
         ("session_gap_value", 1.5),
         ("session_gap_value", -0.1),
         ("session_gap_value", "0.5"),
+        ("last_timestamp", -1),
+        ("last_timestamp", 2**62),
     ])
     def test_bad_featurizer_field(self, capsys, key, value):
         def corrupt(saved):
