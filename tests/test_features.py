@@ -352,8 +352,28 @@ def typed(histories):
     return [{key: (type(value), value) for key, value in h.items()} for h in histories]
 
 
+def log_of_gaps(student, start, gaps):
+    """Material views and questions in turn, ``gaps`` seconds apart."""
+    timestamps = np.cumsum([start, *gaps]).tolist()
+    return [RawAction(student, ts, Q if i % 2 else M, f"L{i % 3}", "T1",
+                      True if i % 2 else None, bool(i % 4)) for i, ts in enumerate(timestamps)]
+
+
+# every edge at once: equal timestamps, gaps at each cap and the session
+# rule, a fresh history and a carried one with an int session_gap_value
+EDGES = ([log_of_gaps("a", 1_600_000_000, [0, 900, 901, 0, 30 * 86400, 30 * 86400 + 1]),
+          log_of_gaps("b", 1_600_000_500, [900, 0]), log_of_gaps("c", 0, [10**9])],
+         [dict(FRESH_HISTORY),
+          {"last_timestamp": 1_600_000_000, "last_lesson": "L0", "last_topic": "T1",
+           "session_gap_value": 0},
+          {"last_timestamp": None, "last_lesson": "L1", "last_topic": None,
+           "session_gap_value": 1}])
+
+
 class TestBlockEncoder:
     @given(student_blocks(), OFFSETS)
+    @example(EDGES, -720)
+    @example(EDGES, 840)
     def test_equals_scalar_oracle_bit_for_bit(self, block, offset):
         logs, histories = block
         frames, after = encode_one_block(logs, histories, offset)
