@@ -2,21 +2,19 @@
 
 Subcommands: ``generate``, ``sessionize``, ``featurize``, ``train``,
 ``evaluate``, ``score``, ``report``.  Flags are the only configuration:
-``--threads`` and ``--quiet`` attach to every subcommand, and every other
-flag only to the subcommands that read it (``--seed`` to ``generate`` and
-``train``).  There is no config file.  ``generate`` and ``train`` build
-their ``GenConfig``/``TrainConfig`` from the flags given; fields without a
-flag keep their defaults.
+``--quiet`` attaches to every subcommand, and every other flag only to the
+subcommands that read it (``--seed`` to ``generate`` and ``train``,
+``--threads`` to ``train`` and ``evaluate``).  There is no config file.
+``generate`` and ``train`` build their ``GenConfig``/``TrainConfig`` from
+the flags given; fields without a flag keep their defaults.
 Exit codes: 0 success, 1 usage, 2 data validation, 3 numerical fault.
 
 ``generate``, ``train`` and ``evaluate`` write ``manifest.json`` to
 ``--out``; its ``config`` holds the ``repr`` of every parsed flag, given or
 not, and of every field of the ``GenConfig``/``TrainConfig`` built (an enum
 field as the ``repr`` of its value), so every entry is a Python literal.
-The ``train`` and ``evaluate`` manifests also record the parallel setting
-(see ``--threads``): ``workers``, the size of the command's thread pool,
-and ``blas_threads``, the BLAS threads per GEMM it was sized from (null
-when unpinned).
+The ``train`` and ``evaluate`` manifests also record ``workers``, the size
+of the command's thread pool (see ``--threads``).
 ``generate`` writes only ``actions.csv`` and ``manifest.json``.
 
 Sessions follow the one 15-minute rule of ``sessions.session_starts``,
@@ -37,21 +35,24 @@ the sessions of length >= 20 and are omitted when there is none; a file
 without rows is its header line alone.
 
 Outputs are checked before any work: ``--out`` directories are made, each
-file output must name a file in an existing directory, and no two outputs
-of a run may be one file, ``evaluate``'s files in ``--out`` included (else
-exit 2).  ``score --state-in`` may name its ``--state-out``.
+file output must name a regular file or nothing (not a directory, FIFO or
+device) in an existing directory, and no two outputs of a run may be one
+file, ``evaluate``'s files in ``--out`` included (else exit 2).  ``score --state-in`` may name its ``--state-out``.
 
-``--threads`` takes an integer >= 1; anything else is a usage error.  It
-sets the BLAS threads per GEMM, and one rule (:func:`gemm_workers`) fills
-the remaining usable CPUs: ``train`` and ``evaluate`` each work out that
-count once and run all their parallel work on one thread pool of that
-size.  Batch scoring (``evaluate`` and the validation pass of ``train``)
-runs that many batches at once.  Training cuts each TBPTT window into
-lane groups of at most 32 lanes and runs that many groups at once, so at
-most ceil(batch_size / 32) CPUs work on one window.  Unpinned, BLAS takes
-every CPU and batches and groups run in turn.  The outputs do not depend
-on the worker count, but those of ``train`` and ``evaluate`` can depend
-on the BLAS thread count itself.
+``train`` and ``evaluate`` own their CPUs.  Before the numerics load,
+``main`` sets ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1 for them, whatever the
+caller set, so BLAS runs on one thread and all their parallel work runs on
+one thread pool.  ``--threads N`` takes an integer >= 1 (anything else is a
+usage error) and sizes that pool at min(N, usable CPUs); without it the
+pool has one thread per usable CPU.  Batch scoring (``evaluate`` and the
+validation pass of ``train``) runs that many batches at once.  Training
+cuts each TBPTT window into lane groups of at most 32 lanes and runs that
+many groups at once, so at most ceil(batch_size / 32) CPUs work on one
+window.  The outputs depend neither on the pool size nor on the caller's
+BLAS settings.  Every other command leaves BLAS as the caller set it:
+``score`` steps one lane at a time, so BLAS threads are its only
+parallelism.
 
 ``--utc-offset-minutes`` (``featurize``, ``train``, ``evaluate``,
 ``score``) takes an integer in [-720, 840], the offsets of real time
@@ -73,8 +74,10 @@ matrix whose row k is the LSTM state of the k-th student of ``students``.
 The matrices round-trip bit for bit.  A state of another version, level or
 offset, or with any malformed field, is a data error.
 
-Heavy imports happen inside the handlers, so ``--threads`` can pin the
-BLAS thread count before the numerics are loaded.
+Heavy imports happen inside the handlers, so the BLAS pin of ``train``
+and ``evaluate`` is set before numpy loads BLAS.  A caller that runs
+``main`` in a process where numpy is already loaded gets no pin from it
+and must set those variables before numpy loads.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ import os
 import sys
 import time
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Optional
 
 from eosnet.errors import (
     CheckpointError,
@@ -151,13 +154,13 @@ def _patience(text):
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--threads", type=_threads, default=None,
-                        help="BLAS threads per GEMM (set before numerics load); "
-                             "train and evaluate fill the remaining usable CPUs "
-                             "with one thread pool for batch scoring and "
-                             "training's lane groups")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
+    pooled = _Parser(add_help=False)
+    pooled.add_argument("--threads", type=_threads, default=None,
+                        help="threads of the pool that runs batch scoring and "
+                             "training's lane groups (default and most: the "
+                             "usable CPUs)")
     # Config-field flags default to SUPPRESS: an absent flag leaves no
     # attribute, so the dataclass default applies (see _config_from_flags).
     seeded = _Parser(add_help=False)
@@ -191,7 +194,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--with-keys", action="store_true",
                    help="prepend student_id and timestamp columns")
 
-    p = sub.add_parser("train", parents=[common, seeded, leveled, offset],
+    p = sub.add_parser("train", parents=[common, pooled, seeded, leveled, offset],
                        help="train a model; writes checkpoint and history")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
@@ -203,7 +206,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tbptt-window", type=int, default=argparse.SUPPRESS)
     p.add_argument("--max-epochs", type=int, default=argparse.SUPPRESS)
 
-    p = sub.add_parser("evaluate", parents=[common, leveled, offset],
+    p = sub.add_parser("evaluate", parents=[common, pooled, leveled, offset],
                        help="write the stratified AUC report for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
@@ -233,58 +236,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# The variables each BLAS reads for its thread count, in its own order.
-_BLAS_THREAD_VARS = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-                     ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
+# The variables that OpenBLAS, MKL and OpenMP read for their thread count.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
 
 
 def _configure(args) -> None:
     logging.basicConfig(stream=sys.stderr, format="%(message)s",
                         level=logging.WARNING if args.quiet else logging.INFO)
-    if args.threads is not None:
-        if "numpy" in sys.modules:
-            log.debug("numpy already imported; --threads has no effect")
-        else:
-            for names in _BLAS_THREAD_VARS:
-                os.environ.update(dict.fromkeys(names, str(args.threads)))
-
-
-def blas_threads(environ: Mapping[str, str]) -> Optional[int]:
-    """The BLAS threads per GEMM that ``environ`` pins, or None.
-
-    Each of OpenBLAS and MKL takes its thread count from the first variable
-    of its own list that ``environ`` sets; the result is the larger of the
-    two counts, since the rule does not ask which BLAS numpy loaded.  Where
-    a list sets none, or its first set value is not a positive integer,
-    that BLAS uses every CPU, and the result is None.  ``--threads`` sets
-    every variable of both lists.
-    """
-    counts = []
-    for names in _BLAS_THREAD_VARS:
-        value = next((environ[name] for name in names if name in environ), "")
-        if not (value.isascii() and value.isdigit() and int(value) >= 1):
-            return None
-        counts.append(int(value))
-    return max(counts)
-
-
-def gemm_workers(usable_cpus: int, environ: Mapping[str, str]) -> int:
-    """How many threads run GEMMs at once: ``usable_cpus //
-    blas_threads(environ)``, at least 1, and 1 when BLAS is unpinned, so
-    that no thread competes with a multi-threaded GEMM for the same cores.
-
-    ``train`` and ``evaluate`` size their one thread pool by it; its
-    threads run scoring batches and training's lane groups, each a whole
-    ``forward_batch`` (and, in training, ``backward_batch``) call.
-    """
-    threads = blas_threads(environ)
-    return 1 if threads is None else max(1, usable_cpus // threads)
+    if hasattr(args, "threads"):  # train and evaluate: their pool is the parallelism
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 
 def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1  # platforms without CPU affinity
+
+
+def _pool_size(threads: Optional[int]) -> int:
+    """The thread count of a command's one pool: ``--threads``, at most the
+    usable CPUs, and all of them without the flag.  The cap keeps a pool
+    from starting a thread per queued batch."""
+    usable = usable_cpus()
+    return min(threads or usable, usable)
 
 
 def _config_from_flags(cls, args):
@@ -303,8 +278,8 @@ def _write_manifest(args, config, inputs, outputs, t0, workers=None,
     """Write ``args.out``/manifest.json; ``config`` is a ``GenConfig``,
     a ``TrainConfig`` or None, and ``timings`` gains the seconds since ``t0``.
     Each config entry is a Python literal: an ``Enum`` is recorded by the
-    ``repr`` of its value.  ``workers``, the size of the command's thread
-    pool, is recorded with ``blas_threads``, the worker rule's input."""
+    ``repr`` of its value.  ``workers`` is the size of the command's thread
+    pool, if it has one."""
     from eosnet.fileio import write_manifest
 
     def literal(value):
@@ -316,11 +291,8 @@ def _write_manifest(args, config, inputs, outputs, t0, workers=None,
         entries.update((f.name, literal(getattr(config, f.name)))
                        for f in dataclasses.fields(config))
     timings["seconds"] = time.perf_counter() - t0
-    fields = {}
-    if workers is not None:
-        fields = {"workers": workers, "blas_threads": blas_threads(os.environ)}
     write_manifest(os.path.join(args.out, "manifest.json"), args.command,
-                   entries, inputs, outputs, timings, **fields)
+                   entries, inputs, outputs, timings, workers=workers)
 
 
 def _load_labeled(path, strict=True):
@@ -371,13 +343,16 @@ def _float_cells(values) -> list[str]:
 
 
 def _check_outputs(*paths) -> None:
-    """Before any work, fail unless each file output given names a file
-    (not a directory) in a directory that exists, and a file that no other
-    output of the run names (after resolving symlinks)."""
+    """Before any work, fail unless each file output given names a regular
+    file or nothing (not a directory, FIFO or device, symlinks followed) in
+    a directory that exists, and a file that no other output of the run
+    names (after resolving symlinks)."""
     paths = list(filter(None, paths))
     for k, path in enumerate(paths):
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or os.curdir):
-            raise DataValidationError(f"cannot write {path}: not a file in an existing directory")
+        if ((os.path.exists(path) and not os.path.isfile(path))
+                or not os.path.isdir(os.path.dirname(path) or os.curdir)):
+            raise DataValidationError(
+                f"cannot write {path}: not a regular file in an existing directory")
         if os.path.realpath(path) in map(os.path.realpath, paths[:k]):
             raise DataValidationError(f"cannot write {path}: another output of the run names it")
 
@@ -405,8 +380,9 @@ def cmd_generate(args) -> int:
     t0 = time.perf_counter()
     cfg = _config_from_flags(GenConfig, args)
     os.makedirs(args.out, exist_ok=True)
-    logs = generate(cfg)
     actions_path = os.path.join(args.out, "actions.csv")
+    _check_outputs(actions_path, os.path.join(args.out, "manifest.json"))
+    logs = generate(cfg)
     _emit(actions_path, [HEADER, *(format_action(a) for s in logs for a in s.actions)])
 
     summary = summarize(logs)
@@ -461,6 +437,9 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     config = _config_from_flags(TrainConfig, args)
     os.makedirs(args.out, exist_ok=True)
+    ckpt_path, history_path = (os.path.join(args.out, name)
+                               for name in ("model.ckpt", "history.csv"))
+    _check_outputs(ckpt_path, history_path, os.path.join(args.out, "manifest.json"))
 
     labeled = _load_labeled(args.data)
     split = split_students(labeled.keys(), config.seed)
@@ -474,13 +453,11 @@ def cmd_train(args) -> int:
         log.info("epoch %d: train_loss %.5f val_auc %.5f (%.1fs)",
                  stats.epoch, stats.train_loss, stats.val_auc, stats.seconds)
 
-    workers = gemm_workers(usable_cpus(), os.environ)
+    workers = _pool_size(args.threads)
     with ThreadPoolExecutor(workers) as pool:
         result = train(config, train_seqs, val_seqs, pool, progress=progress)
 
-    ckpt_path = os.path.join(args.out, "model.ckpt")
     save_checkpoint(result.params, ckpt_path)
-    history_path = os.path.join(args.out, "history.csv")
     _emit(history_path, ["epoch,train_loss,val_auc", *(
         f"{s.epoch},{s.train_loss!r},{s.val_auc!r}" for s in result.history)])
     log.info("best epoch %d (val_auc %.5f)", result.best_epoch, result.best_val_auc)
@@ -514,7 +491,7 @@ def cmd_evaluate(args) -> int:
     else:
         ids = getattr(split_students(labeled.keys(), args.split_seed), args.split_part)
     prepared = _prepared(labeled, ids, Level(args.level), args.utc_offset_minutes)
-    workers = gemm_workers(usable_cpus(), os.environ)
+    workers = _pool_size(args.threads)
     with ThreadPoolExecutor(workers) as pool:
         probs = score_sequences(params, prepared, pool)
 

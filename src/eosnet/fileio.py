@@ -12,12 +12,17 @@ import hashlib
 import json
 import os
 import platform
-import tempfile
+import secrets
+from typing import Optional
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to a new file beside ``path``, then rename it over
+    ``path``.  The new file is created with mode 0666, so the umask sets
+    the output's permissions as for any other file the user makes."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp_path = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -40,10 +45,10 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(path, command: str, config: dict,
-                   inputs: list, outputs: list, timings: dict, **fields) -> None:
-    """Write a JSON run manifest next to the run's artifacts; ``fields``
-    are further top-level entries."""
+def write_manifest(path, command: str, config: dict, inputs: list, outputs: list,
+                   timings: dict, workers: Optional[int] = None) -> None:
+    """Write a JSON run manifest next to the run's artifacts; ``workers``,
+    the size of the run's thread pool, is recorded when given."""
     import eosnet
     import numpy
 
@@ -58,6 +63,7 @@ def write_manifest(path, command: str, config: dict,
             "numpy": numpy.__version__,
         },
         "timings": timings,
-        **fields,
     }
+    if workers is not None:
+        manifest["workers"] = workers
     atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -70,7 +70,9 @@ are summed, so a batch can also run as groups of its lanes: ``lanes``
 runs one group, and its dropout masks are those the whole batch would
 draw for its lanes.  Given the whole batch's weight sum,
 :func:`backward_batch` gives each group its share of the whole batch's
-gradients and loss.  Each kernel is single-threaded apart from BLAS.
+gradients and loss.  Each kernel starts no thread itself; BLAS threads
+are its only parallelism, and the CLI pins them to one for ``train`` and
+``evaluate``, whose pool runs kernel calls side by side.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ head and weight-gradient work follow its real lane-steps, not its padded
 is built only after it is released.
 
 The caller passes the thread pool that all parallel work runs on; the
-CLI sizes it by one rule (``cli.gemm_workers``).  Batch scoring
+CLI gives it a thread per usable CPU and pins BLAS to one thread, so the
+pool is the only parallelism (see ``cli``).  Batch scoring
 (``evaluate`` and the validation pass of ``train``) runs its independent
 batches on the pool, longest batch first.  Training has one window at a
 time, and a window's lanes are independent until their gradients are

@@ -129,9 +129,16 @@ class TestFlags:
 
     @pytest.mark.parametrize("value", ["0", "-2", "x"])
     def test_bad_threads(self, value, capsys):
-        # parsing fails before any thread count is exported or a file opened
-        assert main(["report", *REQUIRED["report"], "--threads", value]) == EXIT_USAGE
-        assert_one_error_line(capsys, f"expected an integer >= 1, got '{value}'")
+        # parsing fails before BLAS is pinned or a file opened
+        for command in ("train", "evaluate"):
+            assert main([command, *REQUIRED[command], "--threads", value]) == EXIT_USAGE
+            assert_one_error_line(capsys, f"expected an integer >= 1, got '{value}'")
+
+    @pytest.mark.parametrize("command",
+                             ["generate", "sessionize", "featurize", "score", "report"])
+    def test_threads_only_where_a_pool_runs(self, command, capsys):
+        assert main([command, *REQUIRED[command], "--threads", "2"]) == EXIT_USAGE
+        assert_one_error_line(capsys, "unrecognized arguments: --threads 2")
 
     @pytest.mark.parametrize("command", ["featurize", "train", "evaluate", "score"])
     @pytest.mark.parametrize("minutes", ["-721", "841", "1500", "x"])
@@ -179,6 +186,18 @@ class TestGenerate:
                      "--quiet"]) == EXIT_OK
         assert sorted(p.name for p in tmp_path.iterdir()) == ["actions.csv", "manifest.json"]
         assert_literals(json.loads((tmp_path / "manifest.json").read_text())["config"])
+
+    @pytest.mark.parametrize("umask, mode", [pytest.param(0o022, 0o644, id="022"),
+                                             pytest.param(0o077, 0o600, id="077")])
+    def test_outputs_take_their_mode_from_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            assert main(["generate", "--out", str(tmp_path), "--n-students", "2",
+                         "--quiet"]) == EXIT_OK
+        finally:
+            os.umask(old)
+        for name in ("actions.csv", "manifest.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode
 
 
 class TestFeaturize:
@@ -322,26 +341,35 @@ class TestTrain:
         assert "seeds" not in manifest
         assert_literals(manifest["config"])
 
+    @staticmethod
+    def _pool_workers(corpus, tmp_path, *flags):
+        """The ``workers`` of a 1-epoch train's and an evaluate's manifest."""
+        data, ckpt = corpus
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m"),
+                     "--max-epochs", "1", "--patience", "none", "--quiet", *flags]) == EXIT_OK
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "e"), "--quiet", *flags]) == EXIT_OK
+        manifests = [json.loads((tmp_path / run / "manifest.json").read_text())
+                     for run in ("m", "e")]
+        assert not any("blas_threads" in manifest for manifest in manifests)
+        return [manifest["workers"] for manifest in manifests]
+
     @pytest.mark.parametrize("pinned", [False, True])
     def test_manifests_record_the_parallel_setting(self, corpus, tmp_path,
                                                    monkeypatch, pinned):
-        data, ckpt = corpus
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
-            if pinned and var != "GOTO_NUM_THREADS":
-                monkeypatch.setenv(var, "1")
-        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m"),
-                     "--max-epochs", "1", "--patience", "none", "--quiet"]) == EXIT_OK
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--out", str(tmp_path / "e"), "--quiet"]) == EXIT_OK
-        # 3 usable CPUs over 1 BLAS thread each; unpinned, BLAS takes them all
-        expected = {"workers": 3, "blas_threads": 1} if pinned else \
-            {"workers": 1, "blas_threads": None}
-        for run in ("m", "e"):
-            manifest = json.loads((tmp_path / run / "manifest.json").read_text())
-            assert {key: manifest[key] for key in expected} == expected
+        if pinned:  # the most common pin, alone
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        # BLAS runs on one thread either way: a worker per usable CPU
+        assert self._pool_workers(corpus, tmp_path) == [3, 3]
+
+    def test_threads_beyond_the_usable_cpus_are_capped(self, corpus, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert self._pool_workers(corpus, tmp_path, "--threads", "64") == [3, 3]
 
     def test_diverging_run_ends_in_one_error_line(self, corpus, tmp_path, capsys):
         # At 1e300 the first update sends the weights to ~1e300, so
@@ -628,16 +656,20 @@ class TestOutputsCheckedFirst:
     @pytest.mark.parametrize("command, flag", [
         ("sessionize", "--out"), ("featurize", "--out"), ("report", "--out"),
         ("score", "--out"), ("score", "--state-out"), ("evaluate", "--dump-scores")])
-    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("where", ["missing_dir", "directory", "fifo"])
     def test_unwritable_file(self, corpus, tmp_path, capsys, command, flag, where):
         data, ckpt = corpus
-        target = str(tmp_path / "missing_dir" / "x.csv" if where == "missing_dir"
-                     else tmp_path)
+        target = {"missing_dir": tmp_path / "missing_dir" / "x.csv",
+                  "directory": tmp_path, "fifo": tmp_path / "fifo"}[where]
+        if where == "fifo":
+            os.mkfifo(target)
         inputs = {"evaluate": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
                   "score": ["--checkpoint", str(ckpt)]}.get(command, [])
-        assert main([command, "--data", str(data), *inputs, flag, target]) == EXIT_DATA
+        assert main([command, "--data", str(data), *inputs, flag, str(target)]) == EXIT_DATA
         assert_one_error_line(capsys, f"cannot write {target}: ")
-        assert [path for path in tmp_path.rglob("*") if not path.is_dir()] == []
+        left = [path for path in tmp_path.rglob("*") if not path.is_dir()]
+        assert left == ([target] if where == "fifo" else [])
+        assert where != "fifo" or target.is_fifo()
 
     @pytest.mark.parametrize("command, flags, named", [
         ("score", ["--out", "{tmp}/s.txt", "--state-out", "{tmp}/s.txt"], "{tmp}/s.txt"),
@@ -662,6 +694,17 @@ class TestOutputsCheckedFirst:
                      *flags]) == EXIT_DATA
         assert_one_error_line(capsys, f"cannot write {named.format(tmp=tmp_path)}: ")
         assert [path for path in tmp_path.rglob("*") if not path.is_dir()] == []
+
+    @pytest.mark.parametrize("command, name", [("generate", "actions.csv"),
+                                               ("train", "model.ckpt")])
+    def test_fifo_in_out(self, corpus, tmp_path, capsys, command, name):
+        data, _ = corpus
+        fifo = tmp_path / name
+        os.mkfifo(fifo)
+        argv = {"generate": ["generate"], "train": ["train", "--data", str(data)]}[command]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_DATA
+        assert_one_error_line(capsys, f"cannot write {fifo}: ")
+        assert fifo.is_fifo() and list(tmp_path.iterdir()) == [fifo]
 
     @pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
     def test_out_is_a_file(self, corpus, tmp_path, capsys, command):

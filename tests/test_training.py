@@ -1,5 +1,6 @@
 """Re-weighting, splits, batching, and the training loop."""
 
+import json
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eosnet import cli, net, training
-from eosnet.cli import blas_threads, gemm_workers
 from eosnet.errors import DataValidationError, NumericalFault
 from eosnet.ingest import ActionKind, RawAction, StudentLog
 from eosnet.net import (
@@ -238,27 +238,63 @@ class TestBatchedLossMatchesUnbatched:
             np.testing.assert_allclose(scored[seq.student_id], probs, rtol=1e-12)
 
 
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+             "MKL_NUM_THREADS")
+BOTH_PINNED = {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+NOT_POSITIVE = ["", "0", "x", "4,2", " 1", "-1", "\u0661"]
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A 12-student log and an H=4 checkpoint for the CLI's own runs."""
+    root = tmp_path_factory.mktemp("tiny")
+    assert cli.main(["generate", "--out", str(root), "--n-students", "12",
+                     "--seed", "3", "--quiet"]) == cli.EXIT_OK
+    net.save_checkpoint(init_params(0, hidden_size=4), root / "model.ckpt")
+    return root / "actions.csv", root / "model.ckpt"
 
 
 class TestScoringWorkers:
-    def test_nothing_set_gives_one(self):
-        assert gemm_workers(2, {}) == 1
-        assert gemm_workers(64, {"NUMEXPR_NUM_THREADS": "1"}) == 1
-        assert blas_threads({}) is None
-
-    def test_one_blas_thread_fills_the_cpus(self):
-        assert gemm_workers(2, dict.fromkeys(BLAS_VARS, "1")) == 2
-        assert gemm_workers(8, {"OMP_NUM_THREADS": "2"}) == 4
-
-    def test_blas_threads_on_every_cpu_give_one(self):
-        assert gemm_workers(2, dict.fromkeys(BLAS_VARS, "2")) == 1
-        assert gemm_workers(2, {"MKL_NUM_THREADS": "8"}) == 1
-
-    def test_largest_value_set_counts(self):
-        env = {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "2"}
-        assert gemm_workers(4, env) == 2
-        assert blas_threads(env) == 2
+    # Each case is BLAS environments that an earlier worker rule read as a
+    # BLAS thread count; the pool size depends on none of them.
+    @pytest.mark.parametrize("environments", [
+        pytest.param([{}, {"NUMEXPR_NUM_THREADS": "1"}], id="nothing_set"),
+        pytest.param([dict.fromkeys(BLAS_VARS, "1"), {"OMP_NUM_THREADS": "2"}],
+                     id="one_blas_thread"),
+        pytest.param([dict.fromkeys(BLAS_VARS, "2"), {"MKL_NUM_THREADS": "8"}],
+                     id="blas_on_every_cpu"),
+        pytest.param([{"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "2"}],
+                     id="largest_value"),
+        pytest.param([{"MKL_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "1"}, BOTH_PINNED,
+                      {**BOTH_PINNED, "OMP_NUM_THREADS": "2"},
+                      {"GOTO_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"},
+                      {"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1",
+                       "OMP_NUM_THREADS": "1"}],
+                     id="own_variables"),
+        *(pytest.param([{**dict.fromkeys(BLAS_VARS, "1"), "OPENBLAS_NUM_THREADS": value},
+                        {**dict.fromkeys(BLAS_VARS, "1"), "MKL_NUM_THREADS": value},
+                        {"OMP_NUM_THREADS": value}],
+                       id=f"bad_value_{value!r}") for value in NOT_POSITIVE),
+    ])
+    def test_pool_size_ignores_blas_settings(self, tiny_run, monkeypatch, tmp_path,
+                                             environments):
+        data, ckpt = tiny_run
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        out = tmp_path / "out"
+        for environ in environments:
+            with monkeypatch.context() as patch:
+                for var in (*BLAS_VARS, "NUMEXPR_NUM_THREADS"):
+                    patch.delenv(var, raising=False)
+                for var, value in environ.items():
+                    patch.setenv(var, value)
+                # the usable CPUs, or min(--threads, usable CPUs)
+                for flags, workers in (([], 3), (["--threads", "2"], 2),
+                                       (["--threads", "64"], 3)):
+                    assert cli.main(["evaluate", "--checkpoint", str(ckpt), "--data",
+                                     str(data), "--out", str(out), "--quiet",
+                                     *flags]) == cli.EXIT_OK
+                    manifest = json.loads((out / "manifest.json").read_text())
+                    assert manifest["workers"] == workers
 
     def test_no_more_workers_than_batches(self):
         # a pool starts a thread only for a batch that finds none idle
@@ -273,54 +309,30 @@ class TestScoringWorkers:
         # 1 batch on 2 threads, 3 batches on 8, and no batch at all
         assert started[0] == 1 and 1 <= started[1] <= 3 and started[2] == 0
 
-    def test_each_blas_reads_its_own_variables_first(self):
-        # numpy's OpenBLAS ignores MKL_NUM_THREADS, and MKL ignores
-        # OPENBLAS_NUM_THREADS: either alone leaves the other unpinned
-        assert gemm_workers(2, {"MKL_NUM_THREADS": "1"}) == 1
-        assert gemm_workers(2, {"OPENBLAS_NUM_THREADS": "1"}) == 1
-        both = {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        assert gemm_workers(2, both) == 2
-        assert gemm_workers(2, {**both, "OMP_NUM_THREADS": "2"}) == 2
-        assert gemm_workers(2, {"GOTO_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}) == 2
-        assert gemm_workers(2, {"OPENBLAS_NUM_THREADS": "2",
-                                "MKL_NUM_THREADS": "1",
-                                "OMP_NUM_THREADS": "1"}) == 1
-
-    @pytest.mark.parametrize("value", ["", "0", "x", "4,2", " 1", "-1", "\u0661"])
-    def test_value_not_a_positive_integer_gives_one(self, value):
-        env = dict.fromkeys(BLAS_VARS, "1")
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            assert gemm_workers(2, {**env, var: value}) == 1
-            assert blas_threads({**env, var: value}) is None
-        assert gemm_workers(2, {"OMP_NUM_THREADS": value}) == 1
-
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_commands_read_affinity_and_environment_once(self, monkeypatch, tmp_path,
-                                                         command):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+                                                         tiny_run, command):
+        data, ckpt = tiny_run
+        reads = []
+
+        def affinity(pid):
+            reads.append(pid)
+            return {0, 1, 2}
+
+        monkeypatch.setattr(os, "sched_getaffinity", affinity)
         for var in BLAS_VARS:
-            monkeypatch.setenv(var, "1")
-        seen = []
-
-        def spy(usable_cpus, environ):
-            seen.append((usable_cpus, dict(environ)))
-            return 2
-
-        monkeypatch.setattr(cli, "gemm_workers", spy)
-        assert cli.main(["generate", "--out", str(tmp_path), "--n-students", "12",
-                         "--seed", "3", "--quiet"]) == cli.EXIT_OK
-        data = tmp_path / "actions.csv"
+            monkeypatch.setenv(var, "2")
+        assert cli.main(["report", "--data", str(data)]) == cli.EXIT_OK
+        # a command without a pool leaves BLAS as the caller set it
+        assert reads == [] and all(os.environ[var] == "2" for var in BLAS_VARS)
         if command == "train":
             args = ["train", "--max-epochs", "3", "--patience", "none"]
         else:
-            ckpt = tmp_path / "model.ckpt"
-            net.save_checkpoint(init_params(0, hidden_size=4), ckpt)
             args = ["evaluate", "--checkpoint", str(ckpt)]
         assert cli.main([*args, "--data", str(data), "--out", str(tmp_path / "out"),
                          "--quiet"]) == cli.EXIT_OK
-        [(usable_cpus, environ)] = seen
-        assert usable_cpus == 3
-        assert all(environ[var] == "1" for var in BLAS_VARS)
+        assert len(reads) == 1
+        assert all(os.environ[var] == "1" for var in BLAS_VARS)
 
 
 class TestScoringPool:
