@@ -54,9 +54,13 @@ BLAS settings.  Every other command leaves BLAS as the caller set it:
 ``score`` steps one lane at a time, so BLAS threads are its only
 parallelism.
 
-``--utc-offset-minutes`` (``featurize``, ``train``, ``evaluate``,
-``score``) takes an integer in [-720, 840], the offsets of real time
-zones; anything else is a usage error.
+``--utc-offset-minutes`` (``featurize``, ``train``) takes an integer in
+[-720, 840] (``ingest.UTC_OFFSET_RANGE``); anything else is a usage error.
+``train`` records the model's level, UTC offset and student split in
+``model.ckpt``; ``evaluate`` and ``score`` read level and offset from it,
+and ``evaluate``'s manifest config records them.  For an AUC on unseen
+students, ``evaluate --split-part test`` scores the record's test ids; a
+listed student missing from the log, or no split, is a data error.
 
 ``score`` reads its input in one pass, encodes its records as one block
 of the feature encoder, and then scores them in input order.  It keeps the
@@ -71,8 +75,8 @@ mapping of student id to featurizer history (``last_timestamp``,
 ``last_lesson``, ``last_topic``, ``session_gap_value``) in sorted id order;
 and ``h`` and ``c``, each the base64 of one (N, H) little-endian float64
 matrix whose row k is the LSTM state of the k-th student of ``students``.
-The matrices round-trip bit for bit.  A state of another version, level or
-offset, or with any malformed field, is a data error.
+The matrices round-trip bit for bit.  A state of another version, of a level
+or offset not the checkpoint's, or with any malformed field, is a data error.
 
 Heavy imports happen inside the handlers, so the BLAS pin of ``train``
 and ``evaluate`` is set before numpy loads BLAS.  A caller that runs
@@ -99,6 +103,7 @@ from eosnet.errors import (
     LogParseError,
     NumericalFault,
 )
+from eosnet.ingest import UTC_OFFSET_RANGE  # no numpy, which loads after the BLAS pin
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -130,15 +135,14 @@ def _threads(text):
 
 
 def _utc_offset(text):
-    """Minutes east of UTC, within the offsets of real time zones
-    (UTC-12:00 to UTC+14:00)."""
+    """Minutes east of UTC, within ``ingest.UTC_OFFSET_RANGE``."""
+    lo, hi = UTC_OFFSET_RANGE
     try:
         minutes = int(text)
     except ValueError:
         minutes = None
-    if minutes is None or not -720 <= minutes <= 840:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer in [-720, 840], got {text!r}")
+    if minutes is None or not lo <= minutes <= hi:
+        raise argparse.ArgumentTypeError(f"expected an integer in [{lo}, {hi}], got {text!r}")
     return minutes
 
 
@@ -166,8 +170,6 @@ def _build_parser() -> _Parser:
     seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                         help="seed for generation / split and training")
-    leveled = _Parser(add_help=False)
-    leveled.add_argument("--level", choices=["student", "session"], default="student")
     offset = _Parser(add_help=False)
     offset.add_argument("--utc-offset-minutes", type=_utc_offset, default=60)
 
@@ -194,10 +196,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--with-keys", action="store_true",
                    help="prepend student_id and timestamp columns")
 
-    p = sub.add_parser("train", parents=[common, pooled, seeded, leveled, offset],
+    p = sub.add_parser("train", parents=[common, pooled, seeded, offset],
                        help="train a model; writes checkpoint and history")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--level", choices=["student", "session"], default="student")
     p.add_argument("--learning-rate", type=float, default=argparse.SUPPRESS)
     p.add_argument("--dropout-p", type=float, default=argparse.SUPPRESS)
     p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
@@ -206,19 +209,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--tbptt-window", type=int, default=argparse.SUPPRESS)
     p.add_argument("--max-epochs", type=int, default=argparse.SUPPRESS)
 
-    p = sub.add_parser("evaluate", parents=[common, pooled, leveled, offset],
+    p = sub.add_parser("evaluate", parents=[common, pooled],
                        help="write the stratified AUC report for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--split-seed", type=_seed, default=None,
-                   help="student split seed; --split-part train/validation/test need it")
     p.add_argument("--split-part", choices=["train", "validation", "test", "all"],
-                   default="all", help="students to evaluate (default: all of them)")
+                   default="all", help="a part of the checkpoint's split (default: all)")
     p.add_argument("--dump-scores", default=None,
                    help="also write per-action student_id,timestamp,prob,label rows")
 
-    p = sub.add_parser("score", parents=[common, leveled, offset],
+    p = sub.add_parser("score", parents=[common],
                        help="stream per-action probabilities for a log")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="log file, or '-' for stdin")
@@ -307,24 +308,17 @@ def _load_labeled(path, strict=True):
     return {student.student_id: label(student) for student in group_by_student(actions)}
 
 
-def _load_model(path):
-    """Load a checkpoint whose input width matches the feature encoding."""
+def _load_model(args):
+    """``args.checkpoint``'s parameters and split; its level and offset go to ``args``."""
     from eosnet.features import FEATURE_DIM
     from eosnet.net import load_checkpoint
 
-    params = load_checkpoint(path)
+    params, record = load_checkpoint(args.checkpoint)
     if params.input_dim != FEATURE_DIM:
         raise CheckpointError(
             f"checkpoint expects {params.input_dim} features, data has {FEATURE_DIM}")
-    return params
-
-
-def _prepared(labeled, ids, level, utc_offset_minutes):
-    """The ``TrainSequence`` of each student of ``ids``, in that order,
-    from one call of the feature encoder."""
-    from eosnet.training import prepare_sequences
-
-    return prepare_sequences([labeled[sid] for sid in ids], level, utc_offset_minutes)
+    args.level, args.utc_offset_minutes = record["level"], record["utc_offset_minutes"]
+    return params, record["split"]
 
 
 def _float_cells(values) -> list[str]:
@@ -432,7 +426,7 @@ def cmd_train(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from eosnet.net import save_checkpoint
-    from eosnet.training import TrainConfig, split_students, train
+    from eosnet.training import TrainConfig, prepare_sequences, split_students, train
 
     t0 = time.perf_counter()
     config = _config_from_flags(TrainConfig, args)
@@ -443,8 +437,8 @@ def cmd_train(args) -> int:
 
     labeled = _load_labeled(args.data)
     split = split_students(labeled.keys(), config.seed)
-    prepared = _prepared(labeled, [*split.train, *split.validation], config.level,
-                         args.utc_offset_minutes)
+    prepared = prepare_sequences([labeled[sid] for sid in (*split.train, *split.validation)],
+                                 config.level, args.utc_offset_minutes)
     train_seqs, val_seqs = prepared[:len(split.train)], prepared[len(split.train):]
     log.info("training %s-level model on %d students (%d validation)",
              config.level.value, len(train_seqs), len(val_seqs))
@@ -457,7 +451,8 @@ def cmd_train(args) -> int:
     with ThreadPoolExecutor(workers) as pool:
         result = train(config, train_seqs, val_seqs, pool, progress=progress)
 
-    save_checkpoint(result.params, ckpt_path)
+    record = dict(level=config.level.value, utc_offset_minutes=args.utc_offset_minutes)
+    save_checkpoint(result.params, ckpt_path, {**record, "split": dataclasses.asdict(split)})
     _emit(history_path, ["epoch,train_loss,val_auc", *(
         f"{s.epoch},{s.train_loss!r},{s.val_auc!r}" for s in result.history)])
     log.info("best epoch %d (val_auc %.5f)", result.best_epoch, result.best_val_auc)
@@ -472,25 +467,26 @@ def cmd_evaluate(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from eosnet.evaluation import compute_report, scored_sessions
-    from eosnet.training import Level, score_sequences, split_students
-
-    if args.split_part == "all" and args.split_seed is not None:
-        raise UsageError("--split-seed selects nothing with --split-part all")
-    if args.split_part != "all" and args.split_seed is None:
-        raise UsageError(f"--split-part {args.split_part} needs --split-seed")
+    from eosnet.training import Level, prepare_sequences, score_sequences
 
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)  # first: --dump-scores may name a file in it
     report_path, trajectory_path, manifest_path = (
         os.path.join(args.out, name) for name in ("report.csv", "trajectory.csv", "manifest.json"))
     _check_outputs(report_path, trajectory_path, manifest_path, args.dump_scores)
-    params = _load_model(args.checkpoint)
+    params, split = _load_model(args)
     labeled = _load_labeled(args.data)
     if args.split_part == "all":
         ids = sorted(labeled)
+    elif split is None:
+        raise DataValidationError(f"{args.checkpoint}: the model records no student split")
     else:
-        ids = getattr(split_students(labeled.keys(), args.split_seed), args.split_part)
-    prepared = _prepared(labeled, ids, Level(args.level), args.utc_offset_minutes)
+        ids = split[args.split_part]
+        if missing := sum(sid not in labeled for sid in ids):
+            raise DataValidationError(
+                f"{args.data} lacks {missing} of the {len(ids)} {args.split_part} ids of the model")
+    prepared = prepare_sequences([labeled[sid] for sid in ids], Level(args.level),
+                                 args.utc_offset_minutes)
     workers = _pool_size(args.threads)
     with ThreadPoolExecutor(workers) as pool:
         probs = score_sequences(params, prepared, pool)
@@ -577,16 +573,12 @@ def _load_score_state(path, level, utc_offset_minutes, hidden_size):
             raise DataValidationError(
                 f"{path}: scoring state version {saved['version']!r} is not supported "
                 f"(expected {SCORE_STATE_VERSION})")
-        if saved["level"] != level:
-            raise DataValidationError(
-                f"{path}: state was saved for level {saved['level']!r}, not {level!r}")
-        offset = saved["utc_offset_minutes"]
+        level_saved, offset = saved["level"], saved["utc_offset_minutes"]
         if isinstance(offset, bool) or not isinstance(offset, int):
             raise ValueError(f"utc_offset_minutes has the wrong type: {offset!r}")
-        if offset != utc_offset_minutes:
-            raise DataValidationError(
-                f"{path}: state was saved for --utc-offset-minutes {offset}, "
-                f"not {utc_offset_minutes}")
+        if (level_saved, offset) != (level, utc_offset_minutes):
+            raise DataValidationError(f"{path}: state is for level {level_saved!r} at offset "
+                                      f"{offset}, checkpoint for {level!r} at {utc_offset_minutes}")
         students = saved["students"]
         if not isinstance(students, dict):
             raise ValueError(f"students is not a mapping: {students!r}")
@@ -622,7 +614,7 @@ def cmd_score(args) -> int:
     from eosnet.net import infer_step
 
     _check_outputs(args.out, args.state_out)
-    params = _load_model(args.checkpoint)
+    params, _ = _load_model(args)
 
     # row k of h and c is the k-th student's state
     histories: dict[str, dict] = {}

@@ -23,6 +23,8 @@ from eosnet.errors import DataValidationError, LogParseError
 
 HEADER = "student_id,timestamp,action_kind,lesson_id,topic_id,correct,homework"
 TIMESTAMP_LIMIT = 2**62
+# minutes east of UTC of the real time zones, UTC-12:00 to UTC+14:00
+UTC_OFFSET_RANGE = (-720, 840)
 
 
 class ActionKind(Enum):

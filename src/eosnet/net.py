@@ -1,5 +1,6 @@
 """Recurrent network core: LSTM, ReLU stack, sigmoid head, hand-derived
-backpropagation through time, RMSprop, and checkpoint serialization.
+backpropagation through time, RMSprop, and checkpoints (EOS2: the magic, a
+header, the tensors, then the model's record; see :func:`save_checkpoint`).
 
 All math is 64-bit.  The batched code path is time-major ``(T, B, dim)``
 and is the single implementation; there are no per-sequence wrappers, so
@@ -77,6 +78,7 @@ are its only parallelism, and the CLI pins them to one for ``train`` and
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
@@ -85,8 +87,9 @@ from typing import Optional
 import numpy as np
 
 from eosnet.errors import CheckpointError, NumericalFault
-from eosnet.features import FEATURE_DIM
+from eosnet.features import DEFAULT_UTC_OFFSET_MINUTES, FEATURE_DIM
 from eosnet.fileio import atomic_write_bytes
+from eosnet.ingest import UTC_OFFSET_RANGE
 
 DEFAULT_HIDDEN_SIZE = 400
 FORGET_BIAS = 1.0
@@ -99,7 +102,9 @@ RMSPROP_EPS = 1e-8
 _PROB_LO = 1e-300
 _PROB_HI = float(np.nextafter(1.0, 0.0))
 
-CHECKPOINT_MAGIC = b"EOS1"
+CHECKPOINT_MAGIC = b"EOS2"
+UNTRAINED_RECORD = dict(level="student", split=None, utc_offset_minutes=DEFAULT_UTC_OFFSET_MINUTES)
+_SPLIT_PARTS = ["test", "train", "validation"]  # sorted, to compare with sorted(split)
 # header: input dim, hidden size, two dense sizes, then the tensor count
 # of each layer group (weights + bias = 2, repeated four times)
 _LAYER_MARKERS = (2, 2, 2, 2)
@@ -673,23 +678,48 @@ def rmsprop_update(params: ModelParams, grads: ModelParams, opt: OptState,
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(params: ModelParams, path) -> None:
-    """Write magic, the 8-dim header, then tensors row-major as little-
-    endian float64, atomically (write-then-rename)."""
+def save_checkpoint(params: ModelParams, path, record: dict = UNTRAINED_RECORD) -> None:
+    """Write magic ``EOS2``, the 8-dim header, the tensors row-major as little-
+    endian float64, then ``record`` as UTF-8 JSON with sorted keys: ``level``,
+    ``utc_offset_minutes`` and ``split``, the sorted train, validation and test
+    ids or None (as for an untrained model, the default); write-then-rename."""
     header = _HEADER_STRUCT.pack(
         params.input_dim, params.hidden_size,
         params.dense1_size, params.dense2_size, *_LAYER_MARKERS,
     )
     tensors = (np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.arrays())
-    atomic_write_bytes(path, b"".join((CHECKPOINT_MAGIC, header, *tensors)))
+    text = json.dumps(record, sort_keys=True).encode("utf-8")
+    atomic_write_bytes(path, b"".join((CHECKPOINT_MAGIC, header, *tensors, text)))
 
 
-def load_checkpoint(path) -> ModelParams:
-    """Inverse of :func:`save_checkpoint`; bit-identical round trip.
-    A NaN or infinite weight is a CheckpointError naming its field."""
+def _record_defect(record) -> Optional[str]:
+    """What keeps ``record`` from being a model record, or None."""
+    if not isinstance(record, dict) or sorted(record) != ["level", "split", "utc_offset_minutes"]:
+        return "its keys are not level, split and utc_offset_minutes"
+    level, offset, split = record["level"], record["utc_offset_minutes"], record["split"]
+    lo, hi = UTC_OFFSET_RANGE
+    if level not in ("student", "session"):
+        return f"level {level!r} is not 'student' or 'session'"
+    if isinstance(offset, bool) or not isinstance(offset, int) or not lo <= offset <= hi:
+        return f"utc_offset_minutes {offset!r} is not an integer in [{lo}, {hi}]"
+    if split is not None:
+        parts = split.values() if isinstance(split, dict) and sorted(split) == _SPLIT_PARTS else [0]
+        if not all(isinstance(ids, list) and all(isinstance(sid, str) for sid in ids)
+                   and ids == sorted(set(ids)) for ids in parts):
+            return "split is not train, validation and test lists of strictly sorted ids"
+        if len(set().union(*parts)) < sum(map(len, parts)):
+            return "a student is in two parts of the split"
+    return None
+
+
+def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Inverse of :func:`save_checkpoint`, bit for bit.  An EOS1 file, a NaN or
+    infinite weight (named by its field) or a bad record is a CheckpointError."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    if len(blob) < 4 or blob[:4] != CHECKPOINT_MAGIC:
+    if blob[:4] == b"EOS1":
+        raise CheckpointError(f"{path}: an EOS1 checkpoint, from before the model record; retrain")
+    if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic (not an {CHECKPOINT_MAGIC.decode()} checkpoint)")
     if len(blob) < 4 + _HEADER_STRUCT.size:
         raise CheckpointError(f"{path}: truncated header")
@@ -705,10 +735,15 @@ def load_checkpoint(path) -> ModelParams:
     )
     expected = sum(int(np.prod(s)) for s in shapes) * 8
     body = blob[4 + _HEADER_STRUCT.size:]
-    if len(body) != expected:
-        raise CheckpointError(
-            f"{path}: payload is {len(body)} bytes, expected {expected}"
-        )
+    if len(body) < expected:
+        raise CheckpointError(f"{path}: payload is {len(body)} bytes, short of the {expected} "
+                              "of the tensors")
+    try:
+        record = json.loads(body[expected:].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise CheckpointError(f"{path}: model record is not UTF-8 JSON: {exc}") from None
+    if defect := _record_defect(record):
+        raise CheckpointError(f"{path}: bad model record: {defect}")
     arrays = []
     offset = 0
     for field, shape in zip(ModelParams.FIELDS, shapes):
@@ -718,4 +753,4 @@ def load_checkpoint(path) -> ModelParams:
             raise CheckpointError(f"{path}: non-finite value in {field}")
         arrays.append(arr.astype(np.float64).reshape(shape))
         offset += count * 8
-    return ModelParams(*arrays)
+    return ModelParams(*arrays), record

@@ -190,12 +190,6 @@ def prepare_sequences(seqs: Sequence[LabeledSequence], level: Level,
     return prepared
 
 
-def prepare_sequence(seq: LabeledSequence, level: Level,
-                     utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES) -> TrainSequence:
-    """The one-student case of :func:`prepare_sequences`."""
-    return prepare_sequences([seq], level, utc_offset_minutes)[0]
-
-
 @dataclass(slots=True)
 class Batch:
     """A group of students padded to its longest lane, time-major.

@@ -1,5 +1,5 @@
 """Command-line contract: outputs and exit codes of ``cli.main`` on a tiny
-generated corpus with an H=8 checkpoint."""
+generated corpus with an untrained H=8 checkpoint per level."""
 
 import ast
 import base64
@@ -19,13 +19,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from eosnet import cli, fileio, ingest, synthgen
 from eosnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _load_labeled, main
+from eosnet.evaluation import compute_report, scored_sessions
 from eosnet.features import featurize
 from eosnet.ingest import HEADER
-from eosnet.net import forward_batch, init_params, load_checkpoint, save_checkpoint
+from eosnet.net import (
+    UNTRAINED_RECORD,
+    forward_batch,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from eosnet.training import (
     Level,
     TrainConfig,
-    prepare_sequence,
+    prepare_sequences,
     score_sequences,
     split_students,
 )
@@ -33,14 +40,21 @@ from eosnet.training import (
 LEVELS = ["student", "session"]
 
 
+def untrained(path, **record):
+    """Write an untrained H=8 checkpoint whose record is the untrained
+    model's with ``record``'s fields, valid or not (saving checks none)."""
+    save_checkpoint(init_params(0, hidden_size=8), path, {**UNTRAINED_RECORD, **record})
+    return path
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
+    """The log of 12 students and, per level, an untrained H=8 checkpoint."""
     root = tmp_path_factory.mktemp("cli")
     assert main(["generate", "--out", str(root), "--n-students", "12",
                  "--seed", "3", "--quiet"]) == EXIT_OK
-    ckpt = root / "model.ckpt"
-    save_checkpoint(init_params(0, hidden_size=8), ckpt)
-    return root / "actions.csv", ckpt
+    return root / "actions.csv", {level: untrained(root / f"{level}.ckpt", level=level)
+                                  for level in LEVELS}
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +68,21 @@ def halves(corpus, tmp_path_factory):
     first.write_text("".join(lines[:middle]))
     second.write_text("".join(lines[middle:]))
     return first, second
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The log of 40 students and, per level, a model trained on it for one
+    epoch with ``--seed 0``: 32 train, 4 validation and 4 test students."""
+    root = tmp_path_factory.mktemp("trained")
+    data = root / "actions.csv"
+    assert main(["generate", "--out", str(root), "--n-students", "40",
+                 "--seed", "3", "--quiet"]) == EXIT_OK
+    for level in LEVELS:
+        assert main(["train", "--data", str(data), "--out", str(root / level), "--level", level,
+                     "--seed", "0", "--max-epochs", "1", "--patience", "none",
+                     "--quiet"]) == EXIT_OK
+    return data, {level: root / level / "model.ckpt" for level in LEVELS}
 
 
 def assert_one_error_line(capsys, match):
@@ -124,8 +153,20 @@ class TestFlags:
         ("generate", "--seed"), ("train", "--seed"), ("evaluate", "--split-seed")])
     @pytest.mark.parametrize("value", ["-1", "x"])
     def test_bad_seed(self, command, flag, value, capsys):
+        """A bad seed is a usage error; evaluate takes none, as its split
+        is the checkpoint's."""
         assert main([command, *REQUIRED[command], flag, value]) == EXIT_USAGE
-        assert_one_error_line(capsys, f"expected an integer >= 0, got '{value}'")
+        assert_one_error_line(capsys, f"unrecognized arguments: {flag} {value}"
+                              if command == "evaluate"
+                              else f"expected an integer >= 0, got '{value}'")
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("evaluate", "--level", "session"), ("evaluate", "--utc-offset-minutes", "0"),
+        ("evaluate", "--split-seed", "0"), ("score", "--level", "session"),
+        ("score", "--utc-offset-minutes", "0")])
+    def test_settings_of_the_checkpoint_have_no_flag(self, command, flag, value, capsys):
+        assert main([command, *REQUIRED[command], flag, value]) == EXIT_USAGE
+        assert_one_error_line(capsys, f"unrecognized arguments: {flag} {value}")
 
     @pytest.mark.parametrize("value", ["0", "-2", "x"])
     def test_bad_threads(self, value, capsys):
@@ -142,19 +183,33 @@ class TestFlags:
 
     @pytest.mark.parametrize("command", ["featurize", "train", "evaluate", "score"])
     @pytest.mark.parametrize("minutes", ["-721", "841", "1500", "x"])
-    def test_utc_offset_out_of_range(self, command, minutes, capsys):
-        assert main([command, *REQUIRED[command],
-                     "--utc-offset-minutes", minutes]) == EXIT_USAGE
-        assert_one_error_line(capsys, f"expected an integer in [-720, 840], got '{minutes}'")
+    def test_utc_offset_out_of_range(self, corpus, tmp_path, command, minutes, capsys):
+        """A flag's offset out of range is a usage error; evaluate and score
+        read theirs from the checkpoint, where it is a data error."""
+        if command in ("featurize", "train"):
+            assert main([command, *REQUIRED[command],
+                         "--utc-offset-minutes", minutes]) == EXIT_USAGE
+            assert_one_error_line(capsys, f"expected an integer in [-720, 840], got '{minutes}'")
+            return
+        value = minutes if minutes == "x" else int(minutes)
+        ckpt = untrained(tmp_path / "m.ckpt", utc_offset_minutes=value)
+        paths = {"a.csv": str(corpus[0]), "m.ckpt": str(ckpt), "out": str(tmp_path / "out")}
+        argv = [paths.get(arg, arg) for arg in REQUIRED[command]]
+        assert main([command, *argv, "--quiet"]) == EXIT_DATA
+        assert_one_error_line(
+            capsys, f"utc_offset_minutes {value!r} is not an integer in [-720, 840]")
 
     @pytest.mark.parametrize("minutes", ["-720", "840"])
     def test_utc_offset_range_ends(self, corpus, tmp_path, minutes):
-        data, ckpt = corpus
+        data, _ = corpus
         assert main(["featurize", "--data", str(data), "--out", str(tmp_path / "f.csv"),
                      "--utc-offset-minutes", minutes, "--quiet"]) == EXIT_OK
+        ckpt = untrained(tmp_path / "m.ckpt", utc_offset_minutes=int(minutes))
+        state = tmp_path / "state.json"
         assert main(["score", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--out", str(tmp_path / "s.csv"),
-                     "--utc-offset-minutes", minutes, "--quiet"]) == EXIT_OK
+                     "--out", str(tmp_path / "s.csv"), "--state-out", str(state),
+                     "--quiet"]) == EXIT_OK
+        assert json.loads(state.read_text())["utc_offset_minutes"] == int(minutes)
 
     def test_generate_needs_a_student(self, tmp_path, capsys):
         out = tmp_path / "gen"
@@ -164,19 +219,22 @@ class TestFlags:
 
     @pytest.mark.parametrize("part", ["train", "validation", "test"])
     def test_split_part_needs_split_seed(self, corpus, tmp_path, capsys, part):
-        data, ckpt = corpus
+        """A part of the split needs a checkpoint that records a split; an
+        untrained model's records none."""
+        data, ckpts = corpus
         out = tmp_path / "eval"
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--out", str(out), "--split-part", part]) == EXIT_USAGE
-        assert_one_error_line(capsys, f"--split-part {part} needs --split-seed")
-        assert not out.exists()
+        assert main(["evaluate", "--checkpoint", str(ckpts["student"]), "--data", str(data),
+                     "--out", str(out), "--split-part", part]) == EXIT_DATA
+        assert_one_error_line(capsys, f"{ckpts['student']}: the model records no student split")
+        assert list(out.iterdir()) == []
 
     def test_split_seed_needs_a_split_part(self, corpus, tmp_path, capsys):
-        data, ckpt = corpus
+        """There is no split seed to give: the split is the checkpoint's."""
+        data, ckpts = corpus
         out = tmp_path / "eval"
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+        assert main(["evaluate", "--checkpoint", str(ckpts["student"]), "--data", str(data),
                      "--out", str(out), "--split-seed", "0"]) == EXIT_USAGE
-        assert_one_error_line(capsys, "--split-seed selects nothing with --split-part all")
+        assert_one_error_line(capsys, "unrecognized arguments: --split-seed 0")
         assert not out.exists()
 
 
@@ -324,8 +382,11 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--out", str(out),
                      "--max-epochs", "1", "--patience", "none", "--seed", "0",
                      "--utc-offset-minutes", "120", "--quiet"]) == EXIT_OK
-        params = load_checkpoint(out / "model.ckpt")
+        params, record = load_checkpoint(out / "model.ckpt")
         assert params.input_dim == 13 and params.all_finite()
+        split = split_students(_load_labeled(str(data)), 0)
+        assert record == {"level": "student", "utc_offset_minutes": 120,
+                          "split": dataclasses.asdict(split)}
         header, *rows = (out / "history.csv").read_text().splitlines()
         assert header == "epoch,train_loss,val_auc" and len(rows) == 1
         manifest = json.loads((out / "manifest.json").read_text())
@@ -344,10 +405,10 @@ class TestTrain:
     @staticmethod
     def _pool_workers(corpus, tmp_path, *flags):
         """The ``workers`` of a 1-epoch train's and an evaluate's manifest."""
-        data, ckpt = corpus
+        data, ckpts = corpus
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "m"),
                      "--max-epochs", "1", "--patience", "none", "--quiet", *flags]) == EXIT_OK
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+        assert main(["evaluate", "--checkpoint", str(ckpts["student"]), "--data", str(data),
                      "--out", str(tmp_path / "e"), "--quiet", *flags]) == EXIT_OK
         manifests = [json.loads((tmp_path / run / "manifest.json").read_text())
                      for run in ("m", "e")]
@@ -396,9 +457,9 @@ class TestTrain:
 
 class TestEvaluate:
     def test_dump_scores_writes_float_literals(self, corpus, tmp_path):
-        data, ckpt = corpus
+        data, ckpts = corpus
         dump = tmp_path / "scores.csv"
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+        assert main(["evaluate", "--checkpoint", str(ckpts["student"]), "--data", str(data),
                      "--out", str(tmp_path / "eval"), "--split-part", "all",
                      "--dump-scores", str(dump), "--quiet"]) == EXIT_OK
         header, *rows = dump.read_text().splitlines()
@@ -420,39 +481,42 @@ class TestEvaluate:
             assert repr(float(cell)) == cell
 
     def test_dump_scores_cells_are_reprs_of_score_sequences(self, corpus, tmp_path):
-        data, ckpt = corpus
+        data, ckpts = corpus
         dump = tmp_path / "scores.csv"
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+        assert main(["evaluate", "--checkpoint", str(ckpts["student"]), "--data", str(data),
                      "--out", str(tmp_path / "eval"), "--split-part", "all",
                      "--dump-scores", str(dump), "--quiet"]) == EXIT_OK
         labeled = _load_labeled(str(data))
         ids = sorted(labeled)
+        params, _ = load_checkpoint(str(ckpts["student"]))
         with ThreadPoolExecutor(1) as pool:
-            probs = score_sequences(load_checkpoint(str(ckpt)),
-                                    [prepare_sequence(labeled[sid], Level.STUDENT)
-                                     for sid in ids], pool)
+            probs = score_sequences(params, [prepare_sequences([labeled[sid]], Level.STUDENT)[0]
+                                             for sid in ids], pool)
         expected = [(sid, repr(float(p)), str(int(y)))
                     for sid in ids for p, y in zip(probs[sid], labeled[sid].labels)]
         cells = [row.split(",") for row in dump.read_text().splitlines()[1:]]
         assert [(c[0], c[2], c[3]) for c in cells] == expected
         assert {c[3] for c in cells} <= {"0", "1"}
 
-    def test_split_seed_scores_the_test_part(self, corpus, tmp_path):
-        data, ckpt = corpus
+    def test_split_seed_scores_the_test_part(self, trained, tmp_path):
+        """``--split-part test`` scores the test ids of the checkpoint's
+        record: the split of the training run, with its seed."""
+        data, ckpts = trained
         dump = tmp_path / "scores.csv"
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+        assert main(["evaluate", "--checkpoint", str(ckpts["student"]), "--data", str(data),
                      "--out", str(tmp_path / "eval"), "--split-part", "test",
-                     "--split-seed", "0", "--dump-scores", str(dump), "--quiet"]) == EXIT_OK
+                     "--dump-scores", str(dump), "--quiet"]) == EXIT_OK
         scored = probs_by_student(dump.read_text().splitlines()[1:], 2)
         test = split_students(_load_labeled(str(data)).keys(), 0).test
-        assert test and sorted(scored) == sorted(test)
+        assert test == load_checkpoint(ckpts["student"])[1]["split"]["test"]
+        assert test and sorted(scored) == test
 
     def test_header_only_log_writes_header_only_files(self, corpus, tmp_path):
-        _, ckpt = corpus
+        _, ckpts = corpus
         log = tmp_path / "header.csv"
         log.write_text(HEADER + "\n")
         out = tmp_path / "eval"
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(log),
+        assert main(["evaluate", "--checkpoint", str(ckpts["student"]), "--data", str(log),
                      "--out", str(out), "--dump-scores", str(out / "scores.csv"),
                      "--quiet"]) == EXIT_OK
         assert (out / "report.csv").read_text() == "metric,stratum,value\n"
@@ -460,19 +524,23 @@ class TestEvaluate:
         assert (out / "scores.csv").read_text() == "student_id,timestamp,prob,label\n"
 
     def test_manifest_records_every_flag(self, corpus, tmp_path):
-        data, ckpt = corpus
+        """Every flag, and the level and offset read from the checkpoint;
+        the manifest hashes the checkpoint, so its split is not copied."""
+        data, _ = corpus
+        split = dataclasses.asdict(split_students(_load_labeled(str(data)), 4))
+        ckpt = untrained(tmp_path / "m.ckpt", level="session", utc_offset_minutes=-90,
+                         split=split)
         out = tmp_path / "eval"
         assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--out", str(out), "--split-part", "validation",
-                     "--split-seed", "4", "--utc-offset-minutes", "-90",
-                     "--quiet"]) == EXIT_OK
+                     "--out", str(out), "--split-part", "validation", "--quiet"]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"] == {
             "checkpoint": repr(str(ckpt)), "data": repr(str(data)), "out": repr(str(out)),
-            "level": "'student'", "utc_offset_minutes": "-90", "split_seed": "4",
+            "level": "'session'", "utc_offset_minutes": "-90",
             "split_part": "'validation'", "dump_scores": "None", "threads": "None",
             "quiet": "True",
         }
+        assert [entry["path"] for entry in manifest["inputs"]] == [str(ckpt), str(data)]
         assert "seeds" not in manifest
         assert_literals(manifest["config"])
 
@@ -481,7 +549,8 @@ class TestScore:
     @pytest.mark.parametrize("level", LEVELS)
     def test_equals_evaluate_dump_scores(self, corpus, level):
         """On the log of any set of students, the whole corpus included."""
-        data, ckpt = corpus
+        data, ckpts = corpus
+        ckpt = ckpts[level]
         header, *records = data.read_text().splitlines(keepends=True)
         ids = sorted({record.split(",")[0] for record in records})
 
@@ -495,11 +564,10 @@ class TestScore:
                 Path(log).write_text(header + "".join(
                     r for r in records if r.split(",")[0] in chosen))
                 assert main(["evaluate", "--checkpoint", str(ckpt), "--data", log,
-                             "--out", str(Path(tmp) / "eval"), "--level", level,
-                             "--split-part", "all", "--dump-scores", dump,
-                             "--quiet"]) == EXIT_OK
+                             "--out", str(Path(tmp) / "eval"), "--split-part", "all",
+                             "--dump-scores", dump, "--quiet"]) == EXIT_OK
                 assert main(["score", "--checkpoint", str(ckpt), "--data", log,
-                             "--out", streamed, "--level", level, "--quiet"]) == EXIT_OK
+                             "--out", streamed, "--quiet"]) == EXIT_OK
                 batch = probs_by_student(Path(dump).read_text().splitlines()[1:], 2)
                 stream = probs_by_student(Path(streamed).read_text().splitlines(), 2)
             assert batch.keys() == stream.keys() == chosen
@@ -510,11 +578,12 @@ class TestScore:
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_split_at_any_line_equals_one_pass(self, corpus, tmp_path, level):
-        data, ckpt = corpus
+        data, ckpts = corpus
+        ckpt = ckpts[level]
         lines = data.read_text().splitlines(keepends=True)
         whole = tmp_path / "whole.csv"
         assert main(["score", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--out", str(whole), "--level", level, "--quiet"]) == EXIT_OK
+                     "--out", str(whole), "--quiet"]) == EXIT_OK
 
         @settings(max_examples=25, deadline=None)
         @given(st.integers(0, len(lines)))
@@ -527,45 +596,44 @@ class TestScore:
                                      (lines[line:], ["--state-in", state])):
                     Path(part).write_text("".join(chunk))
                     assert main(["score", "--checkpoint", str(ckpt), "--data", part,
-                                 "--out", out, "--level", level, "--quiet",
-                                 *flags]) == EXIT_OK
+                                 "--out", out, "--quiet", *flags]) == EXIT_OK
                     rows += Path(out).read_text()
                 assert rows == whole.read_text()
 
         split_at()
 
     def test_out_of_order_timestamp(self, corpus, tmp_path, capsys):
-        data, ckpt = corpus
+        data, ckpts = corpus
         header, first, second = data.read_text().splitlines()[:3]
         assert first.split(",")[0] == second.split(",")[0]
         assert int(first.split(",")[1]) < int(second.split(",")[1])
         path = tmp_path / "swapped.csv"
         path.write_text("\n".join([header, second, first]) + "\n")
-        assert main(["score", "--checkpoint", str(ckpt), "--data", str(path),
+        assert main(["score", "--checkpoint", str(ckpts["student"]), "--data", str(path),
                      "--out", str(tmp_path / "out.csv"), "--quiet"]) == EXIT_DATA
         assert_one_error_line(capsys, "line 3")
 
     def test_first_bad_line_is_reported_first(self, corpus, tmp_path, capsys):
         """An out-of-order timestamp on line 3 is reported, not the
         malformed record on line 6: the input is read in one pass."""
-        data, ckpt = corpus
+        data, ckpts = corpus
         header, first, second, *rest = data.read_text().splitlines()[:5]
         path = tmp_path / "two-faults.csv"
         path.write_text("\n".join([header, second, first, *rest,
                                    "s1,notatime,material,L,T,,0"]) + "\n")
-        assert main(["score", "--checkpoint", str(ckpt), "--data", str(path),
+        assert main(["score", "--checkpoint", str(ckpts["student"]), "--data", str(path),
                      "--out", str(tmp_path / "out.csv"), "--quiet"]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "line 3" in err and "line 6" not in err
 
     def test_malformed_line_before_an_out_of_order_one_is_reported(
             self, corpus, tmp_path, capsys):
-        data, ckpt = corpus
+        data, ckpts = corpus
         header, first, second, *rest = data.read_text().splitlines()[:5]
         path = tmp_path / "two-faults.csv"
         path.write_text("\n".join([header, first, "s1,notatime,material,L,T,,0",
                                    *rest, second, first]) + "\n")
-        assert main(["score", "--checkpoint", str(ckpt), "--data", str(path),
+        assert main(["score", "--checkpoint", str(ckpts["student"]), "--data", str(path),
                      "--out", str(tmp_path / "out.csv"), "--quiet"]) == EXIT_DATA
         assert_one_error_line(capsys, "line 3: bad timestamp 'notatime'")
 
@@ -573,22 +641,22 @@ class TestScore:
             self, corpus, tmp_path, capsys):
         """Student a's fault on line 6 comes after student b's on line 5,
         though a's actions come first when grouped by student."""
-        _, ckpt = corpus
+        _, ckpts = corpus
         path = tmp_path / "late.csv"
         path.write_text("\n".join([HEADER, "a,100,material,L,T,,0", "b,100,material,L,T,,0",
                                    "a,200,material,L,T,,0", "b,50,material,L,T,,0",
                                    "a,150,material,L,T,,0"]) + "\n")
-        assert main(["score", "--checkpoint", str(ckpt), "--data", str(path),
+        assert main(["score", "--checkpoint", str(ckpts["student"]), "--data", str(path),
                      "--out", str(tmp_path / "out.csv"), "--quiet"]) == EXIT_DATA
         assert_one_error_line(capsys, "line 5: b: out-of-order timestamp 50 after 100")
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("text", ["", HEADER + "\n"], ids=["empty", "header-only"])
     def test_no_records_writes_no_rows_and_an_empty_state(self, corpus, tmp_path, text):
-        _, ckpt = corpus
+        _, ckpts = corpus
         data, out, state = tmp_path / "in.csv", tmp_path / "out.csv", tmp_path / "state.json"
         data.write_text(text)
-        assert main(["score", "--checkpoint", str(ckpt), "--data", str(data),
+        assert main(["score", "--checkpoint", str(ckpts["student"]), "--data", str(data),
                      "--out", str(out), "--state-out", str(state), "--quiet"]) == EXIT_OK
         assert out.read_text() == ""
         saved = json.loads(state.read_text())
@@ -603,23 +671,23 @@ class TestNotUtf8Log:
 
     @pytest.mark.parametrize("command", sorted(set(REQUIRED) - {"generate"}))
     def test_every_log_reading_command(self, corpus, tmp_path, capsys, command):
-        _, ckpt = corpus
+        _, ckpts = corpus
         log = tmp_path / "bad.csv"
         log.write_bytes(NOT_UTF8)
-        paths = {"a.csv": str(log), "m.ckpt": str(ckpt),
+        paths = {"a.csv": str(log), "m.ckpt": str(ckpts["student"]),
                  "b.csv": str(tmp_path / "b.csv"), "out": str(tmp_path / "out")}
         argv = [paths.get(arg, arg) for arg in REQUIRED[command]]
         assert main([command, *argv, "--quiet"]) == EXIT_DATA
         assert_one_error_line(capsys, f"{log}: not UTF-8 text")
 
     def test_score_from_stdin(self, corpus, monkeypatch, capsys):
-        _, ckpt = corpus
+        _, ckpts = corpus
         raw = io.BytesIO(NOT_UTF8)
         raw.name = "<stdin>"
         # the stream a C locale gives: undecodable bytes pass as surrogates
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
             raw, encoding="utf-8", errors="surrogateescape"))
-        assert main(["score", "--checkpoint", str(ckpt), "--data", "-",
+        assert main(["score", "--checkpoint", str(ckpts["student"]), "--data", "-",
                      "--quiet"]) == EXIT_DATA
         assert_one_error_line(capsys, "<stdin>: not UTF-8 text")
 
@@ -635,6 +703,103 @@ def test_non_finite_checkpoint_is_a_data_error(corpus, tmp_path, capsys, command
     argv = [paths.get(arg, arg) for arg in REQUIRED[command]]
     assert main([command, *argv, "--quiet"]) == EXIT_DATA
     assert_one_error_line(capsys, f"{ckpt}: non-finite value in lstm_W")
+
+
+def expected_report(ckpt, data, level):
+    """The ``report.csv`` text of ``ckpt`` over every student of ``data`` at
+    ``level`` and the default UTC offset, computed from the library."""
+    labeled = _load_labeled(str(data))
+    seqs = [labeled[sid] for sid in sorted(labeled)]
+    params, _ = load_checkpoint(ckpt)
+    with ThreadPoolExecutor(1) as pool:
+        probs = score_sequences(params, prepare_sequences(seqs, Level(level)), pool)
+    rows, _ = compute_report(scored_sessions(seqs, probs))
+    return "metric,stratum,value\n" + "".join(f"{metric},{stratum},{value!r}\n"
+                                               for metric, stratum, value in rows)
+
+
+class TestModelRecord:
+    """``evaluate`` and ``score`` take the level, the UTC offset and the
+    student split from the checkpoint that ``train`` wrote."""
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_stored_split_equals_split_students(self, trained, level):
+        data, ckpts = trained
+        _, record = load_checkpoint(ckpts[level])
+        split = split_students(_load_labeled(str(data)), 0)
+        assert record == {"level": level, "utc_offset_minutes": 60,
+                          "split": dataclasses.asdict(split)}
+        assert [len(ids) for ids in record["split"].values()] == [4, 32, 4]
+
+    @pytest.mark.parametrize("change", ["none", "trained_student_dropped", "new_student"])
+    def test_test_part_scores_no_trained_student(self, trained, tmp_path, change):
+        data, ckpts = trained
+        split = load_checkpoint(ckpts["student"])[1]["split"]
+        header, *records = data.read_text().splitlines(keepends=True)
+        if change == "trained_student_dropped":
+            records = [r for r in records if r.split(",")[0] != split["train"][0]]
+        if change == "new_student":  # in the log, in no part of the split
+            records += [r.replace(split["test"][0], "new", 1) for r in records
+                        if r.startswith(split["test"][0] + ",")]
+        log, dump = tmp_path / "log.csv", tmp_path / "scores.csv"
+        log.write_text(header + "".join(records))
+        assert main(["evaluate", "--checkpoint", str(ckpts["student"]), "--data", str(log),
+                     "--out", str(tmp_path / "eval"), "--split-part", "test",
+                     "--dump-scores", str(dump), "--quiet"]) == EXIT_OK
+        scored = sorted(probs_by_student(dump.read_text().splitlines()[1:], 2))
+        assert scored == split["test"]
+        assert not set(scored) & {*split["train"], *split["validation"]}
+        if change == "trained_student_dropped":
+            # the test part of a split of this log would hold trained students
+            reseeded = split_students(_load_labeled(str(log)), 0).test
+            assert set(reseeded) & set(split["train"])
+
+    @pytest.mark.parametrize("part", ["test", "train"])
+    def test_listed_student_missing_from_the_log(self, trained, tmp_path, capsys, part):
+        data, ckpts = trained
+        split = load_checkpoint(ckpts["student"])[1]["split"]
+        header, *records = data.read_text().splitlines(keepends=True)
+        log = tmp_path / "log.csv"
+        log.write_text(header + "".join(r for r in records
+                                        if r.split(",")[0] != split[part][0]))
+        assert main(["evaluate", "--checkpoint", str(ckpts["student"]), "--data", str(log),
+                     "--out", str(tmp_path / "eval"), "--split-part", part]) == EXIT_DATA
+        assert_one_error_line(capsys, f"{log} lacks 1 of the {len(split[part])} {part} ids "
+                                      "of the model")
+        assert list((tmp_path / "eval").iterdir()) == []
+
+    def test_session_model_needs_no_level_flag(self, trained, tmp_path):
+        """The report of a session-level model, evaluated with no flag but
+        its checkpoint, is the session-level report."""
+        data, ckpts = trained
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--checkpoint", str(ckpts["session"]), "--data", str(data),
+                     "--out", str(out), "--quiet"]) == EXIT_OK
+        report = (out / "report.csv").read_text()
+        assert report == expected_report(ckpts["session"], data, "session")
+        assert report != expected_report(ckpts["session"], data, "student")
+
+    @pytest.mark.parametrize("command", ["evaluate", "score"])
+    def test_eos1_checkpoint_is_one_error_line(self, corpus, tmp_path, capsys, command):
+        data, ckpts = corpus
+        blob = ckpts["student"].read_bytes()
+        record = json.dumps(UNTRAINED_RECORD, sort_keys=True).encode()
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(b"EOS1" + blob[4:-len(record)])
+        paths = {"a.csv": str(data), "m.ckpt": str(old), "out": str(tmp_path / "out")}
+        assert main([command, *(paths.get(arg, arg) for arg in REQUIRED[command]),
+                     "--quiet"]) == EXIT_DATA
+        assert_one_error_line(capsys, f"{old}: an EOS1 checkpoint, from before the model "
+                                      "record; retrain")
+
+    @pytest.mark.parametrize("command", ["evaluate", "score"])
+    def test_bad_record_is_one_error_line(self, corpus, tmp_path, capsys, command):
+        data, _ = corpus
+        ckpt = untrained(tmp_path / "m.ckpt", level="both")
+        paths = {"a.csv": str(data), "m.ckpt": str(ckpt), "out": str(tmp_path / "out")}
+        assert main([command, *(paths.get(arg, arg) for arg in REQUIRED[command]),
+                     "--quiet"]) == EXIT_DATA
+        assert_one_error_line(capsys, f"{ckpt}: bad model record: level 'both'")
 
 
 def forbid(*_args, **_kwargs):
@@ -658,13 +823,14 @@ class TestOutputsCheckedFirst:
         ("score", "--out"), ("score", "--state-out"), ("evaluate", "--dump-scores")])
     @pytest.mark.parametrize("where", ["missing_dir", "directory", "fifo"])
     def test_unwritable_file(self, corpus, tmp_path, capsys, command, flag, where):
-        data, ckpt = corpus
+        data, ckpts = corpus
         target = {"missing_dir": tmp_path / "missing_dir" / "x.csv",
                   "directory": tmp_path, "fifo": tmp_path / "fifo"}[where]
         if where == "fifo":
             os.mkfifo(target)
-        inputs = {"evaluate": ["--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")],
-                  "score": ["--checkpoint", str(ckpt)]}.get(command, [])
+        ckpt = str(ckpts["student"])
+        inputs = {"evaluate": ["--checkpoint", ckpt, "--out", str(tmp_path / "eval")],
+                  "score": ["--checkpoint", ckpt]}.get(command, [])
         assert main([command, "--data", str(data), *inputs, flag, str(target)]) == EXIT_DATA
         assert_one_error_line(capsys, f"cannot write {target}: ")
         left = [path for path in tmp_path.rglob("*") if not path.is_dir()]
@@ -686,11 +852,11 @@ class TestOutputsCheckedFirst:
          "{tmp}/link/report.csv"),
     ])
     def test_two_outputs_name_one_file(self, corpus, tmp_path, capsys, command, flags, named):
-        data, ckpt = corpus
+        data, ckpts = corpus
         (tmp_path / "real").mkdir()
         (tmp_path / "link").symlink_to(tmp_path / "real", target_is_directory=True)
         flags = [flag.format(tmp=tmp_path) for flag in flags]
-        assert main([command, "--checkpoint", str(ckpt), "--data", str(data),
+        assert main([command, "--checkpoint", str(ckpts["student"]), "--data", str(data),
                      *flags]) == EXIT_DATA
         assert_one_error_line(capsys, f"cannot write {named.format(tmp=tmp_path)}: ")
         assert [path for path in tmp_path.rglob("*") if not path.is_dir()] == []
@@ -708,12 +874,12 @@ class TestOutputsCheckedFirst:
 
     @pytest.mark.parametrize("command", ["generate", "train", "evaluate"])
     def test_out_is_a_file(self, corpus, tmp_path, capsys, command):
-        data, ckpt = corpus
+        data, ckpts = corpus
         out = tmp_path / "taken"
         out.write_text("kept\n")
         argv = {"generate": ["generate", "--out", str(out)],
                 "train": ["train", "--data", str(data), "--out", str(out)],
-                "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--data", str(data),
+                "evaluate": ["evaluate", "--checkpoint", str(ckpts["student"]), "--data", str(data),
                              "--out", str(out)]}[command]
         assert main(argv) == EXIT_DATA
         assert_one_error_line(capsys, str(out))
@@ -733,18 +899,19 @@ def encode_matrix(matrix):
 class TestScoreStateIn:
     @pytest.fixture(autouse=True)
     def _inputs(self, corpus, halves, tmp_path):
-        self.data, self.ckpt = corpus
+        self.data, self.ckpts = corpus
         self.first, self.second = halves
         self.tmp = tmp_path
 
-    def _score(self, data, out, *extra):
-        return main(["score", "--checkpoint", str(self.ckpt), "--data", str(data),
-                     "--out", str(out), "--quiet", *extra])
+    def _score(self, data, out, *extra, ckpt=None):
+        """Score with ``ckpt``, by default the student-level checkpoint."""
+        return main(["score", "--checkpoint", str(ckpt or self.ckpts["student"]),
+                     "--data", str(data), "--out", str(out), "--quiet", *extra])
 
-    def _save_state(self, *extra):
+    def _save_state(self, *extra, ckpt=None):
         state = self.tmp / "state.json"
         assert self._score(self.first, self.tmp / "first.csv",
-                           "--state-out", str(state), *extra) == EXIT_OK
+                           "--state-out", str(state), *extra, ckpt=ckpt) == EXIT_OK
         return state
 
     def _rewrite(self, edit):
@@ -761,10 +928,11 @@ class TestScoreStateIn:
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_resumed_run_equals_one_pass(self, level):
-        state = self._save_state("--level", level)
-        assert self._score(self.second, self.tmp / "second.csv", "--level", level,
-                           "--state-in", str(state)) == EXIT_OK
-        assert self._score(self.data, self.tmp / "all.csv", "--level", level) == EXIT_OK
+        ckpt = self.ckpts[level]
+        state = self._save_state(ckpt=ckpt)
+        assert self._score(self.second, self.tmp / "second.csv", "--state-in", str(state),
+                           ckpt=ckpt) == EXIT_OK
+        assert self._score(self.data, self.tmp / "all.csv", ckpt=ckpt) == EXIT_OK
         resumed = ((self.tmp / "first.csv").read_text()
                    + (self.tmp / "second.csv").read_text())
         assert resumed == (self.tmp / "all.csv").read_text()
@@ -796,13 +964,14 @@ class TestScoreStateIn:
         state = str(self.tmp / "state.json")
         for name, flags in (("first", ["--state-out", state]),
                             ("second", ["--state-in", state]), ("whole", [])):
-            assert self._score(self.tmp / f"{name}.csv", self.tmp / f"{name}.out",
-                               "--level", level, *flags) == EXIT_OK
+            assert self._score(self.tmp / f"{name}.csv", self.tmp / f"{name}.out", *flags,
+                               ckpt=self.ckpts[level]) == EXIT_OK
         resumed = (self.tmp / "first.out").read_text() + (self.tmp / "second.out").read_text()
         assert resumed == (self.tmp / "whole.out").read_text()
 
     def test_state_holds_offset_once_and_only_history_per_student(self):
-        saved = json.loads(self._save_state("--utc-offset-minutes", "0").read_text())
+        ckpt = untrained(self.tmp / "utc0.ckpt", utc_offset_minutes=0)
+        saved = json.loads(self._save_state(ckpt=ckpt).read_text())
         assert list(saved) == ["version", "level", "utc_offset_minutes", "students",
                                "h", "c"]
         assert saved["version"] == 3 and saved["utc_offset_minutes"] == 0
@@ -850,32 +1019,36 @@ class TestScoreStateIn:
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_saved_rows_equal_forward_batch_bit_for_bit(self, level):
-        saved = json.loads(self._save_state("--level", level).read_text())
+        saved = json.loads(self._save_state(ckpt=self.ckpts[level]).read_text())
         h, c = decode_matrix(saved, "h"), decode_matrix(saved, "c")
         labeled = _load_labeled(self.first)
-        params = load_checkpoint(self.ckpt)
+        params, _ = load_checkpoint(self.ckpts[level])
         assert list(saved["students"]) == sorted(labeled)
         for k, sid in enumerate(saved["students"]):
-            seq = prepare_sequence(labeled[sid], Level(level))
+            seq = prepare_sequences([labeled[sid]], Level(level))[0]
             out = forward_batch(params, seq.features[:, None, :], seq.resets[:, None],
                                 np.zeros((1, 8)), np.zeros((1, 8)))
             assert h[k].tobytes() == out.h[0].tobytes()
             assert c[k].tobytes() == out.c[0].tobytes()
 
     def test_offset_differs_from_saved(self, capsys):
-        state = self._save_state("--utc-offset-minutes", "60")
-        assert self._score(self.second, self.tmp / "second.csv",
-                           "--utc-offset-minutes", "0",
-                           "--state-in", str(state)) == EXIT_DATA
+        """A state is checked against the record of the checkpoint that
+        resumes it: here one at another UTC offset."""
+        state = self._save_state()
+        ckpt = untrained(self.tmp / "utc0.ckpt", utc_offset_minutes=0)
+        assert self._score(self.second, self.tmp / "second.csv", "--state-in", str(state),
+                           ckpt=ckpt) == EXIT_DATA
         assert_one_error_line(
-            capsys, f"{state}: state was saved for --utc-offset-minutes 60, not 0")
+            capsys, f"{state}: state is for level 'student' at offset 60, checkpoint for "
+                    "'student' at 0")
 
     def test_level_differs_from_saved(self, capsys):
-        state = self._save_state("--level", "student")
-        assert self._score(self.second, self.tmp / "second.csv", "--level", "session",
-                           "--state-in", str(state)) == EXIT_DATA
+        state = self._save_state(ckpt=self.ckpts["student"])
+        assert self._score(self.second, self.tmp / "second.csv", "--state-in", str(state),
+                           ckpt=self.ckpts["session"]) == EXIT_DATA
         assert_one_error_line(
-            capsys, f"{state}: state was saved for level 'student', not 'session'")
+            capsys, f"{state}: state is for level 'student' at offset 60, checkpoint for "
+                    "'session' at 60")
 
     @pytest.mark.parametrize("value", ["60", True, None])
     def test_bad_saved_offset(self, capsys, value):
@@ -1007,20 +1180,22 @@ def mutated(draw, blob):
 
 
 class TestFuzz:
-    """Byte mutations of a tiny log, an H=8 checkpoint and a v3 score
-    state never end in a traceback: every command exits 0, or 2 with one
-    stderr line."""
+    """Byte mutations of a tiny log, an H=8 checkpoint that records a split
+    and a v3 score state never end in a traceback: every command exits 0,
+    or 2 with one stderr line."""
 
     @pytest.fixture(scope="class")
     def inputs(self, corpus, tmp_path_factory):
         """The log's first 3 records of each student scored into a state,
         and their next 3 records as the tiny log that resumes it."""
-        data, ckpt = corpus
+        data, _ = corpus
         header, *records = data.read_text().splitlines(keepends=True)
         by_student = {}
         for record in records:
             by_student.setdefault(record.split(",")[0], []).append(record)
         root = tmp_path_factory.mktemp("fuzz")
+        split = dataclasses.asdict(split_students(by_student, 0))
+        ckpt = untrained(root / "model.ckpt", split=split)
         prefix, log, state = root / "prefix.csv", root / "log.csv", root / "state.json"
         prefix.write_text(header + "".join(r for rs in by_student.values() for r in rs[:3]))
         log.write_text(header + "".join(r for rs in by_student.values() for r in rs[3:6]))
@@ -1038,6 +1213,8 @@ class TestFuzz:
         by_input["checkpoint"] = [
             ["evaluate", "--checkpoint", ckpt, "--data", log, "--out", f"{out}/e",
              "--dump-scores", f"{out}/e/dump.csv"],
+            ["evaluate", "--checkpoint", ckpt, "--data", log, "--out", f"{out}/t",
+             "--split-part", "test"],
             score, *by_input["state"]]
         by_input["log"] = [
             ["sessionize", "--data", log, "--out", f"{out}/sessions.csv"],
@@ -1066,4 +1243,8 @@ class TestFuzz:
                         assert err.getvalue().count("\n") == 1, err.getvalue()
                         assert err.getvalue().startswith("error: ")
 
+        if target == "checkpoint":  # also flip bytes all over the record
+            start = blob.rindex(b'{"level"')
+            for at in range(start, len(blob), max(1, (len(blob) - start) // 8)):
+                run = example(blob[:at] + bytes([blob[at] ^ 0x20]) + blob[at + 1:])(run)
         run()

@@ -20,7 +20,7 @@ from eosnet.evaluation import (
 from eosnet.ingest import ActionKind, RawAction, StudentLog
 from eosnet.net import ModelParams, forward_batch, init_params
 from eosnet.sessions import HomeworkClass, label, session_table
-from eosnet.training import Level, prepare_sequence, score_sequences
+from eosnet.training import Level, prepare_sequences, score_sequences
 
 
 def brute_force_auc(scores, labels):
@@ -354,7 +354,8 @@ def lane_probs(params, features, resets):
 def score(params, seq, level):
     """Inference probabilities of one student's full history at ``level``."""
     with ThreadPoolExecutor(1) as pool:
-        return score_sequences(params, [prepare_sequence(seq, level)], pool)[seq.student_id]
+        prepared = prepare_sequences([seq], level)[0]
+        return score_sequences(params, [prepared], pool)[seq.student_id]
 
 
 class TestScore:
@@ -384,7 +385,7 @@ class TestScore:
         rng = np.random.default_rng(1)
         params = self._params(rng)
         seq = student_fixture(rng, n_sessions=4)
-        prepared = prepare_sequence(seq, Level.SESSION)
+        prepared = prepare_sequences([seq], Level.SESSION)[0]
         full = lane_probs(params, prepared.features, prepared.resets)
         last_len = int(seq.session_lengths[-1])
         tail_frames = prepared.features[-last_len:]
@@ -396,7 +397,7 @@ class TestScore:
         rng = np.random.default_rng(2)
         params = self._params(rng)
         seq = student_fixture(rng, n_sessions=4)
-        prepared = prepare_sequence(seq, Level.STUDENT)
+        prepared = prepare_sequences([seq], Level.STUDENT)[0]
         full = lane_probs(params, prepared.features, prepared.resets)
         last_len = int(seq.session_lengths[-1])
         tail = lane_probs(params, prepared.features[-last_len:],
@@ -409,7 +410,7 @@ class TestScore:
         seqs = [student_fixture(rng, f"s{i}", n_sessions=int(rng.integers(1, 5)))
                 for i in range(6)]
         for level in (Level.STUDENT, Level.SESSION):
-            prepared = [prepare_sequence(s, level) for s in seqs]
+            prepared = [prepare_sequences([s], level)[0] for s in seqs]
             with ThreadPoolExecutor(2) as pool:
                 batched = score_sequences(params, prepared, pool, batch_size=3)
             for seq in seqs:

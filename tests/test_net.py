@@ -1,7 +1,9 @@
 """Network core: LSTM step, forward contracts, loss, RMSprop, checkpoints."""
 
 import dataclasses
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from test_gradients import loss_weighted_bce
 
 from eosnet.errors import CheckpointError
 from eosnet.net import (
+    UNTRAINED_RECORD,
     ModelParams,
     OptState,
     backward_batch,
@@ -792,31 +795,65 @@ class TestRmsprop:
             assert all((s >= 0).all() for s in opt.sq.arrays())
 
 
+SPLIT_RECORD = {"level": "session", "utc_offset_minutes": -90,
+                "split": {"train": ["a", "b", "d"], "validation": ["c"], "test": ["e", "\u00e9"]}}
+
+
+def with_record(path, text: bytes):
+    """Replace the record of the checkpoint at ``path`` by ``text``."""
+    blob = path.read_bytes()
+    default = json.dumps(UNTRAINED_RECORD, sort_keys=True).encode()
+    assert blob.endswith(default)
+    path.write_bytes(blob[:-len(default)] + text)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(3)
         p = random_params(rng, hidden=4)
         path = tmp_path / "m.ckpt"
         save_checkpoint(p, path)
-        q = load_checkpoint(path)
+        q, record = load_checkpoint(path)
         for a, b in zip(p.arrays(), q.arrays()):
             assert a.shape == b.shape
             assert (a == b).all()
+        assert record == UNTRAINED_RECORD == {
+            "level": "student", "utc_offset_minutes": 60, "split": None}
+
+    def test_round_trip_with_a_record_bit_identical(self, tmp_path):
+        p = random_params(np.random.default_rng(4), hidden=4)
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_checkpoint(p, first, SPLIT_RECORD)
+        q, record = load_checkpoint(first)
+        assert record == SPLIT_RECORD
+        save_checkpoint(q, second, record)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_layout_is_magic_header_tensors_then_record(self, tmp_path):
+        p = init_params(0, hidden_size=4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(p, path, SPLIT_RECORD)
+        tensors = b"".join(a.astype("<f8").tobytes() for a in p.arrays())
+        header = np.array([13, 4, 2, 1, 2, 2, 2, 2], dtype="<u4").tobytes()
+        record = json.dumps(SPLIT_RECORD, sort_keys=True).encode("utf-8")
+        assert path.read_bytes() == b"EOS2" + header + tensors + record
 
     def test_round_trip_production_size(self, tmp_path):
         p = init_params(0)
         path = tmp_path / "full.ckpt"
         save_checkpoint(p, path)
-        q = load_checkpoint(path)
+        q, _ = load_checkpoint(path)
         assert q.hidden_size == 400
         assert all((a == b).all() for a, b in zip(p.arrays(), q.arrays()))
 
     def test_truncated_file_rejected(self, tmp_path):
+        # cut short inside the tensors; a cut record is a record defect
         p = init_params(0, hidden_size=4)
         path = tmp_path / "m.ckpt"
         save_checkpoint(p, path)
         blob = path.read_bytes()
-        path.write_bytes(blob[:len(blob) - 17])
+        record = json.dumps(UNTRAINED_RECORD, sort_keys=True).encode()
+        path.write_bytes(blob[:len(blob) - len(record) - 17])
         with pytest.raises(CheckpointError, match="payload"):
             load_checkpoint(path)
 
@@ -825,6 +862,64 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+    def test_eos1_file_rejected(self, tmp_path):
+        """The format before the record: magic, header and tensors alone."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(0, hidden_size=4), path)
+        with_record(path, b"")
+        path.write_bytes(b"EOS1" + path.read_bytes()[4:])
+        with pytest.raises(CheckpointError) as raised:
+            load_checkpoint(path)
+        message = str(raised.value)
+        assert message.startswith(f"{path}: an EOS1 checkpoint") and "\n" not in message
+        assert "retrain" in message
+
+    @pytest.mark.parametrize("text, match", [
+        (b"", "not UTF-8 JSON"),
+        (b'{"level": "student", "split": null, "utc_offset_', "not UTF-8 JSON"),
+        (b'{"level": "st\xffudent", "split": null, "utc_offset_minutes": 60}', "not UTF-8 JSON"),
+        (b"[]", "keys are not"),
+        (b'{"level": "student", "split": null}', "keys are not"),
+        (b'{"level": "student", "seed": 0, "split": null, "utc_offset_minutes": 60}',
+         "keys are not"),
+        (b'{"level": "Student", "split": null, "utc_offset_minutes": 60}', "level 'Student'"),
+        (b'{"level": null, "split": null, "utc_offset_minutes": 60}', "level None"),
+        (b'{"level": "student", "split": null, "utc_offset_minutes": true}',
+         "utc_offset_minutes True is not an integer in [-720, 840]"),
+        (b'{"level": "student", "split": null, "utc_offset_minutes": 60.0}',
+         "utc_offset_minutes 60.0 is not"),
+        (b'{"level": "student", "split": null, "utc_offset_minutes": "60"}',
+         "utc_offset_minutes '60' is not"),
+        (b'{"level": "student", "split": null, "utc_offset_minutes": -721}',
+         "utc_offset_minutes -721 is not"),
+        (b'{"level": "student", "split": null, "utc_offset_minutes": 841}',
+         "utc_offset_minutes 841 is not"),
+        (b'{"level": "student", "split": [], "utc_offset_minutes": 60}',
+         "split is not train, validation and test lists"),
+        (b'{"level": "student", "split": {"train": [], "test": []}, "utc_offset_minutes": 60}',
+         "split is not train, validation and test lists"),
+        (b'{"level": "student", "split": {"test": [], "train": "ab", "validation": []}, '
+         b'"utc_offset_minutes": 60}', "split is not train, validation and test lists"),
+        (b'{"level": "student", "split": {"test": [1], "train": [], "validation": []}, '
+         b'"utc_offset_minutes": 60}', "split is not train, validation and test lists"),
+        (b'{"level": "student", "split": {"test": [], "train": ["b", "a"], "validation": []}, '
+         b'"utc_offset_minutes": 60}', "split is not train, validation and test lists"),
+        (b'{"level": "student", "split": {"test": [], "train": ["a", "a"], "validation": []}, '
+         b'"utc_offset_minutes": 60}', "split is not train, validation and test lists"),
+        (b'{"level": "student", "split": {"test": ["b"], "train": ["a", "b"], '
+         b'"validation": []}, "utc_offset_minutes": 60}', "a student is in two parts"),
+    ], ids=["empty", "cut", "not-utf8", "not-a-mapping", "missing-key", "extra-key",
+            "bad-level", "null-level", "bool-offset", "float-offset", "text-offset",
+            "offset-below", "offset-above", "split-a-list", "split-lacks-a-part",
+            "ids-a-string", "id-not-text", "ids-unsorted", "id-twice", "parts-overlap"])
+    def test_record_defect_rejected(self, tmp_path, text, match):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(0, hidden_size=4), path)
+        with_record(path, text)
+        with pytest.raises(CheckpointError, match=re.escape(match)) as raised:
+            load_checkpoint(path)
+        assert str(raised.value).startswith(f"{path}: ") and "\n" not in str(raised.value)
 
     def test_bad_markers_rejected(self, tmp_path):
         p = init_params(0, hidden_size=4)
@@ -850,7 +945,7 @@ class TestCheckpoint:
         p = init_params(1, hidden_size=4)
         path = tmp_path / "tiny.ckpt"
         save_checkpoint(p, path)
-        q = load_checkpoint(path)
+        q, _ = load_checkpoint(path)
         assert q.hidden_size == 4
         assert q.input_dim == 13
         assert q.dense1_size == 2 and q.dense2_size == 1

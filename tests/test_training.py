@@ -25,7 +25,7 @@ from eosnet.training import (
     TrainConfig,
     TrainSequence,
     make_batches,
-    prepare_sequence,
+    prepare_sequences,
     score_sequences,
     session_weights,
     split_students,
@@ -348,7 +348,7 @@ class TestScoringPool:
 
     def _sequences(self, level):
         labeled = make_toy_students(self.N_STUDENTS, np.random.default_rng(4))
-        return [prepare_sequence(seq, level) for seq in labeled]
+        return [prepare_sequences([seq], level)[0] for seq in labeled]
 
     def _score(self, workers, params, seqs):
         with ThreadPoolExecutor(workers) as pool:
@@ -477,7 +477,7 @@ def make_toy_students(n_students, rng):
 class TestTrainLoop:
     def _sequences(self, level, n=12, seed=0):
         rng = np.random.default_rng(seed)
-        return [prepare_sequence(seq, level) for seq in make_toy_students(n, rng)]
+        return [prepare_sequences([seq], level)[0] for seq in make_toy_students(n, rng)]
 
     def test_deterministic_end_to_end(self, pool):
         seqs = self._sequences(Level.STUDENT)
@@ -524,8 +524,8 @@ class TestTrainLoop:
             starts = np.zeros(seq.n_actions, dtype=bool)
             starts[np.cumsum([0] + seq.session_lengths[:-1].tolist())] = True
             np.testing.assert_array_equal(
-                prepare_sequence(seq, Level.SESSION).resets, starts)
-            assert not prepare_sequence(seq, Level.STUDENT).resets.any()
+                prepare_sequences([seq], Level.SESSION)[0].resets, starts)
+            assert not prepare_sequences([seq], Level.STUDENT)[0].resets.any()
 
     def test_empty_sets_rejected(self, pool):
         seqs = self._sequences(Level.STUDENT)
@@ -544,7 +544,7 @@ class TestTrainingSplit:
 
     def _sequences(self, level):
         labeled = make_toy_students(self.N_STUDENTS, np.random.default_rng(6))
-        return [prepare_sequence(seq, level) for seq in labeled]
+        return [prepare_sequences([seq], level)[0] for seq in labeled]
 
     def _train(self, monkeypatch, workers, level, seqs, **config):
         """Train on a pool of ``workers`` threads; return the result and the
