@@ -2,14 +2,13 @@
 backpropagation through time, RMSprop, and checkpoints (EOS2: the magic, a
 header, the tensors, then the model's record; see :func:`save_checkpoint`).
 
-All math is 64-bit.  The batched code path is time-major ``(T, B, dim)``
-and is the single implementation; there are no per-sequence wrappers, so
-callers pass whole batches to :func:`forward_batch` and
-:func:`backward_batch`.  The streaming ``infer_step`` (and ``lstm_step``)
-are T=1, B=1 wrappers over it that take one student's state as two
-length-H vectors ``h`` and ``c``.  Gate blocks inside ``lstm_W``/``lstm_b``
-are stacked in the order input, forget, candidate, output, and the LSTM
-input is the concatenation ``[x; h]`` (feature columns first).
+All math is 64-bit.  The one code path is time-major ``(T, B, dim)``:
+:func:`forward_batch` and :func:`backward_batch` take whole batches, and
+the streaming ``infer_step`` (and ``lstm_step``) are T=1, B=1 wrappers
+over it that take one student's state as two length-H vectors.  Gate
+blocks inside ``lstm_W``/``lstm_b`` are stacked in the order input,
+forget, candidate, output, and the LSTM input is the concatenation
+``[x; h]`` (feature columns first).
 
 Lanes are packed: a caller passes each lane's count of real steps,
 ``lengths``, in non-decreasing order (the layout of PyTorch's
@@ -49,31 +48,22 @@ cached: backward recomputes it bit for bit as ``tanh(c) * o``, trading one
 ``tanh`` pass for an ``(n, H)`` array (Gruslys et al. 2016, Memory-Efficient
 Backpropagation Through Time).  Each GEMM keeps the row count it has at
 inference, so a cached pass gives the same bits as a plain one.  The
-dropout masks are still drawn for every ``(t, b)`` entry, so the random
-stream does not depend on the lengths, in blocks of steps that are cut to
-the real rows.  They are bool, and a kept unit is scaled as ``(a * m) *
-inv_keep``, the same bits as a float mask ``m / keep``.
+caller draws the dropout masks with :func:`draw_masks`, in the same packed
+rows; they are bool, and a kept unit is scaled as ``(a * m) * inv_keep``,
+the same bits as a float mask ``m / keep``.
 
-The cache is single-use.  :func:`backward_batch` runs the loss, the head,
-the BPTT loop and the weight-gradient GEMMs on the packed rows, overwrites
-the cache in place and marks it spent.  It releases each dense activation
-and dropout mask at its last use, recomputes the hidden states, and the
-BPTT loop writes the gate gradients over the gates and each row's
-pre-step hidden state over ``c``.  Beyond the cache and the gradients it
-allocates one ``(n, H)`` buffer and ``O(B*H)`` of step buffers; a second
-call on the same cache is a ValueError.  Both kernels check their
-outputs for non-finite values themselves and run with numpy's overflow
-and invalid warnings off.
+The cache is single-use: :func:`backward_batch` consumes it in place.  Both
+kernels check their outputs for non-finite values themselves and run with
+numpy's overflow and invalid warnings off.
 
 :func:`forward_batch` keeps no state between calls, so independent batches
 may run concurrently.  Lanes are independent until their weight gradients
-are summed, so a batch can also run as groups of its lanes: ``lanes``
-runs one group, and its dropout masks are those the whole batch would
-draw for its lanes.  Given the whole batch's weight sum,
-:func:`backward_batch` gives each group its share of the whole batch's
-gradients and loss.  Each kernel starts no thread itself; BLAS threads
-are its only parallelism, and the CLI pins them to one for ``train`` and
-``evaluate``, whose pool runs kernel calls side by side.
+are summed, so a batch can also run as groups of its lanes, each a batch
+of its own with its rows of the batch's masks; given the whole batch's
+weight sum, :func:`backward_batch` gives each group its share of the
+batch's gradients and loss.  Each kernel starts no thread itself; BLAS
+threads are its only parallelism, and the CLI pins them to one for
+``train`` and ``evaluate``, whose pool runs kernel calls side by side.
 """
 
 from __future__ import annotations
@@ -82,7 +72,7 @@ import json
 import struct
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -217,19 +207,15 @@ class _ForwardCache:
     """One training window's activations, read once by :func:`backward_batch`.
 
     Every array holds only the lane-steps the forward pass ran, as packed
-    rows: step t owns rows ``offsets[t]:offsets[t + 1]``, one per live lane
-    ``[first_live[t]:]`` in lane order, so a lane's previous state is in
-    the tail of step t-1's rows.  It stores only what backward cannot
-    recompute exactly: the hidden states are not stored, since ``tanh(c) *
-    o`` with ``o`` the output gate gives their bits again.  The dropout
-    masks are bool (``None`` without dropout); a unit is kept as ``(a * m)
-    * inv_keep``.  ``backward_batch`` overwrites ``gates``, ``c``, ``a1``
-    and ``a2`` in place, drops ``a1``, ``a2`` and the masks (sets them to
-    ``None``) once used, and marks the cache ``spent``.
+    rows (see the module docstring), and no hidden state: backward
+    recomputes it as ``tanh(c) * o``.  The masks are ``None`` without
+    dropout.
+    ``backward_batch`` overwrites ``gates``, ``c``, ``a1`` and ``a2`` in
+    place, sets ``a1``, ``a2`` and the masks to ``None`` once used, and
+    marks the cache ``spent``.
     """
 
     X: np.ndarray        # (n, D) input rows
-    lanes: slice         # the batch's lanes that ran, B of them
     resets: np.ndarray   # (T, B) bool
     first_live: list     # step t ran lanes [first_live[t]:]
     offsets: list        # step t owns rows [offsets[t]:offsets[t + 1]]
@@ -289,28 +275,37 @@ def _drop(a: np.ndarray, mask: Optional[np.ndarray], inv_keep: float,
     return out
 
 
-def _draw_mask(rng: np.random.Generator, real: np.ndarray, width: int,
-               keep: float, grid: int, lanes: slice) -> np.ndarray:
-    """A bool dropout mask for the packed rows that ``real`` marks, which
-    are those of columns ``lanes`` of a ``(T, grid)`` batch.
+class DropoutMasks(NamedTuple):
+    """A window's inverted dropout: the keep probability and the bool masks
+    of the LSTM output and both dense outputs, one packed row per real
+    lane-step (see :func:`draw_masks`)."""
 
-    A uniform is drawn for every ``(t, b)`` entry of the whole grid,
-    padding and other lanes included, so the stream depends neither on
-    the lengths nor on the lanes run.  The draws come ``_MASK_STEPS`` steps
-    at a time, each block cut to its lanes and real rows; the stream fills
-    the blocks in order, so the mask equals one ``(T, grid, width)`` draw
-    cut to the rows, without its float64 transient.
-    """
-    T = real.shape[0]
-    mask = np.empty((int(real.sum()), width), dtype=bool)
-    row = 0
-    for start in range(0, T, _MASK_STEPS):
-        block = real[start:start + _MASK_STEPS]
-        rows = mask[row:row + int(block.sum())]
-        draws = rng.random((len(block), grid, width))[:, lanes]
-        rows[...] = (draws < keep)[block]
-        row += len(rows)
-    return mask
+    keep: float
+    m0: np.ndarray  # (n, H)
+    m1: np.ndarray  # (n, H1)
+    m2: np.ndarray  # (n, H2)
+
+
+def draw_masks(params: ModelParams, real: np.ndarray, dropout_p: float,
+               rng: np.random.Generator) -> DropoutMasks:
+    """The dropout masks of a ``(T, B)`` window whose real lane-steps
+    ``real`` marks.  Each mask in turn draws a uniform for every ``(t, b)``
+    entry, padding included, ``_MASK_STEPS`` steps at a time, each block
+    cut to its real rows: one ``(T, B, width)`` draw cut to the rows,
+    without its float64 transient."""
+    T, B = real.shape
+    keep = 1.0 - dropout_p
+    masks = []
+    for width in (params.hidden_size, params.dense1_size, params.dense2_size):
+        mask = np.empty((int(real.sum()), width), dtype=bool)
+        row = 0
+        for start in range(0, T, _MASK_STEPS):
+            block = real[start:start + _MASK_STEPS]
+            rows = mask[row:row + int(block.sum())]
+            rows[...] = (rng.random((len(block), B, width)) < keep)[block]
+            row += len(rows)
+        masks.append(mask)
+    return DropoutMasks(keep, *masks)
 
 
 def _zero_resets(block: np.ndarray, resets: np.ndarray) -> None:
@@ -323,29 +318,19 @@ def _zero_resets(block: np.ndarray, resets: np.ndarray) -> None:
 
 @_quiet_overflow
 def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
-                  h0: np.ndarray, c0: np.ndarray, dropout_p: float = 0.0,
-                  rng: Optional[np.random.Generator] = None,
-                  want_cache: bool = False, lengths=None,
-                  lanes: slice = slice(None)) -> BatchForward:
+                  h0: np.ndarray, c0: np.ndarray, masks: Optional[DropoutMasks] = None,
+                  want_cache: bool = False, lengths=None) -> BatchForward:
     """Run the full pipeline over a time-major batch.
 
     ``resets[t, b]`` zeroes lane b's state before step t.  ``lengths[b]``
     is lane b's count of real steps, in non-decreasing order (a decreasing
     order is a ValueError); step t then runs only the lanes still live.
-    Without ``lengths`` every lane runs all T steps.  Dropout (inverted,
-    scale 1/(1-p)) is applied to the LSTM output and both dense outputs
-    only when an RNG is supplied and p > 0; inference mode applies no
-    masks and no scaling.
-
-    ``lanes`` runs only those lanes of the batch: it cuts ``X``,
-    ``resets`` and ``lengths``, while ``h0``, ``c0`` and the outputs are
-    the states of the lanes run.  Their dropout masks are drawn over the
-    whole batch, so they are the masks a run of the whole batch gives them.
+    Without ``lengths`` every lane runs all T steps.  ``masks`` applies
+    inverted dropout (scale 1/keep) to the LSTM output and both dense
+    outputs; it holds one packed row per real lane-step of this batch (a
+    ValueError otherwise).  Without it, as at inference, no mask and no
+    scaling is applied.
     """
-    grid = X.shape[1]
-    X, resets = X[:, lanes], resets[:, lanes]
-    if lengths is not None:
-        lengths = np.asarray(lengths)[lanes]
     T, B, D = X.shape
     hidden = params.hidden_size
     if D != params.input_dim:
@@ -355,17 +340,13 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     off = list(accumulate((B - lo for lo in first), initial=0))
 
     h1, h2 = params.dense1_size, params.dense2_size
-    train = rng is not None and dropout_p > 0.0
-    real = _real_steps(first, B) if train or want_cache else None
-    inv_keep = 1.0
+    train = masks is not None
+    keep, m0, m1, m2 = masks if train else (1.0, None, None, None)
+    inv_keep = 1.0 / keep
     if train:
-        keep = 1.0 - dropout_p
-        inv_keep = 1.0 / keep
-        m0, m1, m2 = (_draw_mask(rng, real, width, keep, grid, lanes)
-                      for width in (hidden, h1, h2))
+        if len(m0) != off[-1]:
+            raise ValueError(f"masks have {len(m0)} rows for {off[-1]} real lane-steps")
         hd, a1d, a2d = np.empty((B, hidden)), np.empty((B, h1)), np.empty((B, h2))
-    else:
-        m0 = m1 = m2 = None
 
     # sigma(x) = tanh(x/2)/2 + 1/2: halve the i, f, o pre-activations (and
     # bias), take one tanh over all four blocks, then map i, f, o back.
@@ -448,7 +429,7 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     c = c0.copy()
     c[ran] = cs[last]
     cache = _ForwardCache(
-        X=X[real], lanes=lanes, resets=resets, first_live=first, offsets=off,
+        X=X[_real_steps(first, B)], resets=resets, first_live=first, offsets=off,
         gates=gates, c=cs, h0=h0, c0=c0, m0=m0, m1=m1, m2=m2, inv_keep=inv_keep,
         a1=a1s, a2=a2s, probs=probs,
     )
@@ -537,9 +518,9 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
 
     Returns ``(grads, loss_numerator, weight_sum)`` where the window loss
     is ``loss_numerator / weight_sum``.  ``labels`` and ``weights`` are
-    those of the whole batch, ``(T, B)``; only the lane-steps the forward
-    pass ran count, and their values at padded steps are ignored.  The
-    weight sum is theirs unless ``weight_sum`` is given: with the whole
+    ``(T, B)``, for the lanes the forward pass ran; only its real
+    lane-steps count, and their values at padded steps are ignored.  The
+    weight sum is theirs unless ``weight_sum`` is given: with a whole
     batch's, the gradients and loss numerators of its lane groups add up
     to the whole batch's, up to rounding.  Gradients stop at the window
     boundary (the initial state is treated as a constant) and at every
@@ -566,11 +547,11 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     D, hidden = params.input_dim, params.hidden_size
 
     real = _real_steps(cache.first_live, B)
-    w = weights[:, cache.lanes][real]
+    w = weights[real]
     w_sum = float(w.sum()) if weight_sum is None else weight_sum
     if w_sum == 0.0:
         return params.zeros_like(), 0.0, w_sum
-    p, y = cache.probs[real], labels[:, cache.lanes][real]
+    p, y = cache.probs[real], labels[real]
     loss_num = float((w * -(y * np.log(p) + (1 - y) * np.log1p(-p))).sum())
 
     # Output head and dense stack over all rows at once.  Once its ReLU
@@ -734,23 +715,25 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
         (h1, hidden), (h1,), (h2, h1), (h2,), (1, h2), (1,),
     )
     expected = sum(int(np.prod(s)) for s in shapes) * 8
-    body = blob[4 + _HEADER_STRUCT.size:]
-    if len(body) < expected:
-        raise CheckpointError(f"{path}: payload is {len(body)} bytes, short of the {expected} "
+    # the tensors are read from ``blob`` in place; a slice of it would copy them
+    offset = 4 + _HEADER_STRUCT.size
+    payload = len(blob) - offset
+    if payload < expected:
+        raise CheckpointError(f"{path}: payload is {payload} bytes, short of the {expected} "
                               "of the tensors")
     try:
-        record = json.loads(body[expected:].decode("utf-8"))
+        record = json.loads(str(memoryview(blob)[offset + expected:], "utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise CheckpointError(f"{path}: model record is not UTF-8 JSON: {exc}") from None
     if defect := _record_defect(record):
         raise CheckpointError(f"{path}: bad model record: {defect}")
     arrays = []
-    offset = 0
     for field, shape in zip(ModelParams.FIELDS, shapes):
         count = int(np.prod(shape))
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: non-finite value in {field}")
+        # a copy: at byte 36 of the file, a view would be misaligned float64
         arrays.append(arr.astype(np.float64).reshape(shape))
         offset += count * 8
     return ModelParams(*arrays), record

@@ -23,8 +23,9 @@ batches on the pool, longest batch first.  Training has one window at a
 time, and a window's lanes are independent until their gradients are
 summed, so it cuts each window into lane groups of at most
 ``LANE_GROUP`` lanes and runs each group's forward and backward pass as
-one pool task (``net``'s ``lanes=``).  The groups keep the window's
-dropout masks and its weight sum, and their gradients are summed in
+one pool task, on the group's lanes alone.  ``train`` draws each window's
+dropout masks once and gives each group the masks' rows of its lanes; the
+groups share the window's weight sum, and their gradients are summed in
 group order, so a window of at most ``LANE_GROUP`` lanes gives the bits
 of an unsplit one and wider windows differ only in rounding.  Neither
 path's output depends on the pool size.
@@ -47,9 +48,11 @@ from eosnet.errors import DataValidationError, NumericalFault
 from eosnet.evaluation import auc
 from eosnet.features import DEFAULT_UTC_OFFSET_MINUTES, SESSION_START, featurize_logs
 from eosnet.net import (
+    DropoutMasks,
     ModelParams,
     OptState,
     backward_batch,
+    draw_masks,
     forward_batch,
     init_params,
     rmsprop_update,
@@ -206,6 +209,10 @@ class Batch:
     weights: np.ndarray  # (T, B)
     resets: np.ndarray   # (T, B) bool
 
+    def real_steps(self) -> np.ndarray:
+        """``(T, B)`` bool, true at each lane's real steps."""
+        return np.arange(self.X.shape[0])[:, None] < self.lengths
+
     def windows(self, size: int) -> Iterator["Batch"]:
         """Consecutive TBPTT windows of at most ``size`` steps.
 
@@ -353,23 +360,27 @@ def _lane_groups(n_lanes: int) -> list[slice]:
     return [slice(g, None, n) for g in range(n)]
 
 
-def _weight_sum(window: Batch) -> float:
-    """The sum of a window's weights over its real lane-steps, in the order
-    ``backward_batch`` adds them."""
-    real = np.arange(window.X.shape[0])[:, None] < window.lengths
-    return float(window.weights[real].sum())
+def _group_masks(params: ModelParams, window: Batch, dropout_p: float, key: list,
+                 n_groups: int) -> list:
+    """The window's dropout masks, drawn once from stream ``key``, cut to the
+    rows of each lane group ``g::n_groups``; Nones without dropout."""
+    if dropout_p == 0.0:
+        return [None] * n_groups
+    real = window.real_steps()
+    keep, *masks = draw_masks(params, real, dropout_p, np.random.default_rng(key))
+    group = np.nonzero(real)[1] % n_groups  # each packed row's, in (t, b) order
+    return [DropoutMasks(keep, *(m[group == g] for m in masks)) for g in range(n_groups)]
 
 
 def _train_group(params: ModelParams, window: Batch, lanes: slice, state: tuple,
-                 dropout_p: float, key: list, weight_sum: float) -> tuple:
+                 masks: Optional[DropoutMasks], weight_sum: float) -> tuple:
     """Lane group ``lanes``'s forward and backward pass over a window, from
-    its ``(h, c)`` ``state``, with the window's dropout stream ``key``: its
-    next state, its gradients and its loss numerator."""
-    result = forward_batch(params, window.X, window.resets, *state,
-                           dropout_p=dropout_p, rng=np.random.default_rng(key),
-                           want_cache=True, lengths=window.lengths, lanes=lanes)
-    grads, num, _ = backward_batch(params, result.cache, window.labels,
-                                   window.weights, weight_sum)
+    its ``(h, c)`` ``state``, with its rows of the window's dropout
+    ``masks``: its next state, its gradients and its loss numerator."""
+    result = forward_batch(params, window.X[:, lanes], window.resets[:, lanes], *state,
+                           masks, want_cache=True, lengths=window.lengths[lanes])
+    grads, num, _ = backward_batch(params, result.cache, window.labels[:, lanes],
+                                   window.weights[:, lanes], weight_sum)
     return (result.h, result.c), grads, num
 
 
@@ -414,14 +425,17 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
             states = [(zeros[lanes], zeros[lanes]) for lanes in groups]
             for w_idx, window in enumerate(batch.windows(config.tbptt_window)):
                 key = [_DROPOUT_NS, config.seed, epoch, b_idx, w_idx]
-                den = _weight_sum(window)
+                # the window's weight sum, added in backward_batch's order
+                den = float(window.weights[window.real_steps()].sum())
+                masks = _group_masks(params, window, config.dropout_p, key, len(groups))
                 with _diverged(epoch=epoch, batch=b_idx, window=w_idx):
                     # each group's cache is spent inside its task, so all are
                     # gone before the next window's are built
                     states, grads, nums = zip(*_in_order([
                         pool.submit(_train_group, params, window, lanes, state,
-                                    config.dropout_p, key, den)
-                        for lanes, state in zip(groups, states)]))
+                                    group_masks, den)
+                        for lanes, state, group_masks in zip(groups, states, masks)]))
+                    del masks  # released before the next window's are drawn
                     # summed in group order; one group's are kept as they are
                     grads = ModelParams(*(reduce(np.add, arrays) for arrays
                                           in zip(*(g.arrays() for g in grads))))

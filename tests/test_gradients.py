@@ -13,6 +13,7 @@ import pytest
 from eosnet.net import (
     ModelParams,
     backward_batch,
+    draw_masks,
     forward_batch,
     init_params,
 )
@@ -44,7 +45,8 @@ def random_params(rng, input_dim=13, hidden=4, scale=0.4):
 
 
 def random_instance(seed, steps=10, hidden=4, lanes=1, padded_from=None):
-    """A random time-major window and its per-lane ``lengths``.  With
+    """A random time-major window, its per-lane ``lengths`` and its dropout
+    masks (None for about a third of the seeds).  With
     ``padded_from``, lane 0 (the shortest lane comes first) ends at that
     step: the rest of it has zero features and no resets, as the training
     batcher pads a shorter student.  Its labels and weights stay random, so
@@ -62,27 +64,36 @@ def random_instance(seed, steps=10, hidden=4, lanes=1, padded_from=None):
         lengths[0] = padded_from
     dropout_p = float(rng.choice([0.0, 0.3, 0.5]))
     rng_seed = int(rng.integers(1 << 30)) if dropout_p > 0 else None
-    return params, X, labels, weights, resets, lengths, dropout_p, rng_seed
+    masks = window_masks(params, X, lengths, dropout_p, rng_seed)
+    return params, X, labels, weights, resets, lengths, masks
 
 
-def run_window(params, X, resets, dropout_p, rng_seed, want_cache=False,
-               lengths=None):
-    """Forward pass from a zero state; the same seed repeats the dropout masks."""
+def window_masks(params, X, lengths, dropout_p, rng_seed):
+    """The dropout masks of the window ``X`` whose lanes have ``lengths``
+    real steps (all T when None), drawn from a generator seeded
+    ``rng_seed``; None, for no dropout, when that is None."""
+    if rng_seed is None:
+        return None
+    T, B = X.shape[:2]
+    real = np.arange(T)[:, None] < (np.full(B, T) if lengths is None else np.asarray(lengths))
+    return draw_masks(params, real, dropout_p, np.random.default_rng(rng_seed))
+
+
+def run_window(params, X, resets, masks, want_cache=False, lengths=None):
+    """Forward pass from a zero state with the dropout ``masks`` (or none)."""
     zeros = np.zeros((X.shape[1], params.hidden_size))
-    rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
-    return forward_batch(params, X, resets, zeros, zeros, dropout_p=dropout_p,
-                         rng=rng, want_cache=want_cache, lengths=lengths)
+    return forward_batch(params, X, resets, zeros, zeros, masks,
+                         want_cache=want_cache, lengths=lengths)
 
 
-def finite_difference_check(params, X, labels, weights, resets, lengths,
-                            dropout_p, rng_seed):
-    cache = run_window(params, X, resets, dropout_p, rng_seed, want_cache=True,
+def finite_difference_check(params, X, labels, weights, resets, lengths, masks):
+    cache = run_window(params, X, resets, masks, want_cache=True,
                        lengths=lengths).cache
     grads, _, _ = backward_batch(params, cache, labels, weights)
     real = np.arange(X.shape[0])[:, None] < lengths
 
     def loss_at(p):
-        probs = run_window(p, X, resets, dropout_p, rng_seed, lengths=lengths).probs
+        probs = run_window(p, X, resets, masks, lengths=lengths).probs
         return loss_weighted_bce(probs[real], labels[real], weights[real])
 
     worst = 0.0
@@ -111,7 +122,7 @@ class TestGradients:
     def test_padded_lane_in_batch(self):
         instance = random_instance(107, lanes=3, padded_from=6)
         assert instance[5].tolist() == [6, 10, 10]
-        assert instance[6] > 0.0  # dropout on, so the masks cover padding too
+        assert instance[6] is not None  # dropout on, so the masks cover padding too
         assert finite_difference_check(*instance) < REL_TOL
 
     def test_packed_window(self):
@@ -119,21 +130,22 @@ class TestGradients:
         # and a reset in the middle of the window on both longer lanes.  The
         # padded steps hold random features, labels, weights and resets that
         # must not count.
-        params, X, labels, weights, resets, _, _, _ = random_instance(108, steps=9,
-                                                                     lanes=3)
+        params, X, labels, weights, resets, _, _ = random_instance(108, steps=9, lanes=3)
         lengths = np.array([3, 7, 9])
         resets[:] = False
         resets[4, 1:] = True
         resets[5, 0] = True  # a padded step
-        instance = (params, X, labels, weights, resets, lengths, 0.4, 4242)
+        masks = window_masks(params, X, lengths, 0.4, 4242)
+        instance = (params, X, labels, weights, resets, lengths, masks)
         assert finite_difference_check(*instance) < REL_TOL
 
         # The same window run on every lane for all 9 steps, with zero
         # weight on the padded steps, has the same gradient: backward_batch
         # gives padded steps zero gate gradients.
-        packed = run_window(params, X, resets, 0.4, 4242, want_cache=True,
+        packed = run_window(params, X, resets, masks, want_cache=True,
                             lengths=lengths).cache
-        full = run_window(params, X, resets, 0.4, 4242, want_cache=True).cache
+        full = run_window(params, X, resets, window_masks(params, X, None, 0.4, 4242),
+                          want_cache=True).cache
         real_weights = np.where(np.arange(9)[:, None] < lengths, weights, 0.0)
         for a, b in zip(backward_batch(params, packed, labels, weights)[0].arrays(),
                         backward_batch(params, full, labels, real_weights)[0].arrays()):
@@ -157,8 +169,8 @@ class TestGradients:
         lengths = np.array([2, 5, 9, 9])
 
         def grads(lens, w):
-            out = forward_batch(params, X, resets, h0, c0, dropout_p=0.4,
-                                rng=np.random.default_rng(7), want_cache=True,
+            out = forward_batch(params, X, resets, h0, c0,
+                                window_masks(params, X, lens, 0.4, 7), want_cache=True,
                                 lengths=lens)
             return backward_batch(params, out.cache, labels, w)[0]
 
@@ -176,13 +188,14 @@ class TestGradients:
         weights = rng.uniform(0.5, 3.0, (12, 1))
         resets = np.zeros((12, 1), dtype=bool)
         resets[[0, 4, 8]] = True
-        worst = finite_difference_check(params, X, labels, weights,
-                                        resets, np.array([12]), 0.4, 31337)
+        lengths = np.array([12])
+        worst = finite_difference_check(params, X, labels, weights, resets, lengths,
+                                        window_masks(params, X, lengths, 0.4, 31337))
         assert worst < REL_TOL
 
     def test_window_without_valid_steps_gives_zero_gradients(self):
-        params, X, labels, weights, resets, _, _, _ = random_instance(5, lanes=2)
-        cache = run_window(params, X, resets, 0.0, None, want_cache=True,
+        params, X, labels, weights, resets, _, _ = random_instance(5, lanes=2)
+        cache = run_window(params, X, resets, None, want_cache=True,
                            lengths=np.zeros(2, dtype=int)).cache
         grads, loss_num, weight_sum = backward_batch(params, cache, labels, weights)
         assert (loss_num, weight_sum) == (0.0, 0.0)
@@ -196,7 +209,7 @@ class TestGradients:
         labels = rng.integers(0, 2, (15, 1)).astype(float)
         weights = rng.uniform(0.5, 3.0, (15, 1))
         resets = np.zeros((15, 1), dtype=bool)
-        out = run_window(params, X, resets, 0.0, None, want_cache=True)
+        out = run_window(params, X, resets, None, want_cache=True)
         grads, _, _ = backward_batch(params, out.cache, labels, weights)
         expected = float((weights * (out.probs - labels)).sum() / weights.sum())
         assert grads.out_b[0] == pytest.approx(expected, rel=1e-12)

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_gradients import loss_weighted_bce
+from test_gradients import loss_weighted_bce, window_masks
 
 from eosnet.errors import CheckpointError
 from eosnet.net import (
@@ -16,6 +16,7 @@ from eosnet.net import (
     ModelParams,
     OptState,
     backward_batch,
+    draw_masks,
     infer_step,
     init_params,
     forward_batch,
@@ -25,7 +26,9 @@ from eosnet.net import (
     save_checkpoint,
     sigmoid,
 )
-from eosnet.training import LANE_GROUP, Batch, _lane_groups, _train_group, _weight_sum
+from eosnet.training import (
+    LANE_GROUP, Batch, _group_masks, _lane_groups, _train_group,
+)
 
 
 def random_params(rng, input_dim=13, hidden=4, scale=0.4):
@@ -35,14 +38,13 @@ def random_params(rng, input_dim=13, hidden=4, scale=0.4):
 
 def run_lane(params, frames, resets=None, dropout_p=0.0, rng_seed=None):
     """Probabilities of one sequence run through ``forward_batch`` as a
-    single lane from a zero state; ``rng_seed`` selects training mode."""
+    single lane from a zero state; ``rng_seed`` draws dropout masks."""
     X = np.asarray(frames, dtype=np.float64)[:, None, :]
     if resets is None:
         resets = np.zeros(X.shape[0], dtype=bool)
     zeros = np.zeros((1, params.hidden_size))
-    rng = np.random.default_rng(rng_seed) if rng_seed is not None else None
     out = forward_batch(params, X, np.asarray(resets)[:, None], zeros, zeros,
-                        dropout_p=dropout_p, rng=rng)
+                        window_masks(params, X, None, dropout_p, rng_seed))
     return out.probs[:, 0]
 
 
@@ -278,8 +280,8 @@ class TestPackedLanes:
         # on a padded step of lane 0.
         p, X, resets, h0, c0 = self._inputs()
         lengths = [0, 3, 5]
-        runs = [forward_batch(p, X, resets, h0, c0, dropout_p=dropout_p,
-                              rng=np.random.default_rng(4), want_cache=want_cache,
+        masks = window_masks(p, X, lengths, dropout_p, 4)
+        runs = [forward_batch(p, X, resets, h0, c0, masks, want_cache=want_cache,
                               lengths=lengths)
                 for want_cache in (False, True)]
         for name in ("probs", "h", "c"):
@@ -288,9 +290,9 @@ class TestPackedLanes:
     def test_zero_length_lanes_keep_their_initial_state(self):
         # Later TBPTT windows hold lanes whose student has already ended.
         p, X, resets, h0, c0 = self._inputs()
-        out = forward_batch(p, X, resets, h0, c0, dropout_p=0.4,
-                            rng=np.random.default_rng(5), want_cache=True,
-                            lengths=[0, 0, 5])
+        lengths = [0, 0, 5]
+        out = forward_batch(p, X, resets, h0, c0, window_masks(p, X, lengths, 0.4, 5),
+                            want_cache=True, lengths=lengths)
         assert out.h[:2].tobytes() == h0[:2].tobytes()
         assert out.c[:2].tobytes() == c0[:2].tobytes()
         assert (out.probs[:, :2] == 0.5).all()
@@ -311,15 +313,22 @@ class TestPackedLanes:
         h0, c0 = rng.uniform(-1, 1, (2, B, 16))
 
         def grads(h0, c0):
-            out = forward_batch(p, X, resets, h0, c0, dropout_p=0.4,
-                                rng=np.random.default_rng(3), want_cache=True,
-                                lengths=[2, 4, 6, 6])
+            lengths = [2, 4, 6, 6]
+            out = forward_batch(p, X, resets, h0, c0, window_masks(p, X, lengths, 0.4, 3),
+                                want_cache=True, lengths=lengths)
             return backward_batch(p, out.cache, labels, weights)[0]
 
         cut_h0, cut_c0 = h0.copy(), c0.copy()
         cut_h0[[1, 3]] = cut_c0[[1, 3]] = 0.0
         for a, b in zip(grads(h0, c0).arrays(), grads(cut_h0, cut_c0).arrays()):
             np.testing.assert_array_equal(a, b)
+
+    def test_masks_drawn_for_other_lengths_rejected(self):
+        # masks for every step of every lane hold rows the packed lanes lack
+        p, X, resets, h0, c0 = self._inputs()
+        with pytest.raises(ValueError, match="masks have 15 rows for 12 real lane-steps"):
+            forward_batch(p, X, resets, h0, c0, window_masks(p, X, None, 0.4, 1),
+                          lengths=self.LENGTHS)
 
     @pytest.mark.parametrize("lanes, lengths", [
         (2, [5, 2]), (3, [2, 5, 4]),     # decreasing
@@ -378,9 +387,9 @@ def window_inputs(T, B, hidden, seed=0, lengths=None):
 
 def cached_forward(p, X, resets, lengths, dropout_p=0.4, seed=0):
     zeros = np.zeros((X.shape[1], p.hidden_size))
-    return forward_batch(p, X, resets, zeros, zeros, dropout_p=dropout_p,
-                         rng=np.random.default_rng(seed + 1), want_cache=True,
-                         lengths=lengths)
+    return forward_batch(p, X, resets, zeros, zeros,
+                         window_masks(p, X, lengths, dropout_p, seed + 1),
+                         want_cache=True, lengths=lengths)
 
 
 def training_window(T, B, hidden, dropout_p=0.4, seed=0, lengths=None):
@@ -529,8 +538,8 @@ class TestDropout:
         X = rng.uniform(-1, 1, (T, B, p.input_dim))
         resets = np.zeros((T, B), dtype=bool)
         zeros = np.zeros((B, p.hidden_size))
-        out = forward_batch(p, X, resets, zeros, zeros, dropout_p=1.0 - keep,
-                            rng=np.random.default_rng(21), want_cache=True,
+        out = forward_batch(p, X, resets, zeros, zeros,
+                            window_masks(p, X, lengths, 1.0 - keep, 21), want_cache=True,
                             lengths=lengths)
         draw = np.random.default_rng(21)
         masks = [(draw.random((T, B, n)) < keep) / keep
@@ -578,6 +587,7 @@ class TestForward:
         rng = np.random.default_rng(2)
         p = random_params(rng, hidden=6)
         frames = rng.uniform(-1, 1, (10, 13))
+        # masks of keep 1 drop nothing and scale by 1.0: no masks' bits
         a = run_lane(p, frames, dropout_p=0.0)
         b = run_lane(p, frames, dropout_p=0.0, rng_seed=99)
         np.testing.assert_array_equal(a, b)
@@ -624,9 +634,28 @@ class TestForward:
             np.testing.assert_allclose(streamed, probs, rtol=1e-12)
 
 
+def per_group_mask_oracle(rng, real, width, keep, grid, lanes):
+    """One lane group's dropout mask as each group drew it for itself: a
+    uniform for every ``(t, b)`` entry of the whole ``(T, grid)`` window,
+    ``_MASK_STEPS`` = 16 steps at a time, each block cut to the group's
+    ``lanes`` and then to its real rows ``real`` (``(T, B)`` for its B
+    lanes)."""
+    T = real.shape[0]
+    mask = np.empty((int(real.sum()), width), dtype=bool)
+    row = 0
+    for start in range(0, T, 16):
+        block = real[start:start + 16]
+        rows = mask[row:row + int(block.sum())]
+        draws = rng.random((len(block), grid, width))[:, lanes]
+        rows[...] = (draws < keep)[block]
+        row += len(rows)
+    return mask
+
+
 class TestLaneGroups:
-    """A window run as lane groups (``lanes=``, the whole window's weight
-    sum) adds up to the window run whole, at H=400 with dropout on."""
+    """A window run as lane groups (each group's lanes of the inputs, its
+    rows of the window's masks, the whole window's weight sum) adds up to
+    the window run whole, at H=400 with dropout on."""
 
     T, D = 24, 13
     # fixed before the first run: groups change only the rounding
@@ -646,10 +675,9 @@ class TestLaneGroups:
             weights=rng.uniform(1.0, 8.0, (self.T, lanes)),
         ), rng.uniform(-1, 1, (2, lanes, init_params(0).hidden_size))
 
-    def _forward(self, params, window, h0, c0, lanes=slice(None)):
-        return forward_batch(params, window.X, window.resets, h0, c0, dropout_p=0.4,
-                             rng=np.random.default_rng(7), want_cache=True,
-                             lengths=window.lengths, lanes=lanes)
+    def _forward(self, params, window, h0, c0, masks, lanes=slice(None)):
+        return forward_batch(params, window.X[:, lanes], window.resets[:, lanes], h0, c0,
+                             masks, want_cache=True, lengths=window.lengths[lanes])
 
     def _close(self, got, expected):
         assert np.linalg.norm(got - expected) <= self.RTOL * np.linalg.norm(expected)
@@ -658,19 +686,22 @@ class TestLaneGroups:
     def test_group_sums_equal_the_whole_window(self, level):
         params = init_params(0)
         window, (h0, c0) = self._window(level, 72)
-        whole = self._forward(params, window, h0, c0)
+        key = [7]
+        masks = draw_masks(params, window.real_steps(), 0.4, np.random.default_rng(key))
+        whole = self._forward(params, window, h0, c0, masks)
         grads, num, w_sum = backward_batch(params, whole.cache, window.labels,
                                            window.weights)
         groups = _lane_groups(72)
         assert len(groups) == 3
         total, total_num = params.zeros_like(), 0.0
-        for lanes in groups:
-            part = self._forward(params, window, h0[lanes], c0[lanes], lanes)
+        for lanes, part_masks in zip(groups, _group_masks(params, window, 0.4, key, 3)):
+            part = self._forward(params, window, h0[lanes], c0[lanes], part_masks, lanes)
             for got, expected in ((part.probs, whole.probs[:, lanes]),
                                   (part.h, whole.h[lanes]), (part.c, whole.c[lanes])):
                 self._close(got, expected)
             part_grads, part_num, part_w_sum = backward_batch(
-                params, part.cache, window.labels, window.weights, w_sum)
+                params, part.cache, window.labels[:, lanes], window.weights[:, lanes],
+                w_sum)
             assert part_w_sum == w_sum
             for acc, grad in zip(total.arrays(), part_grads.arrays()):
                 acc += grad
@@ -683,14 +714,36 @@ class TestLaneGroups:
     def test_group_masks_are_the_window_masks_at_its_lanes(self, level):
         params = init_params(0)
         window, (h0, c0) = self._window(level, 72, seed=1)
-        whole = self._forward(params, window, h0, c0).cache
+        key = [7]
+        whole = self._forward(params, window, h0, c0, draw_masks(
+            params, window.real_steps(), 0.4, np.random.default_rng(key))).cache
         # each packed row's lane, in (t, b) order
-        row_lane = np.nonzero(np.arange(self.T)[:, None] < window.lengths)[1]
-        for g, lanes in enumerate(_lane_groups(72)):
-            part = self._forward(params, window, h0[lanes], c0[lanes], lanes).cache
+        row_lane = np.nonzero(window.real_steps())[1]
+        groups = _lane_groups(72)
+        for g, (lanes, masks) in enumerate(zip(groups, _group_masks(params, window, 0.4,
+                                                                    key, 3))):
+            part = self._forward(params, window, h0[lanes], c0[lanes], masks, lanes).cache
             for name in ("m0", "m1", "m2"):
                 np.testing.assert_array_equal(
                     getattr(part, name), getattr(whole, name)[row_lane % 3 == g])
+
+    @pytest.mark.parametrize("level", ["student", "session"])
+    def test_group_masks_equal_each_groups_own_draw(self, level):
+        # The oracle is the draw each lane group made for itself before the
+        # window's masks were drawn once: the same stream, the same bits.
+        params = init_params(0)
+        window, _ = self._window(level, 72, seed=3)
+        key, keep = [5, 6], 1.0 - 0.4
+        widths = (params.hidden_size, params.dense1_size, params.dense2_size)
+        groups = _lane_groups(72)
+        assert len(groups) == 3
+        for lanes, masks in zip(groups, _group_masks(params, window, 0.4, key, 3)):
+            rng = np.random.default_rng(key)
+            real = window.real_steps()[:, lanes]
+            assert masks.keep == keep
+            for mask, width in zip((masks.m0, masks.m1, masks.m2), widths):
+                np.testing.assert_array_equal(
+                    mask, per_group_mask_oracle(rng, real, width, keep, 72, lanes))
 
     @pytest.mark.parametrize("level", ["student", "session"])
     @pytest.mark.parametrize("lanes", [1, 17, LANE_GROUP])
@@ -699,11 +752,12 @@ class TestLaneGroups:
         window, (h0, c0) = self._window(level, lanes, seed=2)
         [group] = _lane_groups(lanes)
         key = [5, 6]
-        (h, c), grads, num = _train_group(params, window, group, (h0, c0), 0.4, key,
-                                          _weight_sum(window))
-        whole = forward_batch(params, window.X, window.resets, h0, c0, dropout_p=0.4,
-                              rng=np.random.default_rng(key), want_cache=True,
-                              lengths=window.lengths)
+        [masks] = _group_masks(params, window, 0.4, key, 1)
+        w_sum = float(window.weights[window.real_steps()].sum())
+        (h, c), grads, num = _train_group(params, window, group, (h0, c0), masks, w_sum)
+        whole = forward_batch(params, window.X, window.resets, h0, c0, draw_masks(
+            params, window.real_steps(), 0.4, np.random.default_rng(key)),
+            want_cache=True, lengths=window.lengths)
         expected, expected_num, _ = backward_batch(params, whole.cache, window.labels,
                                                    window.weights)
         np.testing.assert_array_equal(h, whole.h)
@@ -845,6 +899,19 @@ class TestCheckpoint:
         q, _ = load_checkpoint(path)
         assert q.hidden_size == 400
         assert all((a == b).all() for a, b in zip(p.arrays(), q.arrays()))
+
+    def test_load_peaks_near_twice_the_file_size(self, tmp_path):
+        # The file's bytes and the float64 copies of its tensors, at H=400;
+        # a copy of the payload besides them would read 3x.
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(init_params(0), path)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * path.stat().st_size
 
     def test_truncated_file_rejected(self, tmp_path):
         # cut short inside the tensors; a cut record is a record defect

@@ -568,13 +568,16 @@ class TestTrainingSplit:
             result = train(config, seqs[:-4], seqs[-4:], pool)
         return result, threads
 
-    @pytest.mark.parametrize("level", list(Level))
-    def test_any_worker_count_gives_the_same_bits(self, monkeypatch, level):
+    @pytest.mark.parametrize("level, dropout_p", [
+        *(pytest.param(level, 0.4, id=str(level)) for level in Level),
+        *(pytest.param(level, 0.0, id=f"{level}-no-dropout") for level in Level),
+    ])
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch, level, dropout_p):
         seqs = self._sequences(level)
         # every history is longer than the TBPTT window
         assert min(len(seq) for seq in seqs) > self.CONFIG["tbptt_window"]
-        one, one_threads = self._train(monkeypatch, 1, level, seqs)
-        three, three_threads = self._train(monkeypatch, 3, level, seqs)
+        one, one_threads = self._train(monkeypatch, 1, level, seqs, dropout_p=dropout_p)
+        three, three_threads = self._train(monkeypatch, 3, level, seqs, dropout_p=dropout_p)
         assert one.params.hidden_size == 400
         assert len(set(one_threads["groups"])) == 1
         # 3 groups in each window of the 72-lane batch, 1 in the 8-lane one
@@ -589,6 +592,24 @@ class TestTrainingSplit:
             np.testing.assert_array_equal(b, a)
         assert three.history and [(s.epoch, s.train_loss, s.val_auc) for s in three.history] \
             == [(s.epoch, s.train_loss, s.val_auc) for s in one.history]
+
+    def test_masks_are_drawn_once_per_window(self, monkeypatch):
+        # The 72-lane batch's windows run as 3 lane groups each, and each
+        # window's masks are still drawn once, for all its lanes.
+        seqs = self._sequences(Level.STUDENT)
+        shapes = []
+
+        def draw(params, real, dropout_p, rng):
+            shapes.append(real.shape)
+            return net.draw_masks(params, real, dropout_p, rng)
+
+        monkeypatch.setattr(training, "draw_masks", draw)
+        self._train(monkeypatch, 2, Level.STUDENT, seqs, max_epochs=1)
+        windows = [(min(8, batch.X.shape[0] - start), len(batch.student_ids))
+                   for batch in make_batches(seqs[:-4], 72, 3, epoch=1)
+                   for start in range(0, batch.X.shape[0], 8)]
+        assert sorted({lanes for _, lanes in windows}) == [8, 72]
+        assert shapes == windows
 
     def test_splits_and_validation_share_the_pool(self, monkeypatch):
         seqs = self._sequences(Level.STUDENT)
