@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 usage, 2 data validation, 3 numerical fault.
 
 ``generate``, ``train`` and ``evaluate`` write ``manifest.json`` to
 ``--out``; its ``config`` holds the ``repr`` of every parsed flag, given or
-not, and of every field of the ``GenConfig``/``TrainConfig`` built (an enum
-field as the ``repr`` of its value), so every entry is a Python literal.
+not, and of every field of the ``GenConfig``/``TrainConfig`` built (the
+level as its string), so every entry is a Python literal.
 The ``train`` and ``evaluate`` manifests also record ``workers``, the size
 of the command's thread pool (see ``--threads``).
 ``generate`` writes only ``actions.csv`` and ``manifest.json``.
@@ -63,11 +63,12 @@ students, ``evaluate --split-part test`` scores the record's test ids; a
 listed student missing from the log, or no split, is a data error.
 
 ``score`` reads its input in one pass, encodes its records as one block
-of the feature encoder, and then scores them in input order.  It keeps the
-LSTM state of its k-th student (those of ``--state-in`` first) in row k of
-two (N, H) matrices, and writes nothing when a record is at fault: it
-reports the first fault in line order, whether out-of-order, malformed or
-numerical.
+of the feature encoder, and then scores them in input order, with the
+resets of ``net.level_resets``.  It keeps the LSTM state of its k-th
+student (those of ``--state-in`` first) in row k of two (N, H) matrices,
+and writes nothing when a record is at fault: it reports the first fault
+in line order, whether malformed, numerical or out-of-order (earlier than
+its student's previous record or ``--state-in`` ``last_timestamp``).
 
 ``score --state-out`` writes the JSON state that ``--state-in`` resumes:
 ``version`` (3), ``level`` and ``utc_offset_minutes``; ``students``, a
@@ -94,7 +95,6 @@ import logging
 import os
 import sys
 import time
-from enum import Enum
 from typing import Optional
 
 from eosnet.errors import (
@@ -103,7 +103,7 @@ from eosnet.errors import (
     LogParseError,
     NumericalFault,
 )
-from eosnet.ingest import UTC_OFFSET_RANGE  # no numpy, which loads after the BLAS pin
+from eosnet.ingest import DEFAULT_UTC_OFFSET_MINUTES, UTC_OFFSET_RANGE  # no numpy before the pin
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -171,7 +171,7 @@ def _build_parser() -> _Parser:
     seeded.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                         help="seed for generation / split and training")
     offset = _Parser(add_help=False)
-    offset.add_argument("--utc-offset-minutes", type=_utc_offset, default=60)
+    offset.add_argument("--utc-offset-minutes", type=_utc_offset, default=DEFAULT_UTC_OFFSET_MINUTES)
 
     parser = _Parser(prog="eosnet",
                      description="End-of-session probability modelling")
@@ -278,18 +278,15 @@ def _write_manifest(args, config, inputs, outputs, t0, workers=None,
                     **timings) -> None:
     """Write ``args.out``/manifest.json; ``config`` is a ``GenConfig``,
     a ``TrainConfig`` or None, and ``timings`` gains the seconds since ``t0``.
-    Each config entry is a Python literal: an ``Enum`` is recorded by the
-    ``repr`` of its value.  ``workers`` is the size of the command's thread
-    pool, if it has one."""
+    Each config entry is the ``repr`` of a flag's or a field's value, a
+    Python literal.  ``workers`` is the size of the command's thread pool,
+    if it has one."""
     from eosnet.fileio import write_manifest
 
-    def literal(value):
-        return repr(value.value if isinstance(value, Enum) else value)
-
-    entries = {name: literal(value) for name, value in vars(args).items()
+    entries = {name: repr(value) for name, value in vars(args).items()
                if name != "command"}
     if config is not None:
-        entries.update((f.name, literal(getattr(config, f.name)))
+        entries.update((f.name, repr(getattr(config, f.name)))
                        for f in dataclasses.fields(config))
     timings["seconds"] = time.perf_counter() - t0
     write_manifest(os.path.join(args.out, "manifest.json"), args.command,
@@ -441,7 +438,7 @@ def cmd_train(args) -> int:
                                  config.level, args.utc_offset_minutes)
     train_seqs, val_seqs = prepared[:len(split.train)], prepared[len(split.train):]
     log.info("training %s-level model on %d students (%d validation)",
-             config.level.value, len(train_seqs), len(val_seqs))
+             config.level, len(train_seqs), len(val_seqs))
 
     def progress(stats):
         log.info("epoch %d: train_loss %.5f val_auc %.5f (%.1fs)",
@@ -451,7 +448,7 @@ def cmd_train(args) -> int:
     with ThreadPoolExecutor(workers) as pool:
         result = train(config, train_seqs, val_seqs, pool, progress=progress)
 
-    record = dict(level=config.level.value, utc_offset_minutes=args.utc_offset_minutes)
+    record = dict(level=config.level, utc_offset_minutes=args.utc_offset_minutes)
     save_checkpoint(result.params, ckpt_path, {**record, "split": dataclasses.asdict(split)})
     _emit(history_path, ["epoch,train_loss,val_auc", *(
         f"{s.epoch},{s.train_loss!r},{s.val_auc!r}" for s in result.history)])
@@ -467,7 +464,7 @@ def cmd_evaluate(args) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from eosnet.evaluation import compute_report, scored_sessions
-    from eosnet.training import Level, prepare_sequences, score_sequences
+    from eosnet.training import prepare_sequences, score_sequences
 
     t0 = time.perf_counter()
     os.makedirs(args.out, exist_ok=True)  # first: --dump-scores may name a file in it
@@ -485,13 +482,13 @@ def cmd_evaluate(args) -> int:
         if missing := sum(sid not in labeled for sid in ids):
             raise DataValidationError(
                 f"{args.data} lacks {missing} of the {len(ids)} {args.split_part} ids of the model")
-    prepared = prepare_sequences([labeled[sid] for sid in ids], Level(args.level),
-                                 args.utc_offset_minutes)
+    seqs = [labeled[sid] for sid in ids]
+    prepared = prepare_sequences(seqs, args.level, args.utc_offset_minutes)
     workers = _pool_size(args.threads)
     with ThreadPoolExecutor(workers) as pool:
         probs = score_sequences(params, prepared, pool)
 
-    scored = scored_sessions([labeled[sid] for sid in ids], probs)
+    scored = scored_sessions(seqs, probs)
     rows, chunk_means = compute_report(scored)
 
     _emit(report_path, ["metric,stratum,value",
@@ -502,11 +499,11 @@ def cmd_evaluate(args) -> int:
     outputs = [report_path, trajectory_path]
 
     if args.dump_scores:
-        dump = ["student_id,timestamp,prob,label"]
-        for sid in ids:
-            seq = labeled[sid]
-            for action, prob, yval in zip(seq.actions, probs[sid].tolist(), seq.labels.tolist()):
-                dump.append(f"{sid},{action.timestamp},{prob!r},{yval}")
+        dump, stop = ["student_id,timestamp,prob,label"], 0
+        for seq in seqs:  # a student at a time, so no list holds every action's float
+            start, stop = stop, stop + seq.n_actions
+            dump += (f"{seq.student_id},{action.timestamp},{prob!r},{yval}" for action, prob, yval
+                     in zip(seq.actions, probs[start:stop].tolist(), seq.labels.tolist()))
         _emit(args.dump_scores, dump)
         outputs.append(args.dump_scores)
 
@@ -603,15 +600,9 @@ def _load_score_state(path, level, utc_offset_minutes, hidden_size):
 def cmd_score(args) -> int:
     import numpy as np
 
-    from eosnet.features import (
-        FRESH_HISTORY,
-        SESSION_START,
-        ActionColumns,
-        encode_block,
-        late_actions,
-    )
+    from eosnet.features import FRESH_HISTORY, ActionColumns, encode_block
     from eosnet.ingest import read_actions
-    from eosnet.net import infer_step
+    from eosnet.net import infer_step, level_resets
 
     _check_outputs(args.out, args.state_out)
     params, _ = _load_model(args)
@@ -641,36 +632,34 @@ def cmd_score(args) -> int:
     finally:
         if lines is not sys.stdin:
             lines.close()
+    # the first record earlier than its student's previous one, --state-in's included
+    last = {sid: history["last_timestamp"] for sid, history in histories.items()}
+    for at, action in enumerate(actions):
+        previous = last.get(action.student_id)
+        if previous is not None and action.timestamp < previous:
+            fault = DataValidationError(f"line {line_nos[at]}: {action.student_id}: out-of-order "
+                                        f"timestamp {action.timestamp} after {previous}")
+            del actions[at:]
+            break
+        last[action.student_id] = action.timestamp
+
+    # the records as one encoder block, students in row order
     student_rows = [rows.setdefault(action.student_id, len(rows)) for action in actions]
-    ids = list(rows)
-
-    def block(n):
-        """The first ``n`` records as one encoder block, students in row
-        order: the records' indices in block order, the block's columns
-        and its students' histories before it."""
-        ks = np.array(student_rows[:n], dtype=np.intp)
-        order = np.argsort(ks, kind="stable")
-        ks = ks[order]
-        first = np.ones(n, dtype=bool)
-        first[1:] = ks[1:] != ks[:-1]
-        students = [ids[k] for k in ks[first].tolist()]
-        return (order, ActionColumns.of([actions[i] for i in order.tolist()], first),
-                students, [histories.get(sid, FRESH_HISTORY) for sid in students])
-
-    order, columns, students, before = block(len(actions))
-    late, errors = late_actions(columns, before)
-    if late.size:
-        j = int(np.argmin(order[late]))
-        at = int(order[late[j]])
-        fault = DataValidationError(f"line {line_nos[at]}: {actions[at].student_id}: {errors[j]}")
-        order, columns, students, before = block(at)
-    frames, after = encode_block(columns, before, args.utc_offset_minutes)
+    order = np.argsort(student_rows, kind="stable")
+    ks = np.asarray(student_rows, dtype=np.intp)[order]
+    first = np.ones(len(ks), dtype=bool)
+    first[1:] = ks[1:] != ks[:-1]
+    students = [actions[i].student_id for i in order[first].tolist()]
+    frames, after = encode_block(
+        ActionColumns.of([actions[i] for i in order.tolist()], first),
+        [histories.get(sid, FRESH_HISTORY) for sid in students], args.utc_offset_minutes)
     histories.update(zip(students, after))
 
     h, c = (np.pad(m, ((0, len(rows) - len(m)), (0, 0))) for m in (h, c))
+    frames = frames[np.argsort(order)]
     out_rows = []
-    for action, k, frame in zip(actions, student_rows, frames[np.argsort(order)]):
-        reset = args.level == "session" and frame[SESSION_START] == 1.0
+    for action, k, frame, reset in zip(actions, student_rows, frames,
+                                       level_resets(args.level, frames).tolist()):
         prob, h[k], c[k] = infer_step(params, frame, h[k], c[k], reset)
         out_rows.append(f"{action.student_id},{action.timestamp},{prob!r}")
     if fault is not None:

@@ -18,7 +18,7 @@ that does not hold both classes has no row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -75,15 +75,15 @@ class ScoredActions:
     students: np.ndarray  # (n,) int, the ordinal of the action's student
 
 
-def scored_sessions(seqs: Sequence[LabeledSequence],
-                    probs: Mapping[str, np.ndarray]) -> ScoredActions:
-    """Align each student's probabilities ``probs[student_id]`` with the
-    labels and homework flags of its actions, students in ``seqs`` order."""
-    for seq in seqs:
-        if probs[seq.student_id].shape[0] != seq.n_actions:
-            raise ValueError(f"probabilities do not align with {seq.student_id}")
+def scored_sessions(seqs: Sequence[LabeledSequence], probs: np.ndarray) -> ScoredActions:
+    """Align ``probs``, the probabilities of every action of ``seqs`` in
+    order (as ``training.score_sequences`` gives them), with the labels and
+    homework flags of those actions; another shape is a ValueError."""
+    n_actions = sum(seq.n_actions for seq in seqs)
+    if probs.shape != (n_actions,):
+        raise ValueError(f"probabilities of shape {probs.shape} for {n_actions} actions")
     return ScoredActions(
-        probs=np.concatenate([np.zeros(0)] + [probs[s.student_id] for s in seqs]),
+        probs=probs,
         labels=np.concatenate([np.zeros(0, np.int8)] + [s.labels for s in seqs]),
         homework=np.array([a.homework for s in seqs for a in s.actions], dtype=bool),
         students=np.repeat(np.arange(len(seqs)), [s.n_actions for s in seqs]),

@@ -5,9 +5,10 @@ Every action becomes a frame of 13 floats with the layout below;
 encoder, :func:`encode_block`.  It maps a block of flat columns
 (:class:`ActionColumns`: students one after another, each in time order)
 and each student's carried history to the block's (n, 13) frames and the
-new histories, with array statements.  A history is the four fields of
-``StreamFeaturizer.to_dict``, so a log cut into blocks anywhere encodes to
-the bits of one block.  ``featurize_logs`` encodes whole logs from fresh
+new histories, with array statements; an action earlier than its
+student's previous one is a ``ValueError``.  A history is the four fields
+of ``StreamFeaturizer.to_dict``, so a log cut into blocks anywhere encodes
+to the bits of one block.  ``featurize_logs`` encodes whole logs from fresh
 histories, and ``featurize`` is its one-student case.
 ``StreamFeaturizer.push`` is a one-action call of the encoder that no
 command makes; it stays only because ``perfbench/tracer.py`` ``TARGETS``
@@ -45,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from eosnet.ingest import TIMESTAMP_LIMIT, ActionKind, RawAction, StudentLog
+from eosnet.ingest import DEFAULT_UTC_OFFSET_MINUTES, TIMESTAMP_LIMIT, ActionKind, RawAction, StudentLog
 from eosnet.sessions import LabeledSequence, session_starts
 
 FEATURE_NAMES = (
@@ -68,8 +69,6 @@ SESSION_START = 12
 
 ACTION_GAP_CAP_SECONDS = 900
 SESSION_GAP_CAP_SECONDS = 30 * 86400
-
-DEFAULT_UTC_OFFSET_MINUTES = 60  # fixed offset, no DST handling
 
 _KIND_COLUMN = {
     ActionKind.FILL_OUT_QUESTION: KIND_FILLOUT,
@@ -161,33 +160,25 @@ def _gaps(columns: ActionColumns, histories: Sequence[Mapping]) -> tuple[np.ndar
     return columns.timestamps - previous, has_previous
 
 
-def late_actions(columns: ActionColumns,
-                 histories: Sequence[Mapping]) -> tuple[np.ndarray, list[str]]:
-    """The block positions of the actions earlier than their student's
-    previous one, and for each the error that names it."""
-    gaps, has_previous = _gaps(columns, histories)
-    late = np.flatnonzero(has_previous & (gaps < 0))
-    return late, [f"out-of-order timestamp {ts} after {ts - gap}" for ts, gap in
-                  zip(columns.timestamps[late].tolist(), gaps[late].tolist())]
-
-
 def encode_block(columns: ActionColumns, histories: Sequence[Mapping],
                  utc_offset_minutes: int) -> tuple[np.ndarray, list[dict]]:
     """Encode a block of actions; returns its (n, 13) frames and each
     student's history after it.
 
     ``histories`` holds each student's ``to_dict`` history, in block
-    order.  The first of :func:`late_actions` raises ``ValueError``.  A
-    ``session_gap_value`` is kept as it is (an int stays an int) until a
-    session start replaces it.
+    order.  The first action in block order that is earlier than its
+    student's previous one raises ``ValueError``.  A ``session_gap_value``
+    is kept as it is (an int stays an int) until a session start replaces
+    it.
     """
-    _, errors = late_actions(columns, histories)
-    if errors:
-        raise ValueError(errors[0])
     ts, first = columns.timestamps, columns.first
+    gaps, has_previous = _gaps(columns, histories)
+    late = np.flatnonzero(has_previous & (gaps < 0))
+    if late.size:
+        at, gap = int(ts[late[0]]), int(gaps[late[0]])
+        raise ValueError(f"out-of-order timestamp {at} after {at - gap}")
     n = ts.shape[0]
     starts = np.flatnonzero(first)
-    gaps, has_previous = _gaps(columns, histories)
     session_start = session_starts(~has_previous, gaps)
 
     frames = np.zeros((n, FEATURE_DIM))

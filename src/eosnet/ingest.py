@@ -25,6 +25,7 @@ HEADER = "student_id,timestamp,action_kind,lesson_id,topic_id,correct,homework"
 TIMESTAMP_LIMIT = 2**62
 # minutes east of UTC of the real time zones, UTC-12:00 to UTC+14:00
 UTC_OFFSET_RANGE = (-720, 840)
+DEFAULT_UTC_OFFSET_MINUTES = 60  # fixed offset, no DST handling
 
 
 class ActionKind(Enum):

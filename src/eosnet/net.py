@@ -1,6 +1,7 @@
 """Recurrent network core: LSTM, ReLU stack, sigmoid head, hand-derived
 backpropagation through time, RMSprop, and checkpoints (EOS2: the magic, a
 header, the tensors, then the model's record; see :func:`save_checkpoint`).
+The record's level, one of ``LEVELS``, places the resets (:func:`level_resets`).
 
 All math is 64-bit.  The one code path is time-major ``(T, B, dim)``:
 :func:`forward_batch` and :func:`backward_batch` take whole batches, and
@@ -77,9 +78,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from eosnet.errors import CheckpointError, NumericalFault
-from eosnet.features import DEFAULT_UTC_OFFSET_MINUTES, FEATURE_DIM
+from eosnet.features import FEATURE_DIM, SESSION_START
 from eosnet.fileio import atomic_write_bytes
-from eosnet.ingest import UTC_OFFSET_RANGE
+from eosnet.ingest import DEFAULT_UTC_OFFSET_MINUTES, UTC_OFFSET_RANGE
 
 DEFAULT_HIDDEN_SIZE = 400
 FORGET_BIAS = 1.0
@@ -627,32 +628,22 @@ def lstm_step(params: ModelParams, x, h: np.ndarray,
 # optimizer
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class OptState:
-    """RMSprop state: running mean of squared gradients per parameter."""
-
-    sq: ModelParams
-
-    @classmethod
-    def for_params(cls, params: ModelParams) -> "OptState":
-        return cls(sq=params.zeros_like())
-
-
 @_quiet_overflow
-def rmsprop_update(params: ModelParams, grads: ModelParams, opt: OptState,
-                   lr: float = 0.001) -> tuple[ModelParams, OptState]:
-    """s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(s)+eps).
+def rmsprop_update(params: ModelParams, grads: ModelParams, sq: ModelParams,
+                   lr: float = 0.001) -> tuple[ModelParams, ModelParams]:
+    """s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(s)+eps) for the
+    mean squares s in ``sq`` (zeros at first); returns the new theta and s.
     A non-finite s (a gradient beyond ~1e154) or theta raises NumericalFault."""
     new_sq = []
     new_params = []
-    for theta, g, s in zip(params.arrays(), grads.arrays(), opt.sq.arrays()):
+    for theta, g, s in zip(params.arrays(), grads.arrays(), sq.arrays()):
         s2 = RMSPROP_RHO * s + (1.0 - RMSPROP_RHO) * g * g
         new_sq.append(s2)
         new_params.append(theta - lr * g / (np.sqrt(s2) + RMSPROP_EPS))
     sq, updated = ModelParams(*new_sq), ModelParams(*new_params)
     if not (sq.all_finite() and updated.all_finite()):
         raise NumericalFault("non-finite RMSprop update")
-    return updated, OptState(sq=sq)
+    return updated, sq
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +664,25 @@ def save_checkpoint(params: ModelParams, path, record: dict = UNTRAINED_RECORD) 
     atomic_write_bytes(path, b"".join((CHECKPOINT_MAGIC, header, *tensors, text)))
 
 
+LEVELS = ("student", "session")  # of a model record; see level_resets
+
+
+def level_resets(level: str, frames: np.ndarray) -> np.ndarray:
+    """Where a model at ``level`` zeroes its state: before each session
+    start (column ``SESSION_START`` of the (n, 13) ``frames``) at session
+    level, nowhere at student level."""
+    if level == "session":
+        return frames[:, SESSION_START] == 1.0
+    return np.zeros(frames.shape[0], dtype=bool)
+
+
 def _record_defect(record) -> Optional[str]:
     """What keeps ``record`` from being a model record, or None."""
     if not isinstance(record, dict) or sorted(record) != ["level", "split", "utc_offset_minutes"]:
         return "its keys are not level, split and utc_offset_minutes"
     level, offset, split = record["level"], record["utc_offset_minutes"], record["split"]
     lo, hi = UTC_OFFSET_RANGE
-    if level not in ("student", "session"):
+    if level not in LEVELS:
         return f"level {level!r} is not 'student' or 'session'"
     if isinstance(offset, bool) or not isinstance(offset, int) or not lo <= offset <= hi:
         return f"utc_offset_minutes {offset!r} is not an integer in [{lo}, {hi}]"

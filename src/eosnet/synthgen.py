@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from eosnet.ingest import ActionKind, RawAction, StudentLog
+from eosnet.ingest import DEFAULT_UTC_OFFSET_MINUTES, ActionKind, RawAction, StudentLog
 from eosnet.sessions import SESSION_GAP_SECONDS, HomeworkClass, segment, session_table
 
 _PURE, _PARTLY, _FREE = 0, 1, 2
@@ -67,7 +67,7 @@ class GenConfig:
     fillout_share: float = 0.5
     accuracy_range: tuple[float, float] = (0.55, 0.95)
     start_epoch: int = 1_598_947_200  # 2020-09-01 00:00:00 UTC
-    utc_offset_minutes: int = 60
+    utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES
 
     def __post_init__(self):
         if self.n_students < 1:

@@ -1,11 +1,12 @@
 """Training orchestration: per-student loss re-weighting, splits, padded
 batches, truncated-BPTT windows, and the early-stopped RMSprop loop.
 
-Two training levels share one architecture and one code path.  Student
-level runs each student's full history as a single sequence with weights
-equal to the student's average session length at end-of-session steps.
-Session level zeroes the recurrent state at every session start and
-weights each end-of-session step by its own session's length.
+Two training levels (``net.LEVELS``) share one architecture and one code
+path.  Student level runs each student's full history as a single sequence
+with weights equal to the student's average session length at
+end-of-session steps.  Session level zeroes the recurrent state at every
+session start (``net.level_resets``) and weights each end-of-session step
+by its own session's length.
 
 Padding is recorded only as per-lane ``lengths``, and a TBPTT window is a
 slice of its batch with the lengths clipped to it (0 for a student who has
@@ -19,9 +20,9 @@ The caller passes the thread pool that all parallel work runs on; the
 CLI gives it a thread per usable CPU and pins BLAS to one thread, so the
 pool is the only parallelism (see ``cli``).  Batch scoring
 (``evaluate`` and the validation pass of ``train``) runs its independent
-batches on the pool, longest batch first.  Training has one window at a
-time, and a window's lanes are independent until their gradients are
-summed, so it cuts each window into lane groups of at most
+batches on the pool, longest batch first, into one array.  Training has
+one window at a time, and a window's lanes are independent until their
+gradients are summed, so it cuts each window into lane groups of at most
 ``LANE_GROUP`` lanes and runs each group's forward and backward pass as
 one pool task, on the group's lanes alone.  ``train`` draws each window's
 dropout masks once and gives each group the masks' rows of its lanes; the
@@ -39,22 +40,23 @@ from functools import reduce
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from eosnet.errors import DataValidationError, NumericalFault
 from eosnet.evaluation import auc
-from eosnet.features import DEFAULT_UTC_OFFSET_MINUTES, SESSION_START, featurize_logs
+from eosnet.features import featurize_logs
+from eosnet.ingest import DEFAULT_UTC_OFFSET_MINUTES
 from eosnet.net import (
+    LEVELS,
     DropoutMasks,
     ModelParams,
-    OptState,
     backward_batch,
     draw_masks,
     forward_batch,
     init_params,
+    level_resets,
     rmsprop_update,
 )
 from eosnet.sessions import LabeledSequence
@@ -69,11 +71,6 @@ _DROPOUT_NS = 0xD709
 LANE_GROUP = 32
 
 
-class Level(Enum):
-    STUDENT = "student"
-    SESSION = "session"
-
-
 @dataclass(slots=True)
 class TrainConfig:
     learning_rate: float = 0.001
@@ -82,12 +79,12 @@ class TrainConfig:
     patience: Optional[int] = 3  # None disables early stopping
     tbptt_window: int = 200
     max_epochs: int = 50
-    level: Level = Level.STUDENT
+    level: str = "student"  # one of net.LEVELS
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.level, str):
-            self.level = Level(self.level)
+        if self.level not in LEVELS:
+            raise ValueError(f"level must be one of {LEVELS}, got {self.level!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.batch_size < 1:
@@ -164,33 +161,24 @@ class TrainSequence:
         return self.labels.shape[0]
 
 
-def prepare_sequences(seqs: Sequence[LabeledSequence], level: Level,
+def prepare_sequences(seqs: Sequence[LabeledSequence], level: str,
                       utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES
                       ) -> list[TrainSequence]:
-    """Featurize students in one encoder call and attach level-appropriate
-    weights/resets; each ``features`` is a view of the block's frames.
+    """Featurize students in one encoder call and attach the weights and
+    resets of ``level`` (one of ``net.LEVELS``); each ``features`` and
+    ``resets`` is a view of the block's.
 
-    Session level resets the state wherever the session-start feature is
-    set, so training, batch scoring and streaming share one boundary rule.
+    The resets are :func:`net.level_resets` of the frames, the rule that
+    ``score`` applies too, so training, batch scoring and streaming share
+    one boundary rule.
     """
     frames = featurize_logs(seqs, utc_offset_minutes)
     bounds = np.cumsum([seq.n_actions for seq in seqs])[:-1]
-    prepared = []
-    for seq, features in zip(seqs, np.split(frames, bounds)):
-        if level is Level.SESSION:
-            resets = features[:, SESSION_START] == 1.0
-            weights = session_weights(seq)
-        else:
-            resets = np.zeros(seq.n_actions, dtype=bool)
-            weights = student_weights(seq)
-        prepared.append(TrainSequence(
-            student_id=seq.student_id,
-            features=features,
-            labels=seq.labels.astype(np.float64),
-            weights=weights,
-            resets=resets,
-        ))
-    return prepared
+    weights = session_weights if level == "session" else student_weights
+    return [TrainSequence(seq.student_id, features, seq.labels.astype(np.float64),
+                          weights(seq), resets)
+            for seq, features, resets in zip(seqs, np.split(frames, bounds),
+                                             np.split(level_resets(level, frames), bounds))]
 
 
 @dataclass(slots=True)
@@ -264,13 +252,15 @@ def make_batches(sequences: Sequence[TrainSequence], batch_size: int,
             for g in rng.permutation(len(groups))]
 
 
-def _score_group(params: ModelParams, group: Sequence[TrainSequence]) -> list[np.ndarray]:
-    """Each lane's probabilities, copied out of one ``forward_batch``."""
+def _score_group(params: ModelParams, group: Sequence[TrainSequence],
+                 outs: Sequence[np.ndarray]) -> None:
+    """One ``forward_batch`` over ``group``, each lane's probabilities into its view of ``outs``."""
     batch = _build_batch(group)
     h = c = np.zeros((len(group), params.hidden_size))
     probs = forward_batch(params, batch.X, batch.resets, h, c,
                           lengths=batch.lengths).probs
-    return [probs[:len(seq), lane].copy() for lane, seq in enumerate(group)]
+    for lane, out in enumerate(outs):
+        out[...] = probs[:len(out), lane]
 
 
 def _in_order(futures: list) -> list:
@@ -285,28 +275,32 @@ def _in_order(futures: list) -> list:
 
 
 def score_sequences(params: ModelParams, sequences: Sequence[TrainSequence],
-                    pool: ThreadPoolExecutor, batch_size: int = 64) -> dict[str, np.ndarray]:
-    """Inference-mode probabilities for many students, batched.
+                    pool: ThreadPoolExecutor, batch_size: int = 64) -> np.ndarray:
+    """Inference-mode probabilities for many students, batched: one float64
+    array of every action's, the sequences one after another in input order.
 
     Students are processed in (length, id) order, so each batch's lanes
     come in the non-decreasing length order that lets one
     ``forward_batch`` call step only the live lanes; padding is never run.
 
     The batches share no state, so they all go to ``pool`` at once, the
-    longest batch submitted first so that no long batch starts last.
-    numpy releases the interpreter lock in the GEMMs and ufuncs.  Each
-    batch is still one ``forward_batch`` call with the same rows, so every
-    probability has the same bits at any pool size.  Results are collected
-    in input order (see :func:`_in_order`).
+    longest batch submitted first so that no long batch starts last; each
+    writes its students' slices of the array.  numpy releases the
+    interpreter lock in the GEMMs and ufuncs.  Each batch is still one
+    ``forward_batch`` call with the same rows, so every probability has the
+    same bits at any pool size.  The first fault in batch order is raised,
+    as in a serial run (see :func:`_in_order`).
     """
+    bounds = np.cumsum([0, *map(len, sequences)])
+    probs = np.empty(bounds[-1])
+    outs = np.split(probs, bounds[1:-1])
     order = sorted(range(len(sequences)),
                    key=lambda i: (len(sequences[i]), sequences[i].student_id))
-    groups = [[sequences[i] for i in order[start:start + batch_size]]
-              for start in range(0, len(order), batch_size)]
-    results = _in_order([pool.submit(_score_group, params, group)
-                         for group in reversed(groups)][::-1])
-    return {seq.student_id: probs for group, lane_probs in zip(groups, results)
-            for seq, probs in zip(group, lane_probs)}
+    groups = [order[start:start + batch_size] for start in range(0, len(order), batch_size)]
+    _in_order([pool.submit(_score_group, params, [sequences[i] for i in group],
+                           [outs[i] for i in group])
+               for group in reversed(groups)][::-1])
+    return probs
 
 
 class EarlyStopper:
@@ -373,12 +367,12 @@ def _group_masks(params: ModelParams, window: Batch, dropout_p: float, key: list
 
 
 def _train_group(params: ModelParams, window: Batch, lanes: slice, state: tuple,
-                 masks: Optional[DropoutMasks], weight_sum: float) -> tuple:
-    """Lane group ``lanes``'s forward and backward pass over a window, from
-    its ``(h, c)`` ``state``, with its rows of the window's dropout
-    ``masks``: its next state, its gradients and its loss numerator."""
+                 masks: list, weight_sum: float) -> tuple:
+    """Lane group ``lanes``'s forward and backward pass over a window from its
+    ``(h, c)`` ``state``: its next state, gradients and loss numerator.  It pops
+    its dropout masks (or None) from ``masks``, so ``backward_batch`` frees them."""
     result = forward_batch(params, window.X[:, lanes], window.resets[:, lanes], *state,
-                           masks, want_cache=True, lengths=window.lengths[lanes])
+                           masks.pop(), want_cache=True, lengths=window.lengths[lanes])
     grads, num, _ = backward_batch(params, result.cache, window.labels[:, lanes],
                                    window.weights[:, lanes], weight_sum)
     return (result.h, result.c), grads, num
@@ -408,7 +402,7 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
     if not train_seqs or not val_seqs:
         raise DataValidationError("train and validation sets must be non-empty")
     params = init_params(config.seed)
-    opt = OptState.for_params(params)
+    sq = params.zeros_like()  # RMSprop's mean squared gradients
     stopper = EarlyStopper(config.patience)
     history: list[EpochStats] = []
     best_params = params.copy()
@@ -429,13 +423,11 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
                 den = float(window.weights[window.real_steps()].sum())
                 masks = _group_masks(params, window, config.dropout_p, key, len(groups))
                 with _diverged(epoch=epoch, batch=b_idx, window=w_idx):
-                    # each group's cache is spent inside its task, so all are
-                    # gone before the next window's are built
+                    # each task takes its masks out of a list of its own and spends
+                    # its cache, so all are gone before the next window's are built
                     states, grads, nums = zip(*_in_order([
-                        pool.submit(_train_group, params, window, lanes, state,
-                                    group_masks, den)
-                        for lanes, state, group_masks in zip(groups, states, masks)]))
-                    del masks  # released before the next window's are drawn
+                        pool.submit(_train_group, params, window, lanes, state, [masks.pop(0)], den)
+                        for lanes, state in zip(groups, states)]))
                     # summed in group order; one group's are kept as they are
                     grads = ModelParams(*(reduce(np.add, arrays) for arrays
                                           in zip(*(g.arrays() for g in grads))))
@@ -443,8 +435,8 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
                     if not math.isfinite(num):
                         raise NumericalFault("non-finite loss")
                     if den > 0.0:
-                        params, opt = rmsprop_update(params, grads, opt,
-                                                     lr=config.learning_rate)
+                        params, sq = rmsprop_update(params, grads, sq,
+                                                    lr=config.learning_rate)
                     # the gradients are spent by the update
                     del grads
                 loss_num += num
@@ -452,8 +444,7 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
         train_loss = loss_num / loss_den if loss_den else 0.0
 
         with _diverged(epoch=epoch):
-            scored = score_sequences(params, val_seqs, pool, config.batch_size)
-        val_scores = np.concatenate([scored[s.student_id] for s in val_seqs])
+            val_scores = score_sequences(params, val_seqs, pool, config.batch_size)
         val_auc = auc(val_scores, val_labels)
         val_auc = float("nan") if val_auc is None else val_auc
 

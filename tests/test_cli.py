@@ -30,7 +30,6 @@ from eosnet.net import (
     save_checkpoint,
 )
 from eosnet.training import (
-    Level,
     TrainConfig,
     prepare_sequences,
     score_sequences,
@@ -490,10 +489,13 @@ class TestEvaluate:
         ids = sorted(labeled)
         params, _ = load_checkpoint(str(ckpts["student"]))
         with ThreadPoolExecutor(1) as pool:
-            probs = score_sequences(params, [prepare_sequences([labeled[sid]], Level.STUDENT)[0]
+            probs = score_sequences(params, [prepare_sequences([labeled[sid]], "student")[0]
                                              for sid in ids], pool)
-        expected = [(sid, repr(float(p)), str(int(y)))
-                    for sid in ids for p, y in zip(probs[sid], labeled[sid].labels)]
+        # each student's probabilities start at the sum of the lengths before it
+        starts = np.cumsum([0, *(labeled[sid].n_actions for sid in ids)])
+        assert probs.shape == (starts[-1],)
+        expected = [(sid, repr(float(p)), str(int(y))) for sid, start in zip(ids, starts)
+                    for p, y in zip(probs[start:], labeled[sid].labels)]
         cells = [row.split(",") for row in dump.read_text().splitlines()[1:]]
         assert [(c[0], c[2], c[3]) for c in cells] == expected
         assert {c[3] for c in cells} <= {"0", "1"}
@@ -712,7 +714,7 @@ def expected_report(ckpt, data, level):
     seqs = [labeled[sid] for sid in sorted(labeled)]
     params, _ = load_checkpoint(ckpt)
     with ThreadPoolExecutor(1) as pool:
-        probs = score_sequences(params, prepare_sequences(seqs, Level(level)), pool)
+        probs = score_sequences(params, prepare_sequences(seqs, level), pool)
     rows, _ = compute_report(scored_sessions(seqs, probs))
     return "metric,stratum,value\n" + "".join(f"{metric},{stratum},{value!r}\n"
                                                for metric, stratum, value in rows)
@@ -937,6 +939,24 @@ class TestScoreStateIn:
                    + (self.tmp / "second.csv").read_text())
         assert resumed == (self.tmp / "all.csv").read_text()
 
+    def test_record_earlier_than_the_saved_last_timestamp(self, capsys):
+        """A student's first record of the input is out of order when it is
+        earlier than the ``last_timestamp`` of its ``--state-in`` history;
+        the fault names its line, and nothing is written."""
+        state = self._save_state()
+        students = json.loads(state.read_text())["students"]
+        (on_time, before), (late, history) = list(students.items())[:2]
+        ts = history["last_timestamp"] - 1
+        path = self.tmp / "late.csv"
+        path.write_text("\n".join([HEADER, f"{on_time},{before['last_timestamp']},material,L,T,,0",
+                                   f"{late},{ts},material,L,T,,0"]) + "\n")
+        out, state_out = self.tmp / "late-rows.csv", self.tmp / "late-state.json"
+        assert self._score(path, out, "--state-in", str(state),
+                           "--state-out", str(state_out)) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: line 3: {late}: out-of-order timestamp {ts} after {ts + 1}\n")
+        assert not out.exists() and not state_out.exists()
+
     def test_state_in_may_be_state_out(self):
         """Resuming a state and saving over it is one run's input and output,
         not two outputs, so it is allowed."""
@@ -1025,7 +1045,7 @@ class TestScoreStateIn:
         params, _ = load_checkpoint(self.ckpts[level])
         assert list(saved["students"]) == sorted(labeled)
         for k, sid in enumerate(saved["students"]):
-            seq = prepare_sequences([labeled[sid]], Level(level))[0]
+            seq = prepare_sequences([labeled[sid]], level)[0]
             out = forward_batch(params, seq.features[:, None, :], seq.resets[:, None],
                                 np.zeros((1, 8)), np.zeros((1, 8)))
             assert h[k].tobytes() == out.h[0].tobytes()

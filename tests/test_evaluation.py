@@ -20,7 +20,7 @@ from eosnet.evaluation import (
 from eosnet.ingest import ActionKind, RawAction, StudentLog
 from eosnet.net import ModelParams, forward_batch, init_params
 from eosnet.sessions import HomeworkClass, label, session_table
-from eosnet.training import Level, prepare_sequences, score_sequences
+from eosnet.training import prepare_sequences, score_sequences
 
 
 def brute_force_auc(scores, labels):
@@ -304,7 +304,7 @@ class TestReportOracle:
            st.booleans())
     def test_report_equals_per_session_oracle(self, shapes, seed, grid):
         rng = np.random.default_rng(seed)
-        seqs, probs, students = [], {}, {}
+        seqs, probs, students = [], [], {}
         for k, shape in enumerate(shapes):
             sid = f"s{k}"
             actions, own, ts = [], [], 0
@@ -321,9 +321,9 @@ class TestReportOracle:
                     ts += 10
                 ts += 2000
             seqs.append(label(StudentLog(sid, actions)))
-            probs[sid] = np.array([p for values, _ in own for p in values])
+            probs += [p for values, _ in own for p in values]
             students[sid] = own
-        rows, chunk_means = compute_report(scored_sessions(seqs, probs))
+        rows, chunk_means = compute_report(scored_sessions(seqs, np.array(probs, dtype=float)))
         expected_rows, expected_means = report_oracle(students)
         assert rows == expected_rows
         if expected_means is None:
@@ -355,7 +355,7 @@ def score(params, seq, level):
     """Inference probabilities of one student's full history at ``level``."""
     with ThreadPoolExecutor(1) as pool:
         prepared = prepare_sequences([seq], level)[0]
-        return score_sequences(params, [prepared], pool)[seq.student_id]
+        return score_sequences(params, [prepared], pool)
 
 
 class TestScore:
@@ -373,10 +373,10 @@ class TestScore:
         rng = np.random.default_rng(0)
         params = self._params(rng)
         seq = student_fixture(rng)
-        full = score(params, seq, Level.STUDENT)
+        full = score(params, seq, "student")
         cut = seq.n_actions // 2
         prefix_seq = label(StudentLog("s", seq.actions[:cut]))
-        prefix = score(params, prefix_seq, Level.STUDENT)
+        prefix = score(params, prefix_seq, "student")
         np.testing.assert_allclose(prefix, full[:cut], rtol=1e-12)
 
     def test_session_level_ignores_earlier_sessions(self):
@@ -385,7 +385,7 @@ class TestScore:
         rng = np.random.default_rng(1)
         params = self._params(rng)
         seq = student_fixture(rng, n_sessions=4)
-        prepared = prepare_sequences([seq], Level.SESSION)[0]
+        prepared = prepare_sequences([seq], "session")[0]
         full = lane_probs(params, prepared.features, prepared.resets)
         last_len = int(seq.session_lengths[-1])
         tail_frames = prepared.features[-last_len:]
@@ -397,7 +397,7 @@ class TestScore:
         rng = np.random.default_rng(2)
         params = self._params(rng)
         seq = student_fixture(rng, n_sessions=4)
-        prepared = prepare_sequences([seq], Level.STUDENT)[0]
+        prepared = prepare_sequences([seq], "student")[0]
         full = lane_probs(params, prepared.features, prepared.resets)
         last_len = int(seq.session_lengths[-1])
         tail = lane_probs(params, prepared.features[-last_len:],
@@ -409,24 +409,28 @@ class TestScore:
         params = self._params(rng)
         seqs = [student_fixture(rng, f"s{i}", n_sessions=int(rng.integers(1, 5)))
                 for i in range(6)]
-        for level in (Level.STUDENT, Level.SESSION):
+        for level in ("student", "session"):
             prepared = [prepare_sequences([s], level)[0] for s in seqs]
             with ThreadPoolExecutor(2) as pool:
                 batched = score_sequences(params, prepared, pool, batch_size=3)
+            # each student's probabilities start at the sum of the lengths before it
+            start = 0
             for seq in seqs:
                 direct = score(params, seq, level)
-                np.testing.assert_allclose(batched[seq.student_id], direct,
+                np.testing.assert_allclose(batched[start:start + seq.n_actions], direct,
                                            rtol=1e-12)
+                start += seq.n_actions
+            assert batched.shape == (start,)
 
     def test_scored_sessions_alignment(self):
         rng = np.random.default_rng(4)
         seq = student_fixture(rng, n_sessions=3)
         probs = rng.uniform(0.01, 0.99, seq.n_actions)
-        record = scored_sessions([seq], {seq.student_id: probs})
+        record = scored_sessions([seq], probs)
         assert int(record.labels.sum()) == 3
         assert record.probs.shape == record.homework.shape == (seq.n_actions,)
         np.testing.assert_array_equal(record.probs, probs)
         np.testing.assert_array_equal(record.labels, seq.labels)
         np.testing.assert_array_equal(record.students, 0)
         with pytest.raises(ValueError):
-            scored_sessions([seq], {seq.student_id: probs[1:]})
+            scored_sessions([seq], probs[1:])

@@ -16,7 +16,6 @@ from eosnet.features import (
     encode_block,
     featurize,
     featurize_logs,
-    late_actions,
     time_of_day_column,
     transform_gap,
 )
@@ -415,12 +414,16 @@ class TestBlockEncoder:
         assert frames.shape == (0, F.FEATURE_DIM) and after == []
         assert featurize_logs([]).shape == (0, F.FEATURE_DIM)
 
-    def test_late_actions_names_each_in_block_order(self):
+    def test_first_late_action_in_block_order_is_named(self):
+        # two late actions, at 5 after 10 and at 3 after 7; the first is named
         actions = [RawAction("a", ts, M, "L1", "T1", None, False) for ts in (10, 5, 7, 3)]
         first = np.array([True, False, False, False])
-        late, errors = late_actions(ActionColumns.of(actions, first), [FRESH_HISTORY])
-        assert late.tolist() == [1, 3]
-        assert errors == ["out-of-order timestamp 5 after 10", "out-of-order timestamp 3 after 7"]
+        with pytest.raises(ValueError, match="^out-of-order timestamp 5 after 10$"):
+            encode_block(ActionColumns.of(actions, first), [FRESH_HISTORY], 60)
+        # the carried history's last timestamp counts as the previous action
+        history = {**FRESH_HISTORY, "last_timestamp": 12}
+        with pytest.raises(ValueError, match="^out-of-order timestamp 10 after 12$"):
+            encode_block(ActionColumns.of(actions[:1], first[:1]), [history], 60)
 
     def test_gap_column_is_transform_gap_of_every_gap_to_the_cap(self):
         """Column 3 is ``transform_gap`` bit for bit for each gap from 0 to

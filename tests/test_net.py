@@ -14,7 +14,6 @@ from eosnet.errors import CheckpointError
 from eosnet.net import (
     UNTRAINED_RECORD,
     ModelParams,
-    OptState,
     backward_batch,
     draw_masks,
     infer_step,
@@ -752,9 +751,10 @@ class TestLaneGroups:
         window, (h0, c0) = self._window(level, lanes, seed=2)
         [group] = _lane_groups(lanes)
         key = [5, 6]
-        [masks] = _group_masks(params, window, 0.4, key, 1)
+        masks = _group_masks(params, window, 0.4, key, 1)  # one group's, which it takes out
         w_sum = float(window.weights[window.real_steps()].sum())
         (h, c), grads, num = _train_group(params, window, group, (h0, c0), masks, w_sum)
+        assert masks == []
         whole = forward_batch(params, window.X, window.resets, h0, c0, draw_masks(
             params, window.real_steps(), 0.4, np.random.default_rng(key)),
             want_cache=True, lengths=window.lengths)
@@ -810,19 +810,18 @@ class TestRmsprop:
     def test_zero_gradient_leaves_params_and_decays_state(self):
         rng = np.random.default_rng(0)
         p = random_params(rng, hidden=4)
-        opt = OptState.for_params(p)
-        for arr in opt.sq.arrays():
+        sq = p.zeros_like()
+        for arr in sq.arrays():
             arr += 0.5
-        p2, opt2 = rmsprop_update(p, p.zeros_like(), opt)
+        p2, sq2 = rmsprop_update(p, p.zeros_like(), sq)
         assert all((a == b).all() for a, b in zip(p.arrays(), p2.arrays()))
-        assert all((s == 0.45).all() for s in opt2.sq.arrays())
+        assert all((s == 0.45).all() for s in sq2.arrays())
 
     def test_first_step_formula(self):
         p = self._scalar_params(1.0)
         g = p.zeros_like()
         g.out_b[0] = 0.3
-        opt = OptState.for_params(p)
-        p2, _ = rmsprop_update(p, g, opt, lr=0.001)
+        p2, _ = rmsprop_update(p, g, p.zeros_like(), lr=0.001)
         expected = 1.0 - 0.001 * 0.3 / (math.sqrt(0.1 * 0.3 * 0.3) + 1e-8)
         assert p2.out_b[0] == pytest.approx(expected, rel=1e-15)
 
@@ -830,23 +829,23 @@ class TestRmsprop:
         grads = [0.3, -0.2, 0.05, 0.4, -0.1]
         expected = rmsprop_scalar_oracle(2.0, grads)
         p = self._scalar_params(2.0)
-        opt = OptState.for_params(p)
+        sq = p.zeros_like()
         seen = []
         for gval in grads:
             g = p.zeros_like()
             g.out_b[0] = gval
-            p, opt = rmsprop_update(p, g, opt)
+            p, sq = rmsprop_update(p, g, sq)
             seen.append(p.out_b[0])
         np.testing.assert_allclose(seen, expected, rtol=1e-12)
 
     def test_running_means_stay_nonnegative(self):
         rng = np.random.default_rng(9)
         p = random_params(rng, hidden=4)
-        opt = OptState.for_params(p)
+        sq = p.zeros_like()
         for step in range(5):
             g = ModelParams(*(rng.normal(size=a.shape) for a in p.arrays()))
-            p, opt = rmsprop_update(p, g, opt)
-            assert all((s >= 0).all() for s in opt.sq.arrays())
+            p, sq = rmsprop_update(p, g, sq)
+            assert all((s >= 0).all() for s in sq.arrays())
 
 
 SPLIT_RECORD = {"level": "session", "utc_offset_minutes": -90,

@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -21,7 +22,6 @@ from eosnet.net import (
 from eosnet.sessions import label
 from eosnet.training import (
     EarlyStopper,
-    Level,
     TrainConfig,
     TrainSequence,
     make_batches,
@@ -32,6 +32,10 @@ from eosnet.training import (
     student_weights,
     train,
 )
+
+
+# each level under a fixed test id, so that the tests' names stay stable
+LEVELS = [pytest.param(level, id=f"Level.{level.upper()}") for level in net.LEVELS]
 
 
 @pytest.fixture
@@ -233,9 +237,12 @@ class TestBatchedLossMatchesUnbatched:
         seqs = [toy_sequence(rng, f"s{i}", int(rng.integers(3, 60)))
                 for i in range(9)]
         scored = score_sequences(params, seqs, pool, batch_size=4)
-        for seq in seqs:
+        # each sequence's probabilities start at the sum of the lengths before it
+        starts = np.cumsum([0, *map(len, seqs)])
+        assert scored.shape == (starts[-1],)
+        for seq, start in zip(seqs, starts):
             probs = lane_probs(params, seq)
-            np.testing.assert_allclose(scored[seq.student_id], probs, rtol=1e-12)
+            np.testing.assert_allclose(scored[start:start + len(seq)], probs, rtol=1e-12)
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
@@ -354,22 +361,21 @@ class TestScoringPool:
         with ThreadPoolExecutor(workers) as pool:
             return score_sequences(params, seqs, pool, batch_size=self.BATCH)
 
-    @pytest.mark.parametrize("level", list(Level))
+    @pytest.mark.parametrize("level", LEVELS)
     def test_any_worker_count_gives_the_same_bits(self, params, level):
         seqs = self._sequences(level)
         one = self._score(1, params, seqs)
         three = self._score(3, params, seqs)
-        assert list(three) == list(one)
-        for sid, probs in one.items():
-            np.testing.assert_array_equal(three[sid], probs)
-            assert three[sid].flags.owndata
+        assert one.shape == (sum(map(len, seqs)),)
+        np.testing.assert_array_equal(three, one)
+        assert three.dtype == np.float64 and three.flags.owndata
 
     def _in_batch(self, seqs, k):
         """The last student, in scoring order, of batch k."""
         ordered = sorted(seqs, key=lambda s: (len(s), s.student_id))
         return ordered[(k + 1) * self.BATCH - 1]
 
-    @pytest.mark.parametrize("level", list(Level))
+    @pytest.mark.parametrize("level", LEVELS)
     def test_first_fault_in_input_order_is_raised(self, params, level):
         seqs = self._sequences(level)
         # batch 2 goes non-finite at step 3; batch 4, the longest and so
@@ -389,7 +395,7 @@ class TestScoringPool:
 
 
     def test_a_shared_pool_is_left_idle_and_scores_again(self, monkeypatch, params):
-        seqs = self._sequences(Level.STUDENT)
+        seqs = self._sequences("student")
         expected = self._score(1, params, seqs)
         # batch 0 goes non-finite at step 3, batch 4 (the first to start)
         # at step 1, and batch 1 is still running when batch 0 raises
@@ -400,13 +406,12 @@ class TestScoringPool:
         slow = self._in_batch(seqs, 1)
         score_group, running = training._score_group, []
 
-        def batch(params, group):
+        def batch(params, group, outs):
             running.append(group)
             try:
-                probs = score_group(params, group)
+                score_group(params, group, outs)
                 if slow in group:
                     threading.Event().wait(0.5)
-                return probs
             finally:
                 running.remove(group)
 
@@ -420,9 +425,7 @@ class TestScoringPool:
             for seq, features in zip(faulty, saved):
                 seq.features[...] = features
             again = score_sequences(params, seqs, pool, batch_size=self.BATCH)
-        assert list(again) == list(expected)
-        for sid, probs in expected.items():
-            np.testing.assert_array_equal(again[sid], probs)
+        np.testing.assert_array_equal(again, expected)
 
 
 class TestEarlyStopper:
@@ -480,7 +483,7 @@ class TestTrainLoop:
         return [prepare_sequences([seq], level)[0] for seq in make_toy_students(n, rng)]
 
     def test_deterministic_end_to_end(self, pool):
-        seqs = self._sequences(Level.STUDENT)
+        seqs = self._sequences("student")
         config = TrainConfig(max_epochs=2, patience=None, batch_size=4,
                              tbptt_window=16, seed=11)
         a = train(config, seqs[:9], seqs[9:], pool)
@@ -490,9 +493,9 @@ class TestTrainLoop:
         assert all((x == y).all() for x, y in zip(a.params.arrays(), b.params.arrays()))
 
     def test_returns_best_epoch_params(self, pool):
-        seqs = self._sequences(Level.SESSION)
+        seqs = self._sequences("session")
         config = TrainConfig(max_epochs=3, patience=None, batch_size=4,
-                             tbptt_window=32, seed=5, level=Level.SESSION)
+                             tbptt_window=32, seed=5, level="session")
         result = train(config, seqs[:9], seqs[9:], pool)
         assert len(result.history) == 3
         best = max(result.history, key=lambda s: s.val_auc)
@@ -502,7 +505,7 @@ class TestTrainLoop:
     def test_nan_first_auc_returns_best_epoch_params(self, monkeypatch, pool):
         # The validation AUC does not feed back into training, so the
         # epoch-4 weights are the same whatever AUCs are reported.
-        seqs = self._sequences(Level.STUDENT)
+        seqs = self._sequences("student")
         config = TrainConfig(max_epochs=4, patience=3, batch_size=4,
                              tbptt_window=16, seed=2)
 
@@ -524,11 +527,11 @@ class TestTrainLoop:
             starts = np.zeros(seq.n_actions, dtype=bool)
             starts[np.cumsum([0] + seq.session_lengths[:-1].tolist())] = True
             np.testing.assert_array_equal(
-                prepare_sequences([seq], Level.SESSION)[0].resets, starts)
-            assert not prepare_sequences([seq], Level.STUDENT)[0].resets.any()
+                prepare_sequences([seq], "session")[0].resets, starts)
+            assert not prepare_sequences([seq], "student")[0].resets.any()
 
     def test_empty_sets_rejected(self, pool):
-        seqs = self._sequences(Level.STUDENT)
+        seqs = self._sequences("student")
         config = TrainConfig(max_epochs=1, seed=0)
         with pytest.raises(DataValidationError):
             train(config, [], seqs[:2], pool)
@@ -557,9 +560,9 @@ class TestTrainingSplit:
             threads["groups"].append(threading.current_thread().name)
             return train_group(*args)
 
-        def batch(params, group):
+        def batch(*args):
             threads["batches"].append(threading.current_thread().name)
-            return score_group(params, group)
+            return score_group(*args)
 
         config = TrainConfig(level=level, **{**self.CONFIG, **config})
         with monkeypatch.context() as patch, ThreadPoolExecutor(workers) as pool:
@@ -569,8 +572,8 @@ class TestTrainingSplit:
         return result, threads
 
     @pytest.mark.parametrize("level, dropout_p", [
-        *(pytest.param(level, 0.4, id=str(level)) for level in Level),
-        *(pytest.param(level, 0.0, id=f"{level}-no-dropout") for level in Level),
+        *(pytest.param(*level.values, 0.4, id=level.id) for level in LEVELS),
+        *(pytest.param(*level.values, 0.0, id=f"{level.id}-no-dropout") for level in LEVELS),
     ])
     def test_any_worker_count_gives_the_same_bits(self, monkeypatch, level, dropout_p):
         seqs = self._sequences(level)
@@ -596,7 +599,7 @@ class TestTrainingSplit:
     def test_masks_are_drawn_once_per_window(self, monkeypatch):
         # The 72-lane batch's windows run as 3 lane groups each, and each
         # window's masks are still drawn once, for all its lanes.
-        seqs = self._sequences(Level.STUDENT)
+        seqs = self._sequences("student")
         shapes = []
 
         def draw(params, real, dropout_p, rng):
@@ -604,21 +607,37 @@ class TestTrainingSplit:
             return net.draw_masks(params, real, dropout_p, rng)
 
         monkeypatch.setattr(training, "draw_masks", draw)
-        self._train(monkeypatch, 2, Level.STUDENT, seqs, max_epochs=1)
+        self._train(monkeypatch, 2, "student", seqs, max_epochs=1)
         windows = [(min(8, batch.X.shape[0] - start), len(batch.student_ids))
                    for batch in make_batches(seqs[:-4], 72, 3, epoch=1)
                    for start in range(0, batch.X.shape[0], 8)]
         assert sorted({lanes for _, lanes in windows}) == [8, 72]
         assert shapes == windows
 
+    def test_group_masks_are_freed_by_backward(self, monkeypatch):
+        # backward_batch drops the cache's masks at their last use; with no
+        # other reference to them, they are gone when it returns
+        seqs = self._sequences("student")
+        alive = []
+
+        def backward(params, cache, *args):
+            m0 = weakref.ref(cache.m0)
+            result = net.backward_batch(params, cache, *args)
+            alive.append(m0() is not None)
+            return result
+
+        monkeypatch.setattr(training, "backward_batch", backward)
+        self._train(monkeypatch, 2, "student", seqs, max_epochs=1)
+        assert alive and not any(alive)
+
     def test_splits_and_validation_share_the_pool(self, monkeypatch):
-        seqs = self._sequences(Level.STUDENT)
-        _, threads = self._train(monkeypatch, 2, Level.STUDENT, seqs, max_epochs=3)
+        seqs = self._sequences("student")
+        _, threads = self._train(monkeypatch, 2, "student", seqs, max_epochs=3)
         assert threads["groups"] and len(threads["batches"]) == 3
         assert len(set(threads["groups"] + threads["batches"])) <= 2
 
     def test_fault_matches_a_serial_run(self, monkeypatch):
-        seqs = self._sequences(Level.STUDENT)
+        seqs = self._sequences("student")
         config = TrainConfig(**self.CONFIG)
         batches = make_batches(seqs[:-4], config.batch_size, config.seed, epoch=1)
         b_idx = next(k for k, batch in enumerate(batches)
@@ -633,7 +652,7 @@ class TestTrainingSplit:
         for workers in (1, 3):
             before = threading.active_count()
             with pytest.raises(NumericalFault, match="training diverged") as caught:
-                self._train(monkeypatch, workers, Level.STUDENT, seqs)
+                self._train(monkeypatch, workers, "student", seqs)
             assert threading.active_count() == before
             fault = caught.value
             faults.append((str(fault), fault.context, str(fault.__cause__)))
@@ -657,4 +676,6 @@ class TestTrainConfigValidation:
             TrainConfig(learning_rate=rate)
 
     def test_level_from_string(self):
-        assert TrainConfig(level="session").level is Level.SESSION
+        assert TrainConfig(level="session").level == "session"
+        with pytest.raises(ValueError, match="level must be one of"):
+            TrainConfig(level="SESSION")
