@@ -5,6 +5,7 @@ import ast
 import base64
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -310,7 +311,8 @@ GOLDEN = Path(__file__).parent / "data"
 class TestGoldenBytes:
     """``tests/data/actions.csv`` is ``generate --seed 1 --n-students 12``;
     beside it are the bytes that ``featurize`` and ``sessionize`` wrote for
-    it before their encoding was vectorized."""
+    it before their encoding was vectorized.  ``generate``'s larger logs
+    are pinned by their sha256."""
 
     @pytest.mark.parametrize("command, flags, golden", [
         ("featurize", [], "features.csv"),
@@ -324,6 +326,22 @@ class TestGoldenBytes:
         assert main([command, "--data", str(GOLDEN / "actions.csv"), "--out", str(out),
                      "--quiet", *flags]) == EXIT_OK
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_generate_writes_the_golden_log(self, tmp_path):
+        assert main(["generate", "--seed", "1", "--n-students", "12", "--out", str(tmp_path),
+                     "--quiet"]) == EXIT_OK
+        assert (tmp_path / "actions.csv").read_bytes() == (GOLDEN / "actions.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_students, sha256", [
+        # the benchmark's corpus before its history cut
+        (1024, "e1d17d89cf6fa9f3fb89cc7946ca6b22fd8991d85bbb87cbe8af7b5285002bb2"),
+        # ROADMAP's fixed corpus, 103,103 actions
+        (2000, "a743717ec4007af9c0c868829e6a09c0910b83e4f1906d185aaf5ab68aaa3e2c"),
+    ])
+    def test_generate_bytes_are_pinned(self, tmp_path, n_students, sha256):
+        assert main(["generate", "--seed", "1", "--n-students", str(n_students),
+                     "--out", str(tmp_path), "--quiet"]) == EXIT_OK
+        assert hashlib.sha256((tmp_path / "actions.csv").read_bytes()).hexdigest() == sha256
 
 
 class TestSessionize:
