@@ -200,7 +200,9 @@ def _build_parser() -> _Parser:
                        help="train a model; writes checkpoint and history")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--level", choices=["student", "session"], default="student")
+    p.add_argument("--level", default=argparse.SUPPRESS,
+                   help="student (the default: one sequence per student) or session "
+                        "(the state resets at each session start)")
     p.add_argument("--learning-rate", type=float, default=argparse.SUPPRESS)
     p.add_argument("--dropout-p", type=float, default=argparse.SUPPRESS)
     p.add_argument("--batch-size", type=int, default=argparse.SUPPRESS)
@@ -554,11 +556,11 @@ def _load_score_state(path, level, utc_offset_minutes, hidden_size):
     float64 with row k for the k-th student of ``students``, and every
     value must be finite; the error names the first student with a
     non-finite row.  Each featurizer history is checked by
-    ``StreamFeaturizer.from_dict``.
+    ``features.check_history``.
     """
     import numpy as np
 
-    from eosnet.features import StreamFeaturizer
+    from eosnet.features import check_history
 
     try:
         with open(path, encoding="utf-8") as handle:
@@ -586,8 +588,7 @@ def _load_score_state(path, level, utc_offset_minutes, hidden_size):
         if not finite.all():
             sid = ids[int(np.argmin(finite))]
             raise DataValidationError(f"{path}: state of {sid} has non-finite h or c")
-        histories = {sid: StreamFeaturizer.from_dict(students[sid], offset).to_dict()
-                     for sid in ids}
+        histories = {sid: check_history(students[sid]) for sid in ids}
     except DataValidationError:
         raise
     except KeyError as exc:

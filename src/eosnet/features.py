@@ -7,12 +7,13 @@ encoder, :func:`encode_block`.  It maps a block of flat columns
 and each student's carried history to the block's (n, 13) frames and the
 new histories, with array statements; an action earlier than its
 student's previous one is a ``ValueError``.  A history is the four fields
-of ``StreamFeaturizer.to_dict``, so a log cut into blocks anywhere encodes
-to the bits of one block.  ``featurize_logs`` encodes whole logs from fresh
+that :func:`check_history` checks (the last timestamp, lesson and topic,
+and the session gap value), so a log cut into blocks anywhere encodes to
+the bits of one block.  ``featurize_logs`` encodes whole logs from fresh
 histories, and ``featurize`` is its one-student case.
-``StreamFeaturizer.push`` is a one-action call of the encoder that no
-command makes; it stays only because ``perfbench/tracer.py`` ``TARGETS``
-resolves it.  Session starts (column 12, and the session gap of column 4)
+``StreamFeaturizer`` is a one-action shim over the encoder that no command
+uses; it stays only because ``perfbench/tracer.py`` ``TARGETS`` resolves
+its ``push``.  Session starts (column 12, and the session gap of column 4)
 come from ``sessions.session_starts``, the rule that segments sessions.
 Column 3 reads a table of ``transform_gap`` below its cap and column 4
 calls it once per session start, so both are its values bit for bit.
@@ -81,7 +82,7 @@ _TOD_OF_HOUR = np.array([TOD_15_8] * 8 + [TOD_8_12] * 4 + [TOD_12_15] * 3
                         + [TOD_15_8] * 9, dtype=np.intp)
 
 
-# JSON types of the ``to_dict`` fields; None means no action seen yet
+# JSON types of the history fields; None means no action seen yet
 _STATE_TYPES = {
     "last_timestamp": (int, type(None)),
     "last_lesson": (str, type(None)),
@@ -165,11 +166,10 @@ def encode_block(columns: ActionColumns, histories: Sequence[Mapping],
     """Encode a block of actions; returns its (n, 13) frames and each
     student's history after it.
 
-    ``histories`` holds each student's ``to_dict`` history, in block
-    order.  The first action in block order that is earlier than its
-    student's previous one raises ``ValueError``.  A ``session_gap_value``
-    is kept as it is (an int stays an int) until a session start replaces
-    it.
+    ``histories`` holds each student's history, in block order.  The
+    first action in block order that is earlier than its student's
+    previous one raises ``ValueError``.  A ``session_gap_value`` is kept as
+    it is (an int stays an int) until a session start replaces it.
     """
     ts, first = columns.timestamps, columns.first
     gaps, has_previous = _gaps(columns, histories)
@@ -231,18 +231,34 @@ def featurize(seq: LabeledSequence,
     return featurize_logs([seq], utc_offset_minutes)
 
 
+def check_history(state: Mapping) -> dict:
+    """A student's history from a ``score --state-in`` file, checked: its
+    four fields as they are.  A missing field raises ``KeyError``, and one
+    of the wrong type or out of range ``ValueError``."""
+    for key, types in _STATE_TYPES.items():
+        if isinstance(state[key], bool) or not isinstance(state[key], types):
+            raise ValueError(f"{key} has the wrong type: {state[key]!r}")
+    last = state["last_timestamp"]
+    if last is not None and not 0 <= last < TIMESTAMP_LIMIT:
+        raise ValueError(f"last_timestamp must be in [0, 2**62), got {last}")
+    if not 0.0 <= state["session_gap_value"] <= 1.0:
+        raise ValueError(
+            f"session_gap_value must be in [0, 1], got {state['session_gap_value']}")
+    return {key: state[key] for key in _STATE_TYPES}
+
+
 class StreamFeaturizer:
     """One student's history at a UTC offset, which is not part of it.
 
-    ``push`` is a one-action call of :func:`encode_block`.  ``to_dict`` and
-    ``from_dict`` carry the history through JSON, as ``score --state-out``
-    and ``--state-in`` do.
+    ``push`` is a one-action call of :func:`encode_block` that no command
+    makes; the class stays only because ``perfbench/tracer.py`` resolves
+    ``StreamFeaturizer.push``, and goes once the benchmark drops that
+    target (ROADMAP item 1).
     """
 
-    def __init__(self, utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES,
-                 history: Mapping = FRESH_HISTORY):
+    def __init__(self, utc_offset_minutes: int = DEFAULT_UTC_OFFSET_MINUTES):
         self.utc_offset_minutes = utc_offset_minutes
-        self.history = dict(history)
+        self.history = dict(FRESH_HISTORY)
 
     def push(self, action: RawAction) -> list[float]:
         """Encode one action; returns its frame as a list of 13 floats."""
@@ -250,22 +266,3 @@ class StreamFeaturizer:
             ActionColumns.of([action], np.ones(1, dtype=bool)), [self.history],
             self.utc_offset_minutes)
         return frames[0].tolist()
-
-    def to_dict(self) -> dict:
-        return dict(self.history)
-
-    @classmethod
-    def from_dict(cls, state: Mapping, utc_offset_minutes: int) -> "StreamFeaturizer":
-        """Inverse of :meth:`to_dict` for a featurizer at the given UTC
-        offset; a missing field raises ``KeyError``, and one of the wrong
-        type or out of range ``ValueError``."""
-        for key, types in _STATE_TYPES.items():
-            if isinstance(state[key], bool) or not isinstance(state[key], types):
-                raise ValueError(f"{key} has the wrong type: {state[key]!r}")
-        last = state["last_timestamp"]
-        if last is not None and not 0 <= last < TIMESTAMP_LIMIT:
-            raise ValueError(f"last_timestamp must be in [0, 2**62), got {last}")
-        if not 0.0 <= state["session_gap_value"] <= 1.0:
-            raise ValueError(
-                f"session_gap_value must be in [0, 1], got {state['session_gap_value']}")
-        return cls(utc_offset_minutes, {key: state[key] for key in _STATE_TYPES})

@@ -217,6 +217,7 @@ class _ForwardCache:
     """
 
     X: np.ndarray        # (n, D) input rows
+    real: np.ndarray     # (T, B) bool, the real lane-steps (real_steps)
     resets: np.ndarray   # (T, B) bool
     first_live: list     # step t ran lanes [first_live[t]:]
     offsets: list        # step t owns rows [offsets[t]:offsets[t + 1]]
@@ -259,10 +260,10 @@ def _first_live(lengths, T: int, B: int) -> list:
     return np.searchsorted(lengths, np.arange(T), side="right").tolist()
 
 
-def _real_steps(first: list, B: int) -> np.ndarray:
-    """``(T, B)`` bool, true where lane b ran step t.  Indexing a
-    ``(T, B, ...)`` array with it gives that array's packed rows."""
-    return np.arange(B) >= np.array(first, dtype=int).reshape(-1, 1)
+def real_steps(lengths, T: int) -> np.ndarray:
+    """``(T, B)`` bool, true where lane b runs step t (``t < lengths[b]``).
+    Indexing a ``(T, B, ...)`` array with it gives that array's packed rows."""
+    return np.arange(T)[:, None] < np.asarray(lengths)
 
 
 def _drop(a: np.ndarray, mask: Optional[np.ndarray], inv_keep: float,
@@ -429,8 +430,9 @@ def forward_batch(params: ModelParams, X: np.ndarray, resets: np.ndarray,
     last = (np.asarray(off)[steps] - B + np.arange(B))[ran]
     c = c0.copy()
     c[ran] = cs[last]
+    real = real_steps(steps, T)
     cache = _ForwardCache(
-        X=X[_real_steps(first, B)], resets=resets, first_live=first, offsets=off,
+        X=X[real], real=real, resets=resets, first_live=first, offsets=off,
         gates=gates, c=cs, h0=h0, c0=c0, m0=m0, m1=m1, m2=m2, inv_keep=inv_keep,
         a1=a1s, a2=a2s, probs=probs,
     )
@@ -544,10 +546,9 @@ def backward_batch(params: ModelParams, cache: _ForwardCache, labels: np.ndarray
     if cache.spent:
         raise ValueError("this forward cache was already consumed by backward_batch")
     cache.spent = True
-    B = cache.resets.shape[1]
     D, hidden = params.input_dim, params.hidden_size
 
-    real = _real_steps(cache.first_live, B)
+    real = cache.real
     w = weights[real]
     w_sum = float(w.sum()) if weight_sum is None else weight_sum
     if w_sum == 0.0:

@@ -14,6 +14,11 @@ a history-carrying model outperform a per-session one on this data, but
 no run has shown it yet (ROADMAP item 3).
 Session boundaries respect the gap rule (``sessions.SESSION_GAP_SECONDS``)
 by construction, so segmentation recovers them exactly.
+
+``_generate_student`` makes a student's log in one pass over the sessions,
+and the lesson/topic walk lives in it as two ints.  Its draws from the
+student's generator come in a fixed order, so the bytes of ``generate``
+depend only on the config (``tests/test_cli.py`` pins them).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from eosnet.ingest import DEFAULT_UTC_OFFSET_MINUTES, ActionKind, RawAction, StudentLog
 from eosnet.sessions import SESSION_GAP_SECONDS, HomeworkClass, segment, session_table
 
-_PURE, _PARTLY, _FREE = 0, 1, 2
+_PURE, _FREE = 0, 2  # session types as drawn: pure, partly, free homework
 
 
 @dataclass(slots=True)
@@ -102,13 +107,17 @@ _BUCKET_HOURS = ((8.0, 12.0), (12.0, 15.0), (15.0, 32.0))
 
 
 def _weighted_quantile(choices, weights, u: float) -> int:
-    cumulative = 0.0
-    total = float(sum(weights))
-    for choice, weight in zip(choices, weights):
-        cumulative += weight / total
-        if u <= cumulative:
-            return choice
-    return choices[-1]
+    """The first choice whose cumulative weight share reaches ``u``; the
+    last choice when rounding leaves every share below it."""
+    cumulative = np.cumsum(np.asarray(weights) / float(sum(weights)))
+    index = int(np.searchsorted(cumulative, u))
+    return choices[index] if index < len(choices) else choices[-1]
+
+
+def _weighted_length(rng: np.random.Generator, cfg: GenConfig) -> int:
+    """A homework length drawn with the configured weights."""
+    weights = np.asarray(cfg.homework_length_weights, dtype=float)
+    return int(rng.choice(cfg.homework_length_choices, p=weights / weights.sum()))
 
 
 def _draw_profile(rng: np.random.Generator, cfg: GenConfig) -> StudentProfile:
@@ -123,9 +132,7 @@ def _draw_profile(rng: np.random.Generator, cfg: GenConfig) -> StudentProfile:
         usual = _weighted_quantile(cfg.homework_length_choices,
                                    cfg.homework_length_weights, u)
     else:
-        usual = int(rng.choice(cfg.homework_length_choices,
-                               p=np.asarray(cfg.homework_length_weights)
-                               / sum(cfg.homework_length_weights)))
+        usual = _weighted_length(rng, cfg)
     free_mean = min(max(cfg.free_length_mean * multiplier, 1.05), 40.0)
     return StudentProfile(
         length_multiplier=multiplier,
@@ -135,18 +142,6 @@ def _draw_profile(rng: np.random.Generator, cfg: GenConfig) -> StudentProfile:
         rhythm=float(rng.lognormal(-cfg.rhythm_sigma ** 2 / 2.0, cfg.rhythm_sigma)),
         accuracy=float(rng.uniform(*cfg.accuracy_range)),
     )
-
-
-def _homework_length(rng: np.random.Generator, cfg: GenConfig,
-                     profile: StudentProfile) -> int:
-    if rng.random() < cfg.homework_sticky:
-        return profile.usual_homework_length
-    weights = np.asarray(cfg.homework_length_weights, dtype=float)
-    return int(rng.choice(cfg.homework_length_choices, p=weights / weights.sum()))
-
-
-def _free_length(rng: np.random.Generator, profile: StudentProfile) -> int:
-    return int(rng.geometric(1.0 / profile.free_length_mean))
 
 
 def _session_start(rng: np.random.Generator, cfg: GenConfig,
@@ -177,97 +172,60 @@ def _session_start(rng: np.random.Generator, cfg: GenConfig,
     return start
 
 
-class _ContentProcess:
-    """Persistent lesson/topic random walk: lessons nest inside topics,
-    so a topic change always implies a lesson change."""
-
-    def __init__(self, rng: np.random.Generator, cfg: GenConfig):
-        self.cfg = cfg
-        self.topic = int(rng.integers(cfg.n_topics))
-        self.lesson = int(rng.integers(cfg.lessons_per_topic))
-
-    def step(self, rng_lesson: float, rng_topic: float, pick: float) -> tuple[str, str]:
-        cfg = self.cfg
-        if rng_lesson < cfg.lesson_change_prob:
-            if rng_topic < cfg.topic_change_prob and cfg.n_topics > 1:
-                self.topic = (self.topic + 1 + int(pick * (cfg.n_topics - 1))) % cfg.n_topics
-                self.lesson = int(pick * cfg.lessons_per_topic) % cfg.lessons_per_topic
-            elif cfg.lessons_per_topic > 1:
-                self.lesson = (self.lesson + 1
-                               + int(pick * (cfg.lessons_per_topic - 1))) % cfg.lessons_per_topic
-        return self.current()
-
-    def current(self) -> tuple[str, str]:
-        cfg = self.cfg
-        return (f"L{self.topic * cfg.lessons_per_topic + self.lesson}", f"T{self.topic}")
-
-
 def _generate_student(student_id: str, rng: np.random.Generator,
                       cfg: GenConfig) -> StudentLog:
+    """One student's log: the profile, then each session's type, length,
+    start, gaps and six per-action uniforms, in that draw order.  The
+    lesson/topic walk starts at two drawn ints and steps at every action
+    but the student's first; lessons nest inside topics, so a topic change
+    always implies a lesson change."""
     profile = _draw_profile(rng, cfg)
     n_sessions = max(1, round(float(rng.lognormal(cfg.sessions_log_mean,
                                                   cfg.sessions_log_sigma))))
-    type_p = np.array([
-        cfg.homework_session_fraction,
-        cfg.partly_fraction,
-        1.0 - cfg.homework_session_fraction - cfg.partly_fraction,
-    ])
-    types = rng.choice(3, size=n_sessions, p=type_p)
-    content = _ContentProcess(rng, cfg)
+    pure_p, partly_p = cfg.homework_session_fraction, cfg.partly_fraction
+    types = rng.choice(3, size=n_sessions, p=[pure_p, partly_p, 1.0 - pure_p - partly_p])
+    n_topics, n_lessons = cfg.n_topics, cfg.lessons_per_topic
+    topic, lesson = int(rng.integers(n_topics)), int(rng.integers(n_lessons))
 
     actions: list[RawAction] = []
     prev_end: Optional[int] = None
-    first_action = True
     for kind in types:
-        if kind == _PURE:
-            hw_len, free_len = _homework_length(rng, cfg, profile), 0
-        elif kind == _PARTLY:
-            hw_len, free_len = _homework_length(rng, cfg, profile), _free_length(rng, profile)
-        else:
-            hw_len, free_len = 0, _free_length(rng, profile)
+        hw_len = free_len = 0
+        if kind != _FREE:
+            hw_len = (profile.usual_homework_length if rng.random() < cfg.homework_sticky
+                      else _weighted_length(rng, cfg))
+        if kind != _PURE:
+            free_len = int(rng.geometric(1.0 / profile.free_length_mean))
         length = hw_len + free_len
 
         start = _session_start(rng, cfg, profile, prev_end)
         gaps = np.clip(rng.lognormal(math.log(cfg.within_gap_median_seconds),
                                      cfg.within_gap_log_sigma,
                                      size=max(length - 1, 0)).astype(np.int64), 2, 890)
-        timestamps = start + np.concatenate([[0], np.cumsum(gaps)])
+        timestamps = (start + np.concatenate([[0], np.cumsum(gaps)])).tolist()
+        # lesson, topic, pick, kind, fillout and correct uniforms
+        draws = [rng.random(length).tolist() for _ in range(6)]
 
-        lesson_draws = rng.random(length)
-        topic_draws = rng.random(length)
-        pick_draws = rng.random(length)
-        kind_draws = rng.random(length)
-        fillout_draws = rng.random(length)
-        correct_draws = rng.random(length)
-
-        for position in range(length):
+        for position, (timestamp, lesson_u, topic_u, pick_u, kind_u, fillout_u,
+                       correct_u) in enumerate(zip(timestamps, *draws)):
+            if actions and lesson_u < cfg.lesson_change_prob:
+                if topic_u < cfg.topic_change_prob and n_topics > 1:
+                    topic = (topic + 1 + int(pick_u * (n_topics - 1))) % n_topics
+                    lesson = int(pick_u * n_lessons) % n_lessons
+                elif n_lessons > 1:
+                    lesson = (lesson + 1 + int(pick_u * (n_lessons - 1))) % n_lessons
             homework = position < hw_len
-            if first_action:
-                lesson_id, topic_id = content.current()
-                first_action = False
-            else:
-                lesson_id, topic_id = content.step(
-                    lesson_draws[position], topic_draws[position], pick_draws[position])
-            q_frac = (cfg.question_fraction_homework if homework
-                      else cfg.question_fraction_free)
-            if kind_draws[position] < q_frac:
-                action_kind = (ActionKind.FILL_OUT_QUESTION
-                               if fillout_draws[position] < cfg.fillout_share
+            if kind_u < (cfg.question_fraction_homework if homework
+                         else cfg.question_fraction_free):
+                action_kind = (ActionKind.FILL_OUT_QUESTION if fillout_u < cfg.fillout_share
                                else ActionKind.MULTIPLE_CHOICE_QUESTION)
-                correct = bool(correct_draws[position] < profile.accuracy)
+                correct = correct_u < profile.accuracy
             else:
-                action_kind = ActionKind.MATERIAL
-                correct = None
-            actions.append(RawAction(
-                student_id=student_id,
-                timestamp=int(timestamps[position]),
-                kind=action_kind,
-                lesson_id=lesson_id,
-                topic_id=topic_id,
-                correct=correct,
-                homework=homework,
-            ))
-        prev_end = int(timestamps[-1])
+                action_kind, correct = ActionKind.MATERIAL, None
+            actions.append(RawAction(student_id, timestamp, action_kind,
+                                     f"L{topic * n_lessons + lesson}", f"T{topic}",
+                                     correct, homework))
+        prev_end = timestamps[-1]
     return StudentLog(student_id=student_id, actions=actions)
 
 

@@ -57,6 +57,7 @@ from eosnet.net import (
     forward_batch,
     init_params,
     level_resets,
+    real_steps,
     rmsprop_update,
 )
 from eosnet.sessions import LabeledSequence
@@ -196,10 +197,6 @@ class Batch:
     labels: np.ndarray   # (T, B)
     weights: np.ndarray  # (T, B)
     resets: np.ndarray   # (T, B) bool
-
-    def real_steps(self) -> np.ndarray:
-        """``(T, B)`` bool, true at each lane's real steps."""
-        return np.arange(self.X.shape[0])[:, None] < self.lengths
 
     def windows(self, size: int) -> Iterator["Batch"]:
         """Consecutive TBPTT windows of at most ``size`` steps.
@@ -360,7 +357,7 @@ def _group_masks(params: ModelParams, window: Batch, dropout_p: float, key: list
     rows of each lane group ``g::n_groups``; Nones without dropout."""
     if dropout_p == 0.0:
         return [None] * n_groups
-    real = window.real_steps()
+    real = real_steps(window.lengths, len(window.X))
     keep, *masks = draw_masks(params, real, dropout_p, np.random.default_rng(key))
     group = np.nonzero(real)[1] % n_groups  # each packed row's, in (t, b) order
     return [DropoutMasks(keep, *(m[group == g] for m in masks)) for g in range(n_groups)]
@@ -420,7 +417,8 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
             for w_idx, window in enumerate(batch.windows(config.tbptt_window)):
                 key = [_DROPOUT_NS, config.seed, epoch, b_idx, w_idx]
                 # the window's weight sum, added in backward_batch's order
-                den = float(window.weights[window.real_steps()].sum())
+                real = real_steps(window.lengths, len(window.X))
+                den = float(window.weights[real].sum())
                 masks = _group_masks(params, window, config.dropout_p, key, len(groups))
                 with _diverged(epoch=epoch, batch=b_idx, window=w_idx):
                     # each task takes its masks out of a list of its own and spends

@@ -140,6 +140,7 @@ class TestFlags:
         (["--patience", "x"], "expected an integer or 'none', got 'x'"),
         (["--learning-rate", "nan"], "learning_rate must be finite and positive"),
         (["--learning-rate", "inf"], "learning_rate must be finite and positive"),
+        (["--level", "bogus"], "level must be one of ('student', 'session'), got 'bogus'"),
     ])
     def test_bad_train_setting(self, corpus, tmp_path, capsys, flags, match):
         data, _ = corpus

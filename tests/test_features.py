@@ -13,6 +13,7 @@ from eosnet.features import (
     FRESH_HISTORY,
     ActionColumns,
     StreamFeaturizer,
+    check_history,
     encode_block,
     featurize,
     featurize_logs,
@@ -34,7 +35,7 @@ def encode_one_block(logs, histories, utc_offset_minutes=60):
 
 def oracle_push(history, action, utc_offset_minutes):
     """The per-action encoder, one Python statement per column: encode one
-    action from a ``to_dict`` history, updating it in place."""
+    action from a history, updating it in place."""
     last = history["last_timestamp"]
     first_ever = last is None
     if not first_ever and action.timestamp < last:
@@ -272,7 +273,7 @@ class TestFeatureProperties:
         np.testing.assert_array_equal(np.concatenate(rows), frames)
         stream = StreamFeaturizer()
         np.testing.assert_array_equal(np.array([stream.push(a) for a in log.actions]), frames)
-        assert stream.to_dict() == history
+        assert stream.history == history
 
     def test_stream_state_round_trip(self):
         base = ts_at_local_hour(10)
@@ -286,7 +287,7 @@ class TestFeatureProperties:
         actions = [RawAction("s", *spec) for spec in specs]
         whole, _ = encode_one_block([actions], [FRESH_HISTORY])
         _, (history,) = encode_one_block([actions[:3]], [FRESH_HISTORY])
-        resumed = StreamFeaturizer.from_dict(json.loads(json.dumps(history)), 60).to_dict()
+        resumed = check_history(json.loads(json.dumps(history)))
         rest, _ = encode_one_block([actions[3:]], [resumed])
         assert rest.tobytes() == whole[3:].tobytes()
 
@@ -312,7 +313,7 @@ IDS = st.sampled_from([None, "L1", "L2"])
 
 @st.composite
 def carried_histories(draw):
-    """A fresh history or any history ``from_dict`` accepts, an int
+    """A fresh history or any history ``check_history`` accepts, an int
     ``session_gap_value`` included."""
     if draw(st.booleans()):
         return dict(FRESH_HISTORY)
@@ -389,7 +390,7 @@ class TestBlockEncoder:
     @example(([], []), [], 60)
     def test_blocks_cut_anywhere_equal_one_block(self, block, cuts, offset):
         """The block cut at any points, each student's history carried
-        between pieces through ``to_dict``, JSON and ``from_dict``."""
+        between pieces through JSON and ``check_history``."""
         logs, histories = block
         whole, whole_after = encode_one_block(logs, histories, offset)
         flat = [(k, action) for k, log in enumerate(logs) for action in log]
@@ -399,8 +400,7 @@ class TestBlockEncoder:
             students = sorted({k for k, _ in flat[start:end]})
             piece_logs = [[a for k, a in flat[start:end] if k == student]
                           for student in students]
-            resumed = [StreamFeaturizer.from_dict(json.loads(json.dumps(carried[k])),
-                                                  offset).to_dict() for k in students]
+            resumed = [check_history(json.loads(json.dumps(carried[k]))) for k in students]
             frames, after = encode_one_block(piece_logs, resumed, offset)
             pieces.append(frames)
             for k, history in zip(students, after):

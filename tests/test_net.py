@@ -21,6 +21,7 @@ from eosnet.net import (
     forward_batch,
     load_checkpoint,
     lstm_step,
+    real_steps,
     rmsprop_update,
     save_checkpoint,
     sigmoid,
@@ -443,8 +444,8 @@ class TestTrainingMemory:
     def test_cache_holds_only_what_backward_cannot_recompute(self):
         # The cache holds the window's inputs, gates, cell states and dense
         # activations (8 bytes a unit) and the masks (1 byte), one row per
-        # real lane-step, plus the (T, B) probabilities and resets and the
-        # (B, H) initial state; no hidden states.  From before the forward
+        # real lane-step, plus the (T, B) probabilities, resets and real-step
+        # mask and the (B, H) initial state; no hidden states.  From before the forward
         # pass to the end of backward, the traced peak stays within that,
         # one (n, H) float64 buffer and one set of gradients: the head's
         # arrays and masks are gone before backward's buffer, and no
@@ -456,7 +457,7 @@ class TestTrainingMemory:
                                                                lengths=lengths)
         D, h1, h2 = p.input_dim, p.dense1_size, p.dense2_size
         bound = (n * (D + 5 * hidden + h1 + h2) * 8 + n * (hidden + h1 + h2)
-                 + T * B * (8 + 1) + 2 * B * hidden * 8)
+                 + T * B * (8 + 1 + 1) + 2 * B * hidden * 8)
         gradient_set = sum(a.nbytes for a in p.arrays())
         tracemalloc.start()
         try:
@@ -686,7 +687,8 @@ class TestLaneGroups:
         params = init_params(0)
         window, (h0, c0) = self._window(level, 72)
         key = [7]
-        masks = draw_masks(params, window.real_steps(), 0.4, np.random.default_rng(key))
+        real = real_steps(window.lengths, len(window.X))
+        masks = draw_masks(params, real, 0.4, np.random.default_rng(key))
         whole = self._forward(params, window, h0, c0, masks)
         grads, num, w_sum = backward_batch(params, whole.cache, window.labels,
                                            window.weights)
@@ -714,10 +716,11 @@ class TestLaneGroups:
         params = init_params(0)
         window, (h0, c0) = self._window(level, 72, seed=1)
         key = [7]
+        real = real_steps(window.lengths, len(window.X))
         whole = self._forward(params, window, h0, c0, draw_masks(
-            params, window.real_steps(), 0.4, np.random.default_rng(key))).cache
+            params, real, 0.4, np.random.default_rng(key))).cache
         # each packed row's lane, in (t, b) order
-        row_lane = np.nonzero(window.real_steps())[1]
+        row_lane = np.nonzero(real)[1]
         groups = _lane_groups(72)
         for g, (lanes, masks) in enumerate(zip(groups, _group_masks(params, window, 0.4,
                                                                     key, 3))):
@@ -738,7 +741,7 @@ class TestLaneGroups:
         assert len(groups) == 3
         for lanes, masks in zip(groups, _group_masks(params, window, 0.4, key, 3)):
             rng = np.random.default_rng(key)
-            real = window.real_steps()[:, lanes]
+            real = real_steps(window.lengths, len(window.X))[:, lanes]
             assert masks.keep == keep
             for mask, width in zip((masks.m0, masks.m1, masks.m2), widths):
                 np.testing.assert_array_equal(
@@ -752,11 +755,12 @@ class TestLaneGroups:
         [group] = _lane_groups(lanes)
         key = [5, 6]
         masks = _group_masks(params, window, 0.4, key, 1)  # one group's, which it takes out
-        w_sum = float(window.weights[window.real_steps()].sum())
+        real = real_steps(window.lengths, len(window.X))
+        w_sum = float(window.weights[real].sum())
         (h, c), grads, num = _train_group(params, window, group, (h0, c0), masks, w_sum)
         assert masks == []
         whole = forward_batch(params, window.X, window.resets, h0, c0, draw_masks(
-            params, window.real_steps(), 0.4, np.random.default_rng(key)),
+            params, real, 0.4, np.random.default_rng(key)),
             want_cache=True, lengths=window.lengths)
         expected, expected_num, _ = backward_batch(params, whole.cache, window.labels,
                                                    window.weights)
