@@ -33,7 +33,7 @@ import numpy as np
 from eosnet.ingest import DEFAULT_UTC_OFFSET_MINUTES, ActionKind, RawAction, StudentLog
 from eosnet.sessions import SESSION_GAP_SECONDS, HomeworkClass, segment, session_table
 
-_PURE, _FREE = 0, 2  # session types as drawn: pure, partly, free homework
+_PURE, _FREE = 0, 2  # of the drawn session types 0, 1, 2: pure, partly, free homework
 
 
 @dataclass(slots=True)
@@ -111,7 +111,7 @@ def _weighted_quantile(choices, weights, u: float) -> int:
     last choice when rounding leaves every share below it."""
     cumulative = np.cumsum(np.asarray(weights) / float(sum(weights)))
     index = int(np.searchsorted(cumulative, u))
-    return choices[index] if index < len(choices) else choices[-1]
+    return choices[min(index, len(choices) - 1)]
 
 
 def _weighted_length(rng: np.random.Generator, cfg: GenConfig) -> int:
