@@ -49,9 +49,10 @@ cached: backward recomputes it bit for bit as ``tanh(c) * o``, trading one
 ``tanh`` pass for an ``(n, H)`` array (Gruslys et al. 2016, Memory-Efficient
 Backpropagation Through Time).  Each GEMM keeps the row count it has at
 inference, so a cached pass gives the same bits as a plain one.  The
-caller draws the dropout masks with :func:`draw_masks`, in the same packed
-rows; they are bool, and a kept unit is scaled as ``(a * m) * inv_keep``,
-the same bits as a float mask ``m / keep``.
+caller draws the dropout masks with :func:`draw_masks`, each lane's from a
+stream keyed for that lane, in the same packed rows; they are bool, and a
+kept unit is scaled as ``(a * m) * inv_keep``, the same bits as a float
+mask ``m / keep``.
 
 The cache is single-use: :func:`backward_batch` consumes it in place.  Both
 kernels check their outputs for non-finite values themselves and run with
@@ -60,7 +61,7 @@ numpy's overflow and invalid warnings off.
 :func:`forward_batch` keeps no state between calls, so independent batches
 may run concurrently.  Lanes are independent until their weight gradients
 are summed, so a batch can also run as groups of its lanes, each a batch
-of its own with its rows of the batch's masks; given the whole batch's
+of its own that draws its own lanes' masks; given the whole batch's
 weight sum, :func:`backward_batch` gives each group its share of the
 batch's gradients and loss.  Each kernel starts no thread itself; BLAS
 threads are its only parallelism, and the CLI pins them to one for
@@ -100,10 +101,6 @@ _SPLIT_PARTS = ["test", "train", "validation"]  # sorted, to compare with sorted
 # of each layer group (weights + bias = 2, repeated four times)
 _LAYER_MARKERS = (2, 2, 2, 2)
 _HEADER_STRUCT = struct.Struct("<8I")
-
-# steps of uniform draws held at once while drawing a dropout mask
-_MASK_STEPS = 16
-
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
@@ -288,26 +285,24 @@ class DropoutMasks(NamedTuple):
     m2: np.ndarray  # (n, H2)
 
 
-def draw_masks(params: ModelParams, real: np.ndarray, dropout_p: float,
-               rng: np.random.Generator) -> DropoutMasks:
-    """The dropout masks of a ``(T, B)`` window whose real lane-steps
-    ``real`` marks.  Each mask in turn draws a uniform for every ``(t, b)``
-    entry, padding included, ``_MASK_STEPS`` steps at a time, each block
-    cut to its real rows: one ``(T, B, width)`` draw cut to the rows,
-    without its float64 transient."""
-    T, B = real.shape
+def draw_masks(params: ModelParams, lengths, dropout_p: float, keys) -> DropoutMasks:
+    """The dropout masks of a batch whose lane b runs ``lengths[b]`` steps
+    (non-decreasing).  Lane b draws ``(lengths[b], H + H1 + H2)`` uniforms
+    from ``np.random.default_rng(keys[b])``, keeps the units whose uniform
+    is below ``1 - dropout_p``, and splits its rows by width into the LSTM output's
+    and the two dense outputs' masks, laid out in packed ``(t, b)`` rows.
+    So a lane's masks depend only on its key and its step: not on the
+    batch's padding, its width or the lanes beside it."""
     keep = 1.0 - dropout_p
-    masks = []
-    for width in (params.hidden_size, params.dense1_size, params.dense2_size):
-        mask = np.empty((int(real.sum()), width), dtype=bool)
-        row = 0
-        for start in range(0, T, _MASK_STEPS):
-            block = real[start:start + _MASK_STEPS]
-            rows = mask[row:row + int(block.sum())]
-            rows[...] = (rng.random((len(block), B, width)) < keep)[block]
-            row += len(rows)
-        masks.append(mask)
-    return DropoutMasks(keep, *masks)
+    widths = np.cumsum([0, params.hidden_size, params.dense1_size, params.dense2_size])
+    lengths = np.asarray(lengths)
+    drawn = np.concatenate([np.random.default_rng(key).random((n, widths[-1])) < keep
+                            for key, n in zip(keys, lengths.tolist())])
+    # lane b's step t is row start[b] + t of the lanes' draws, one after another
+    T = int(lengths.max(initial=0))
+    start = np.cumsum(lengths) - lengths
+    rows = (np.arange(T)[:, None] + start)[real_steps(lengths, T)]
+    return DropoutMasks(keep, *(drawn[rows, lo:hi] for lo, hi in zip(widths, widths[1:])))
 
 
 def _zero_resets(block: np.ndarray, resets: np.ndarray) -> None:

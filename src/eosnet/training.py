@@ -24,12 +24,14 @@ batches on the pool, longest batch first, into one array.  Training has
 one window at a time, and a window's lanes are independent until their
 gradients are summed, so it cuts each window into lane groups of at most
 ``LANE_GROUP`` lanes and runs each group's forward and backward pass as
-one pool task, on the group's lanes alone.  ``train`` draws each window's
-dropout masks once and gives each group the masks' rows of its lanes; the
-groups share the window's weight sum, and their gradients are summed in
-group order, so a window of at most ``LANE_GROUP`` lanes gives the bits
-of an unsplit one and wider windows differ only in rounding.  Neither
-path's output depends on the pool size.
+one pool task, on the group's lanes alone.  Each task draws its own
+lanes' dropout masks, each lane's from a stream keyed by the seed, the
+epoch, the batch, the window and the lane's index in its batch, so a
+lane's masks do not depend on its group.  The groups share the window's
+weight sum, and their gradients are summed in group order, so a window
+of at most ``LANE_GROUP`` lanes gives the bits of an unsplit one and
+wider windows differ only in rounding.  Neither path's output depends on
+the pool size.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from eosnet.features import featurize_logs
 from eosnet.ingest import DEFAULT_UTC_OFFSET_MINUTES
 from eosnet.net import (
     LEVELS,
-    DropoutMasks,
     ModelParams,
     backward_batch,
     draw_masks,
@@ -351,25 +352,17 @@ def _lane_groups(n_lanes: int) -> list[slice]:
     return [slice(g, None, n) for g in range(n)]
 
 
-def _group_masks(params: ModelParams, window: Batch, dropout_p: float, key: list,
-                 n_groups: int) -> list:
-    """The window's dropout masks, drawn once from stream ``key``, cut to the
-    rows of each lane group ``g::n_groups``; Nones without dropout."""
-    if dropout_p == 0.0:
-        return [None] * n_groups
-    real = real_steps(window.lengths, len(window.X))
-    keep, *masks = draw_masks(params, real, dropout_p, np.random.default_rng(key))
-    group = np.nonzero(real)[1] % n_groups  # each packed row's, in (t, b) order
-    return [DropoutMasks(keep, *(m[group == g] for m in masks)) for g in range(n_groups)]
-
-
 def _train_group(params: ModelParams, window: Batch, lanes: slice, state: tuple,
-                 masks: list, weight_sum: float) -> tuple:
+                 key: list, dropout_p: float, weight_sum: float) -> tuple:
     """Lane group ``lanes``'s forward and backward pass over a window from its
-    ``(h, c)`` ``state``: its next state, gradients and loss numerator.  It pops
-    its dropout masks (or None) from ``masks``, so ``backward_batch`` frees them."""
+    ``(h, c)`` ``state``: its next state, gradients and loss numerator.  Lane
+    b's dropout masks come from stream ``key + [b]``; nothing here holds
+    them, so ``backward_batch`` frees them."""
+    lengths = window.lengths[lanes]
+    keys = [key + [b] for b in range(len(window.lengths))[lanes]]
     result = forward_batch(params, window.X[:, lanes], window.resets[:, lanes], *state,
-                           masks.pop(), want_cache=True, lengths=window.lengths[lanes])
+                           draw_masks(params, lengths, dropout_p, keys) if dropout_p else None,
+                           want_cache=True, lengths=lengths)
     grads, num, _ = backward_batch(params, result.cache, window.labels[:, lanes],
                                    window.weights[:, lanes], weight_sum)
     return (result.h, result.c), grads, num
@@ -419,12 +412,12 @@ def train(config: TrainConfig, train_seqs: Sequence[TrainSequence],
                 # the window's weight sum, added in backward_batch's order
                 real = real_steps(window.lengths, len(window.X))
                 den = float(window.weights[real].sum())
-                masks = _group_masks(params, window, config.dropout_p, key, len(groups))
                 with _diverged(epoch=epoch, batch=b_idx, window=w_idx):
-                    # each task takes its masks out of a list of its own and spends
-                    # its cache, so all are gone before the next window's are built
+                    # each task spends its cache, so all are gone before the
+                    # next window's are built
                     states, grads, nums = zip(*_in_order([
-                        pool.submit(_train_group, params, window, lanes, state, [masks.pop(0)], den)
+                        pool.submit(_train_group, params, window, lanes, state, key,
+                                    config.dropout_p, den)
                         for lanes, state in zip(groups, states)]))
                     # summed in group order; one group's are kept as they are
                     grads = ModelParams(*(reduce(np.add, arrays) for arrays

@@ -70,13 +70,13 @@ def random_instance(seed, steps=10, hidden=4, lanes=1, padded_from=None):
 
 def window_masks(params, X, lengths, dropout_p, rng_seed):
     """The dropout masks of the window ``X`` whose lanes have ``lengths``
-    real steps (all T when None), drawn from a generator seeded
-    ``rng_seed``; None, for no dropout, when that is None."""
+    real steps (all T when None), lane b's drawn from a generator seeded
+    ``[rng_seed, b]``; None, for no dropout, when that is None."""
     if rng_seed is None:
         return None
     T, B = X.shape[:2]
-    real = np.arange(T)[:, None] < (np.full(B, T) if lengths is None else np.asarray(lengths))
-    return draw_masks(params, real, dropout_p, np.random.default_rng(rng_seed))
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    return draw_masks(params, lengths, dropout_p, [[rng_seed, b] for b in range(B)])
 
 
 def run_window(params, X, resets, masks, want_cache=False, lengths=None):

@@ -26,9 +26,7 @@ from eosnet.net import (
     save_checkpoint,
     sigmoid,
 )
-from eosnet.training import (
-    LANE_GROUP, Batch, _group_masks, _lane_groups, _train_group,
-)
+from eosnet.training import LANE_GROUP, Batch, _lane_groups, _train_group
 
 
 def random_params(rng, input_dim=13, hidden=4, scale=0.4):
@@ -509,28 +507,39 @@ class TestTrainingMemory:
             backward_batch(p, cache, labels, weights)
 
 
+def per_lane_mask_oracle(key, lengths, lanes, widths, keep):
+    """The packed dropout masks of the lanes ``lanes`` (their indices in the
+    batch) with ``lengths`` real steps: lane b draws
+    ``default_rng(key + [b]).random((L, sum(widths))) < keep``, split by
+    width, and step t's rows are the live lanes' rows t in lane order."""
+    T = max(lengths, default=0)
+    full = np.zeros((T, len(lanes), sum(widths)), dtype=bool)
+    for col, (lane, n) in enumerate(zip(lanes, lengths)):
+        full[:n, col] = np.random.default_rng(key + [lane]).random((n, sum(widths))) < keep
+    packed = full[np.arange(T)[:, None] < np.asarray(lengths)]
+    return np.split(packed, np.cumsum(widths)[:-1], axis=1)
+
+
 class TestDropout:
-    def test_block_drawn_masks_equal_one_draw_cut_to_the_real_rows(self):
-        # T=37 spans three blocks of draws, the last one short; two lanes
-        # never run and one ends inside the second block.
+    def test_masks_are_each_lanes_own_draw_in_packed_rows(self):
+        # Two lanes never run and one ends early; each lane's rows are the
+        # first rows of its own stream.
         lengths = [0, 0, 5, 20, 37, 37]
         T, B, keep = max(lengths), len(lengths), 0.6
         p, X, resets, lengths, _, _ = window_inputs(T, B, 5, lengths=lengths)
         cache = cached_forward(p, X, resets, lengths, dropout_p=1.0 - keep,
                                seed=30).cache
-        draw = np.random.default_rng(31)
-        real = np.arange(T)[:, None] < np.array(lengths)
-        for mask, width in ((cache.m0, p.hidden_size), (cache.m1, p.dense1_size),
-                            (cache.m2, p.dense2_size)):
-            expected = (draw.random((T, B, width)) < keep)[real]
+        widths = [p.hidden_size, p.dense1_size, p.dense2_size]
+        for mask, expected in zip((cache.m0, cache.m1, cache.m2),
+                                  per_lane_mask_oracle([31], lengths, range(B), widths, keep)):
             assert mask.dtype == bool
             np.testing.assert_array_equal(mask, expected)
 
     def test_probs_equal_a_float_mask_head_oracle(self):
-        # The masks are drawn from the same seeded generator as
+        # The masks are drawn from the same seeded per-lane generators as
         # (r < keep) / keep; the bool masks and 1/keep must give the same
-        # bits.  The oracles take each step's hidden states from the
-        # cache's packed rows.
+        # bits.  A lane's first L rows of T are its L-row draw.  The oracles
+        # take each step's hidden states from the cache's packed rows.
         rng = np.random.default_rng(9)
         p = random_params(rng, hidden=6)
         lengths = [3, 8, 8, 8]
@@ -541,9 +550,10 @@ class TestDropout:
         out = forward_batch(p, X, resets, zeros, zeros,
                             window_masks(p, X, lengths, 1.0 - keep, 21), want_cache=True,
                             lengths=lengths)
-        draw = np.random.default_rng(21)
-        masks = [(draw.random((T, B, n)) < keep) / keep
-                 for n in (p.hidden_size, p.dense1_size, p.dense2_size)]
+        widths = np.cumsum([0, p.hidden_size, p.dense1_size, p.dense2_size])
+        draws = np.stack([np.random.default_rng([21, b]).random((T, widths[-1]))
+                          for b in range(B)], axis=1)
+        masks = [(draws[:, :, lo:hi] < keep) / keep for lo, hi in zip(widths, widths[1:])]
         first = np.searchsorted(lengths, np.arange(T), side="right")
         hs = cached_h(out.cache)
         for t, lo in enumerate(first):
@@ -634,28 +644,10 @@ class TestForward:
             np.testing.assert_allclose(streamed, probs, rtol=1e-12)
 
 
-def per_group_mask_oracle(rng, real, width, keep, grid, lanes):
-    """One lane group's dropout mask as each group drew it for itself: a
-    uniform for every ``(t, b)`` entry of the whole ``(T, grid)`` window,
-    ``_MASK_STEPS`` = 16 steps at a time, each block cut to the group's
-    ``lanes`` and then to its real rows ``real`` (``(T, B)`` for its B
-    lanes)."""
-    T = real.shape[0]
-    mask = np.empty((int(real.sum()), width), dtype=bool)
-    row = 0
-    for start in range(0, T, 16):
-        block = real[start:start + 16]
-        rows = mask[row:row + int(block.sum())]
-        draws = rng.random((len(block), grid, width))[:, lanes]
-        rows[...] = (draws < keep)[block]
-        row += len(rows)
-    return mask
-
-
 class TestLaneGroups:
-    """A window run as lane groups (each group's lanes of the inputs, its
-    rows of the window's masks, the whole window's weight sum) adds up to
-    the window run whole, at H=400 with dropout on."""
+    """A window run as lane groups (each group's lanes of the inputs and
+    their masks, the whole window's weight sum) adds up to the window run
+    whole, at H=400 with dropout on."""
 
     T, D = 24, 13
     # fixed before the first run: groups change only the rounding
@@ -675,6 +667,11 @@ class TestLaneGroups:
             weights=rng.uniform(1.0, 8.0, (self.T, lanes)),
         ), rng.uniform(-1, 1, (2, lanes, init_params(0).hidden_size))
 
+    def _masks(self, params, window, key, lanes=slice(None)):
+        """The masks of the window's lanes ``lanes``, lane b's from ``key + [b]``."""
+        return draw_masks(params, window.lengths[lanes], 0.4,
+                          [key + [b] for b in range(len(window.lengths))[lanes]])
+
     def _forward(self, params, window, h0, c0, masks, lanes=slice(None)):
         return forward_batch(params, window.X[:, lanes], window.resets[:, lanes], h0, c0,
                              masks, want_cache=True, lengths=window.lengths[lanes])
@@ -687,16 +684,15 @@ class TestLaneGroups:
         params = init_params(0)
         window, (h0, c0) = self._window(level, 72)
         key = [7]
-        real = real_steps(window.lengths, len(window.X))
-        masks = draw_masks(params, real, 0.4, np.random.default_rng(key))
-        whole = self._forward(params, window, h0, c0, masks)
+        whole = self._forward(params, window, h0, c0, self._masks(params, window, key))
         grads, num, w_sum = backward_batch(params, whole.cache, window.labels,
                                            window.weights)
         groups = _lane_groups(72)
         assert len(groups) == 3
         total, total_num = params.zeros_like(), 0.0
-        for lanes, part_masks in zip(groups, _group_masks(params, window, 0.4, key, 3)):
-            part = self._forward(params, window, h0[lanes], c0[lanes], part_masks, lanes)
+        for lanes in groups:
+            part = self._forward(params, window, h0[lanes], c0[lanes],
+                                 self._masks(params, window, key, lanes), lanes)
             for got, expected in ((part.probs, whole.probs[:, lanes]),
                                   (part.h, whole.h[lanes]), (part.c, whole.c[lanes])):
                 self._close(got, expected)
@@ -717,35 +713,46 @@ class TestLaneGroups:
         window, (h0, c0) = self._window(level, 72, seed=1)
         key = [7]
         real = real_steps(window.lengths, len(window.X))
-        whole = self._forward(params, window, h0, c0, draw_masks(
-            params, real, 0.4, np.random.default_rng(key))).cache
+        whole = self._forward(params, window, h0, c0, self._masks(params, window, key)).cache
         # each packed row's lane, in (t, b) order
         row_lane = np.nonzero(real)[1]
         groups = _lane_groups(72)
-        for g, (lanes, masks) in enumerate(zip(groups, _group_masks(params, window, 0.4,
-                                                                    key, 3))):
-            part = self._forward(params, window, h0[lanes], c0[lanes], masks, lanes).cache
+        for g, lanes in enumerate(groups):
+            part = self._forward(params, window, h0[lanes], c0[lanes],
+                                 self._masks(params, window, key, lanes), lanes).cache
             for name in ("m0", "m1", "m2"):
                 np.testing.assert_array_equal(
                     getattr(part, name), getattr(whole, name)[row_lane % 3 == g])
 
     @pytest.mark.parametrize("level", ["student", "session"])
     def test_group_masks_equal_each_groups_own_draw(self, level):
-        # The oracle is the draw each lane group made for itself before the
-        # window's masks were drawn once: the same stream, the same bits.
+        # The oracle draws each of the group's lanes from its own stream.
         params = init_params(0)
         window, _ = self._window(level, 72, seed=3)
         key, keep = [5, 6], 1.0 - 0.4
         widths = (params.hidden_size, params.dense1_size, params.dense2_size)
         groups = _lane_groups(72)
         assert len(groups) == 3
-        for lanes, masks in zip(groups, _group_masks(params, window, 0.4, key, 3)):
-            rng = np.random.default_rng(key)
-            real = real_steps(window.lengths, len(window.X))[:, lanes]
+        for lanes in groups:
+            masks = self._masks(params, window, key, lanes)
             assert masks.keep == keep
-            for mask, width in zip((masks.m0, masks.m1, masks.m2), widths):
-                np.testing.assert_array_equal(
-                    mask, per_group_mask_oracle(rng, real, width, keep, 72, lanes))
+            for mask, expected in zip(masks[1:], per_lane_mask_oracle(
+                    key, window.lengths[lanes].tolist(), range(72)[lanes], widths, keep)):
+                np.testing.assert_array_equal(mask, expected)
+
+    @pytest.mark.parametrize("lanes", [8, 17, 72])
+    def test_each_lanes_masks_are_its_own_draw_at_any_width(self, lanes):
+        # Whole, or cut into its lane groups (one for 8 and 17 lanes, three
+        # for 72), a window gives each lane the draw of its own key.
+        params = init_params(0)
+        window, _ = self._window("student", lanes, seed=4)
+        key, keep = [8, 9], 1.0 - 0.4
+        widths = (params.hidden_size, params.dense1_size, params.dense2_size)
+        for part in [slice(None), *_lane_groups(lanes)]:
+            masks = self._masks(params, window, key, part)
+            for mask, expected in zip(masks[1:], per_lane_mask_oracle(
+                    key, window.lengths[part].tolist(), range(lanes)[part], widths, keep)):
+                np.testing.assert_array_equal(mask, expected)
 
     @pytest.mark.parametrize("level", ["student", "session"])
     @pytest.mark.parametrize("lanes", [1, 17, LANE_GROUP])
@@ -754,14 +761,10 @@ class TestLaneGroups:
         window, (h0, c0) = self._window(level, lanes, seed=2)
         [group] = _lane_groups(lanes)
         key = [5, 6]
-        masks = _group_masks(params, window, 0.4, key, 1)  # one group's, which it takes out
         real = real_steps(window.lengths, len(window.X))
         w_sum = float(window.weights[real].sum())
-        (h, c), grads, num = _train_group(params, window, group, (h0, c0), masks, w_sum)
-        assert masks == []
-        whole = forward_batch(params, window.X, window.resets, h0, c0, draw_masks(
-            params, real, 0.4, np.random.default_rng(key)),
-            want_cache=True, lengths=window.lengths)
+        (h, c), grads, num = _train_group(params, window, group, (h0, c0), key, 0.4, w_sum)
+        whole = self._forward(params, window, h0, c0, self._masks(params, window, key))
         expected, expected_num, _ = backward_batch(params, whole.cache, window.labels,
                                                    window.weights)
         np.testing.assert_array_equal(h, whole.h)

@@ -596,23 +596,30 @@ class TestTrainingSplit:
         assert three.history and [(s.epoch, s.train_loss, s.val_auc) for s in three.history] \
             == [(s.epoch, s.train_loss, s.val_auc) for s in one.history]
 
-    def test_masks_are_drawn_once_per_window(self, monkeypatch):
-        # The 72-lane batch's windows run as 3 lane groups each, and each
-        # window's masks are still drawn once, for all its lanes.
+    def test_each_group_task_draws_exactly_its_own_lanes_masks(self, monkeypatch):
+        # The 72-lane batch's windows run as 3 lane groups each.  Each group's
+        # task, on a pool thread, draws the masks of its own lanes alone, lane
+        # b's from stream [_DROPOUT_NS, seed, epoch, batch, window, b].
         seqs = self._sequences("student")
-        shapes = []
+        draws = []
 
-        def draw(params, real, dropout_p, rng):
-            shapes.append(real.shape)
-            return net.draw_masks(params, real, dropout_p, rng)
+        def draw(params, lengths, dropout_p, keys):
+            draws.append((threading.current_thread().name, lengths.tolist(), keys))
+            return net.draw_masks(params, lengths, dropout_p, keys)
 
         monkeypatch.setattr(training, "draw_masks", draw)
         self._train(monkeypatch, 2, "student", seqs, max_epochs=1)
-        windows = [(min(8, batch.X.shape[0] - start), len(batch.student_ids))
-                   for batch in make_batches(seqs[:-4], 72, 3, epoch=1)
-                   for start in range(0, batch.X.shape[0], 8)]
-        assert sorted({lanes for _, lanes in windows}) == [8, 72]
-        assert shapes == windows
+        expected = [
+            (window.lengths[lanes].tolist(),
+             [[training._DROPOUT_NS, 3, 1, b_idx, w_idx, b]
+              for b in range(len(batch.student_ids))[lanes]])
+            for b_idx, batch in enumerate(make_batches(seqs[:-4], 72, 3, epoch=1))
+            for w_idx, window in enumerate(batch.windows(8))
+            for lanes in training._lane_groups(len(batch.student_ids))]
+        assert {len(keys) for _, keys in expected} == {8, 24}
+        assert len(draws) == len(expected)
+        assert sorted(draw[1:] for draw in draws) == sorted(expected)
+        assert "MainThread" not in {name for name, _, _ in draws}
 
     def test_group_masks_are_freed_by_backward(self, monkeypatch):
         # backward_batch drops the cache's masks at their last use; with no
