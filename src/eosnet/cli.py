@@ -320,8 +320,8 @@ def _load_model(args):
     return params, record["split"]
 
 
-def _float_cells(values) -> list[str]:
-    """The ``repr`` of each float64 of ``values``, a column of one output.
+def _cells(values, text=repr) -> list[str]:
+    """The ``text`` of each 8-byte number of ``values``, a column of one output.
 
     A column holds few distinct values (two in a flag column, at most 901
     plus one per session in a gap column), so each distinct bit pattern is
@@ -331,7 +331,7 @@ def _float_cells(values) -> list[str]:
     import numpy as np
 
     patterns, index = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([repr(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+    texts = np.array([text(v) for v in patterns.view(values.dtype).tolist()], dtype=object)
     return texts[index].tolist()
 
 
@@ -388,16 +388,23 @@ def cmd_generate(args) -> int:
 def cmd_sessionize(args) -> int:
     import numpy as np
 
-    from eosnet.ingest import HEADER, format_action
+    from eosnet.ingest import CORRECT_TEXT, HEADER
 
     _check_outputs(args.out)
-    labeled = _load_labeled(args.data, strict=not args.lenient)
-    rows = [HEADER + ",session_index,label"]
-    for seq in labeled.values():
-        session_index = (np.cumsum(seq.labels) - seq.labels).tolist()
-        for action, index, yval in zip(seq.actions, session_index, seq.labels.tolist()):
-            rows.append(f"{format_action(action)},{index},{yval}")
-    _emit(args.out, rows)
+    seqs = list(_load_labeled(args.data, strict=not args.lenient).values())
+    actions = [action for seq in seqs for action in seq.actions]
+    empty = np.zeros(0, dtype=np.int64)
+    # The rows are built column by column, as featurize builds them: the
+    # record's fields as format_action writes them, then the session index
+    # and the label from tables of texts (_cells); each row joins its cells.
+    columns = [[a.student_id for a in actions], [str(a.timestamp) for a in actions],
+               [a.kind.value for a in actions], [a.lesson_id for a in actions],
+               [a.topic_id for a in actions], [CORRECT_TEXT[a.correct] for a in actions],
+               ["1" if a.homework else "0" for a in actions],
+               _cells(np.concatenate([empty, *(np.cumsum(seq.labels) - seq.labels
+                                             for seq in seqs)]), str),
+               _cells(np.concatenate([empty, *(seq.labels for seq in seqs)]), str)]
+    _emit(args.out, [HEADER + ",session_index,label", *map(",".join, zip(*columns))])
     return EXIT_OK
 
 
@@ -409,8 +416,8 @@ def cmd_featurize(args) -> int:
     seqs = [labeled[sid] for sid in sorted(labeled)]
     frames = featurize_logs(seqs, args.utc_offset_minutes)
     # The rows are built column by column: each column's cells come from
-    # its own table of texts (_float_cells), and each row joins its cells.
-    columns = [_float_cells(frames[:, j]) for j in range(len(FEATURE_NAMES))]
+    # its own table of texts (_cells), and each row joins its cells.
+    columns = [_cells(frames[:, j]) for j in range(len(FEATURE_NAMES))]
     columns.append([str(yval) for seq in seqs for yval in seq.labels.tolist()])
     header = ",".join(FEATURE_NAMES) + ",label"
     if args.with_keys:
