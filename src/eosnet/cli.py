@@ -393,7 +393,7 @@ def cmd_sessionize(args) -> int:
     _check_outputs(args.out)
     seqs = list(_load_labeled(args.data, strict=not args.lenient).values())
     actions = [action for seq in seqs for action in seq.actions]
-    empty = np.zeros(0, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)  # makes the int8 labels int64, and a log may be empty
     # The rows are built column by column, as featurize builds them: the
     # record's fields as format_action writes them, then the session index
     # and the label from tables of texts (_cells); each row joins its cells.

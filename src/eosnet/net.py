@@ -287,12 +287,12 @@ class DropoutMasks(NamedTuple):
 
 def draw_masks(params: ModelParams, lengths, dropout_p: float, keys) -> DropoutMasks:
     """The dropout masks of a batch whose lane b runs ``lengths[b]`` steps
-    (non-decreasing).  Lane b draws ``(lengths[b], H + H1 + H2)`` uniforms
-    from ``np.random.default_rng(keys[b])``, keeps the units whose uniform
-    is below ``1 - dropout_p``, and splits its rows by width into the LSTM output's
-    and the two dense outputs' masks, laid out in packed ``(t, b)`` rows.
-    So a lane's masks depend only on its key and its step: not on the
-    batch's padding, its width or the lanes beside it."""
+    (non-decreasing).  Lane b draws ``(lengths[b], H + H1 + H2)`` float64
+    uniforms from ``np.random.default_rng(keys[b])`` and keeps the units
+    whose uniform is below ``1 - dropout_p``; its rows are split by width
+    into the LSTM output's and the two dense outputs' masks, in packed
+    ``(t, b)`` rows.  So a lane's masks depend only on its key and its
+    step: not on the batch's padding, its width or the lanes beside it."""
     keep = 1.0 - dropout_p
     widths = np.cumsum([0, params.hidden_size, params.dense1_size, params.dense2_size])
     lengths = np.asarray(lengths)

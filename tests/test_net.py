@@ -726,33 +726,20 @@ class TestLaneGroups:
 
     @pytest.mark.parametrize("level", ["student", "session"])
     def test_group_masks_equal_each_groups_own_draw(self, level):
-        # The oracle draws each of the group's lanes from its own stream.
+        # Whole, or cut into its lane groups (one for 8 and 17 lanes, three
+        # for 72), a window gives each lane the draw of its own stream.
         params = init_params(0)
-        window, _ = self._window(level, 72, seed=3)
         key, keep = [5, 6], 1.0 - 0.4
         widths = (params.hidden_size, params.dense1_size, params.dense2_size)
-        groups = _lane_groups(72)
-        assert len(groups) == 3
-        for lanes in groups:
-            masks = self._masks(params, window, key, lanes)
-            assert masks.keep == keep
-            for mask, expected in zip(masks[1:], per_lane_mask_oracle(
-                    key, window.lengths[lanes].tolist(), range(72)[lanes], widths, keep)):
-                np.testing.assert_array_equal(mask, expected)
-
-    @pytest.mark.parametrize("lanes", [8, 17, 72])
-    def test_each_lanes_masks_are_its_own_draw_at_any_width(self, lanes):
-        # Whole, or cut into its lane groups (one for 8 and 17 lanes, three
-        # for 72), a window gives each lane the draw of its own key.
-        params = init_params(0)
-        window, _ = self._window("student", lanes, seed=4)
-        key, keep = [8, 9], 1.0 - 0.4
-        widths = (params.hidden_size, params.dense1_size, params.dense2_size)
-        for part in [slice(None), *_lane_groups(lanes)]:
-            masks = self._masks(params, window, key, part)
-            for mask, expected in zip(masks[1:], per_lane_mask_oracle(
-                    key, window.lengths[part].tolist(), range(lanes)[part], widths, keep)):
-                np.testing.assert_array_equal(mask, expected)
+        assert len(_lane_groups(72)) == 3
+        for lanes in (8, 17, 72):
+            window, _ = self._window(level, lanes, seed=3)
+            for part in [slice(None), *_lane_groups(lanes)]:
+                masks = self._masks(params, window, key, part)
+                assert masks.keep == keep
+                for mask, expected in zip(masks[1:], per_lane_mask_oracle(
+                        key, window.lengths[part].tolist(), range(lanes)[part], widths, keep)):
+                    np.testing.assert_array_equal(mask, expected)
 
     @pytest.mark.parametrize("level", ["student", "session"])
     @pytest.mark.parametrize("lanes", [1, 17, LANE_GROUP])
