@@ -295,14 +295,15 @@ def draw_masks(params: ModelParams, lengths, dropout_p: float, keys) -> DropoutM
     step: not on the batch's padding, its width or the lanes beside it."""
     keep = 1.0 - dropout_p
     widths = np.cumsum([0, params.hidden_size, params.dense1_size, params.dense2_size])
-    lengths = np.asarray(lengths)
-    drawn = np.concatenate([np.random.default_rng(key).random((n, widths[-1])) < keep
-                            for key, n in zip(keys, lengths.tolist())])
-    # lane b's step t is row start[b] + t of the lanes' draws, one after another
-    T = int(lengths.max(initial=0))
-    start = np.cumsum(lengths) - lengths
-    rows = (np.arange(T)[:, None] + start)[real_steps(lengths, T)]
-    return DropoutMasks(keep, *(drawn[rows, lo:hi] for lo, hi in zip(widths, widths[1:])))
+    real = real_steps(lengths, max(lengths, default=0))
+    rows = np.cumsum(real).reshape(real.shape) - 1  # lane b's step t is packed row rows[t, b]
+    masks = [np.empty((int(real.sum()), hi - lo), dtype=bool) for lo, hi in zip(widths, widths[1:])]
+    uniforms = np.empty((len(real), widths[-1]))  # one lane's draw at a time
+    for b, (key, n) in enumerate(zip(keys, real.sum(axis=0).tolist())):
+        np.random.default_rng(key).random(out=uniforms[:n])
+        for mask, lo, hi in zip(masks, widths, widths[1:]):
+            mask[rows[:n, b]] = uniforms[:n, lo:hi] < keep
+    return DropoutMasks(keep, *masks)
 
 
 def _zero_resets(block: np.ndarray, resets: np.ndarray) -> None:
