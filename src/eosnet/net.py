@@ -294,14 +294,14 @@ def draw_masks(params: ModelParams, lengths, dropout_p: float, keys) -> DropoutM
     ``(t, b)`` rows.  So a lane's masks depend only on its key and its
     step: not on the batch's padding, its width or the lanes beside it."""
     keep = 1.0 - dropout_p
-    widths = np.cumsum([0, params.hidden_size, params.dense1_size, params.dense2_size])
+    bounds = np.cumsum([0, params.hidden_size, params.dense1_size, params.dense2_size])
     real = real_steps(lengths, max(lengths, default=0))
     rows = np.cumsum(real).reshape(real.shape) - 1  # lane b's step t is packed row rows[t, b]
-    masks = [np.empty((int(real.sum()), hi - lo), dtype=bool) for lo, hi in zip(widths, widths[1:])]
-    uniforms = np.empty((len(real), widths[-1]))  # one lane's draw at a time
+    masks = [np.empty((int(real.sum()), hi - lo), dtype=bool) for lo, hi in zip(bounds, bounds[1:])]
+    uniforms = np.empty((len(real), bounds[-1]))  # one lane's draw at a time
     for b, (key, n) in enumerate(zip(keys, real.sum(axis=0).tolist())):
         np.random.default_rng(key).random(out=uniforms[:n])
-        for mask, lo, hi in zip(masks, widths, widths[1:]):
+        for mask, lo, hi in zip(masks, bounds, bounds[1:]):
             mask[rows[:n, b]] = uniforms[:n, lo:hi] < keep
     return DropoutMasks(keep, *masks)
 
