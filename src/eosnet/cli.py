@@ -320,8 +320,8 @@ def _load_model(args):
     return params, record["split"]
 
 
-def _cells(values, text=repr) -> list[str]:
-    """The ``text`` of each 8-byte number of ``values``, a column of one output.
+def _cells(values) -> list[str]:
+    """The ``repr`` of each 8-byte number of ``values``, a column of one output.
 
     A column holds few distinct values (two in a flag column, at most 901
     plus one per session in a gap column), so each distinct bit pattern is
@@ -331,7 +331,7 @@ def _cells(values, text=repr) -> list[str]:
     import numpy as np
 
     patterns, index = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([text(v) for v in patterns.view(values.dtype).tolist()], dtype=object)
+    texts = np.array([repr(v) for v in patterns.view(values.dtype).tolist()], dtype=object)
     return texts[index].tolist()
 
 
@@ -388,22 +388,18 @@ def cmd_generate(args) -> int:
 def cmd_sessionize(args) -> int:
     import numpy as np
 
-    from eosnet.ingest import CORRECT_TEXT, HEADER
+    from eosnet.ingest import HEADER, format_action
 
     _check_outputs(args.out)
     seqs = list(_load_labeled(args.data, strict=not args.lenient).values())
-    actions = [action for seq in seqs for action in seq.actions]
     empty = np.zeros(0, dtype=np.int64)  # makes the int8 labels int64, and a log may be empty
-    # The rows are built column by column, as featurize builds them: the
-    # record's fields as format_action writes them, then the session index
-    # and the label from tables of texts (_cells); each row joins its cells.
-    columns = [[a.student_id for a in actions], [str(a.timestamp) for a in actions],
-               [a.kind.value for a in actions], [a.lesson_id for a in actions],
-               [a.topic_id for a in actions], [CORRECT_TEXT[a.correct] for a in actions],
-               ["1" if a.homework else "0" for a in actions],
+    # The rows are built column by column, as featurize builds them: each
+    # record as format_action writes it, then the session index and the
+    # label from tables of texts (_cells); each row joins its cells.
+    columns = [[format_action(action) for seq in seqs for action in seq.actions],
                _cells(np.concatenate([empty, *(np.cumsum(seq.labels) - seq.labels
-                                             for seq in seqs)]), str),
-               _cells(np.concatenate([empty, *(seq.labels for seq in seqs)]), str)]
+                                             for seq in seqs)])),
+               _cells(np.concatenate([empty, *(seq.labels for seq in seqs)]))]
     _emit(args.out, [HEADER + ",session_index,label", *map(",".join, zip(*columns))])
     return EXIT_OK
 

@@ -106,12 +106,9 @@ def parse_line(line: str, line_no: int = 0) -> RawAction:
         raise LogParseError(line_no, str(exc)) from None
 
 
-# the text of each value of ``RawAction.correct``
-CORRECT_TEXT = {None: "", True: "1", False: "0"}
-
-
 def format_action(action: RawAction) -> str:
     """Inverse of :func:`parse_line` (without trailing newline)."""
+    correct = "" if action.correct is None else ("1" if action.correct else "0")
     return ",".join(
         (
             action.student_id,
@@ -119,7 +116,7 @@ def format_action(action: RawAction) -> str:
             action.kind.value,
             action.lesson_id,
             action.topic_id,
-            CORRECT_TEXT[action.correct],
+            correct,
             "1" if action.homework else "0",
         )
     )

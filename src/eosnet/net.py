@@ -299,7 +299,7 @@ def draw_masks(params: ModelParams, lengths, dropout_p: float, keys) -> DropoutM
     rows = np.cumsum(real).reshape(real.shape) - 1  # lane b's step t is packed row rows[t, b]
     masks = [np.empty((int(real.sum()), hi - lo), dtype=bool) for lo, hi in zip(bounds, bounds[1:])]
     uniforms = np.empty((len(real), bounds[-1]))  # one lane's draw at a time
-    for b, (key, n) in enumerate(zip(keys, real.sum(axis=0).tolist())):
+    for b, (key, n) in enumerate(zip(keys, real.sum(axis=0).tolist(), strict=True)):
         np.random.default_rng(key).random(out=uniforms[:n])
         for mask, lo, hi in zip(masks, bounds, bounds[1:]):
             mask[rows[:n, b]] = uniforms[:n, lo:hi] < keep

@@ -535,6 +535,13 @@ class TestDropout:
             assert mask.dtype == bool
             np.testing.assert_array_equal(mask, expected)
 
+    @pytest.mark.parametrize("n_keys", [2, 4])
+    def test_one_key_per_lane(self, n_keys):
+        # a lane without a key would keep uninitialised mask rows
+        p = random_params(np.random.default_rng(0), hidden=6)
+        with pytest.raises(ValueError):
+            draw_masks(p, [2, 3, 3], 0.4, [[7, b] for b in range(n_keys)])
+
     def test_probs_equal_a_float_mask_head_oracle(self):
         # The masks are drawn from the same seeded per-lane generators as
         # (r < keep) / keep; the bool masks and 1/keep must give the same
